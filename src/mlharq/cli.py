@@ -22,7 +22,7 @@ from .closed_form import (
     throughput_sc,
     throughput_ts,
 )
-from .model import PowerSplit, SystemConfig
+from .model import PROTOCOLS, PowerSplit, SystemConfig
 from .monte_carlo import estimate
 from .optimize import optimize_rate_and_split, optimize_split
 from .quadrature import NonConvergence, QuadratureSettings
@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_scenario_args(sub, protocols=True):
     if protocols:
-        sub.add_argument("--protocol", required=True, choices=("ts", "mlh", "sc"))
+        sub.add_argument("--protocol", required=True, choices=PROTOCOLS)
     sub.add_argument("--rate", type=float, help="per-message rate, bits per channel use")
     sub.add_argument("--snr-db", type=float, required=True)
     sub.add_argument("--sigma2", type=float, default=1.0,
@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis-min", type=float)
     p_sweep.add_argument("--axis-max", type=float)
     p_sweep.add_argument("--axis-step", type=float)
-    p_sweep.add_argument("--protocols", default="ts,mlh,sc",
-                         help="comma-separated subset of ts,mlh,sc")
+    p_sweep.add_argument("--protocols", default=",".join(PROTOCOLS),
+                         help="comma-separated subset of %(default)s")
     p_sweep.add_argument("--grid-step", type=float, default=0.01)
     p_sweep.add_argument("--refine-tol", type=float, default=1e-4)
     p_sweep.add_argument("--trials", type=int, default=0,
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergence as exc:

@@ -7,14 +7,20 @@ analytically against the exponential density, leaving integrals over the
 slot-1 gain whose integrands combine exponentials of the gain thresholds
 g_min/g_max, h3, h4 and h4_bar.
 
+Superposition coding is the multi-layer both-fail branch with beta = alpha
+and no slot-1 decoding: it evaluates the same two slot-2 kernels (_k3,
+_k4), with the slot-1 gain integrated up to the tail truncation point
+instead of g_max.
+
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
-exp(-inf) = 0, max(..., +inf) = +inf; an infinite integration bound routes
-to the semi-infinite integrator.
+exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window routes to the
+semi-infinite integrator.
 """
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import operator
+from dataclasses import dataclass, fields
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -34,7 +40,6 @@ __all__ = [
     "g_max",
     "h3",
     "h4",
-    "h4_bar",
     "prob_p0",
     "prob_p1",
     "prob_p1_prime",
@@ -62,14 +67,34 @@ def _check_prob(name, value, slack=_PROB_SLACK):
         raise ValueError(f"{name} must be a probability, got {value}")
 
 
+class _Probs:
+    """Field checks and helpers shared by the probability records; each
+    subclass names itself in _label."""
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            _check_prob(name, value)
+        if self.total() > 1.0 + 1e-8:
+            raise ValueError(
+                f"{self._label} probabilities sum to {self.total()} > 1")
+
+    def total(self) -> float:
+        return reduce(operator.add, self.as_dict().values())
+
+    def as_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class EventProbs:
+class EventProbs(_Probs):
     """Probabilities of the eight decoding events of one multi-layer slice.
 
     The residual 1 - total() is the all-fail event, which has no closed
     form of its own.  Fields may carry float noise of order 1e-9 around
     the exact [0, 1] range.
     """
+
+    _label = "event"
 
     p0: float    # both decoded at slot 1
     p1: float    # only m1 at slot 1, m2 recovered at slot 2
@@ -80,42 +105,17 @@ class EventProbs:
     p4: float    # only m1 recovered at slot 2
     p4p: float   # only m2 recovered at slot 2
 
-    def __post_init__(self):
-        for name in ("p0", "p1", "p1p", "p2", "p2p", "p3", "p4", "p4p"):
-            _check_prob(name, getattr(self, name))
-        if self.total() > 1.0 + 1e-8:
-            raise ValueError(f"event probabilities sum to {self.total()} > 1")
-
-    def total(self) -> float:
-        return (self.p0 + self.p1 + self.p1p + self.p2 + self.p2p
-                + self.p3 + self.p4 + self.p4p)
-
-    def as_dict(self) -> dict:
-        return {"p0": self.p0, "p1": self.p1, "p1p": self.p1p,
-                "p2": self.p2, "p2p": self.p2p, "p3": self.p3,
-                "p4": self.p4, "p4p": self.p4p}
-
 
 @dataclass(frozen=True)
-class ScProbs:
+class ScProbs(_Probs):
     """Probabilities of the superposition-coding outcomes (two-slot joint
     decoding only, no intermediate feedback)."""
+
+    _label = "sc"
 
     tp3: float   # both messages decoded
     tp4: float   # only m1 decoded
     tp4p: float  # only m2 decoded
-
-    def __post_init__(self):
-        for name in ("tp3", "tp4", "tp4p"):
-            _check_prob(name, getattr(self, name))
-        if self.total() > 1.0 + 1e-8:
-            raise ValueError(f"sc probabilities sum to {self.total()} > 1")
-
-    def total(self) -> float:
-        return self.tp3 + self.tp4 + self.tp4p
-
-    def as_dict(self) -> dict:
-        return {"tp3": self.tp3, "tp4": self.tp4, "tp4p": self.tp4p}
 
 
 def vanishing_threshold(cfg: SystemConfig) -> float:
@@ -157,7 +157,7 @@ def g_max(alpha: float, cfg: SystemConfig) -> float:
                t2 / p)
 
 
-def _h3_array(g, alpha, beta, cfg):
+def h3(g, alpha, beta, cfg):
     """Slot-2 gain threshold for joint success after a both-fail slot 1.
 
     Elementwise over g; max of the three accumulated MAC constraints with
@@ -186,13 +186,7 @@ def _h3_array(g, alpha, beta, cfg):
     return np.maximum(0.0, np.maximum(t1, np.maximum(t2, t3)))
 
 
-def h3(g, split: PowerSplit, cfg: SystemConfig):
-    """Public elementwise wrapper around the joint-success threshold."""
-    out = _h3_array(g, split.alpha, split.beta, cfg)
-    return float(out) if np.isscalar(g) else out
-
-
-def _h4_arrays(g, alpha, beta, cfg):
+def h4(g, alpha, beta, cfg):
     """Lower/upper slot-2 gain thresholds for "only m1 recovers at slot 2".
 
     h4 is the smallest slot-2 gain letting m1 through with m2 treated as
@@ -221,16 +215,6 @@ def _h4_arrays(g, alpha, beta, cfg):
     else:
         hbar = np.where(nbar > 0.0, np.inf, 0.0)
     return h4v, hbar
-
-
-def h4(g, split: PowerSplit, cfg: SystemConfig):
-    out, _ = _h4_arrays(g, split.alpha, split.beta, cfg)
-    return float(out) if np.isscalar(g) else out
-
-
-def h4_bar(g, split: PowerSplit, cfg: SystemConfig):
-    _, out = _h4_arrays(g, split.alpha, split.beta, cfg)
-    return float(out) if np.isscalar(g) else out
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +316,11 @@ def _p1_bounds(alpha, cfg):
 def _p1_value(alpha, cfg, settings):
     if alpha <= vanishing_threshold(cfg):
         return 0.0
+    lo, hi = _p1_bounds(alpha, cfg)
+    if lo >= hi:
+        # just above the vanishing threshold the window is empty but its
+        # bounds can cross by rounding
+        return 0.0
     r = cfg.rate_R
     p = cfg.power_P
     s2 = cfg.sigma2
@@ -342,7 +331,6 @@ def _p1_value(alpha, cfg, settings):
         resid = np.maximum(0.0, k1 / (1.0 + g * c) - 1.0)
         return np.exp(-resid / (s2 * p)) * np.exp(-g / s2) / s2
 
-    lo, hi = _p1_bounds(alpha, cfg)
     if math.isinf(hi):
         return integrate_semi_infinite(f, lo, s2, breakpoints=[],
                                        settings=settings)
@@ -376,6 +364,8 @@ def prob_p2(alpha: float, cfg: SystemConfig,
         return 0.0
     s2 = cfg.sigma2
     lo, hi = _p1_bounds(alpha, cfg)
+    if lo >= hi:
+        return 0.0
     window = math.exp(-lo / s2) - (0.0 if math.isinf(hi) else math.exp(-hi / s2))
     return window - prob_p1(alpha, cfg, settings)
 
@@ -387,45 +377,47 @@ def prob_p2_prime(alpha: float, cfg: SystemConfig,
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _p3_value(alpha, beta, cfg, settings):
-    gm = g_max(alpha, cfg)
-    if gm <= 0.0:
-        return 0.0
+def _k3(alpha, beta, upper, cfg, settings):
+    """Both fail at slot 1, joint success at slot 2, slot-1 gain in [0, upper]."""
     s2 = cfg.sigma2
 
     def f(g):
-        return np.exp(-_h3_array(g, alpha, beta, cfg) / s2) * np.exp(-g / s2) / s2
+        return np.exp(-h3(g, alpha, beta, cfg) / s2) * np.exp(-g / s2) / s2
 
-    bps = _h3_breakpoints(alpha, beta, cfg, gm)
-    return integrate_finite(f, 0.0, gm, breakpoints=bps, settings=settings)
+    bps = _h3_breakpoints(alpha, beta, cfg, upper)
+    return integrate_finite(f, 0.0, upper, breakpoints=bps, settings=settings)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _k4(alpha, beta, upper, cfg, settings):
+    """Both fail at slot 1, only m1 at slot 2, slot-1 gain in [0, upper]."""
+    s2 = cfg.sigma2
+
+    def f(g):
+        hv, hb = h4(g, alpha, beta, cfg)
+        layer = np.maximum(0.0, np.exp(-hv / s2) - np.exp(-hb / s2))
+        return layer * np.exp(-g / s2) / s2
+
+    bps = _h4_breakpoints(alpha, beta, cfg, upper)
+    return integrate_finite(f, 0.0, upper, breakpoints=bps, settings=settings)
 
 
 def prob_p3(alpha: float, beta: float, cfg: SystemConfig,
             settings: Optional[QuadratureSettings] = None) -> float:
     """Both messages fail at slot 1 and decode jointly at slot 2."""
-    return _p3_value(alpha, beta, cfg, settings or DEFAULT_SETTINGS)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _p4_value(alpha, beta, cfg, settings):
     gm = g_max(alpha, cfg)
     if gm <= 0.0:
         return 0.0
-    s2 = cfg.sigma2
-
-    def f(g):
-        hv, hb = _h4_arrays(g, alpha, beta, cfg)
-        layer = np.maximum(0.0, np.exp(-hv / s2) - np.exp(-hb / s2))
-        return layer * np.exp(-g / s2) / s2
-
-    bps = _h4_breakpoints(alpha, beta, cfg, gm)
-    return integrate_finite(f, 0.0, gm, breakpoints=bps, settings=settings)
+    return _k3(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
 
 
 def prob_p4(alpha: float, beta: float, cfg: SystemConfig,
             settings: Optional[QuadratureSettings] = None) -> float:
     """Both messages fail at slot 1 and only m1 recovers at slot 2."""
-    return _p4_value(alpha, beta, cfg, settings or DEFAULT_SETTINGS)
+    gm = g_max(alpha, cfg)
+    if gm <= 0.0:
+        return 0.0
+    return _k4(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
 
 
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,
@@ -441,46 +433,19 @@ def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,
     return prob_p4(1.0 - alpha, 1.0 - beta, cfg, settings)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _sc_tp3(alpha, cfg, settings):
-    s2 = cfg.sigma2
-
-    def f(g):
-        return np.exp(-_h3_array(g, alpha, alpha, cfg) / s2) * np.exp(-g / s2) / s2
-
-    upper = s2 * math.log(1.0 / settings.tail_epsilon)
-    bps = _h3_breakpoints(alpha, alpha, cfg, upper)
-    return integrate_semi_infinite(f, 0.0, s2, breakpoints=bps,
-                                   settings=settings)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _sc_tp4(alpha, cfg, settings):
-    s2 = cfg.sigma2
-
-    def f(g):
-        hv, hb = _h4_arrays(g, alpha, alpha, cfg)
-        layer = np.maximum(0.0, np.exp(-hv / s2) - np.exp(-hb / s2))
-        return layer * np.exp(-g / s2) / s2
-
-    upper = s2 * math.log(1.0 / settings.tail_epsilon)
-    bps = _h4_breakpoints(alpha, alpha, cfg, upper)
-    return integrate_semi_infinite(f, 0.0, s2, breakpoints=bps,
-                                   settings=settings)
-
-
 def prob_sc(alpha: float, cfg: SystemConfig,
             settings: Optional[QuadratureSettings] = None) -> ScProbs:
     """Outcome probabilities of superposition coding over the two slots.
 
-    Both slots reuse the slot-1 split, so everything depends on alpha
-    alone; with no slot-1 decoding attempt the slot-1 gain integrates over
-    the whole half line instead of stopping at g_max.
+    Both slots reuse the slot-1 split, so these are the multi-layer slot-2
+    kernels at beta = alpha; with no slot-1 decoding attempt the slot-1
+    gain runs up to the tail truncation point instead of stopping at g_max.
     """
     settings = settings or DEFAULT_SETTINGS
-    return ScProbs(tp3=_sc_tp3(alpha, cfg, settings),
-                   tp4=_sc_tp4(alpha, cfg, settings),
-                   tp4p=_sc_tp4(1.0 - alpha, cfg, settings))
+    upper = cfg.sigma2 * math.log(1.0 / settings.tail_epsilon)
+    return ScProbs(tp3=_k3(alpha, alpha, upper, cfg, settings),
+                   tp4=_k4(alpha, alpha, upper, cfg, settings),
+                   tp4p=_k4(1.0 - alpha, 1.0 - alpha, upper, cfg, settings))
 
 
 def event_probs(split: PowerSplit, cfg: SystemConfig,

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
+PROTOCOLS = ("ts", "mlh", "sc")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -18,19 +20,14 @@ class SystemConfig:
     rate_R: float            # bits per channel use, per message
     power_P: float           # total transmit power (linear)
     sigma2: float = 1.0      # mean channel gain E[g1] = E[g2]
-    symbols_per_slot_N: float = 1.0  # cancels in every throughput; kept for bit counts
 
     def __post_init__(self):
-        if not self.rate_R > 0:
-            raise ValueError(f"rate_R must be > 0, got {self.rate_R}")
-        if not self.power_P > 0:
-            raise ValueError(f"power_P must be > 0, got {self.power_P}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
-        if not self.symbols_per_slot_N > 0:
-            raise ValueError(
-                f"symbols_per_slot_N must be > 0, got {self.symbols_per_slot_N}"
-            )
+        for name in ("rate_R", "power_P", "sigma2"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def snr_db(self) -> float:
@@ -38,7 +35,7 @@ class SystemConfig:
         return 10.0 * math.log10(self.power_P / self.sigma2)
 
     @classmethod
-    def from_snr_db(cls, snr_db, rate_R, sigma2=1.0, symbols_per_slot_N=1.0):
+    def from_snr_db(cls, snr_db, rate_R, sigma2=1.0):
         """Build a config from an SNR in dB: P = sigma2 * 10^(snr_db/10).
 
         With the default sigma2 = 1 this makes P numerically equal to the
@@ -46,8 +43,7 @@ class SystemConfig:
         SNR P*sigma^2.
         """
         power = sigma2 * 10.0 ** (snr_db / 10.0)
-        return cls(rate_R=rate_R, power_P=power, sigma2=sigma2,
-                   symbols_per_slot_N=symbols_per_slot_N)
+        return cls(rate_R=rate_R, power_P=power, sigma2=sigma2)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ import numpy as np
 
 from .closed_form import EventProbs, ScProbs
 from .model import (
+    PROTOCOLS,
+    _REWARD_MESSAGES,
     ChannelDraw,
     JointOutcome,
     PowerSplit,
@@ -41,12 +43,10 @@ __all__ = [
     "resolve_workers",
 ]
 
-PROTOCOLS = ("ts", "mlh", "sc")
-
 _SEED_MASK = (1 << 64) - 1
 _BOOTSTRAP_STREAM = _SEED_MASK  # block index reserved for the bootstrap RNG
 _BOOTSTRAP_RESAMPLES = 1000
-_REWARDS = np.array([2, 2, 2, 1, 1, 2, 1, 1, 0], dtype=np.int64)
+_REWARDS = np.array([_REWARD_MESSAGES[ev] for ev in SliceEvent], dtype=np.int64)
 
 
 class InvalidTrials(ValueError):

@@ -23,12 +23,10 @@ from .closed_form import (
     throughput_sc,
     throughput_ts,
 )
-from .model import PowerSplit, SystemConfig
+from .model import PROTOCOLS, PowerSplit, SystemConfig
 from .quadrature import QuadratureSettings
 
 __all__ = ["Optimum", "optimize_split", "optimize_rate_and_split"]
-
-PROTOCOLS = ("ts", "mlh", "sc")
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -82,8 +80,10 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
     p1s = [prob_p1(a, cfg, settings) for a in pts]
     p2s = [prob_p2(a, cfg, settings) for a in pts]
 
+    # p3(i, j) = p3(n - i, n - j) is exact on the grid indices, not on
+    # floats: the two quadratures differ in the last bits.  The table
+    # evaluates only the canonical index of each mirror pair.
     t3: dict[tuple[int, int], float] = {}
-    t4: dict[tuple[int, int], float] = {}
 
     def p3_at(i, j):
         key = min((i, j), (n - i, n - j))
@@ -91,18 +91,14 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
             t3[key] = prob_p3(pts[key[0]], pts[key[1]], cfg, settings)
         return t3[key]
 
-    def p4_at(i, j):
-        if (i, j) not in t4:
-            t4[(i, j)] = prob_p4(pts[i], pts[j], cfg, settings)
-        return t4[(i, j)]
-
     r = cfg.rate_R
     for i, a in enumerate(pts):
         base = (2.0 * p0s[i] + 2.0 * (p1s[i] + p1s[n - i])
                 + p2s[i] + p2s[n - i])
         denom = 2.0 - p0s[i]
         for j, b in enumerate(pts):
-            q = base + 2.0 * p3_at(i, j) + p4_at(i, j) + p4_at(n - i, n - j)
+            q = (base + 2.0 * p3_at(i, j) + prob_p4(a, b, cfg, settings)
+                 + prob_p4(pts[n - i], pts[n - j], cfg, settings))
             search.offer(r * q / denom, a, b)
 
     def objective(a, b):

@@ -5,12 +5,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .model import PowerSplit, SystemConfig
+from .model import PROTOCOLS, PowerSplit, SystemConfig
 from .monte_carlo import estimate
 from .optimize import optimize_rate_and_split, optimize_split
 from .quadrature import QuadratureSettings
 
-__all__ = ["SweepKind", "SweepSpec", "SweepRow", "run_sweep", "write_csv"]
+__all__ = ["SweepSpec", "SweepRow", "run_sweep", "write_csv"]
 
 
 # Kinds sharing a computation differ only in which columns the figure plots.
@@ -23,8 +23,6 @@ SWEEP_KINDS = {
     "splits-vs-snr-opt-rate": "snr_opt_rate",
     "rate-star-vs-snr": "snr_opt_rate",
 }
-
-SweepKind = str
 
 CSV_HEADER = "protocol,snr_db,rate,alpha,beta,throughput,source,trials,seed"
 
@@ -39,11 +37,11 @@ class SweepSpec:
     emitted as a monte_carlo-source row instead of the closed-form value.
     """
 
-    kind: SweepKind
+    kind: str
     axis_min: float
     axis_max: float
     axis_step: float
-    protocols: tuple = ("ts", "mlh", "sc")
+    protocols: tuple = PROTOCOLS
     snr_db: Optional[float] = None     # fixed SNR for rate sweeps
     rate: Optional[float] = None       # fixed rate for t-vs-snr sweeps
     sigma2: float = 1.0
@@ -70,7 +68,7 @@ class SweepSpec:
         if not self.protocols:
             raise ValueError("protocols must be nonempty")
         for proto in self.protocols:
-            if proto not in ("ts", "mlh", "sc"):
+            if proto not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {proto!r}")
 
     def axis_values(self) -> list[float]:
@@ -147,9 +145,11 @@ def run_sweep(spec: SweepSpec,
             try:
                 rows.append(_point_row(spec, protocol, snr_db, cfg, settings))
             except Exception as exc:
-                raise RuntimeError(
-                    f"sweep point failed: protocol={protocol}, axis={x!r} "
-                    f"({spec.kind}): {exc}") from exc
+                # name the point but keep the type, so that the CLI still
+                # maps the failure to its exit code
+                exc.args = (f"sweep point failed: protocol={protocol}, "
+                            f"axis={x!r} ({spec.kind}): {exc}",)
+                raise
     rows.sort(key=lambda row: (row.protocol, row.snr_db, row.rate))
     return rows
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import mlharq.cli as cli
+import mlharq.sweeps as sweeps
 from mlharq.quadrature import NonConvergence
 
 
@@ -74,6 +75,31 @@ class TestEval:
         assert code == 2
         assert "numerical" in err
 
+    def test_empty_p1_window_exits_0(self, capsys):
+        # alpha just above the vanishing threshold: the p1 window bounds
+        # cross by rounding, and the empty window gives exactly 0
+        code, out, _ = run(capsys, "eval", "--protocol", "mlh",
+                           "--rate", "1.6276197687631888",
+                           "--snr-db", "-3.500785684197352",
+                           "--alpha", "0.7555028780966168", "--beta", "0.73")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["event_probs"]["p1"] == 0.0
+        assert doc["event_probs"]["p2"] == 0.0
+
+    @pytest.mark.parametrize("flag,value", [("--rate", "inf"),
+                                            ("--rate", "600"),
+                                            ("--snr-db", "1e4")])
+    def test_nonfinite_or_overflowing_input_exits_1(self, capsys, flag, value):
+        argv = ["eval", "--protocol", "mlh", "--rate", "1", "--snr-db", "3",
+                "--alpha", "0.8", "--beta", "0.7"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestSimulate:
     def test_json_roundtrip(self, capsys):
@@ -141,6 +167,18 @@ class TestSweep:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "protocol,snr_db,rate,alpha,beta,throughput,source,trials,seed"
         assert len(lines) == 5
+
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch, tmp_path):
+        def explode(*args, **kwargs):
+            raise NonConvergence(0.0, 1.0, 2000)
+        monkeypatch.setattr(sweeps, "optimize_split", explode)
+        code, _, err = run(capsys, "sweep", "--kind", "t-vs-rate", "--snr-db",
+                           "3", "--axis-min", "0.5", "--axis-max", "0.5",
+                           "--protocols", "sc", "--out",
+                           str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "numerical failure" in err
+        assert "protocol=sc, axis=0.5 (t-vs-rate)" in err
 
     def test_missing_fixed_param_exits_1(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--kind", "t-vs-rate", "--out",

@@ -18,7 +18,6 @@ from mlharq.closed_form import (
     g_min,
     h3,
     h4,
-    h4_bar,
     mlh_throughput_from_probs,
     prob_p0,
     prob_p1,
@@ -83,18 +82,17 @@ class TestThresholds:
             assert g_max(float(alpha), CFG) <= bound + 1e-12
 
     def test_h3_values(self):
-        split = PowerSplit(0.5, 0.5)
-        assert h3(0.0, split, CFG) == pytest.approx(1.5)  # max(1, 1, 1.5)
-        assert h3(1e9, split, CFG) == 0.0
-        assert h3(0.0, PowerSplit(0.5, 1.0), CFG) == math.inf
+        assert h3(0.0, 0.5, 0.5, CFG) == pytest.approx(1.5)  # max(1, 1, 1.5)
+        assert h3(1e9, 0.5, 0.5, CFG) == 0.0
+        assert h3(0.0, 0.5, 1.0, CFG) == math.inf
 
     def test_h4_values(self):
         cfg2 = SystemConfig(rate_R=2.0, power_P=2.0)
         # residual N=3 at g=0 exceeds the beta/(1-beta) = 0.25 cap
-        assert h4(0.0, PowerSplit(0.5, 0.2), cfg2) == math.inf
+        assert h4(0.0, 0.5, 0.2, cfg2)[0] == math.inf
         # slot-1 SINR already clears the rate: nothing needed from slot 2
-        assert h4(100.0, PowerSplit(0.9, 0.5), CFG) == 0.0
-        assert h4_bar(0.0, PowerSplit(0.5, 1.0), CFG) == math.inf
+        assert h4(100.0, 0.9, 0.5, CFG)[0] == 0.0
+        assert h4(0.0, 0.5, 1.0, CFG)[1] == math.inf
 
 
 class TestVanishing:
@@ -109,6 +107,15 @@ class TestVanishing:
     def test_mirrored_threshold(self):
         assert prob_p1_prime(0.4, CFG) == 0.0
         assert prob_p2_prime(0.4, CFG) == 0.0
+
+    def test_empty_window_just_above_threshold(self):
+        # the p1 window bounds cross by rounding here; the window is empty
+        cfg = SystemConfig.from_snr_db(7.692280364297938, 3.936831108168777)
+        split = PowerSplit(0.9387050224783754, 0.44750058773658685)
+        probs = event_probs(split, cfg)
+        assert probs.p1 == 0.0
+        assert probs.p2 == 0.0
+        assert throughput_mlh(split, cfg) > 0.0
 
     def test_positive_above(self):
         assert prob_p1(0.7, CFG) > 0.0

@@ -33,6 +33,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             SystemConfig(rate_R=1.0, power_P=1.0, sigma2=0.0)
 
+    @pytest.mark.parametrize("field", ["rate_R", "power_P", "sigma2"])
+    def test_config_rejects_infinite(self, field):
+        kwargs = {"rate_R": 1.0, "power_P": 1.0, field: math.inf}
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**kwargs)
+
     def test_snr_roundtrip(self):
         cfg = SystemConfig.from_snr_db(3.0, 1.0)
         assert cfg.snr_db == pytest.approx(3.0, abs=1e-12)
