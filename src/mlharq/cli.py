@@ -40,9 +40,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_scenario_args(sub, protocols=True):
-    if protocols:
-        sub.add_argument("--protocol", required=True, choices=PROTOCOLS)
+def _add_scenario_args(sub):
+    sub.add_argument("--protocol", required=True, choices=PROTOCOLS)
     sub.add_argument("--rate", type=float, help="per-message rate, bits per channel use")
     sub.add_argument("--snr-db", type=float, required=True)
     sub.add_argument("--sigma2", type=float, default=1.0,
@@ -315,7 +314,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # x/0+ = +inf is an intended value of the closed forms, not a
+        # diagnostic, so numpy's overflow and divide warnings stay off stderr
+        with np.errstate(over="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

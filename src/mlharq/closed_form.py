@@ -13,8 +13,8 @@ _k4), with the slot-1 gain integrated up to the tail truncation point
 instead of g_max.
 
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
-exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window routes to the
-semi-infinite integrator.
+exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window is cut at the
+tail truncation point.
 """
 
 import math
@@ -28,9 +28,9 @@ import numpy as np
 from .model import PowerSplit, SystemConfig, safe_div_threshold
 from .quadrature import (
     DEFAULT_SETTINGS,
+    TAIL_SPAN,
     QuadratureSettings,
     integrate_finite,
-    integrate_semi_infinite,
 )
 
 __all__ = [
@@ -174,11 +174,13 @@ def h3(g, alpha, beta, cfg):
     n2 = k1 / (1.0 + g * alpha * p) - 1.0           # m1 layer, share beta
     n3 = k2 / (1.0 + g * p) - 1.0                   # sum rate, full power
 
-    if beta < 1.0:
+    # branch on each layer's slot-2 power, not its share: a tiny positive
+    # share can still underflow to zero power
+    if (1.0 - beta) * p > 0.0:
         t1 = n1 / ((1.0 - beta) * p)
     else:
         t1 = np.where(n1 > 0.0, np.inf, 0.0)
-    if beta > 0.0:
+    if beta * p > 0.0:
         t2 = n2 / (beta * p)
     else:
         t2 = np.where(n2 > 0.0, np.inf, 0.0)
@@ -210,7 +212,7 @@ def h4(g, alpha, beta, cfg):
                    np.where(d > 0.0, n / (p * d_safe), np.inf))
 
     nbar = k1 / u - 1.0
-    if beta < 1.0:
+    if (1.0 - beta) * p > 0.0:
         hbar = np.maximum(0.0, nbar) / ((1.0 - beta) * p)
     else:
         hbar = np.where(nbar > 0.0, np.inf, 0.0)
@@ -233,9 +235,10 @@ def _quadratic_roots(a2, a1, a0):
     return [(-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)]
 
 
-def _h3_breakpoints(alpha, beta, cfg, upper):
-    """Kink candidates of h3 on (0, upper): branch switches of the max and
-    zero crossings of each term (linear or quadratic in g)."""
+def _h3_breakpoints(alpha, beta, cfg):
+    """Kink candidates of h3: branch switches of the max and zero crossings
+    of each term (linear or quadratic in g).  Candidates outside the
+    integration range are left for integrate_finite to drop."""
     r = cfg.rate_R
     p = cfg.power_P
     # terms as (share w, 2^rate factor K, gain coefficient c): value is
@@ -257,11 +260,11 @@ def _h3_breakpoints(alpha, beta, cfg, upper):
             a1 = (wi - wj) * (ci + cj) + wj * ki * cj - wi * kj * ci
             a0 = (wi - wj) + wj * ki - wi * kj
             pts.extend(_quadratic_roots(a2, a1, a0))
-    return sorted(x for x in pts if 0.0 < x < upper)
+    return pts
 
 
-def _h4_breakpoints(alpha, beta, cfg, upper):
-    """Kink candidates of the only-m1 integrand on (0, upper)."""
+def _h4_breakpoints(alpha, beta, cfg):
+    """Kink candidates of the only-m1 integrand, in or out of range."""
     r = cfg.rate_R
     p = cfg.power_P
     k1 = 2.0 ** r
@@ -289,7 +292,7 @@ def _h4_breakpoints(alpha, beta, cfg, upper):
         beta * (c1 + c2) - k1 * c2 + (1.0 - beta) * k1 * k1 * c1,
         beta - k1 + (1.0 - beta) * k1 * k1,
     ))
-    return sorted({x for x in pts if 0.0 < x < upper})
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +301,7 @@ def _h4_breakpoints(alpha, beta, cfg, upper):
 
 def prob_p0(alpha: float, cfg: SystemConfig) -> float:
     """Both messages decode jointly at slot 1 (analytic, no quadrature)."""
-    gm = g_min(alpha, cfg)
-    if math.isinf(gm):
-        return 0.0
-    return math.exp(-gm / cfg.sigma2)
+    return math.exp(-g_min(alpha, cfg) / cfg.sigma2)
 
 
 def _p1_bounds(alpha, cfg):
@@ -332,8 +332,7 @@ def _p1_value(alpha, cfg, settings):
         return np.exp(-resid / (s2 * p)) * np.exp(-g / s2) / s2
 
     if math.isinf(hi):
-        return integrate_semi_infinite(f, lo, s2, breakpoints=[],
-                                       settings=settings)
+        hi = lo + s2 * TAIL_SPAN
     # the positive part activates on the whole window (it reaches zero
     # exactly at the upper limit), so the integrand is smooth inside
     return integrate_finite(f, lo, hi, breakpoints=[], settings=settings)
@@ -366,7 +365,7 @@ def prob_p2(alpha: float, cfg: SystemConfig,
     lo, hi = _p1_bounds(alpha, cfg)
     if lo >= hi:
         return 0.0
-    window = math.exp(-lo / s2) - (0.0 if math.isinf(hi) else math.exp(-hi / s2))
+    window = math.exp(-lo / s2) - math.exp(-hi / s2)
     return window - prob_p1(alpha, cfg, settings)
 
 
@@ -384,7 +383,7 @@ def _k3(alpha, beta, upper, cfg, settings):
     def f(g):
         return np.exp(-h3(g, alpha, beta, cfg) / s2) * np.exp(-g / s2) / s2
 
-    bps = _h3_breakpoints(alpha, beta, cfg, upper)
+    bps = _h3_breakpoints(alpha, beta, cfg)
     return integrate_finite(f, 0.0, upper, breakpoints=bps, settings=settings)
 
 
@@ -398,7 +397,7 @@ def _k4(alpha, beta, upper, cfg, settings):
         layer = np.maximum(0.0, np.exp(-hv / s2) - np.exp(-hb / s2))
         return layer * np.exp(-g / s2) / s2
 
-    bps = _h4_breakpoints(alpha, beta, cfg, upper)
+    bps = _h4_breakpoints(alpha, beta, cfg)
     return integrate_finite(f, 0.0, upper, breakpoints=bps, settings=settings)
 
 
@@ -442,7 +441,7 @@ def prob_sc(alpha: float, cfg: SystemConfig,
     gain runs up to the tail truncation point instead of stopping at g_max.
     """
     settings = settings or DEFAULT_SETTINGS
-    upper = cfg.sigma2 * math.log(1.0 / settings.tail_epsilon)
+    upper = cfg.sigma2 * TAIL_SPAN
     return ScProbs(tp3=_k3(alpha, alpha, upper, cfg, settings),
                    tp4=_k4(alpha, alpha, upper, cfg, settings),
                    tp4p=_k4(1.0 - alpha, 1.0 - alpha, upper, cfg, settings))

@@ -68,37 +68,30 @@ class _Search:
 def _search_mlh(cfg, grid_step, refine_tol, settings):
     """Coarse 2-D grid exploiting the mirror symmetries, then local shrink.
 
-    On the coarse grid the mirrored events are read from the transposed
-    table entry (exact index mirror); refinement and the returned value use
-    the canonical objective.
+    On the coarse grid the mirrored events are evaluated at the mirrored
+    grid index (exact index mirror, never 1 - a); refinement and the
+    returned value use the canonical objective.
     """
     pts = _axis_points(grid_step)
     n = len(pts) - 1
     search = _Search()
 
-    p0s = [prob_p0(a, cfg) for a in pts]
-    p1s = [prob_p1(a, cfg, settings) for a in pts]
-    p2s = [prob_p2(a, cfg, settings) for a in pts]
-
-    # p3(i, j) = p3(n - i, n - j) is exact on the grid indices, not on
-    # floats: the two quadratures differ in the last bits.  The table
-    # evaluates only the canonical index of each mirror pair.
-    t3: dict[tuple[int, int], float] = {}
-
-    def p3_at(i, j):
-        key = min((i, j), (n - i, n - j))
-        if key not in t3:
-            t3[key] = prob_p3(pts[key[0]], pts[key[1]], cfg, settings)
-        return t3[key]
-
     r = cfg.rate_R
     for i, a in enumerate(pts):
-        base = (2.0 * p0s[i] + 2.0 * (p1s[i] + p1s[n - i])
-                + p2s[i] + p2s[n - i])
-        denom = 2.0 - p0s[i]
+        m = pts[n - i]
+        p0 = prob_p0(a, cfg)
+        base = (2.0 * p0 + 2.0 * (prob_p1(a, cfg, settings)
+                                  + prob_p1(m, cfg, settings))
+                + prob_p2(a, cfg, settings) + prob_p2(m, cfg, settings))
+        denom = 2.0 - p0
         for j, b in enumerate(pts):
-            q = (base + 2.0 * p3_at(i, j) + prob_p4(a, b, cfg, settings)
-                 + prob_p4(pts[n - i], pts[n - j], cfg, settings))
+            # p3(i, j) = p3(n - i, n - j) is exact on the grid indices, not
+            # on floats: the two quadratures differ in the last bits.  Both
+            # read the canonical index, which the kernel cache then serves.
+            ci, cj = min((i, j), (n - i, n - j))
+            q = (base + 2.0 * prob_p3(pts[ci], pts[cj], cfg, settings)
+                 + prob_p4(a, b, cfg, settings)
+                 + prob_p4(m, pts[n - j], cfg, settings))
             search.offer(r * q / denom, a, b)
 
     def objective(a, b):

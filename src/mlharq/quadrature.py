@@ -16,31 +16,27 @@ import numpy as np
 __all__ = [
     "QuadratureSettings",
     "NonConvergence",
+    "TAIL_SPAN",
     "integrate_finite",
-    "integrate_semi_infinite",
 ]
+
+MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
+
+# Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
+# fallen to 1e-14, well inside abs_tol for the envelopes used here.
+TAIL_SPAN = math.log(1.0 / 1e-14)
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 2000   # cap on the total number of panels
-    tail_epsilon: float = 1e-14    # truncation level for semi-infinite tails
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_subdivisions < 10:
-            raise ValueError(
-                f"max_subdivisions must be >= 10, got {self.max_subdivisions}"
-            )
-        if not self.tail_epsilon > 0:
-            raise ValueError(
-                f"tail_epsilon must be > 0, got {self.tail_epsilon}"
-            )
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -78,28 +74,25 @@ def _rule_batch(f, lo, hi):
     return fine, np.abs(fine - coarse)
 
 
-def integrate_finite(f, a, b, breakpoints=None,
+def integrate_finite(f, a, b, breakpoints,
                      settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Integrate f over [a, b] with error <= max(abs_tol, rel_tol*|result|).
 
-    breakpoints lists known kink locations; the interval is split there
-    before any refinement (points outside (a, b) are ignored).  Passing
-    None means "kink locations unknown", which triggers a uniform 64-panel
-    pre-split as a safety net.  f must accept a numpy array of sample
-    points and return the integrand values elementwise.
+    breakpoints lists known kink locations, possibly empty, unsorted or
+    repeated; the interval is split at those inside (a, b) before any
+    refinement, and the others are ignored.  f must accept a numpy array
+    of sample points and return the integrand values elementwise.
 
-    Raises NonConvergence if the panel budget runs out first.
+    Raises NonConvergence if refinement would need more than
+    MAX_SUBDIVISIONS panels.
     """
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
         return 0.0
 
-    if breakpoints is None:
-        edges = np.linspace(a, b, 65)
-    else:
-        interior = sorted({float(p) for p in breakpoints if a < p < b})
-        edges = np.array([a, *interior, b], dtype=float)
+    interior = sorted({float(p) for p in breakpoints if a < p < b})
+    edges = np.array([a, *interior, b], dtype=float)
     lo = edges[:-1].copy()
     hi = edges[1:].copy()
     width = b - a
@@ -119,7 +112,7 @@ def integrate_finite(f, a, b, breakpoints=None,
         if not split.any():
             split[int(np.argmax(errs))] = True
         n_new = len(lo) + int(split.sum())
-        if n_new > settings.max_subdivisions:
+        if n_new > MAX_SUBDIVISIONS:
             raise NonConvergence(total, err_total, len(lo))
 
         s_lo, s_hi = lo[split], hi[split]
@@ -133,17 +126,3 @@ def integrate_finite(f, a, b, breakpoints=None,
         hi = np.concatenate([hi[keep], child_hi])
         vals = np.concatenate([vals[keep], child_vals])
         errs = np.concatenate([errs[keep], child_errs])
-
-
-def integrate_semi_infinite(f, a, decay_scale, breakpoints=None,
-                            settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Integrate f over [a, inf) for integrands bounded by C*exp(-g/decay_scale).
-
-    Truncates at a + decay_scale*ln(1/tail_epsilon) and delegates to
-    integrate_finite; the discarded tail is at most C*decay_scale*
-    tail_epsilon, well inside abs_tol for the envelopes used here.
-    """
-    if not decay_scale > 0:
-        raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
-    b = a + decay_scale * math.log(1.0 / settings.tail_epsilon)
-    return integrate_finite(f, a, b, breakpoints=breakpoints, settings=settings)

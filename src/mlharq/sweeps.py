@@ -47,7 +47,6 @@ class SweepSpec:
     sigma2: float = 1.0
     grid_step: float = 0.01
     refine_tol: float = 1e-4
-    rate_grid: Optional[tuple] = None  # optional override for opt-rate kinds
     mc_trials: int = 0
     master_seed: int = 0
 
@@ -99,7 +98,7 @@ def _point_row(spec, protocol, snr_db, cfg, settings):
     mode = SWEEP_KINDS[spec.kind]
     if mode == "snr_opt_rate":
         opt = optimize_rate_and_split(
-            protocol, cfg, rate_grid=spec.rate_grid, grid_step=spec.grid_step,
+            protocol, cfg, grid_step=spec.grid_step,
             refine_tol=spec.refine_tol, settings=settings)
         rate = opt.rate_star
     else:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import warnings
 
 import pytest
 
@@ -86,6 +87,35 @@ class TestEval:
         doc = json.loads(out)
         assert doc["event_probs"]["p1"] == 0.0
         assert doc["event_probs"]["p2"] == 0.0
+
+    def test_underflowing_share_matches_zero_share(self, capsys):
+        # beta * P underflows to 0 although beta > 0: the m1 layer has no
+        # slot-2 power, exactly as at beta = 0
+        argv = ["eval", "--protocol", "mlh", "--rate", "1", "--snr-db", "-4",
+                "--alpha", "0.6666666666666666", "--beta", "5e-324"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        argv[-1] = "0"
+        code, zero, _ = run(capsys, *argv)
+        assert code == 0
+        got = json.loads(out)["event_probs"]
+        want = json.loads(zero)["event_probs"]
+        for name, value in want.items():
+            assert abs(got[name] - value) <= 1e-10, name
+
+    @pytest.mark.parametrize("protocol,split", [
+        ("mlh", ("--alpha", "0.5", "--beta", "1e-320")),
+        ("sc", ("--alpha", "1e-320")),
+    ])
+    def test_infinite_threshold_keeps_stderr_empty(self, capsys, protocol,
+                                                   split):
+        # a subnormal share overflows a threshold to the intended +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "eval", "--protocol", protocol,
+                               "--rate", "1", "--snr-db", "3", *split)
+        assert code == 0
+        assert err == ""
 
     @pytest.mark.parametrize("flag,value", [("--rate", "inf"),
                                             ("--rate", "600"),

@@ -134,6 +134,21 @@ class TestAnalyticValues:
         # reduces to Pr(g1 >= 0.5) * Pr(g2 >= 0.5)
         assert prob_p1(1.0, CFG) == pytest.approx(math.exp(-1.0), abs=1e-9)
 
+    def test_tail_cut_at_full_share_matches_exact(self):
+        """At alpha = 1 the p1 window is unbounded and the integral is cut
+        at the tail truncation point; the exact values are
+        p1 = exp(-2(2^R-1)/(P sigma2)) and p2 = exp(-(2^R-1)/(P sigma2)) - p1."""
+        for rate in (0.05, 0.3, 1.0, 2.5, 6.0, 12.0):
+            for snr_db in (-5.0, 0.0, 3.0, 10.0, 20.0, 40.0):
+                for sigma2 in (0.3, 1.0, 4.0):
+                    cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
+                    x = (2.0 ** rate - 1.0) / (cfg.power_P * sigma2)
+                    p1 = math.exp(-2.0 * x)
+                    p2 = math.exp(-x) - p1
+                    case = (rate, snr_db, sigma2)
+                    assert abs(prob_p1(1.0, cfg) - p1) <= 1e-10, case
+                    assert abs(prob_p2(1.0, cfg) - p2) <= 1e-10, case
+
     def test_p1_prime_mirror(self):
         assert prob_p1_prime(0.0, CFG) == pytest.approx(math.exp(-1.0), abs=1e-9)
         assert prob_p1_prime(0.5, CFG) == prob_p1(0.5, CFG)

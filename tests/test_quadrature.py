@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mlharq.quadrature import (
+    TAIL_SPAN,
     NonConvergence,
     QuadratureSettings,
     integrate_finite,
-    integrate_semi_infinite,
 )
 
 
@@ -32,9 +32,9 @@ class TestFinite:
         assert got == pytest.approx(0.125, abs=1e-12)
 
     def test_kink_without_breakpoint_still_converges(self):
-        # 0.37 is not an edge of the uniform pre-split, so adaptive
-        # refinement has to find the kink on its own
-        got = integrate_finite(lambda g: np.maximum(0.0, g - 0.37), 0.0, 1.0, None)
+        # no breakpoint marks the kink at 0.37, so adaptive refinement has
+        # to find it on its own
+        got = integrate_finite(lambda g: np.maximum(0.0, g - 0.37), 0.0, 1.0, [])
         assert got == pytest.approx(0.5 * 0.63 ** 2, abs=1e-8)
 
     def test_empty_interval(self):
@@ -50,17 +50,20 @@ class TestFinite:
 
 
 class TestSemiInfinite:
+    """Integrals over [0, inf) of unit-scale exponential tails, cut at
+    TAIL_SPAN as the closed forms cut them."""
+
     def test_unit_exponential(self):
-        got = integrate_semi_infinite(lambda g: np.exp(-g), 0.0, 1.0, [])
+        got = integrate_finite(lambda g: np.exp(-g), 0.0, TAIL_SPAN, [])
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_faster_decay(self):
-        got = integrate_semi_infinite(lambda g: np.exp(-2.0 * g), 0.0, 1.0, [])
+        got = integrate_finite(lambda g: np.exp(-2.0 * g), 0.0, TAIL_SPAN, [])
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_shifted_indicator(self):
         f = lambda g: np.exp(-g) * (g >= 3.0)
-        got = integrate_semi_infinite(f, 0.0, 1.0, [3.0])
+        got = integrate_finite(f, 0.0, TAIL_SPAN, [3.0])
         assert got == pytest.approx(math.exp(-3.0), abs=1e-10)
 
 
@@ -82,8 +85,7 @@ class TestErrorControl:
         assert scaled == pytest.approx(3.5 * base, rel=1e-9)
 
     def test_nonconvergence_on_tiny_budget(self):
-        settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14,
-                                      max_subdivisions=10)
+        settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14)
         noisy = lambda g: np.sin(1000.0 * g) / (np.abs(g - 0.37) + 1e-9)
         with pytest.raises(NonConvergence):
             integrate_finite(noisy, 0.0, 1.0, [], settings=settings)
@@ -92,7 +94,7 @@ class TestErrorControl:
         with pytest.raises(ValueError):
             QuadratureSettings(abs_tol=0.0)
         with pytest.raises(ValueError):
-            QuadratureSettings(max_subdivisions=5)
+            QuadratureSettings(rel_tol=0.0)
 
 
 class TestAgainstMidpointOracle:

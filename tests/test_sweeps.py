@@ -66,8 +66,7 @@ class TestRunSweep:
 
     def test_opt_rate_kind(self):
         spec = SweepSpec(kind="rate-star-vs-snr", axis_min=3.0, axis_max=3.0,
-                         axis_step=1.0, protocols=("ts",),
-                         rate_grid=(0.5, 1.0, 2.0, 4.0))
+                         axis_step=1.0, protocols=("ts",))
         rows = run_sweep(spec)
         assert len(rows) == 1
         assert rows[0].rate > 0  # the optimized rate lands in the row
