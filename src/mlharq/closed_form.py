@@ -12,6 +12,11 @@ and no slot-1 decoding: it evaluates the same two slot-2 kernels (_k3,
 _k4), with the slot-1 gain integrated up to the tail truncation point
 instead of g_max.
 
+The _grid functions evaluate a kernel at many points in one lockstep
+quadrature (integrate_finite_many) with the same integrand and
+breakpoints as the scalar path, so each value has the scalar path's bits.
+They do not read or fill the scalar kernels' caches.
+
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
 exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window is cut at the
 tail truncation point.
@@ -29,8 +34,10 @@ from .model import PowerSplit, SystemConfig, safe_div_threshold
 from .quadrature import (
     DEFAULT_SETTINGS,
     TAIL_SPAN,
+    NonConvergence,
     QuadratureSettings,
     integrate_finite,
+    integrate_finite_many,
 )
 
 __all__ = [
@@ -46,9 +53,12 @@ __all__ = [
     "prob_p2",
     "prob_p2_prime",
     "prob_p3",
+    "prob_p3_grid",
     "prob_p4",
+    "prob_p4_grid",
     "prob_p4_prime",
     "prob_sc",
+    "prob_sc_grid",
     "event_probs",
     "throughput_ts",
     "throughput_mlh",
@@ -157,12 +167,21 @@ def g_max(alpha: float, cfg: SystemConfig) -> float:
                t2 / p)
 
 
+def _over_power(n, w):
+    """n / w, where w is a layer's slot-2 power; a zero-power layer gives
+    the limit +inf where n > 0, else 0.  Elementwise over n and w."""
+    if isinstance(w, float) and w > 0.0:   # the scalar path's common case
+        return n / w
+    return np.divide(n, w, out=np.where(n > 0.0, np.inf, 0.0), where=w > 0.0)
+
+
 def h3(g, alpha, beta, cfg):
     """Slot-2 gain threshold for joint success after a both-fail slot 1.
 
-    Elementwise over g; max of the three accumulated MAC constraints with
-    the positive-part clamp, +inf where a zero-power slot-2 layer still
-    needs positive extra mutual information.
+    Elementwise over g (and over alpha and beta if they are arrays); max
+    of the three accumulated MAC constraints with the positive-part clamp,
+    +inf where a zero-power slot-2 layer still needs positive extra mutual
+    information.
     """
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
@@ -176,14 +195,8 @@ def h3(g, alpha, beta, cfg):
 
     # branch on each layer's slot-2 power, not its share: a tiny positive
     # share can still underflow to zero power
-    if (1.0 - beta) * p > 0.0:
-        t1 = n1 / ((1.0 - beta) * p)
-    else:
-        t1 = np.where(n1 > 0.0, np.inf, 0.0)
-    if beta * p > 0.0:
-        t2 = n2 / (beta * p)
-    else:
-        t2 = np.where(n2 > 0.0, np.inf, 0.0)
+    t1 = _over_power(n1, (1.0 - beta) * p)
+    t2 = _over_power(n2, beta * p)
     t3 = n3 / p
     return np.maximum(0.0, np.maximum(t1, np.maximum(t2, t3)))
 
@@ -195,7 +208,8 @@ def h4(g, alpha, beta, cfg):
     noise in both slots; it is 0 when the slot-1 SINR already suffices and
     +inf when the needed slot-2 boost exceeds the interference-limited cap
     beta/(1-beta).  h4_bar is the largest slot-2 gain at which m2 (clean,
-    after hypothetical SIC) still fails.
+    after hypothetical SIC) still fails.  Elementwise over g (and over
+    alpha and beta if they are arrays).
     """
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
@@ -212,10 +226,7 @@ def h4(g, alpha, beta, cfg):
                    np.where(d > 0.0, n / (p * d_safe), np.inf))
 
     nbar = k1 / u - 1.0
-    if (1.0 - beta) * p > 0.0:
-        hbar = np.maximum(0.0, nbar) / ((1.0 - beta) * p)
-    else:
-        hbar = np.where(nbar > 0.0, np.inf, 0.0)
+    hbar = _over_power(np.maximum(0.0, nbar), (1.0 - beta) * p)
     return h4v, hbar
 
 
@@ -299,6 +310,12 @@ def _h4_breakpoints(alpha, beta, cfg):
 # Event probabilities
 # ---------------------------------------------------------------------------
 
+def _integral(kernel, cfg, alpha, beta=None):
+    """Name of one kernel integral for NonConvergence messages."""
+    shares = f"alpha={alpha!r}" if beta is None else f"alpha={alpha!r}, beta={beta!r}"
+    return f"{kernel} at {shares}, {cfg!r}"
+
+
 def prob_p0(alpha: float, cfg: SystemConfig) -> float:
     """Both messages decode jointly at slot 1 (analytic, no quadrature)."""
     return math.exp(-g_min(alpha, cfg) / cfg.sigma2)
@@ -335,7 +352,10 @@ def _p1_value(alpha, cfg, settings):
         hi = lo + s2 * TAIL_SPAN
     # the positive part activates on the whole window (it reaches zero
     # exactly at the upper limit), so the integrand is smooth inside
-    return integrate_finite(f, lo, hi, breakpoints=[], settings=settings)
+    try:
+        return integrate_finite(f, lo, hi, breakpoints=[], settings=settings)
+    except NonConvergence as exc:
+        raise exc.named(_integral("p1", cfg, alpha)) from None
 
 
 def prob_p1(alpha: float, cfg: SystemConfig,
@@ -375,30 +395,46 @@ def prob_p2_prime(alpha: float, cfg: SystemConfig,
     return prob_p2(1.0 - alpha, cfg, settings)
 
 
+def _f3(g, alpha, beta, cfg):
+    """Integrand of _k3: slot-1 gain density times joint slot-2 success."""
+    s2 = cfg.sigma2
+    return np.exp(-h3(g, alpha, beta, cfg) / s2) * np.exp(-g / s2) / s2
+
+
+def _f4(g, alpha, beta, cfg):
+    """Integrand of _k4: slot-1 gain density times only-m1 at slot 2."""
+    s2 = cfg.sigma2
+    hv, hb = h4(g, alpha, beta, cfg)
+    layer = np.maximum(0.0, np.exp(-hv / s2) - np.exp(-hb / s2))
+    return layer * np.exp(-g / s2) / s2
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _k3(alpha, beta, upper, cfg, settings):
     """Both fail at slot 1, joint success at slot 2, slot-1 gain in [0, upper]."""
-    s2 = cfg.sigma2
-
-    def f(g):
-        return np.exp(-h3(g, alpha, beta, cfg) / s2) * np.exp(-g / s2) / s2
-
-    bps = _h3_breakpoints(alpha, beta, cfg)
-    return integrate_finite(f, 0.0, upper, breakpoints=bps, settings=settings)
+    return integrate_finite(lambda g: _f3(g, alpha, beta, cfg), 0.0, upper,
+                            breakpoints=_h3_breakpoints(alpha, beta, cfg),
+                            settings=settings)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _k4(alpha, beta, upper, cfg, settings):
     """Both fail at slot 1, only m1 at slot 2, slot-1 gain in [0, upper]."""
-    s2 = cfg.sigma2
+    return integrate_finite(lambda g: _f4(g, alpha, beta, cfg), 0.0, upper,
+                            breakpoints=_h4_breakpoints(alpha, beta, cfg),
+                            settings=settings)
 
-    def f(g):
-        hv, hb = h4(g, alpha, beta, cfg)
-        layer = np.maximum(0.0, np.exp(-hv / s2) - np.exp(-hb / s2))
-        return layer * np.exp(-g / s2) / s2
 
-    bps = _h4_breakpoints(alpha, beta, cfg)
-    return integrate_finite(f, 0.0, upper, breakpoints=bps, settings=settings)
+def _kernel_grid(integrand, breakpoints, alpha, beta, upper, cfg, settings):
+    """A slot-2 kernel (_f3 or _f4 with its breakpoints) at each point
+    (alpha[i], beta[i]) over [0, upper[i]], in one lockstep quadrature;
+    0.0 where upper[i] <= 0, the g_max guard of prob_p3/prob_p4."""
+    def f(g, owner):
+        return integrand(g, alpha[owner], beta[owner], cfg)
+
+    bps = [breakpoints(a, b, cfg) if u > 0.0 else ()
+           for a, b, u in zip(alpha.tolist(), beta.tolist(), upper.tolist())]
+    return integrate_finite_many(f, 0.0, np.maximum(upper, 0.0), bps, settings)
 
 
 def prob_p3(alpha: float, beta: float, cfg: SystemConfig,
@@ -407,7 +443,10 @@ def prob_p3(alpha: float, beta: float, cfg: SystemConfig,
     gm = g_max(alpha, cfg)
     if gm <= 0.0:
         return 0.0
-    return _k3(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
+    try:
+        return _k3(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
+    except NonConvergence as exc:
+        raise exc.named(_integral("p3", cfg, alpha, beta)) from None
 
 
 def prob_p4(alpha: float, beta: float, cfg: SystemConfig,
@@ -416,7 +455,36 @@ def prob_p4(alpha: float, beta: float, cfg: SystemConfig,
     gm = g_max(alpha, cfg)
     if gm <= 0.0:
         return 0.0
-    return _k4(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
+    try:
+        return _k4(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
+    except NonConvergence as exc:
+        raise exc.named(_integral("p4", cfg, alpha, beta)) from None
+
+
+def _slot2_grid(kernel, integrand, breakpoints, alphas, betas, cfg, settings):
+    """prob_p3 or prob_p4 (kernel names it) at each (alphas[i], betas[i])."""
+    alpha = np.asarray(alphas, dtype=float)
+    beta = np.asarray(betas, dtype=float)
+    g_maxes = {a: g_max(a, cfg) for a in set(alpha.tolist())}
+    upper = np.array([g_maxes[a] for a in alpha.tolist()])
+    try:
+        return _kernel_grid(integrand, breakpoints, alpha, beta, upper, cfg,
+                            settings or DEFAULT_SETTINGS)
+    except NonConvergence as exc:
+        raise exc.named(_integral(kernel, cfg, float(alpha[exc.owner]),
+                                  float(beta[exc.owner]))) from None
+
+
+def prob_p3_grid(alphas, betas, cfg: SystemConfig,
+                 settings: Optional[QuadratureSettings] = None) -> np.ndarray:
+    """prob_p3 at each point (alphas[i], betas[i]), with the same bits."""
+    return _slot2_grid("p3", _f3, _h3_breakpoints, alphas, betas, cfg, settings)
+
+
+def prob_p4_grid(alphas, betas, cfg: SystemConfig,
+                 settings: Optional[QuadratureSettings] = None) -> np.ndarray:
+    """prob_p4 at each point (alphas[i], betas[i]), with the same bits."""
+    return _slot2_grid("p4", _f4, _h4_breakpoints, alphas, betas, cfg, settings)
 
 
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,
@@ -442,9 +510,37 @@ def prob_sc(alpha: float, cfg: SystemConfig,
     """
     settings = settings or DEFAULT_SETTINGS
     upper = cfg.sigma2 * TAIL_SPAN
-    return ScProbs(tp3=_k3(alpha, alpha, upper, cfg, settings),
-                   tp4=_k4(alpha, alpha, upper, cfg, settings),
-                   tp4p=_k4(1.0 - alpha, 1.0 - alpha, upper, cfg, settings))
+    try:
+        tp3 = _k3(alpha, alpha, upper, cfg, settings)
+        tp4 = _k4(alpha, alpha, upper, cfg, settings)
+        tp4p = _k4(1.0 - alpha, 1.0 - alpha, upper, cfg, settings)
+    except NonConvergence as exc:
+        raise exc.named(_integral("sc", cfg, alpha)) from None
+    return ScProbs(tp3=tp3, tp4=tp4, tp4p=tp4p)
+
+
+def prob_sc_grid(alphas, cfg: SystemConfig,
+                 settings: Optional[QuadratureSettings] = None) -> list[ScProbs]:
+    """prob_sc at each split alphas[i], with the same bits.
+
+    A NonConvergence is the one a loop of prob_sc would raise first."""
+    settings = settings or DEFAULT_SETTINGS
+    alpha = np.asarray(alphas, dtype=float)
+    upper = np.full(alpha.shape, cfg.sigma2 * TAIL_SPAN)
+    parts, failures = [], []
+    for integrand, breakpoints, share in ((_f3, _h3_breakpoints, alpha),
+                                          (_f4, _h4_breakpoints, alpha),
+                                          (_f4, _h4_breakpoints, 1.0 - alpha)):
+        try:
+            parts.append(_kernel_grid(integrand, breakpoints, share, share,
+                                      upper, cfg, settings).tolist())
+        except NonConvergence as exc:
+            failures.append(exc)
+    if failures:
+        # the lowest split first, and tp3 before tp4 before tp4p at a split
+        first = min(failures, key=lambda exc: exc.owner)
+        raise first.named(_integral("sc", cfg, float(alpha[first.owner]))) from None
+    return [ScProbs(tp3=t3, tp4=t4, tp4p=t4p) for t3, t4, t4p in zip(*parts)]
 
 
 def event_probs(split: PowerSplit, cfg: SystemConfig,

@@ -5,6 +5,11 @@ kinks at the vanishing-threshold boundaries and can be multi-modal, while a
 full grid is cheap.  Ties are broken toward alpha = beta = 1 (the
 time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
+
+Each coarse grid and refinement window is evaluated with one lockstep
+quadrature per slot-2 kernel (the closed forms' _grid functions, whose
+values have the scalar closed forms' bits), and the values are then
+offered one by one in the scalar search's order and arithmetic.
 """
 
 import math
@@ -14,17 +19,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_form import (
+    EventProbs,
+    mlh_throughput_from_probs,
     prob_p0,
     prob_p1,
     prob_p2,
     prob_p3,
+    prob_p3_grid,
     prob_p4,
+    prob_p4_grid,
+    prob_sc_grid,
+    sc_throughput_from_probs,
     throughput_mlh,
     throughput_sc,
     throughput_ts,
 )
 from .model import PROTOCOLS, PowerSplit, SystemConfig
-from .quadrature import QuadratureSettings
+from .quadrature import NonConvergence, QuadratureSettings
 
 __all__ = ["Optimum", "optimize_split", "optimize_rate_and_split"]
 
@@ -65,6 +76,29 @@ class _Search:
             self.best = (value, alpha, beta)
 
 
+def _coarse_kernels(pts, cfg, settings):
+    """Lookups p3(i, j) and p4(i, j) of the slot-2 kernels at grid indices;
+    p3 is read only at canonical indices, (i, j) <= (n - i, n - j).
+
+    Both come from one lockstep quadrature each.  If one fails to converge,
+    the lookups fall back to the scalar closed forms, which then raise the
+    failure that the scalar search meets first.
+    """
+    n = len(pts) - 1
+    idx = range(n + 1)
+    canon = [(i, j) for i in idx for j in idx if (i, j) <= (n - i, n - j)]
+    try:
+        t4 = prob_p4_grid([pts[i] for i in idx for _ in idx], pts * (n + 1),
+                          cfg, settings).reshape(n + 1, n + 1).tolist()
+        t3 = dict(zip(canon, prob_p3_grid([pts[i] for i, _ in canon],
+                                          [pts[j] for _, j in canon],
+                                          cfg, settings).tolist()))
+    except NonConvergence:
+        return (lambda i, j: prob_p3(pts[i], pts[j], cfg, settings),
+                lambda i, j: prob_p4(pts[i], pts[j], cfg, settings))
+    return (lambda i, j: t3[i, j]), (lambda i, j: t4[i][j])
+
+
 def _search_mlh(cfg, grid_step, refine_tol, settings):
     """Coarse 2-D grid exploiting the mirror symmetries, then local shrink.
 
@@ -77,6 +111,7 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
     search = _Search()
 
     r = cfg.rate_R
+    p3, p4 = _coarse_kernels(pts, cfg, settings)
     for i, a in enumerate(pts):
         m = pts[n - i]
         p0 = prob_p0(a, cfg)
@@ -87,11 +122,9 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
         for j, b in enumerate(pts):
             # p3(i, j) = p3(n - i, n - j) is exact on the grid indices, not
             # on floats: the two quadratures differ in the last bits.  Both
-            # read the canonical index, which the kernel cache then serves.
+            # read the canonical index.
             ci, cj = min((i, j), (n - i, n - j))
-            q = (base + 2.0 * prob_p3(pts[ci], pts[cj], cfg, settings)
-                 + prob_p4(a, b, cfg, settings)
-                 + prob_p4(m, pts[n - j], cfg, settings))
+            q = base + 2.0 * p3(ci, cj) + p4(i, j) + p4(n - i, n - j)
             search.offer(r * q / denom, a, b)
 
     def objective(a, b):
@@ -101,14 +134,39 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
     while 2.0 * step > refine_tol:
         step /= 10.0
         _, a0, b0 = search.best
-        for a in _window(a0, step):
-            for b in _window(b0, step):
-                search.offer(objective(a, b), a, b)
+        window = [(a, b) for a in _window(a0, step) for b in _window(b0, step)]
+        try:
+            values = _mlh_values(window, cfg, settings)
+        except NonConvergence:
+            # point by point, the failure the scalar search meets first
+            values = (objective(a, b) for a, b in window)
+        for (a, b), value in zip(window, values):
+            search.offer(value, a, b)
 
     _, a_star, b_star = search.best
     return Optimum(alpha_star=a_star, beta_star=b_star, rate_star=None,
                    throughput_star=objective(a_star, b_star),
                    evaluations=search.evaluations)
+
+
+def _mlh_values(points, cfg, settings):
+    """throughput_mlh at each (alpha, beta) of points, with the same bits."""
+    alphas = [a for a, _ in points]
+    betas = [b for _, b in points]
+    p3 = prob_p3_grid(alphas, betas, cfg, settings).tolist()
+    p4 = prob_p4_grid(alphas + [1.0 - a for a in alphas],
+                      betas + [1.0 - b for b in betas], cfg, settings).tolist()
+    values = []
+    for k, a in enumerate(alphas):
+        probs = EventProbs(
+            p0=prob_p0(a, cfg),
+            p1=prob_p1(a, cfg, settings),
+            p1p=prob_p1(1.0 - a, cfg, settings),
+            p2=prob_p2(a, cfg, settings),
+            p2p=prob_p2(1.0 - a, cfg, settings),
+            p3=p3[k], p4=p4[k], p4p=p4[len(alphas) + k])
+        values.append(mlh_throughput_from_probs(probs, cfg))
+    return values
 
 
 def _search_sc(cfg, grid_step, refine_tol, settings):
@@ -117,15 +175,16 @@ def _search_sc(cfg, grid_step, refine_tol, settings):
     def objective(a):
         return throughput_sc(a, cfg, settings)
 
-    for a in _axis_points(grid_step):
-        search.offer(objective(a), a, a)
+    def offer_all(alphas):
+        for a, probs in zip(alphas, prob_sc_grid(alphas, cfg, settings)):
+            search.offer(sc_throughput_from_probs(probs, cfg), a, a)
 
+    offer_all(_axis_points(grid_step))
     step = grid_step
     while 2.0 * step > refine_tol:
         step /= 10.0
         _, a0, _b = search.best
-        for a in _window(a0, step):
-            search.offer(objective(a), a, a)
+        offer_all(_window(a0, step))
 
     _, a_star, _ = search.best
     return Optimum(alpha_star=a_star, beta_star=a_star, rate_star=None,

@@ -6,6 +6,15 @@ the interval at caller-supplied kink locations and then refines adaptively,
 estimating the error on each panel from an embedded low/high-order
 Gauss-Legendre pair.  Integrands are evaluated on numpy arrays of sample
 points, one batched call per refinement round.
+
+integrate_finite_many runs a whole family of such integrals in lockstep:
+their panels are flattened with an owner index, and each refinement round
+makes one integrand call for the live panels of all owners.  It is the
+same algorithm, not an approximation of it: every owner keeps
+integrate_finite's panel order and rules, its rule-pair matvecs are the
+same BLAS calls (owners are grouped by panel count, since a gemv result
+can depend on the row count) and its sums reduce equal-length rows, so
+each value has the bits integrate_finite gives it alone.
 """
 
 import math
@@ -18,9 +27,17 @@ __all__ = [
     "NonConvergence",
     "TAIL_SPAN",
     "integrate_finite",
+    "integrate_finite_many",
 ]
 
 MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
+
+# integrate_finite_many runs its integrals in blocks of this many, so one
+# integrand call sees the new panels of at most this many integrals and a
+# round's arrays stay small.  From 64 to 1024 the speed hardly changes;
+# peak memory grows with the block (4,096 took 81 MB where 256 took 48 MB
+# on four optimize_split("mlh") points).
+BLOCK_OWNERS = 256
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
 # fallen to 1e-14, well inside abs_tol for the envelopes used here.
@@ -43,16 +60,28 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 
 class NonConvergence(RuntimeError):
-    """Error estimate still above tolerance after the panel budget is spent."""
+    """Error estimate still above tolerance after the panel budget is spent.
 
-    def __init__(self, estimate, error, panels):
-        super().__init__(
-            f"quadrature did not converge: estimate={estimate!r}, "
-            f"error={error!r} with {panels} panels"
-        )
+    integral names the failing integral when the caller knows it; owner is
+    its index in an integrate_finite_many batch (None for integrate_finite).
+    """
+
+    def __init__(self, estimate, error, panels, integral=None, owner=None):
+        text = (f"quadrature did not converge: estimate={estimate!r}, "
+                f"error={error!r} with {panels} panels")
+        if integral is not None:
+            text += f" in {integral}"
+        super().__init__(text)
         self.estimate = estimate
         self.error = error
         self.panels = panels
+        self.integral = integral
+        self.owner = owner
+
+    def named(self, integral):
+        """The same failure, naming the integral."""
+        return NonConvergence(self.estimate, self.error, self.panels,
+                              integral, self.owner)
 
 
 # Embedded rule pair: value from GL15, error from |GL15 - GL7|.  Nodes are
@@ -126,3 +155,139 @@ def integrate_finite(f, a, b, breakpoints,
         hi = np.concatenate([hi[keep], child_hi])
         vals = np.concatenate([vals[keep], child_vals])
         errs = np.concatenate([errs[keep], child_errs])
+
+
+def _rows_by_length(start, count):
+    """(rows, index) for each distinct segment length k: rows selects the
+    segments of length k, index is their (G, k) array of element indices."""
+    for k in np.unique(count):
+        rows = count == k
+        yield rows, start[rows, None] + np.arange(k)
+
+
+def _segments(owner):
+    """Start and length of each owner's run in an owner-sorted array."""
+    _, start, count = np.unique(owner, return_index=True, return_counts=True)
+    return start, count
+
+
+def _rule_many(f, lo, hi, owner):
+    """_rule_batch for owner-sorted panels, one integrand call for all.
+
+    Each owner's panels go through the same matvec call as in _rule_batch,
+    stacked with the other owners of equal panel count."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    y = np.asarray(f(x.reshape(-1), np.repeat(owner, len(_NODES))),
+                   dtype=float).reshape(x.shape)
+    coarse = np.empty_like(lo)
+    fine = np.empty_like(lo)
+    for _, idx in _rows_by_length(*_segments(owner)):
+        yk = y[idx]
+        coarse[idx] = (yk[..., :7] @ _W7) * half[idx]
+        fine[idx] = (yk[..., 7:] @ _W15) * half[idx]
+    return fine, np.abs(fine - coarse)
+
+
+def _run_block(f, a, b, breakpoints, owners, settings, out):
+    """integrate_finite for each owner in lockstep; values go to out.
+
+    Returns the NonConvergence of the lowest failing owner, or None."""
+    lo, hi, own = [], [], []
+    for o in owners.tolist():
+        ao, bo = float(a[o]), float(b[o])
+        edges = [ao, *sorted({float(p) for p in breakpoints[o] if ao < p < bo}), bo]
+        lo += edges[:-1]
+        hi += edges[1:]
+        own += [o] * (len(edges) - 1)
+    lo, hi, own = np.array(lo), np.array(hi), np.array(own)
+    width = b - a
+    vals, errs = _rule_many(f, lo, hi, own)
+    failure = None
+
+    while own.size:
+        start, count = _segments(own)
+        total = np.empty(len(start))
+        err_total = np.empty(len(start))
+        for rows, idx in _rows_by_length(start, count):
+            total[rows] = vals[idx].sum(axis=1)
+            err_total[rows] = errs[idx].sum(axis=1)
+        scaled = settings.rel_tol * np.abs(total)
+        tol = np.where(scaled > settings.abs_tol, scaled, settings.abs_tol)
+        done = err_total <= tol
+        seg_owner = own[start]
+        out[seg_owner[done]] = total[done]
+
+        seg = np.repeat(np.arange(len(start)), count)
+        split = errs > tol[seg] * (hi - lo) / width[own]
+        n_split = np.add.reduceat(split.astype(np.intp), start)
+        worst = ~done & (n_split == 0)
+        for rows, idx in _rows_by_length(start[worst], count[worst]):
+            split[idx[np.arange(len(idx)), np.argmax(errs[idx], axis=1)]] = True
+        n_split[worst] = 1
+        failed = ~done & (count + n_split > MAX_SUBDIVISIONS)
+        if failed.any():
+            k = int(np.flatnonzero(failed)[0])
+            o = int(seg_owner[k])
+            if failure is None or o < failure.owner:
+                failure = NonConvergence(float(total[k]), float(err_total[k]),
+                                         int(count[k]), f"integral {o}", o)
+
+        live = (~done & ~failed)[seg]
+        split &= live
+        keep = live & ~split
+        s_lo, s_hi, s_own = lo[split], hi[split], own[split]
+        s_mid = 0.5 * (s_lo + s_hi)
+        # per owner: left halves, then right halves, as in integrate_finite
+        order = np.argsort(np.concatenate([s_own, s_own]), kind="stable")
+        c_lo = np.concatenate([s_lo, s_mid])[order]
+        c_hi = np.concatenate([s_mid, s_hi])[order]
+        c_own = np.concatenate([s_own, s_own])[order]
+        c_vals, c_errs = _rule_many(f, c_lo, c_hi, c_own)
+
+        # per owner: kept panels, then children
+        own = np.concatenate([own[keep], c_own])
+        order = np.argsort(own, kind="stable")
+        own = own[order]
+        lo = np.concatenate([lo[keep], c_lo])[order]
+        hi = np.concatenate([hi[keep], c_hi])[order]
+        vals = np.concatenate([vals[keep], c_vals])[order]
+        errs = np.concatenate([errs[keep], c_errs])[order]
+    return failure
+
+
+def integrate_finite_many(f, a, b, breakpoints,
+                          settings: QuadratureSettings = DEFAULT_SETTINGS
+                          ) -> np.ndarray:
+    """integrate_finite for many integrals at once, with the same bits.
+
+    Integral i runs over [a[i], b[i]] (a and b broadcast to one entry per
+    integral) with kinks breakpoints[i].  f(x, owner) receives the flat
+    sample points of a round and, for each, the index i of its integral;
+    it must work elementwise.  Entry i of the result equals
+    integrate_finite(lambda x: f(x, np.full(x.shape, i)), a[i], b[i],
+    breakpoints[i], settings) bit for bit, whatever the other integrals
+    are.
+
+    Raises what a loop of integrate_finite over i would raise first: the
+    ValueError of an entry with a > b, or the NonConvergence (with its
+    owner set) of the first integral that fails before it.
+    """
+    n = len(breakpoints)
+    a = np.broadcast_to(np.asarray(a, dtype=float), (n,))
+    b = np.broadcast_to(np.asarray(b, dtype=float), (n,))
+    bad = np.flatnonzero(a > b)
+    stop = int(bad[0]) if bad.size else n
+    out = np.zeros(n)
+    for first in range(0, stop, BLOCK_OWNERS):
+        owners = np.arange(first, min(first + BLOCK_OWNERS, stop))
+        owners = owners[a[owners] != b[owners]]   # a == b integrates to 0.0
+        if owners.size:
+            failure = _run_block(f, a, b, breakpoints, owners, settings, out)
+            if failure is not None:
+                raise failure
+    if bad.size:
+        raise ValueError(f"need a <= b, got a={float(a[stop])}, "
+                         f"b={float(b[stop])} (integral {stop})")
+    return out

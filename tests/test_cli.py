@@ -76,6 +76,17 @@ class TestEval:
         assert code == 2
         assert "numerical" in err
 
+    def test_numerical_failure_names_the_integral(self, capsys):
+        code, out, err = run(capsys, "optimize", "--protocol", "mlh",
+                             "--rate", "1", "--snr-db", "3",
+                             "--grid-step", "0.1", "--refine-tol", "0.01",
+                             "--abs-tol", "1e-19", "--rel-tol", "1e-19")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: quadrature did not converge")
+        assert err.rstrip().endswith(
+            " in p4 at alpha=1.0, beta=0.6, SystemConfig(rate_R=1.0, "
+            "power_P=1.9952623149688795, sigma2=1.0)")
+
     def test_empty_p1_window_exits_0(self, capsys):
         # alpha just above the vanishing threshold: the p1 window bounds
         # cross by rounding, and the empty window gives exactly 0

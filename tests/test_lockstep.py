@@ -1,0 +1,232 @@
+"""The lockstep paths against the scalar ones, bit for bit.
+
+integrate_finite_many and the closed forms' _grid functions promise the
+exact floats of integrate_finite and the scalar closed forms, and the
+failure that a scalar loop would raise first.  Every comparison here is
+`==` on floats (or on reprs), never approximate.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mlharq import quadrature
+from mlharq.closed_form import (
+    prob_p3,
+    prob_p3_grid,
+    prob_p4,
+    prob_p4_grid,
+    prob_sc,
+    prob_sc_grid,
+    vanishing_threshold,
+)
+from mlharq.model import SystemConfig
+from mlharq.quadrature import (
+    NonConvergence,
+    QuadratureSettings,
+    integrate_finite,
+    integrate_finite_many,
+)
+
+SETTINGS = [QuadratureSettings(),
+            QuadratureSettings(abs_tol=1e-13, rel_tol=1e-12),
+            QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4),
+            QuadratureSettings(abs_tol=1e-9, rel_tol=1e-3)]
+TINY = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14)
+
+
+@st.composite
+def owner(draw):
+    """One integral: interval (possibly empty), kink, shape, breakpoints
+    (possibly none, repeated or outside the interval)."""
+    a = draw(st.floats(-2.0, 2.0))
+    empty = draw(st.booleans()) and draw(st.booleans())
+    b = a if empty else a + draw(st.floats(0.01, 5.0))
+    kink = draw(st.floats(-3.0, 5.0))
+    shape = (draw(st.floats(0.1, 30.0)), draw(st.floats(-1.0, 1.0)),
+             draw(st.floats(-2.0, 2.0)))
+    bps = draw(st.lists(st.floats(-4.0, 8.0), max_size=6))
+    if draw(st.booleans()):
+        bps.append(kink)
+    return a, b, kink, shape, bps
+
+
+def _family(owners):
+    """The integrand f(x, i) of the owners: a peak, a jump and a kinked
+    ramp at each owner's kink, plus an oscillation."""
+    kink = np.array([o[2] for o in owners])
+    scale, jump, ramp = (np.array([o[3][k] for o in owners]) for k in range(3))
+
+    def f(x, i):
+        d = x - kink[i]
+        return (np.exp(-scale[i] * np.abs(d)) + jump[i] * (d > 0.0)
+                + ramp[i] * np.maximum(0.0, d) ** 2 + np.sin(scale[i] * x))
+
+    return f
+
+
+def _scalar_loop(f, owners, quad):
+    """integrate_finite over the owners in order: values, or the index and
+    exception of the first failure."""
+    values = []
+    for i, (a, b, _, _, bps) in enumerate(owners):
+        try:
+            values.append(integrate_finite(lambda x: f(x, np.full(x.shape, i)),
+                                           a, b, bps, quad))
+        except NonConvergence as exc:
+            return values, (i, exc)
+    return values, None
+
+
+def _bits(values):
+    """Exact images of floats (float.hex tells -0.0 from 0.0)."""
+    return [float.hex(v) for v in values]
+
+
+def _many(f, owners, quad, block):
+    with mock.patch.object(quadrature, "BLOCK_OWNERS", block):
+        return integrate_finite_many(f, [o[0] for o in owners],
+                                     [o[1] for o in owners],
+                                     [o[4] for o in owners], quad)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(owners=st.lists(owner(), min_size=1, max_size=12),
+       quad=st.sampled_from(SETTINGS), block=st.sampled_from([1, 3, 256]),
+       data=st.data())
+def test_many_equals_scalar_loop_bit_for_bit(owners, quad, block, data):
+    f = _family(owners)
+    want, failure = _scalar_loop(f, owners, quad)
+    assert failure is None
+    got = _many(f, owners, quad, block)
+    assert _bits(got.tolist()) == _bits(want)
+
+    # an owner alone gets the value it gets among its batch-mates
+    k = data.draw(st.integers(0, len(owners) - 1))
+    alone = _many(lambda x, i: f(x, np.full(x.shape, k)), [owners[k]], quad, block)
+    assert _bits(alone.tolist()) == _bits([want[k]])
+
+
+def _noisy_family(owners, noisy):
+    """Like _family, but the flagged owners integrate an unmarked, rapidly
+    oscillating spike at 0.37 that no panel budget resolves at TINY
+    tolerances."""
+    f = _family(owners)
+    flag = np.array(noisy)
+
+    def g(x, i):
+        spike = np.sin(1000.0 * x) / (np.abs(x - 0.37) + 1e-9)
+        return np.where(flag[i], spike, f(x, i))
+
+    return g
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(owners=st.lists(owner(), min_size=1, max_size=6),
+       data=st.data(), block=st.sampled_from([1, 2, 256]))
+def test_many_raises_the_first_failure_of_the_scalar_loop(owners, data, block):
+    first = data.draw(st.integers(0, len(owners) - 1))
+    noisy = [False] * first + [True] + data.draw(
+        st.lists(st.booleans(), min_size=len(owners) - first - 1,
+                 max_size=len(owners) - first - 1))
+    owners = [(0.0, 1.0, *rest) if flag else (a, b, *rest)
+              for (a, b, *rest), flag in zip(owners, noisy)]
+    f = _noisy_family(owners, noisy)
+    want, failure = _scalar_loop(f, owners, TINY)
+    assert failure is not None
+    index, expected = failure
+    with pytest.raises(NonConvergence) as info:
+        _many(f, owners, TINY, block)
+    got = info.value
+    assert (got.owner, got.integral) == (index, f"integral {index}")
+    assert (got.estimate, got.error, got.panels) == \
+        (expected.estimate, expected.error, expected.panels)
+
+
+def test_reversed_interval_raises_after_earlier_integrals():
+    def decay(x, i):
+        return np.exp(-x)
+
+    def noisy(x, i):
+        return np.sin(1000.0 * x) / (np.abs(x - 0.37) + 1e-9)
+
+    with pytest.raises(ValueError, match=r"need a <= b, .* \(integral 1\)"):
+        integrate_finite_many(decay, [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [[], [], []])
+    # the loop would fail on integral 0 before it reaches the reversed one
+    with pytest.raises(NonConvergence) as info:
+        integrate_finite_many(noisy, [0.0, 1.0], [1.0, 0.0], [[], []], TINY)
+    assert info.value.owner == 0
+
+
+# ---------------------------------------------------------------------------
+# Grid forms of the closed forms
+# ---------------------------------------------------------------------------
+
+@st.composite
+def grid_cases(draw):
+    rate = draw(st.floats(0.05, 12.0))
+    snr_db = draw(st.floats(-5.0, 40.0))
+    cfg = SystemConfig.from_snr_db(snr_db, rate)
+    t = vanishing_threshold(cfg)
+    edges = [t, math.nextafter(t, 2.0), 1.0 - t, 0.0, 1.0, 0.5]
+    share = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+    points = draw(st.lists(st.tuples(share, share), min_size=1, max_size=8))
+    return cfg, points
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=grid_cases())
+@example(case=(SystemConfig.from_snr_db(3.0, 0.8), [(0.39, 0.39), (0.61, 0.61)]))
+def test_grid_forms_equal_scalar_closed_forms(case):
+    cfg, points = case
+    alphas = [a for a, _ in points]
+    betas = [b for _, b in points]
+    with np.errstate(over="ignore", divide="ignore"):
+        assert _bits(prob_p3_grid(alphas, betas, cfg).tolist()) == \
+            _bits([prob_p3(a, b, cfg) for a, b in points])
+        assert _bits(prob_p4_grid(alphas, betas, cfg).tolist()) == \
+            _bits([prob_p4(a, b, cfg) for a, b in points])
+        assert [repr(p) for p in prob_sc_grid(alphas, cfg)] == \
+            [repr(prob_sc(a, cfg)) for a in alphas]
+
+
+def _first_scalar_failure(call, args):
+    for arg in args:
+        try:
+            call(*arg)
+        except NonConvergence as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rate", [0.8, 2.0])
+def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
+    cfg = SystemConfig.from_snr_db(3.0, rate)
+    quad = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+    # each kernel first fails at a different point: p3 and p4 skip or
+    # resolve the early ones, and sc's first failure (tp4p at alpha = 0)
+    # comes before the first tp3 failure
+    points = [(0.0, 0.0), (0.5, 0.5), (0.3, 0.7), (0.9, 0.1)]
+    alphas = [a for a, _ in points]
+    betas = [b for _, b in points]
+    cases = [
+        (lambda a, b: prob_p3(a, b, cfg, quad), prob_p3_grid, "p3"),
+        (lambda a, b: prob_p4(a, b, cfg, quad), prob_p4_grid, "p4"),
+    ]
+    for scalar, grid, kernel in cases:
+        want = _first_scalar_failure(scalar, points)
+        assert want is not None and f" in {kernel} at alpha=" in want
+        assert repr(cfg) in want
+        with pytest.raises(NonConvergence) as info:
+            grid(alphas, betas, cfg, quad)
+        assert str(info.value) == want
+    want = _first_scalar_failure(lambda a: prob_sc(a, cfg, quad),
+                                 [(a,) for a in alphas])
+    assert want is not None and " in sc at alpha=" in want
+    with pytest.raises(NonConvergence) as info:
+        prob_sc_grid(alphas, cfg, quad)
+    assert str(info.value) == want

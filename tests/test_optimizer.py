@@ -1,13 +1,79 @@
 """Tests for the split/rate optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mlharq.closed_form import throughput_mlh, throughput_sc, throughput_ts
+from mlharq.closed_form import (
+    prob_p0,
+    prob_p1,
+    prob_p2,
+    prob_p3,
+    prob_p4,
+    throughput_mlh,
+    throughput_sc,
+    throughput_ts,
+)
 from mlharq.model import PowerSplit, SystemConfig
-from mlharq.optimize import optimize_rate_and_split, optimize_split
+from mlharq.optimize import Optimum, optimize_rate_and_split, optimize_split
+from mlharq.quadrature import NonConvergence, QuadratureSettings
 
 CFG_3DB = SystemConfig.from_snr_db(3.0, 1.0)
+
+
+def scalar_search(protocol, cfg, grid_step=0.01, refine_tol=1e-4, settings=None):
+    """optimize_split for mlh or sc, one closed-form call per point.
+
+    The reference for the batched search: the same grid, windows, mirror
+    indices, arithmetic and tie-break, on the public scalar closed forms.
+    """
+    n = max(1, round(1.0 / grid_step))
+    pts = [i / n for i in range(n + 1)]
+    best = (-math.inf, -1.0, -1.0)
+    evaluations = 0
+
+    def offer(value, a, b):
+        nonlocal best, evaluations
+        evaluations += 1
+        best = max(best, (value, a, b))
+
+    def window(center, step):
+        return sorted({min(1.0, max(0.0, center + k * step)) for k in range(-10, 11)})
+
+    if protocol == "sc":
+        for a in pts:
+            offer(throughput_sc(a, cfg, settings), a, a)
+    else:
+        for i, a in enumerate(pts):
+            m = pts[n - i]
+            p0 = prob_p0(a, cfg)
+            base = (2.0 * p0 + 2.0 * (prob_p1(a, cfg, settings)
+                                      + prob_p1(m, cfg, settings))
+                    + prob_p2(a, cfg, settings) + prob_p2(m, cfg, settings))
+            for j, b in enumerate(pts):
+                ci, cj = min((i, j), (n - i, n - j))
+                q = (base + 2.0 * prob_p3(pts[ci], pts[cj], cfg, settings)
+                     + prob_p4(a, b, cfg, settings)
+                     + prob_p4(m, pts[n - j], cfg, settings))
+                offer(cfg.rate_R * q / (2.0 - p0), a, b)
+
+    step = grid_step
+    while 2.0 * step > refine_tol:
+        step /= 10.0
+        _, a0, b0 = best
+        for a in window(a0, step):
+            if protocol == "sc":
+                offer(throughput_sc(a, cfg, settings), a, a)
+            else:
+                for b in window(b0, step):
+                    offer(throughput_mlh(PowerSplit(a, b), cfg, settings), a, b)
+
+    _, a, b = best
+    value = (throughput_sc(a, cfg, settings) if protocol == "sc"
+             else throughput_mlh(PowerSplit(a, b), cfg, settings))
+    return Optimum(alpha_star=a, beta_star=b, rate_star=None,
+                   throughput_star=value, evaluations=evaluations)
 
 
 class TestOptimizeSplit:
@@ -93,6 +159,39 @@ class TestOptimizeSplit:
         opt_b = optimize_split("sc", cfg_b, grid_step=0.1, refine_tol=1e-3)
         assert opt_a.alpha_star == opt_b.alpha_star
         assert abs(opt_a.throughput_star - opt_b.throughput_star) <= 1e-12
+
+
+class TestMatchesScalarSearch:
+    """The batched search returns the scalar search's Optimum, repr for
+    repr.  At 3 dB, R = 0.3, 0.8 and 1.3 sc's split is decided by a
+    5.6e-17 margin or by an exact tie between mirror splits, so a value
+    that moved by one ulp would move the reported split."""
+
+    @pytest.mark.parametrize("protocol", ["mlh", "sc"])
+    @pytest.mark.parametrize("snr_db, rate", [(3.0, 0.3), (3.0, 0.8),
+                                              (3.0, 1.3), (-4.0, 1.0),
+                                              (25.0, 2.3)])
+    def test_repr_identical(self, protocol, snr_db, rate):
+        cfg = SystemConfig.from_snr_db(snr_db, rate)
+        assert repr(optimize_split(protocol, cfg)) == \
+            repr(scalar_search(protocol, cfg))
+
+    @pytest.mark.parametrize("protocol, snr_db, tol", [("mlh", 3.0, 1e-19),
+                                                       ("mlh", 10.0, 1e-18),
+                                                       ("sc", 3.0, 1e-19)])
+    def test_raises_the_failure_the_scalar_search_meets_first(self, protocol,
+                                                              snr_db, tol):
+        """Several integrals fail at these tolerances, and the first one in
+        the scalar search's order is not the first in a batch's order: on
+        the mlh coarse grid at 3 dB (a mirrored p4 term at alpha = 1) and
+        in an mlh refinement window at 10 dB."""
+        cfg = SystemConfig.from_snr_db(snr_db, 1.0)
+        tight = QuadratureSettings(abs_tol=tol, rel_tol=tol)
+        with pytest.raises(NonConvergence) as want:
+            scalar_search(protocol, cfg, 0.1, 1e-2, tight)
+        with pytest.raises(NonConvergence) as got:
+            optimize_split(protocol, cfg, 0.1, 1e-2, tight)
+        assert str(got.value) == str(want.value)
 
 
 class TestOptimizeRateAndSplit:
