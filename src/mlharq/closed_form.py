@@ -15,7 +15,10 @@ instead of g_max.
 The _grid functions evaluate a kernel at many points in one lockstep
 quadrature (integrate_finite_many) with the same integrand and
 breakpoints as the scalar path, so each value has the scalar path's bits.
-They do not read or fill the scalar kernels' caches.
+The kink candidates exist twice: a scalar form for single calls and an
+array form for grids, which repeats the scalar arithmetic (a test pins the
+two together).  The grid functions do not read or fill the scalar
+kernels' caches.
 
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
 exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window is cut at the
@@ -306,6 +309,77 @@ def _h4_breakpoints(alpha, beta, cfg):
     return pts
 
 
+# Array forms of the kink candidates, for the grid path.  Each returns an
+# (n, m) array: row i holds the scalar form's list at (alpha[i], beta[i])
+# in its order, NaN where the scalar form appends nothing.  They repeat the
+# scalar expressions operation for operation (IEEE arithmetic and sqrt
+# round alike in numpy), so every candidate has the scalar bits.  Each runs
+# under one np.errstate(all="ignore"): the where= divisions skip masked
+# lanes, but sqrt of a negative discriminant and x/0+ = inf still occur.
+
+def _quadratic_roots_into(a2, a1, a0, first, second, where=True):
+    """_quadratic_roots elementwise where `where` holds, written into the
+    NaN-filled first and second; a linear root goes to first."""
+    linear = a2 == 0.0
+    np.divide(-a0, a1, out=first, where=where & linear & (a1 != 0.0))
+    sq = np.sqrt(a1 * a1 - 4.0 * a2 * a0)   # NaN where disc < 0
+    den = 2.0 * a2
+    quadratic = where & ~linear
+    np.divide(-a1 + sq, den, out=first, where=quadratic)
+    np.divide(-a1 - sq, den, out=second, where=quadratic)
+
+
+def _h3_breakpoints_grid(alpha, beta, cfg):
+    """_h3_breakpoints at each (alpha[i], beta[i]): an (n, 9) array of the
+    3 zero crossings, then 2 roots for each pair of terms."""
+    r = cfg.rate_R
+    p = cfg.power_P
+    n = len(alpha)
+    # the terms, one row each, as in _h3_breakpoints
+    w = np.stack([1.0 - beta, beta, np.ones(n)])
+    k = np.array([[2.0 ** r], [2.0 ** r], [2.0 ** (2.0 * r)]])
+    c = np.stack([(1.0 - alpha) * p, alpha * p, np.full(n, p)])
+    out = np.full((9, n), np.nan)
+    with np.errstate(all="ignore"):
+        np.divide(k - 1.0, c, out=out[:3], where=c > 0.0)
+        i, j = [0, 0, 1], [1, 2, 2]
+        wi, ki, ci = w[i], k[i], c[i]
+        wj, kj, cj = w[j], k[j], c[j]
+        dw = wi - wj
+        roots = out[3:].reshape(3, 2, n)
+        _quadratic_roots_into(
+            dw * ci * cj,
+            dw * (ci + cj) + wj * ki * cj - wi * kj * ci,
+            dw + wj * ki - wi * kj,
+            roots[:, 0], roots[:, 1], where=(wi > 0.0) & (wj > 0.0))
+    return out.T
+
+
+def _h4_breakpoints_grid(alpha, beta, cfg):
+    """_h4_breakpoints at each (alpha[i], beta[i]): an (n, 5) array of the
+    n, d and nbar zero crossings, then the 2 clamp-switch roots."""
+    r = cfg.rate_R
+    p = cfg.power_P
+    k1 = 2.0 ** r
+    out = np.full((5, len(alpha)), np.nan)
+    with np.errstate(all="ignore"):
+        den = 1.0 + k1 * (alpha - 1.0)
+        np.divide(k1 - 1.0, p * den, out=out[0], where=den > 0.0)
+        kb = k1 * (1.0 - beta)
+        den = 1.0 - kb * (1.0 - alpha)
+        np.divide(kb - 1.0, p * den, out=out[1],
+                  where=(beta < 1.0) & (kb > 1.0) & (den > 0.0))
+        c1 = (1.0 - alpha) * p
+        c2 = p
+        np.divide(k1 - 1.0, c1, out=out[2], where=alpha < 1.0)
+        _quadratic_roots_into(
+            beta * c1 * c2,
+            beta * (c1 + c2) - k1 * c2 + (1.0 - beta) * k1 * k1 * c1,
+            beta - k1 + (1.0 - beta) * k1 * k1,
+            out[3], out[4])
+    return out.T
+
+
 # ---------------------------------------------------------------------------
 # Event probabilities
 # ---------------------------------------------------------------------------
@@ -432,9 +506,8 @@ def _kernel_grid(integrand, breakpoints, alpha, beta, upper, cfg, settings):
     def f(g, owner):
         return integrand(g, alpha[owner], beta[owner], cfg)
 
-    bps = [breakpoints(a, b, cfg) if u > 0.0 else ()
-           for a, b, u in zip(alpha.tolist(), beta.tolist(), upper.tolist())]
-    return integrate_finite_many(f, 0.0, np.maximum(upper, 0.0), bps, settings)
+    return integrate_finite_many(f, 0.0, np.maximum(upper, 0.0),
+                                 breakpoints(alpha, beta, cfg), settings)
 
 
 def prob_p3(alpha: float, beta: float, cfg: SystemConfig,
@@ -465,8 +538,8 @@ def _slot2_grid(kernel, integrand, breakpoints, alphas, betas, cfg, settings):
     """prob_p3 or prob_p4 (kernel names it) at each (alphas[i], betas[i])."""
     alpha = np.asarray(alphas, dtype=float)
     beta = np.asarray(betas, dtype=float)
-    g_maxes = {a: g_max(a, cfg) for a in set(alpha.tolist())}
-    upper = np.array([g_maxes[a] for a in alpha.tolist()])
+    distinct, inverse = np.unique(alpha, return_inverse=True)
+    upper = np.array([g_max(a, cfg) for a in distinct.tolist()])[inverse]
     try:
         return _kernel_grid(integrand, breakpoints, alpha, beta, upper, cfg,
                             settings or DEFAULT_SETTINGS)
@@ -478,13 +551,13 @@ def _slot2_grid(kernel, integrand, breakpoints, alphas, betas, cfg, settings):
 def prob_p3_grid(alphas, betas, cfg: SystemConfig,
                  settings: Optional[QuadratureSettings] = None) -> np.ndarray:
     """prob_p3 at each point (alphas[i], betas[i]), with the same bits."""
-    return _slot2_grid("p3", _f3, _h3_breakpoints, alphas, betas, cfg, settings)
+    return _slot2_grid("p3", _f3, _h3_breakpoints_grid, alphas, betas, cfg, settings)
 
 
 def prob_p4_grid(alphas, betas, cfg: SystemConfig,
                  settings: Optional[QuadratureSettings] = None) -> np.ndarray:
     """prob_p4 at each point (alphas[i], betas[i]), with the same bits."""
-    return _slot2_grid("p4", _f4, _h4_breakpoints, alphas, betas, cfg, settings)
+    return _slot2_grid("p4", _f4, _h4_breakpoints_grid, alphas, betas, cfg, settings)
 
 
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,
@@ -528,9 +601,9 @@ def prob_sc_grid(alphas, cfg: SystemConfig,
     alpha = np.asarray(alphas, dtype=float)
     upper = np.full(alpha.shape, cfg.sigma2 * TAIL_SPAN)
     parts, failures = [], []
-    for integrand, breakpoints, share in ((_f3, _h3_breakpoints, alpha),
-                                          (_f4, _h4_breakpoints, alpha),
-                                          (_f4, _h4_breakpoints, 1.0 - alpha)):
+    for integrand, breakpoints, share in ((_f3, _h3_breakpoints_grid, alpha),
+                                          (_f4, _h4_breakpoints_grid, alpha),
+                                          (_f4, _h4_breakpoints_grid, 1.0 - alpha)):
         try:
             parts.append(_kernel_grid(integrand, breakpoints, share, share,
                                       upper, cfg, settings).tolist())

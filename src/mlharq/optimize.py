@@ -156,15 +156,16 @@ def _mlh_values(points, cfg, settings):
     p3 = prob_p3_grid(alphas, betas, cfg, settings).tolist()
     p4 = prob_p4_grid(alphas + [1.0 - a for a in alphas],
                       betas + [1.0 - b for b in betas], cfg, settings).tolist()
+    # the slot-1 events depend on alpha alone: once per distinct alpha
+    slot1 = {a: (prob_p0(a, cfg),
+                 prob_p1(a, cfg, settings), prob_p1(1.0 - a, cfg, settings),
+                 prob_p2(a, cfg, settings), prob_p2(1.0 - a, cfg, settings))
+             for a in dict.fromkeys(alphas)}
     values = []
     for k, a in enumerate(alphas):
-        probs = EventProbs(
-            p0=prob_p0(a, cfg),
-            p1=prob_p1(a, cfg, settings),
-            p1p=prob_p1(1.0 - a, cfg, settings),
-            p2=prob_p2(a, cfg, settings),
-            p2p=prob_p2(1.0 - a, cfg, settings),
-            p3=p3[k], p4=p4[k], p4p=p4[len(alphas) + k])
+        p0, p1, p1p, p2, p2p = slot1[a]
+        probs = EventProbs(p0=p0, p1=p1, p1p=p1p, p2=p2, p2p=p2p,
+                           p3=p3[k], p4=p4[k], p4p=p4[len(alphas) + k])
         values.append(mlh_throughput_from_probs(probs, cfg))
     return values
 

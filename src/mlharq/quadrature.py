@@ -8,13 +8,15 @@ Gauss-Legendre pair.  Integrands are evaluated on numpy arrays of sample
 points, one batched call per refinement round.
 
 integrate_finite_many runs a whole family of such integrals in lockstep:
+their kinks come as one NaN-padded (n, m) array, one row per integral,
 their panels are flattened with an owner index, and each refinement round
-makes one integrand call for the live panels of all owners.  It is the
-same algorithm, not an approximation of it: every owner keeps
-integrate_finite's panel order and rules, its rule-pair matvecs are the
-same BLAS calls (owners are grouped by panel count, since a gemv result
-can depend on the row count) and its sums reduce equal-length rows, so
-each value has the bits integrate_finite gives it alone.
+makes one integrand call for the live panels of all owners; no step runs
+Python once per integral.  It is the same algorithm, not an approximation
+of it: every owner keeps integrate_finite's panel order and rules, its
+rule-pair matvecs are the same BLAS calls (owners are grouped by panel
+count, since a gemv result can depend on the row count) and its sums
+reduce equal-length rows, so each value has the bits integrate_finite
+gives it alone.
 """
 
 import math
@@ -160,15 +162,16 @@ def integrate_finite(f, a, b, breakpoints,
 def _rows_by_length(start, count):
     """(rows, index) for each distinct segment length k: rows selects the
     segments of length k, index is their (G, k) array of element indices."""
-    for k in np.unique(count):
+    for k in np.flatnonzero(np.bincount(count)):
         rows = count == k
         yield rows, start[rows, None] + np.arange(k)
 
 
 def _segments(owner):
-    """Start and length of each owner's run in an owner-sorted array."""
-    _, start, count = np.unique(owner, return_index=True, return_counts=True)
-    return start, count
+    """Start and length of each owner's run in a nonempty owner-sorted
+    array."""
+    start = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+    return start, np.concatenate((start[1:], [len(owner)])) - start
 
 
 def _rule_many(f, lo, hi, owner):
@@ -194,19 +197,22 @@ def _run_block(f, a, b, breakpoints, owners, settings, out):
     """integrate_finite for each owner in lockstep; values go to out.
 
     Returns the NonConvergence of the lowest failing owner, or None."""
-    lo, hi, own = [], [], []
-    for o in owners.tolist():
-        ao, bo = float(a[o]), float(b[o])
-        edges = [ao, *sorted({float(p) for p in breakpoints[o] if ao < p < bo}), bo]
-        lo += edges[:-1]
-        hi += edges[1:]
-        own += [o] * (len(edges) - 1)
-    lo, hi, own = np.array(lo), np.array(hi), np.array(own)
+    # first panels as integrate_finite builds them: each row's edges are a,
+    # its breakpoints inside (a, b) sorted (the others replaced by b), then
+    # b, and a panel joins each pair of adjacent distinct edges
+    ao, bo = a[owners, None], b[owners, None]
+    bps = breakpoints[owners]
+    edges = np.concatenate(
+        [ao, np.sort(np.where((ao < bps) & (bps < bo), bps, bo), axis=1), bo],
+        axis=1)
+    new = edges[:, :-1] != edges[:, 1:]
+    lo, hi = edges[:, :-1][new], edges[:, 1:][new]
+    own = np.repeat(owners, new.sum(axis=1))
     width = b - a
     vals, errs = _rule_many(f, lo, hi, own)
     failure = None
 
-    while own.size:
+    while True:
         start, count = _segments(own)
         total = np.empty(len(start))
         err_total = np.empty(len(start))
@@ -234,7 +240,10 @@ def _run_block(f, a, b, breakpoints, owners, settings, out):
                 failure = NonConvergence(float(total[k]), float(err_total[k]),
                                          int(count[k]), f"integral {o}", o)
 
-        live = (~done & ~failed)[seg]
+        live = ~done & ~failed
+        if not live.any():
+            return failure
+        live = live[seg]
         split &= live
         keep = live & ~split
         s_lo, s_hi, s_own = lo[split], hi[split], own[split]
@@ -254,7 +263,6 @@ def _run_block(f, a, b, breakpoints, owners, settings, out):
         hi = np.concatenate([hi[keep], c_hi])[order]
         vals = np.concatenate([vals[keep], c_vals])[order]
         errs = np.concatenate([errs[keep], c_errs])[order]
-    return failure
 
 
 def integrate_finite_many(f, a, b, breakpoints,
@@ -262,18 +270,25 @@ def integrate_finite_many(f, a, b, breakpoints,
                           ) -> np.ndarray:
     """integrate_finite for many integrals at once, with the same bits.
 
-    Integral i runs over [a[i], b[i]] (a and b broadcast to one entry per
-    integral) with kinks breakpoints[i].  f(x, owner) receives the flat
-    sample points of a round and, for each, the index i of its integral;
-    it must work elementwise.  Entry i of the result equals
-    integrate_finite(lambda x: f(x, np.full(x.shape, i)), a[i], b[i],
-    breakpoints[i], settings) bit for bit, whatever the other integrals
-    are.
+    breakpoints is an (n, m) float array, one row per integral, padded
+    with NaN where an integral has fewer than m kinks; as in
+    integrate_finite, entries that are NaN, infinite or outside (a, b) are
+    ignored, and repeats count once.  Integral i runs over [a[i], b[i]]
+    (a and b broadcast to n entries) with kinks breakpoints[i].
+    f(x, owner) receives the flat sample points of a round and, for each,
+    the index i of its integral; it must work elementwise.  Entry i of the
+    result equals integrate_finite(lambda x: f(x, np.full(x.shape, i)),
+    a[i], b[i], breakpoints[i], settings) bit for bit, whatever the other
+    integrals are.
 
     Raises what a loop of integrate_finite over i would raise first: the
     ValueError of an entry with a > b, or the NonConvergence (with its
     owner set) of the first integral that fails before it.
     """
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    if breakpoints.ndim != 2:
+        raise ValueError("breakpoints must be an (n, m) array, "
+                         f"got shape {breakpoints.shape}")
     n = len(breakpoints)
     a = np.broadcast_to(np.asarray(a, dtype=float), (n,))
     b = np.broadcast_to(np.asarray(b, dtype=float), (n,))

@@ -16,6 +16,10 @@ from hypothesis import strategies as st
 
 from mlharq import quadrature
 from mlharq.closed_form import (
+    _h3_breakpoints,
+    _h3_breakpoints_grid,
+    _h4_breakpoints,
+    _h4_breakpoints_grid,
     prob_p3,
     prob_p3_grid,
     prob_p4,
@@ -87,11 +91,19 @@ def _bits(values):
     return [float.hex(v) for v in values]
 
 
+def _padded(rows):
+    """Ragged breakpoint lists as integrate_finite_many's (n, m) array,
+    padded with NaN."""
+    m = max(map(len, rows), default=0)
+    return np.array([[*row, *[math.nan] * (m - len(row))] for row in rows],
+                    dtype=float).reshape(len(rows), m)
+
+
 def _many(f, owners, quad, block):
     with mock.patch.object(quadrature, "BLOCK_OWNERS", block):
         return integrate_finite_many(f, [o[0] for o in owners],
                                      [o[1] for o in owners],
-                                     [o[4] for o in owners], quad)
+                                     _padded([o[4] for o in owners]), quad)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -109,6 +121,42 @@ def test_many_equals_scalar_loop_bit_for_bit(owners, quad, block, data):
     k = data.draw(st.integers(0, len(owners) - 1))
     alone = _many(lambda x, i: f(x, np.full(x.shape, k)), [owners[k]], quad, block)
     assert _bits(alone.tolist()) == _bits([want[k]])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(owners=st.lists(owner(), min_size=1, max_size=8), data=st.data())
+def test_many_ignores_nan_inf_and_repeats_as_integrate_finite_does(owners, data):
+    junk = st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=4)
+    noisy = []
+    for a, b, kink, shape, bps in owners:
+        repeats = bps[:data.draw(st.integers(0, len(bps)))]
+        row = data.draw(st.permutations(bps + repeats + data.draw(junk)))
+        noisy.append((a, b, kink, shape, row))
+    f = _family(owners)
+    quad = QuadratureSettings()
+    want, failure = _scalar_loop(f, owners, quad)
+    assert failure is None
+    assert _bits(_scalar_loop(f, noisy, quad)[0]) == _bits(want)
+    assert _bits(_many(f, noisy, quad, 256).tolist()) == _bits(want)
+
+
+def test_padding_and_non_finite_entries_are_ignored():
+    def f(x, i):
+        return np.exp(-3.0 * np.abs(x - 0.3))
+
+    def g(x):
+        return f(x, None)
+
+    rows = [[0.3], [math.nan, 0.3, math.inf, 0.3, -math.inf, 0.3],
+            [math.nan] * 6, [-math.inf, math.inf], []]
+    kinked = integrate_finite(g, 0.0, 1.0, [0.3])
+    plain = integrate_finite(g, 0.0, 1.0, [])
+    want = [kinked, kinked, plain, plain, plain]
+    assert _bits([integrate_finite(g, 0.0, 1.0, row) for row in rows]) == _bits(want)
+    assert _bits(integrate_finite_many(f, 0.0, 1.0, _padded(rows)).tolist()) == \
+        _bits(want)
+    with pytest.raises(ValueError, match=r"\(n, m\) array"):
+        integrate_finite_many(f, 0.0, 1.0, [0.3, 0.5])
 
 
 def _noisy_family(owners, noisy):
@@ -165,6 +213,32 @@ def test_reversed_interval_raises_after_earlier_integrals():
 # ---------------------------------------------------------------------------
 # Grid forms of the closed forms
 # ---------------------------------------------------------------------------
+
+@st.composite
+def kink_cases(draw):
+    rate = draw(st.floats(0.05, 12.0))
+    snr_db = draw(st.floats(-5.0, 40.0))
+    cfg = SystemConfig.from_snr_db(snr_db, rate)
+    t = vanishing_threshold(cfg)
+    edges = [0.0, 1.0, t, math.nextafter(t, 2.0), 5e-324, 1e-320]
+    share = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+    points = draw(st.lists(st.tuples(share, share), min_size=1, max_size=8))
+    return cfg, points
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=kink_cases())
+def test_array_kink_candidates_equal_the_scalar_lists(case):
+    cfg, points = case
+    alpha = np.array([a for a, _ in points])
+    beta = np.array([b for _, b in points])
+    for scalar, grid, width in ((_h3_breakpoints, _h3_breakpoints_grid, 9),
+                                (_h4_breakpoints, _h4_breakpoints_grid, 5)):
+        rows = grid(alpha, beta, cfg)
+        assert rows.shape == (len(points), width)
+        for (a, b), row in zip(points, rows.tolist()):
+            want = [p for p in scalar(a, b, cfg) if not math.isnan(p)]
+            assert _bits([p for p in row if not math.isnan(p)]) == _bits(want)
 
 @st.composite
 def grid_cases(draw):
