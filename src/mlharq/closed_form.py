@@ -29,6 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -72,6 +73,7 @@ __all__ = [
 ]
 
 _PROB_SLACK = 1e-9  # float-noise allowance on the [0, 1] field checks
+_SUM_SLACK = 1e-8   # and on the check that the fields sum to at most 1
 _CACHE_SIZE = 65536
 
 
@@ -87,12 +89,28 @@ class _Probs:
     def __post_init__(self):
         for name, value in self.as_dict().items():
             _check_prob(name, value)
-        if self.total() > 1.0 + 1e-8:
+        if self.total() > 1.0 + _SUM_SLACK:
             raise ValueError(
                 f"{self._label} probabilities sum to {self.total()} > 1")
 
     def total(self) -> float:
         return reduce(operator.add, self.as_dict().values())
+
+    @classmethod
+    def checked_columns(cls, **columns):
+        """columns (arrays of the fields, one entry per point) as a record
+        that the *_from_probs functions accept, after the field checks at
+        every point: the first point that fails one builds its record,
+        which raises the ValueError that a loop of records would."""
+        values = list(columns.values())
+        ok = reduce(operator.and_, [(-_PROB_SLACK <= c) & (c <= 1.0 + _PROB_SLACK)
+                                    for c in values])
+        ok &= ~(reduce(operator.add, values) > 1.0 + _SUM_SLACK)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            k = int(bad[0])
+            cls(**{name: float(c[k]) for name, c in columns.items()})
+        return SimpleNamespace(**columns)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -172,10 +190,38 @@ def g_max(alpha: float, cfg: SystemConfig) -> float:
 
 def _over_power(n, w):
     """n / w, where w is a layer's slot-2 power; a zero-power layer gives
-    the limit +inf where n > 0, else 0.  Elementwise over n and w."""
-    if isinstance(w, float) and w > 0.0:   # the scalar path's common case
-        return n / w
-    return np.divide(n, w, out=np.where(n > 0.0, np.inf, 0.0), where=w > 0.0)
+    the limit +inf where n > 0, else 0.  Elementwise over n and w (w
+    broadcasts against n); the result overwrites n where it can."""
+    if isinstance(w, float):   # the scalar path
+        if w > 0.0:
+            n /= w
+            return n
+        return np.where(n > 0.0, np.inf, 0.0)
+    zero = np.logical_not(np.greater(w, 0.0))
+    if not zero.any():
+        n /= w
+        return n
+    n /= np.where(zero, 1.0, w)   # n / 1.0 is n: zero-power lanes keep n
+    # whole rows when w is a column against n's rows (the grid path)
+    lanes = (zero[..., 0] if zero.shape == n.shape[:-1] + (1,)
+             else np.broadcast_to(zero, n.shape))
+    n[lanes] = np.where(n[lanes] > 0.0, np.inf, 0.0)
+    return n
+
+
+# The thresholds and integrands below work in place on a few buffers of the
+# samples' shape, with the operations of their expression forms in the same
+# order, so each value keeps its bits: 1 + g*(1-alpha)*P is ((g*(1-alpha))*P)
+# + 1, and max(0, x) is np.maximum(0.0, x).  g itself is never written.
+
+def _residual(k, g, share, p, out):
+    """k / (1 + g*share*P) - 1 into out."""
+    np.multiply(g, share, out=out)
+    out *= p
+    out += 1.0
+    np.divide(k, out, out=out)
+    out -= 1.0
+    return out
 
 
 def h3(g, alpha, beta, cfg):
@@ -184,24 +230,29 @@ def h3(g, alpha, beta, cfg):
     Elementwise over g (and over alpha and beta if they are arrays); max
     of the three accumulated MAC constraints with the positive-part clamp,
     +inf where a zero-power slot-2 layer still needs positive extra mutual
-    information.
+    information.  Returns a new array.
     """
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
     p = cfg.power_P
     k1 = 2.0 ** r
     k2 = 2.0 ** (2.0 * r)
+    shape = np.broadcast(g, alpha, beta).shape
 
-    n1 = k1 / (1.0 + g * (1.0 - alpha) * p) - 1.0   # m2 layer, share 1-beta
-    n2 = k1 / (1.0 + g * alpha * p) - 1.0           # m1 layer, share beta
-    n3 = k2 / (1.0 + g * p) - 1.0                   # sum rate, full power
-
-    # branch on each layer's slot-2 power, not its share: a tiny positive
-    # share can still underflow to zero power
-    t1 = _over_power(n1, (1.0 - beta) * p)
-    t2 = _over_power(n2, beta * p)
-    t3 = n3 / p
-    return np.maximum(0.0, np.maximum(t1, np.maximum(t2, t3)))
+    # max(0, max(t1, max(t2, t3))) over the layer terms t1 (m2, share
+    # 1-beta) and t2 (m1, share beta) and the sum-rate term t3 (full power).
+    # Branch on each layer's slot-2 power, not its share: a tiny positive
+    # share can still underflow to zero power.
+    t = np.multiply(g, p, out=np.empty(shape))
+    t += 1.0
+    np.divide(k2, t, out=t)
+    t -= 1.0
+    t /= p
+    term = _over_power(_residual(k1, g, alpha, p, np.empty(shape)), beta * p)
+    np.maximum(term, t, out=t)
+    term = _over_power(_residual(k1, g, 1.0 - alpha, p, term), (1.0 - beta) * p)
+    np.maximum(term, t, out=t)
+    return np.maximum(0.0, t, out=t)
 
 
 def h4(g, alpha, beta, cfg):
@@ -212,24 +263,36 @@ def h4(g, alpha, beta, cfg):
     +inf when the needed slot-2 boost exceeds the interference-limited cap
     beta/(1-beta).  h4_bar is the largest slot-2 gain at which m2 (clean,
     after hypothetical SIC) still fails.  Elementwise over g (and over
-    alpha and beta if they are arrays).
+    alpha and beta if they are arrays); returns two new arrays.
     """
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
     p = cfg.power_P
     k1 = 2.0 ** r
+    shape = np.broadcast(g, alpha, beta).shape
 
-    u = 1.0 + g * (1.0 - alpha) * p
-    v = 1.0 + g * p
+    u = np.multiply(g, 1.0 - alpha, out=np.empty(shape))
+    u *= p
+    u += 1.0                                   # 1 + g(1-alpha)P
+    v = np.multiply(g, p, out=np.empty(shape))
+    v += 1.0                                   # 1 + gP
     # residual SINR required of slot 2: 2^R / (1 + slot-1 SINR of m1) - 1
-    n = (k1 * u - v) / v
-    d = beta - (1.0 - beta) * n
-    d_safe = np.where(d > 0.0, d, 1.0)
-    h4v = np.where(n <= 0.0, 0.0,
-                   np.where(d > 0.0, n / (p * d_safe), np.inf))
+    n = np.multiply(k1, u, out=np.empty(shape))
+    n -= v
+    n /= v
+    d = np.multiply(1.0 - beta, n, out=v)
+    np.subtract(beta, d, out=d)                # the interference cap
+    capped = ~(d > 0.0)
+    clear = n <= 0.0
+    np.copyto(d, 1.0, where=capped)
+    d *= p
+    h4v = np.divide(n, d, out=n)
+    np.copyto(h4v, np.inf, where=capped)
+    np.copyto(h4v, 0.0, where=clear)
 
-    nbar = k1 / u - 1.0
-    hbar = _over_power(np.maximum(0.0, nbar), (1.0 - beta) * p)
+    np.divide(k1, u, out=u)
+    u -= 1.0                                   # nbar
+    hbar = _over_power(np.maximum(0.0, u, out=u), (1.0 - beta) * p)
     return h4v, hbar
 
 
@@ -469,18 +532,33 @@ def prob_p2_prime(alpha: float, cfg: SystemConfig,
     return prob_p2(1.0 - alpha, cfg, settings)
 
 
+def _decay(x, s2, out):
+    """exp(-x / s2) into out, which may be x itself."""
+    np.negative(x, out=out)
+    out /= s2
+    return np.exp(out, out=out)
+
+
 def _f3(g, alpha, beta, cfg):
     """Integrand of _k3: slot-1 gain density times joint slot-2 success."""
     s2 = cfg.sigma2
-    return np.exp(-h3(g, alpha, beta, cfg) / s2) * np.exp(-g / s2) / s2
+    y = h3(g, alpha, beta, cfg)
+    _decay(y, s2, y)
+    y *= _decay(g, s2, np.empty_like(y))
+    y /= s2
+    return y
 
 
 def _f4(g, alpha, beta, cfg):
     """Integrand of _k4: slot-1 gain density times only-m1 at slot 2."""
     s2 = cfg.sigma2
     hv, hb = h4(g, alpha, beta, cfg)
-    layer = np.maximum(0.0, np.exp(-hv / s2) - np.exp(-hb / s2))
-    return layer * np.exp(-g / s2) / s2
+    _decay(hv, s2, hv)
+    hv -= _decay(hb, s2, hb)
+    layer = np.maximum(0.0, hv, out=hv)
+    layer *= _decay(g, s2, hb)
+    layer /= s2
+    return layer
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -593,10 +671,12 @@ def prob_sc(alpha: float, cfg: SystemConfig,
 
 
 def prob_sc_grid(alphas, cfg: SystemConfig,
-                 settings: Optional[QuadratureSettings] = None) -> list[ScProbs]:
-    """prob_sc at each split alphas[i], with the same bits.
+                 settings: Optional[QuadratureSettings] = None) -> SimpleNamespace:
+    """prob_sc at each split alphas[i], with the same bits, as the arrays
+    tp3, tp4 and tp4p of ScProbs.checked_columns.
 
-    A NonConvergence is the one a loop of prob_sc would raise first."""
+    A NonConvergence, or the ValueError of a failed ScProbs check, is the
+    one a loop of prob_sc would raise first."""
     settings = settings or DEFAULT_SETTINGS
     alpha = np.asarray(alphas, dtype=float)
     upper = np.full(alpha.shape, cfg.sigma2 * TAIL_SPAN)
@@ -606,14 +686,14 @@ def prob_sc_grid(alphas, cfg: SystemConfig,
                                           (_f4, _h4_breakpoints_grid, 1.0 - alpha)):
         try:
             parts.append(_kernel_grid(integrand, breakpoints, share, share,
-                                      upper, cfg, settings).tolist())
+                                      upper, cfg, settings))
         except NonConvergence as exc:
             failures.append(exc)
     if failures:
         # the lowest split first, and tp3 before tp4 before tp4p at a split
         first = min(failures, key=lambda exc: exc.owner)
         raise first.named(_integral("sc", cfg, float(alpha[first.owner]))) from None
-    return [ScProbs(tp3=t3, tp4=t4, tp4p=t4p) for t3, t4, t4p in zip(*parts)]
+    return ScProbs.checked_columns(**dict(zip(("tp3", "tp4", "tp4p"), parts)))
 
 
 def event_probs(split: PowerSplit, cfg: SystemConfig,
@@ -647,7 +727,8 @@ def throughput_ts(cfg: SystemConfig,
 
 
 def mlh_throughput_from_probs(probs: EventProbs, cfg: SystemConfig) -> float:
-    """Multi-layer throughput from precomputed event probabilities.
+    """Multi-layer throughput from precomputed event probabilities (an
+    EventProbs, or EventProbs.checked_columns of arrays, elementwise).
 
     The slice lasts one slot with probability p0 and two otherwise, so the
     mean duration is 2 - p0 slots.
@@ -664,6 +745,8 @@ def throughput_mlh(split: PowerSplit, cfg: SystemConfig,
 
 
 def sc_throughput_from_probs(probs: ScProbs, cfg: SystemConfig) -> float:
+    """Superposition-coding throughput from outcome probabilities (a
+    ScProbs, or ScProbs.checked_columns of arrays, elementwise)."""
     r = cfg.rate_R
     return r * probs.tp3 + 0.5 * r * (probs.tp4 + probs.tp4p)
 

@@ -8,8 +8,9 @@ regions that appear at low SNR and large rate.
 
 Each coarse grid and refinement window is evaluated with one lockstep
 quadrature per slot-2 kernel (the closed forms' _grid functions, whose
-values have the scalar closed forms' bits), and the values are then
-offered one by one in the scalar search's order and arithmetic.
+values have the scalar closed forms' bits), combined elementwise in the
+scalar search's arithmetic, and offered as one array: the winner is the
+one a point-by-point loop in the scalar search's order would keep.
 """
 
 import math
@@ -51,9 +52,15 @@ class Optimum:
     evaluations: int
 
 
+_MAX_GRID = 1000   # cap on the coarse grid's subdivisions of [0, 1]
+
+
 def _axis_points(grid_step: float) -> list[float]:
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
+    if 1.0 / grid_step > _MAX_GRID + 0.5:   # it would round to more
+        raise ValueError(f"grid_step {grid_step} makes more than {_MAX_GRID} "
+                         "subdivisions of [0, 1]")
     n = max(1, round(1.0 / grid_step))
     return [i / n for i in range(n + 1)]
 
@@ -70,62 +77,90 @@ class _Search:
         self.evaluations = 0
         self.best = (-math.inf, -1.0, -1.0)  # (value, alpha, beta)
 
-    def offer(self, value, alpha, beta):
-        self.evaluations += 1
-        if (value, alpha, beta) > self.best:
-            self.best = (value, alpha, beta)
+    def offer(self, values, alphas, betas):
+        """Offer the points (values[k], alphas[k], betas[k]) in order.
+
+        The best becomes what a loop of `if point > best: best = point`
+        over them leaves: the lexicographic max of (value, alpha, beta),
+        the earliest of equal ones, where a NaN value never wins.
+        """
+        values, alphas, betas = (np.asarray(x, dtype=float)
+                                 for x in (values, alphas, betas))
+        self.evaluations += len(values)
+        top = ~np.isnan(values)
+        if not top.any():
+            return
+        for key in (values, alphas, betas):
+            top &= key == key[top].max()
+        k = int(np.argmax(top))
+        point = (float(values[k]), float(alphas[k]), float(betas[k]))
+        if point > self.best:
+            self.best = point
 
 
-def _coarse_kernels(pts, cfg, settings):
-    """Lookups p3(i, j) and p4(i, j) of the slot-2 kernels at grid indices;
-    p3 is read only at canonical indices, (i, j) <= (n - i, n - j).
+def _slot1_base(a, m, cfg, settings):
+    """The coarse grid's slot-1 terms of a row: base and denominator of the
+    objective at alpha = a, whose mirrored grid share is m."""
+    p0 = prob_p0(a, cfg)
+    base = (2.0 * p0 + 2.0 * (prob_p1(a, cfg, settings)
+                              + prob_p1(m, cfg, settings))
+            + prob_p2(a, cfg, settings) + prob_p2(m, cfg, settings))
+    return base, 2.0 - p0
 
-    Both come from one lockstep quadrature each.  If one fails to converge,
-    the lookups fall back to the scalar closed forms, which then raise the
-    failure that the scalar search meets first.
+
+def _coarse_values(pts, cfg, settings):
+    """The mlh objective at every coarse grid point (pts[i], pts[j]), an
+    (n + 1, n + 1) array, in the scalar search's arithmetic.
+
+    The mirrored events are evaluated at the mirrored grid index (exact
+    index mirror, never 1 - a), and p3(i, j) = p3(n - i, n - j), which is
+    exact on the indices, not on floats (the two quadratures differ in the
+    last bits), at the canonical one of the two.  Each slot-2 kernel comes
+    from one lockstep quadrature; if one fails to converge, the scalar
+    closed forms run in the scalar search's order and raise the failure
+    that it meets first.
     """
     n = len(pts) - 1
-    idx = range(n + 1)
-    canon = [(i, j) for i in idx for j in idx if (i, j) <= (n - i, n - j)]
+    grid = np.array(pts)
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    canon = (i < n - i) | ((i == n - i) & (j <= n - j))   # (i, j) <= mirror
+    ci, cj = i[canon], j[canon]
     try:
-        t4 = prob_p4_grid([pts[i] for i in idx for _ in idx], pts * (n + 1),
-                          cfg, settings).reshape(n + 1, n + 1).tolist()
-        t3 = dict(zip(canon, prob_p3_grid([pts[i] for i, _ in canon],
-                                          [pts[j] for _, j in canon],
-                                          cfg, settings).tolist()))
+        p4 = prob_p4_grid(grid[i], grid[j], cfg, settings).reshape(n + 1, n + 1)
+        p3 = np.empty((n + 1, n + 1))
+        p3[ci, cj] = p3[n - ci, n - cj] = prob_p3_grid(grid[ci], grid[cj],
+                                                       cfg, settings)
     except NonConvergence:
-        return (lambda i, j: prob_p3(pts[i], pts[j], cfg, settings),
-                lambda i, j: prob_p4(pts[i], pts[j], cfg, settings))
-    return (lambda i, j: t3[i, j]), (lambda i, j: t4[i][j])
+        _coarse_scalar(pts, cfg, settings)
+        raise
+    base, denom = np.array([_slot1_base(a, pts[n - i], cfg, settings)
+                            for i, a in enumerate(pts)]).T
+    q = base[:, None] + 2.0 * p3 + p4 + p4[::-1, ::-1]
+    return cfg.rate_R * q / denom[:, None]
+
+
+def _coarse_scalar(pts, cfg, settings):
+    """The coarse grid's closed-form calls in the scalar search's order."""
+    n = len(pts) - 1
+    for i, a in enumerate(pts):
+        _slot1_base(a, pts[n - i], cfg, settings)
+        for j, b in enumerate(pts):
+            ci, cj = min((i, j), (n - i, n - j))
+            prob_p3(pts[ci], pts[cj], cfg, settings)
+            prob_p4(a, b, cfg, settings)
+            prob_p4(pts[n - i], pts[n - j], cfg, settings)
 
 
 def _search_mlh(cfg, grid_step, refine_tol, settings):
     """Coarse 2-D grid exploiting the mirror symmetries, then local shrink.
 
-    On the coarse grid the mirrored events are evaluated at the mirrored
-    grid index (exact index mirror, never 1 - a); refinement and the
-    returned value use the canonical objective.
+    Refinement and the returned value use the canonical objective.
     """
     pts = _axis_points(grid_step)
-    n = len(pts) - 1
+    grid = np.array(pts)
     search = _Search()
-
-    r = cfg.rate_R
-    p3, p4 = _coarse_kernels(pts, cfg, settings)
-    for i, a in enumerate(pts):
-        m = pts[n - i]
-        p0 = prob_p0(a, cfg)
-        base = (2.0 * p0 + 2.0 * (prob_p1(a, cfg, settings)
-                                  + prob_p1(m, cfg, settings))
-                + prob_p2(a, cfg, settings) + prob_p2(m, cfg, settings))
-        denom = 2.0 - p0
-        for j, b in enumerate(pts):
-            # p3(i, j) = p3(n - i, n - j) is exact on the grid indices, not
-            # on floats: the two quadratures differ in the last bits.  Both
-            # read the canonical index.
-            ci, cj = min((i, j), (n - i, n - j))
-            q = base + 2.0 * p3(ci, cj) + p4(i, j) + p4(n - i, n - j)
-            search.offer(r * q / denom, a, b)
+    search.offer(_coarse_values(pts, cfg, settings).ravel(),
+                 np.repeat(grid, len(grid)), np.tile(grid, len(grid)))
 
     def objective(a, b):
         return throughput_mlh(PowerSplit(alpha=a, beta=b), cfg, settings)
@@ -134,14 +169,15 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
     while 2.0 * step > refine_tol:
         step /= 10.0
         _, a0, b0 = search.best
-        window = [(a, b) for a in _window(a0, step) for b in _window(b0, step)]
+        wa, wb = np.array(_window(a0, step)), np.array(_window(b0, step))
+        alphas, betas = np.repeat(wa, len(wb)), np.tile(wb, len(wa))
         try:
-            values = _mlh_values(window, cfg, settings)
+            values = _mlh_values(alphas, betas, cfg, settings)
         except NonConvergence:
             # point by point, the failure the scalar search meets first
-            values = (objective(a, b) for a, b in window)
-        for (a, b), value in zip(window, values):
-            search.offer(value, a, b)
+            values = [objective(a, b)
+                      for a, b in zip(alphas.tolist(), betas.tolist())]
+        search.offer(values, alphas, betas)
 
     _, a_star, b_star = search.best
     return Optimum(alpha_star=a_star, beta_star=b_star, rate_star=None,
@@ -149,25 +185,23 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
                    evaluations=search.evaluations)
 
 
-def _mlh_values(points, cfg, settings):
-    """throughput_mlh at each (alpha, beta) of points, with the same bits."""
-    alphas = [a for a, _ in points]
-    betas = [b for _, b in points]
-    p3 = prob_p3_grid(alphas, betas, cfg, settings).tolist()
-    p4 = prob_p4_grid(alphas + [1.0 - a for a in alphas],
-                      betas + [1.0 - b for b in betas], cfg, settings).tolist()
+def _mlh_values(alphas, betas, cfg, settings):
+    """throughput_mlh at each point (alphas[k], betas[k]), with the same
+    bits; at the first point whose EventProbs fails a check, the same
+    ValueError."""
+    n = len(alphas)
+    p3 = prob_p3_grid(alphas, betas, cfg, settings)
+    p4 = prob_p4_grid(np.concatenate([alphas, 1.0 - alphas]),
+                      np.concatenate([betas, 1.0 - betas]), cfg, settings)
     # the slot-1 events depend on alpha alone: once per distinct alpha
-    slot1 = {a: (prob_p0(a, cfg),
-                 prob_p1(a, cfg, settings), prob_p1(1.0 - a, cfg, settings),
-                 prob_p2(a, cfg, settings), prob_p2(1.0 - a, cfg, settings))
-             for a in dict.fromkeys(alphas)}
-    values = []
-    for k, a in enumerate(alphas):
-        p0, p1, p1p, p2, p2p = slot1[a]
-        probs = EventProbs(p0=p0, p1=p1, p1p=p1p, p2=p2, p2p=p2p,
-                           p3=p3[k], p4=p4[k], p4p=p4[len(alphas) + k])
-        values.append(mlh_throughput_from_probs(probs, cfg))
-    return values
+    distinct, inverse = np.unique(alphas, return_inverse=True)
+    p0, p1, p1p, p2, p2p = np.array([
+        (prob_p0(a, cfg), prob_p1(a, cfg, settings), prob_p1(1.0 - a, cfg, settings),
+         prob_p2(a, cfg, settings), prob_p2(1.0 - a, cfg, settings))
+        for a in distinct.tolist()])[inverse].T
+    probs = EventProbs.checked_columns(p0=p0, p1=p1, p1p=p1p, p2=p2, p2p=p2p,
+                                       p3=p3, p4=p4[:n], p4p=p4[n:])
+    return mlh_throughput_from_probs(probs, cfg)
 
 
 def _search_sc(cfg, grid_step, refine_tol, settings):
@@ -177,8 +211,8 @@ def _search_sc(cfg, grid_step, refine_tol, settings):
         return throughput_sc(a, cfg, settings)
 
     def offer_all(alphas):
-        for a, probs in zip(alphas, prob_sc_grid(alphas, cfg, settings)):
-            search.offer(sc_throughput_from_probs(probs, cfg), a, a)
+        search.offer(sc_throughput_from_probs(prob_sc_grid(alphas, cfg, settings),
+                                              cfg), alphas, alphas)
 
     offer_all(_axis_points(grid_step))
     step = grid_step
@@ -200,9 +234,10 @@ def optimize_split(protocol: str, cfg: SystemConfig, grid_step: float = 0.01,
 
     Time-sharing has no free split; superposition coding optimizes alpha
     only; multi-layer optimizes (alpha, beta) jointly.  The coarse grid has
-    pitch grid_step (rounded to an integer subdivision of [0, 1]) and the
-    incumbent is then refined by repeated 10x grid shrinks until the
-    remaining argument box is below refine_tol per coordinate.
+    pitch grid_step (rounded to an integer subdivision of [0, 1], at most
+    1000 of them, else ValueError) and the incumbent is then refined by
+    repeated 10x grid shrinks until the remaining argument box is below
+    refine_tol per coordinate.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")

@@ -10,13 +10,15 @@ points, one batched call per refinement round.
 integrate_finite_many runs a whole family of such integrals in lockstep:
 their kinks come as one NaN-padded (n, m) array, one row per integral,
 their panels are flattened with an owner index, and each refinement round
-makes one integrand call for the live panels of all owners; no step runs
-Python once per integral.  It is the same algorithm, not an approximation
-of it: every owner keeps integrate_finite's panel order and rules, its
-rule-pair matvecs are the same BLAS calls (owners are grouped by panel
-count, since a gemv result can depend on the row count) and its sums
-reduce equal-length rows, so each value has the bits integrate_finite
-gives it alone.
+makes one integrand call for the live panels of all owners: the (P, 22)
+array of their rule nodes, one row per panel, and the (P, 1) column of
+the panels' owners, against which per-integral parameters broadcast.  No
+step runs Python once per integral.  It is the same algorithm, not an
+approximation of it: every owner keeps integrate_finite's panel order and
+rules, its rule-pair matvecs are the same BLAS calls (owners are grouped
+by panel count, since a gemv result can depend on the row count) and its
+sums reduce equal-length rows, so each value has the bits
+integrate_finite gives it alone.
 """
 
 import math
@@ -36,10 +38,13 @@ MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
 
 # integrate_finite_many runs its integrals in blocks of this many, so one
 # integrand call sees the new panels of at most this many integrals and a
-# round's arrays stay small.  From 64 to 1024 the speed hardly changes;
-# peak memory grows with the block (4,096 took 81 MB where 256 took 48 MB
-# on four optimize_split("mlh") points).
-BLOCK_OWNERS = 256
+# round's arrays stay small.  Larger blocks make fewer rounds.  Since the
+# slot-2 integrands work in place on a few sample-sized buffers, a block of
+# 1024 costs little memory: one optimize_split("mlh") at 3 dB, R=1 peaks at
+# 4.1 MB under tracemalloc (2.8 MB at 256, 6.3 MB at 2048), where the
+# expression-form integrands peaked at 3.9 MB at 256 and 11.4 MB at 1024.
+# A test in tests/test_optimizer.py holds this peak.
+BLOCK_OWNERS = 1024
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
 # fallen to 1e-14, well inside abs_tol for the envelopes used here.
@@ -182,8 +187,7 @@ def _rule_many(f, lo, hi, owner):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.reshape(-1), np.repeat(owner, len(_NODES))),
-                   dtype=float).reshape(x.shape)
+    y = np.asarray(f(x, owner[:, None]), dtype=float)
     coarse = np.empty_like(lo)
     fine = np.empty_like(lo)
     for _, idx in _rows_by_length(*_segments(owner)):
@@ -275,11 +279,14 @@ def integrate_finite_many(f, a, b, breakpoints,
     integrate_finite, entries that are NaN, infinite or outside (a, b) are
     ignored, and repeats count once.  Integral i runs over [a[i], b[i]]
     (a and b broadcast to n entries) with kinks breakpoints[i].
-    f(x, owner) receives the flat sample points of a round and, for each,
-    the index i of its integral; it must work elementwise.  Entry i of the
-    result equals integrate_finite(lambda x: f(x, np.full(x.shape, i)),
-    a[i], b[i], breakpoints[i], settings) bit for bit, whatever the other
-    integrals are.
+    f(x, owner) receives a round's sample points as a (P, 22) array, one
+    row per panel, and the (P, 1) integer column of the panels' integrals,
+    so that owner indexes per-integral parameters into a column that
+    broadcasts against x; it must return the (P, 22) integrand values,
+    elementwise, and must not write x.  Entry i of the result equals
+    integrate_finite(lambda x: f(x, np.full(x.shape, i)), a[i], b[i],
+    breakpoints[i], settings) bit for bit, whatever the other integrals
+    are.
 
     Raises what a loop of integrate_finite over i would raise first: the
     ValueError of an entry with a > b, or the NonConvergence (with its

@@ -195,6 +195,24 @@ class TestOptimize:
         assert doc["alpha_star"] == 1.0 and doc["beta_star"] == 1.0
 
 
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--protocol", "mlh", "--rate", "1", "--snr-db", "3"],
+        ["optimize", "--protocol", "sc", "--opt-rate", "--snr-db", "3"],
+        ["sweep", "--kind", "t-vs-rate", "--snr-db", "3", "--axis-min", "0.5",
+         "--axis-max", "0.5", "--protocols", "mlh"],
+    ])
+    def test_tiny_grid_step_exits_1(self, capsys, tmp_path, command):
+        """A grid of more than 1000 subdivisions is refused before it is
+        built, with one error line."""
+        if command[0] == "sweep":
+            command = [*command, "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, *command, "--grid-step", "1e-9")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 1000 subdivisions" in err
+
+
 class TestSweep:
     def test_writes_csv_and_prints_count(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"

@@ -236,6 +236,34 @@ class TestRanges:
         with pytest.raises(ValueError):
             ScProbs(tp3=0.5, tp4=0.4, tp4p=0.2)  # sums past 1
 
+    @pytest.mark.parametrize("column, bad", [
+        ("tp4", {2: 1.5, 3: math.nan}),    # a field out of range first
+        ("tp3", {1: 0.99, 2: -1.0}),       # a sum past 1 first
+        ("tp4p", {3: math.nan}),
+        ("tp3", {}),
+    ])
+    def test_checked_columns_raise_what_the_first_failing_record_raises(
+            self, column, bad):
+        cols = {"tp3": np.array([0.5, 0.3, 0.2, 0.1, 0.0]),
+                "tp4": np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+                "tp4p": np.array([0.1, 0.1, 0.1, 0.1, 0.1])}
+        for k, value in bad.items():
+            cols[column][k] = value
+        want = None
+        for k in range(5):
+            try:
+                ScProbs(**{name: float(c[k]) for name, c in cols.items()})
+            except ValueError as exc:
+                want = str(exc)
+                break
+        if want is None:
+            record = ScProbs.checked_columns(**cols)
+            assert all(getattr(record, name) is c for name, c in cols.items())
+        else:
+            with pytest.raises(ValueError) as got:
+                ScProbs.checked_columns(**cols)
+            assert str(got.value) == want
+
     def test_success_probabilities_monotone_in_power(self):
         for a, b in ((0.3, 0.6), (0.5, 0.5), (0.8, 0.2)):
             last_p0, last_tp3 = -1.0, -1.0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mlharq import quadrature
 from mlharq.closed_form import (
+    ScProbs,
     _h3_breakpoints,
     _h3_breakpoints_grid,
     _h4_breakpoints,
@@ -159,6 +160,46 @@ def test_padding_and_non_finite_entries_are_ignored():
         integrate_finite_many(f, 0.0, 1.0, [0.3, 0.5])
 
 
+def test_integrand_gets_node_rows_and_an_owner_column():
+    """f(x, owner) sees a (P, 22) array of rule nodes, one row per panel,
+    and the (P, 1) integer column of the panels' integrals."""
+    calls = []
+
+    def f(x, owner):
+        assert x.ndim == 2 and x.shape[1] == 22
+        assert owner.shape == (len(x), 1) and owner.dtype.kind == "i"
+        calls.append(len(x))
+        return np.exp(-(1.0 + owner) * np.abs(x - 0.3))
+
+    got = integrate_finite_many(f, 0.0, [1.0, 2.0, 0.5], _padded([[0.3], [], [0.3]]))
+    want = [integrate_finite(lambda x: f(x.reshape(-1, 22), np.full((len(x) // 22, 1), i)),
+                             0.0, b, bps)
+            for i, (b, bps) in enumerate([(1.0, [0.3]), (2.0, []), (0.5, [0.3])])]
+    assert calls and _bits(got.tolist()) == _bits(want)
+
+
+def test_slot2_kernels_broadcast_owner_columns(monkeypatch):
+    """The grid kernels index their shares by the owner column, so each
+    integrand call gets (P, 1) shares against (P, 22) gains."""
+    from mlharq import closed_form
+
+    shapes = []
+    for name in ("_f3", "_f4"):
+        integrand = getattr(closed_form, name)
+
+        def spy(g, alpha, beta, cfg, integrand=integrand):
+            shapes.append((g.shape, np.shape(alpha), np.shape(beta)))
+            return integrand(g, alpha, beta, cfg)
+
+        monkeypatch.setattr(closed_form, name, spy)
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    prob_p3_grid([0.3, 0.5], [0.6, 0.5], cfg)
+    prob_p4_grid([0.8, 0.9], [0.6, 0.5], cfg)
+    assert shapes
+    for g, alpha, beta in shapes:
+        assert len(g) == 2 and g[1] == 22 and alpha == beta == (g[0], 1)
+
+
 def _noisy_family(owners, noisy):
     """Like _family, but the flagged owners integrate an unmarked, rapidly
     oscillating spike at 0.37 that no panel budget resolves at TINY
@@ -264,7 +305,9 @@ def test_grid_forms_equal_scalar_closed_forms(case):
             _bits([prob_p3(a, b, cfg) for a, b in points])
         assert _bits(prob_p4_grid(alphas, betas, cfg).tolist()) == \
             _bits([prob_p4(a, b, cfg) for a, b in points])
-        assert [repr(p) for p in prob_sc_grid(alphas, cfg)] == \
+        sc = prob_sc_grid(alphas, cfg)
+        assert [repr(ScProbs(*p)) for p in zip(sc.tp3.tolist(), sc.tp4.tolist(),
+                                               sc.tp4p.tolist())] == \
             [repr(prob_sc(a, cfg)) for a in alphas]
 
 

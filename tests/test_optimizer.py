@@ -1,11 +1,17 @@
 """Tests for the split/rate optimizer."""
 
 import math
+import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mlharq import optimize
 from mlharq.closed_form import (
+    EventProbs,
     prob_p0,
     prob_p1,
     prob_p2,
@@ -16,7 +22,14 @@ from mlharq.closed_form import (
     throughput_ts,
 )
 from mlharq.model import PowerSplit, SystemConfig
-from mlharq.optimize import Optimum, optimize_rate_and_split, optimize_split
+from mlharq.optimize import (
+    Optimum,
+    _axis_points,
+    _mlh_values,
+    _Search,
+    optimize_rate_and_split,
+    optimize_split,
+)
 from mlharq.quadrature import NonConvergence, QuadratureSettings
 
 CFG_3DB = SystemConfig.from_snr_db(3.0, 1.0)
@@ -192,6 +205,109 @@ class TestMatchesScalarSearch:
         with pytest.raises(NonConvergence) as got:
             optimize_split(protocol, cfg, 0.1, 1e-2, tight)
         assert str(got.value) == str(want.value)
+
+
+class TestArrayOffers:
+    """The searches offer each grid and window as arrays; the result must be
+    what the scalar search's point-by-point offers give."""
+
+    @staticmethod
+    def scalar_offers(batches):
+        best, evaluations = (-math.inf, -1.0, -1.0), 0
+        for batch in batches:
+            for point in batch:
+                evaluations += 1
+                if point > best:
+                    best = point
+        return best, evaluations
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @given(batches=st.lists(st.lists(st.tuples(
+        st.sampled_from([math.nan, -math.inf, math.inf, 0.0, -0.0, 5e-324, 0.5]),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0])), max_size=8), max_size=4))
+    def test_offer_equals_a_loop_of_scalar_offers(self, batches):
+        """Ties on value (and on alpha), NaN, -inf and +-0.0 included."""
+        search = _Search()
+        for batch in batches:
+            search.offer(*(np.array([point[k] for point in batch]) for k in range(3)))
+        best, evaluations = self.scalar_offers(batches)
+        assert [float.hex(x) for x in search.best] == [float.hex(x) for x in best]
+        assert search.evaluations == evaluations
+
+    @pytest.mark.parametrize("bad", [{4: 1.5, 5: 2.0}, {2: 1.0, 4: 1.5},
+                                     {3: math.nan}, {5: -0.25}])
+    def test_mlh_values_raise_the_error_of_the_first_bad_point(self, monkeypatch,
+                                                              bad):
+        """A p3 grid value out of range (or one that makes the fields sum
+        past 1) raises what the scalar EventProbs of that point raises."""
+        window = [0.5, 0.53, 0.56]
+        alphas = np.repeat(window, 3)
+        betas = np.tile(window, 3)
+        grid = optimize.prob_p3_grid
+
+        def patched(a, b, cfg, quad=None):
+            values = grid(a, b, cfg, quad)
+            for k, value in bad.items():
+                values[k] = value
+            return values
+
+        monkeypatch.setattr(optimize, "prob_p3_grid", patched)
+        p3 = patched(alphas, betas, CFG_3DB).tolist()
+        with pytest.raises(ValueError) as want:
+            for k, (a, b) in enumerate(zip(alphas.tolist(), betas.tolist())):
+                EventProbs(p0=prob_p0(a, CFG_3DB), p1=prob_p1(a, CFG_3DB),
+                           p1p=prob_p1(1.0 - a, CFG_3DB), p2=prob_p2(a, CFG_3DB),
+                           p2p=prob_p2(1.0 - a, CFG_3DB), p3=p3[k],
+                           p4=prob_p4(a, b, CFG_3DB),
+                           p4p=prob_p4(1.0 - a, 1.0 - b, CFG_3DB))
+        with pytest.raises(ValueError) as got:
+            _mlh_values(alphas, betas, CFG_3DB, None)
+        assert str(got.value) == str(want.value)
+
+    def test_mlh_values_equal_throughput_mlh(self):
+        alphas = np.repeat([0.0, 0.5, 0.71, 1.0], 4)
+        betas = np.tile([0.0, 0.3, 0.9, 1.0], 4)
+        got = _mlh_values(alphas, betas, CFG_3DB, None)
+        want = [throughput_mlh(PowerSplit(a, b), CFG_3DB)
+                for a, b in zip(alphas.tolist(), betas.tolist())]
+        assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want]
+
+
+class TestGridStep:
+    def test_axis_points_cap_the_subdivisions_at_1000(self):
+        assert len(_axis_points(1e-3)) == 1001
+        assert len(_axis_points(1.0 / 1000.4)) == 1001   # rounds to 1000
+        for step in (1.0 / 1000.6, 1e-9, 5e-324):
+            with pytest.raises(ValueError, match="more than 1000 subdivisions"):
+                _axis_points(step)
+
+    def test_optimize_split_rejects_a_tiny_grid_step(self):
+        with pytest.raises(ValueError, match="more than 1000 subdivisions"):
+            optimize_split("mlh", CFG_3DB, grid_step=1e-9)
+
+
+# tracemalloc peak of optimize_split("mlh") at 3 dB, R = 1 with the slot-2
+# integrands written as numpy expressions and 256-owner blocks, measured in
+# a fresh interpreter (numpy 2.4): 3.93 MB.  The in-place integrands with
+# 1024-owner blocks peak at 4.1 MB.
+EXPRESSION_FORM_PEAK_MB = 3.93
+PEAK_SLACK_MB = 1.0
+
+
+def test_peak_memory_of_one_mlh_search():
+    """A larger BLOCK_OWNERS (or heavier integrands) must not quietly trade
+    memory for speed: 2,048-owner blocks peak at 6.3 MB, and the expression
+    forms at 1,024 at 11.4 MB."""
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    tracemalloc.start()
+    try:
+        optimize_split("mlh", cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (EXPRESSION_FORM_PEAK_MB + PEAK_SLACK_MB) * 1e6
 
 
 class TestOptimizeRateAndSplit:
