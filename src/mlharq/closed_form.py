@@ -191,20 +191,13 @@ def g_max(alpha: float, cfg: SystemConfig) -> float:
 def _over_power(n, w):
     """n / w, where w is a layer's slot-2 power; a zero-power layer gives
     the limit +inf where n > 0, else 0.  Elementwise over n and w (w
-    broadcasts against n); the result overwrites n where it can."""
-    if isinstance(w, float):   # the scalar path
-        if w > 0.0:
-            n /= w
-            return n
-        return np.where(n > 0.0, np.inf, 0.0)
-    zero = np.logical_not(np.greater(w, 0.0))
-    if not zero.any():
+    broadcasts against n); the result overwrites n."""
+    if isinstance(w, float) and w > 0.0:   # the scalar path's common case
         n /= w
         return n
+    zero = ~(np.asarray(w) > 0.0)
     n /= np.where(zero, 1.0, w)   # n / 1.0 is n: zero-power lanes keep n
-    # whole rows when w is a column against n's rows (the grid path)
-    lanes = (zero[..., 0] if zero.shape == n.shape[:-1] + (1,)
-             else np.broadcast_to(zero, n.shape))
+    lanes = np.broadcast_to(zero, n.shape)
     n[lanes] = np.where(n[lanes] > 0.0, np.inf, 0.0)
     return n
 
@@ -230,7 +223,8 @@ def h3(g, alpha, beta, cfg):
     Elementwise over g (and over alpha and beta if they are arrays); max
     of the three accumulated MAC constraints with the positive-part clamp,
     +inf where a zero-power slot-2 layer still needs positive extra mutual
-    information.  Returns a new array.
+    information.  Returns a new array, 0-d at scalar arguments (where the
+    expression form before the in-place rewrite returned a numpy float).
     """
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
@@ -263,7 +257,9 @@ def h4(g, alpha, beta, cfg):
     +inf when the needed slot-2 boost exceeds the interference-limited cap
     beta/(1-beta).  h4_bar is the largest slot-2 gain at which m2 (clean,
     after hypothetical SIC) still fails.  Elementwise over g (and over
-    alpha and beta if they are arrays); returns two new arrays.
+    alpha and beta if they are arrays); returns two new arrays, 0-d at
+    scalar arguments (where the expression form before the in-place
+    rewrite returned a numpy float for h4_bar).
     """
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
@@ -670,10 +666,9 @@ def prob_sc(alpha: float, cfg: SystemConfig,
     return ScProbs(tp3=tp3, tp4=tp4, tp4p=tp4p)
 
 
-def prob_sc_grid(alphas, cfg: SystemConfig,
-                 settings: Optional[QuadratureSettings] = None) -> SimpleNamespace:
-    """prob_sc at each split alphas[i], with the same bits, as the arrays
-    tp3, tp4 and tp4p of ScProbs.checked_columns.
+def _sc_columns(alphas, cfg, settings):
+    """prob_sc's fields at each split alphas[i], with the same bits, as the
+    arrays tp3, tp4 and tp4p of ScProbs.checked_columns.
 
     A NonConvergence, or the ValueError of a failed ScProbs check, is the
     one a loop of prob_sc would raise first."""
@@ -694,6 +689,17 @@ def prob_sc_grid(alphas, cfg: SystemConfig,
         first = min(failures, key=lambda exc: exc.owner)
         raise first.named(_integral("sc", cfg, float(alpha[first.owner]))) from None
     return ScProbs.checked_columns(**dict(zip(("tp3", "tp4", "tp4p"), parts)))
+
+
+def prob_sc_grid(alphas, cfg: SystemConfig,
+                 settings: Optional[QuadratureSettings] = None) -> list[ScProbs]:
+    """prob_sc at each split alphas[i], with the same bits.
+
+    A NonConvergence or ValueError is the one a loop of prob_sc would raise
+    first."""
+    cols = _sc_columns(alphas, cfg, settings)
+    return [ScProbs(tp3=t3, tp4=t4, tp4p=t4p) for t3, t4, t4p in
+            zip(cols.tp3.tolist(), cols.tp4.tolist(), cols.tp4p.tolist())]
 
 
 def event_probs(split: PowerSplit, cfg: SystemConfig,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .closed_form import (
     EventProbs,
+    _sc_columns,
     mlh_throughput_from_probs,
     prob_p0,
     prob_p1,
@@ -29,7 +30,6 @@ from .closed_form import (
     prob_p3_grid,
     prob_p4,
     prob_p4_grid,
-    prob_sc_grid,
     sc_throughput_from_probs,
     throughput_mlh,
     throughput_sc,
@@ -116,9 +116,12 @@ def _coarse_values(pts, cfg, settings):
     index mirror, never 1 - a), and p3(i, j) = p3(n - i, n - j), which is
     exact on the indices, not on floats (the two quadratures differ in the
     last bits), at the canonical one of the two.  Each slot-2 kernel comes
-    from one lockstep quadrature; if one fails to converge, the scalar
-    closed forms run in the scalar search's order and raise the failure
-    that it meets first.
+    from one lockstep quadrature; if one fails to converge, _coarse_scalar
+    runs the scalar closed forms in the scalar search's order and raises
+    the failure that it meets first.  The terms here and the calls there
+    must stay the same: tests/test_optimizer.py pins both to its
+    scalar_search (test_raises_the_failure_the_scalar_search_meets_first
+    for the order, TestMatchesScalarSearch for the values).
     """
     n = len(pts) - 1
     grid = np.array(pts)
@@ -140,7 +143,9 @@ def _coarse_values(pts, cfg, settings):
 
 
 def _coarse_scalar(pts, cfg, settings):
-    """The coarse grid's closed-form calls in the scalar search's order."""
+    """The coarse grid's closed-form calls in the scalar search's order,
+    which this walk alone defines: _coarse_values computes the same terms
+    as arrays and runs it only to raise the first failure."""
     n = len(pts) - 1
     for i, a in enumerate(pts):
         _slot1_base(a, pts[n - i], cfg, settings)
@@ -211,7 +216,7 @@ def _search_sc(cfg, grid_step, refine_tol, settings):
         return throughput_sc(a, cfg, settings)
 
     def offer_all(alphas):
-        search.offer(sc_throughput_from_probs(prob_sc_grid(alphas, cfg, settings),
+        search.offer(sc_throughput_from_probs(_sc_columns(alphas, cfg, settings),
                                               cfg), alphas, alphas)
 
     offer_all(_axis_points(grid_step))

@@ -5,20 +5,21 @@ where a max(...) or positive-part branch switches.  The driver pre-splits
 the interval at caller-supplied kink locations and then refines adaptively,
 estimating the error on each panel from an embedded low/high-order
 Gauss-Legendre pair.  Integrands are evaluated on numpy arrays of sample
-points, one batched call per refinement round.
+points, one batched call per refinement round: a (P, 22) array, one row of
+rule nodes per panel.
 
 integrate_finite_many runs a whole family of such integrals in lockstep:
 their kinks come as one NaN-padded (n, m) array, one row per integral,
 their panels are flattened with an owner index, and each refinement round
-makes one integrand call for the live panels of all owners: the (P, 22)
-array of their rule nodes, one row per panel, and the (P, 1) column of
-the panels' owners, against which per-integral parameters broadcast.  No
-step runs Python once per integral.  It is the same algorithm, not an
-approximation of it: every owner keeps integrate_finite's panel order and
-rules, its rule-pair matvecs are the same BLAS calls (owners are grouped
-by panel count, since a gemv result can depend on the row count) and its
-sums reduce equal-length rows, so each value has the bits
-integrate_finite gives it alone.
+makes one integrand call for the live panels of all owners: the same
+(P, 22) node array, and the (P, 1) column of the panels' owners, against
+which per-integral parameters broadcast.  No step runs Python once per
+integral.  It is the same algorithm, not an approximation of it: every
+owner keeps integrate_finite's panel order and rules, its rule-pair
+matvecs are the same BLAS calls (owners are grouped by panel count, since
+a gemv result can depend on the row count) and its sums reduce
+equal-length rows, so each value has the bits integrate_finite gives it
+alone.
 """
 
 import math
@@ -38,12 +39,15 @@ MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
 
 # integrate_finite_many runs its integrals in blocks of this many, so one
 # integrand call sees the new panels of at most this many integrals and a
-# round's arrays stay small.  Larger blocks make fewer rounds.  Since the
-# slot-2 integrands work in place on a few sample-sized buffers, a block of
-# 1024 costs little memory: one optimize_split("mlh") at 3 dB, R=1 peaks at
-# 4.1 MB under tracemalloc (2.8 MB at 256, 6.3 MB at 2048), where the
-# expression-form integrands peaked at 3.9 MB at 256 and 11.4 MB at 1024.
-# A test in tests/test_optimizer.py holds this peak.
+# round's arrays stay small.  Larger blocks make fewer rounds: 1024 against
+# 256 took sweep-rate wall_s from 2.16 s to 1.69 s (medians of 10
+# alternating pairs, all won; 2-vCPU VM).  Since the slot-2 integrands work
+# in place on a few sample-sized buffers, a block of 1024 costs little
+# memory: one optimize_split("mlh") at 3 dB, R=1 peaks at 4.1 MB under
+# tracemalloc (2.8 MB at 256, 6.3 MB at 2048), where the expression-form
+# integrands peaked at 3.9 MB at 256 and 11.4 MB at 1024, and peak RSS of
+# a sweep-rate pass rises by 0.8 MB over 256.  A test in
+# tests/test_optimizer.py holds the tracemalloc peak.
 BLOCK_OWNERS = 1024
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
@@ -104,7 +108,7 @@ def _rule_batch(f, lo, hi):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
+    y = np.asarray(f(x), dtype=float)
     coarse = (y[:, :7] @ _W7) * half
     fine = (y[:, 7:] @ _W15) * half
     return fine, np.abs(fine - coarse)
@@ -116,8 +120,10 @@ def integrate_finite(f, a, b, breakpoints,
 
     breakpoints lists known kink locations, possibly empty, unsorted or
     repeated; the interval is split at those inside (a, b) before any
-    refinement, and the others are ignored.  f must accept a numpy array
-    of sample points and return the integrand values elementwise.
+    refinement, and the others are ignored.  f receives a round's sample
+    points as a (P, 22) array, one row of rule nodes per panel; it must
+    return the (P, 22) integrand values, elementwise, and must not write
+    its argument.
 
     Raises NonConvergence if refinement would need more than
     MAX_SUBDIVISIONS panels.
@@ -284,7 +290,7 @@ def integrate_finite_many(f, a, b, breakpoints,
     so that owner indexes per-integral parameters into a column that
     broadcasts against x; it must return the (P, 22) integrand values,
     elementwise, and must not write x.  Entry i of the result equals
-    integrate_finite(lambda x: f(x, np.full(x.shape, i)), a[i], b[i],
+    integrate_finite(lambda x: f(x, np.full((len(x), 1), i)), a[i], b[i],
     breakpoints[i], settings) bit for bit, whatever the other integrals
     are.
 

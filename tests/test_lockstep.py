@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from mlharq import quadrature
 from mlharq.closed_form import (
-    ScProbs,
     _h3_breakpoints,
     _h3_breakpoints_grid,
     _h4_breakpoints,
@@ -80,7 +79,7 @@ def _scalar_loop(f, owners, quad):
     values = []
     for i, (a, b, _, _, bps) in enumerate(owners):
         try:
-            values.append(integrate_finite(lambda x: f(x, np.full(x.shape, i)),
+            values.append(integrate_finite(lambda x: f(x, np.full((len(x), 1), i)),
                                            a, b, bps, quad))
         except NonConvergence as exc:
             return values, (i, exc)
@@ -120,7 +119,7 @@ def test_many_equals_scalar_loop_bit_for_bit(owners, quad, block, data):
 
     # an owner alone gets the value it gets among its batch-mates
     k = data.draw(st.integers(0, len(owners) - 1))
-    alone = _many(lambda x, i: f(x, np.full(x.shape, k)), [owners[k]], quad, block)
+    alone = _many(lambda x, i: f(x, np.full((len(x), 1), k)), [owners[k]], quad, block)
     assert _bits(alone.tolist()) == _bits([want[k]])
 
 
@@ -172,8 +171,7 @@ def test_integrand_gets_node_rows_and_an_owner_column():
         return np.exp(-(1.0 + owner) * np.abs(x - 0.3))
 
     got = integrate_finite_many(f, 0.0, [1.0, 2.0, 0.5], _padded([[0.3], [], [0.3]]))
-    want = [integrate_finite(lambda x: f(x.reshape(-1, 22), np.full((len(x) // 22, 1), i)),
-                             0.0, b, bps)
+    want = [integrate_finite(lambda x: f(x, np.full((len(x), 1), i)), 0.0, b, bps)
             for i, (b, bps) in enumerate([(1.0, [0.3]), (2.0, []), (0.5, [0.3])])]
     assert calls and _bits(got.tolist()) == _bits(want)
 
@@ -305,9 +303,7 @@ def test_grid_forms_equal_scalar_closed_forms(case):
             _bits([prob_p3(a, b, cfg) for a, b in points])
         assert _bits(prob_p4_grid(alphas, betas, cfg).tolist()) == \
             _bits([prob_p4(a, b, cfg) for a, b in points])
-        sc = prob_sc_grid(alphas, cfg)
-        assert [repr(ScProbs(*p)) for p in zip(sc.tp3.tolist(), sc.tp4.tolist(),
-                                               sc.tp4p.tolist())] == \
+        assert [repr(p) for p in prob_sc_grid(alphas, cfg)] == \
             [repr(prob_sc(a, cfg)) for a in alphas]
 
 

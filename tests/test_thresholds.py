@@ -3,9 +3,9 @@
 h3, h4, _f3 and _f4 work in place on a few sample-sized buffers, with the
 operations of the expression forms kept below in the same order, so every
 value must have the expression form's bits (compared by float.hex) and g
-must come back unmodified.  Shares come as floats, as on the scalar path,
-or as (P, 1) owner columns against (P, 22) samples, as on the lockstep
-path.
+must come back unmodified.  The samples come as a (P, 22) array, and the
+shares as floats, as on the scalar path, or as (P, 1) owner columns, as on
+the lockstep path.
 """
 
 import math
@@ -135,9 +135,9 @@ def _check(g, alpha, beta, cfg):
                np.zeros((4, 22))))
 def test_in_place_forms_equal_the_expression_forms(case):
     cfg, owners, g = case
-    # scalar path: float shares, flat samples
-    for (a, b), row in zip(owners, g):
-        _check(row, a, b, cfg)
+    # scalar path: float shares
+    for a, b in owners:
+        _check(g, a, b, cfg)
     _check(0.0, owners[0][0], owners[0][1], cfg)
     # lockstep path: (P, 1) owner columns against (P, 22) samples
     alpha = np.array([a for a, _ in owners])[:, None]
