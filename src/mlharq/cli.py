@@ -8,6 +8,7 @@ evaluations) or CSV (sweeps).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -310,10 +311,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, at the first main() call: parsing
+    leaves a parser as it found it, and building one costs more than a
+    time-sharing sweep point."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # x/0+ = +inf is an intended value of the closed forms, not a
         # diagnostic, so numpy's overflow and divide warnings stay off stderr
         with np.errstate(over="ignore", divide="ignore"):

@@ -15,6 +15,8 @@ instead of g_max.
 The _grid functions evaluate a kernel at many points in one lockstep
 quadrature (integrate_finite_many) with the same integrand and
 breakpoints as the scalar path, so each value has the scalar path's bits.
+prob_sc_grid runs its three kernels (tp3, tp4, tp4p) in one such
+quadrature, and a tp4p integral that is also a tp4 integral once.
 The kink candidates exist twice: a scalar form for single calls and an
 array form for grids, which repeats the scalar arithmetic (a test pins the
 two together).  The grid functions do not read or fill the scalar
@@ -573,15 +575,41 @@ def _k4(alpha, beta, upper, cfg, settings):
                             settings=settings)
 
 
-def _kernel_grid(integrand, breakpoints, alpha, beta, upper, cfg, settings):
-    """A slot-2 kernel (_f3 or _f4 with its breakpoints) at each point
-    (alpha[i], beta[i]) over [0, upper[i]], in one lockstep quadrature;
-    0.0 where upper[i] <= 0, the g_max guard of prob_p3/prob_p4."""
-    def f(g, owner):
-        return integrand(g, alpha[owner], beta[owner], cfg)
+def _kernel_grid(parts, cfg, settings):
+    """Slot-2 kernels at many points, all in one lockstep quadrature.
 
-    return integrate_finite_many(f, 0.0, np.maximum(upper, 0.0),
-                                 breakpoints(alpha, beta, cfg), settings)
+    Each part is an (integrand, breakpoints, alpha, beta, upper) tuple: _f3
+    or _f4 with its array kink function, at each point (alpha[i], beta[i])
+    over [0, upper[i]] (upper broadcasts), 0.0 where upper[i] <= 0, the
+    g_max guard of prob_p3/prob_p4.  Returns one array of values per part.
+
+    The parts' integrals are the quadrature's owners in order, their kink
+    arrays NaN-padded to the widest.  The panels reach the integrand sorted
+    by owner, so each part's panels are one run of rows, found by
+    searchsorted on the owner column, and each part's integrand gets its
+    run as a row slice of the nodes.  A NonConvergence's owner indexes the
+    parts' integrals in that order.
+    """
+    starts = np.cumsum([0] + [len(alpha) for _, _, alpha, _, _ in parts])
+    kinks = [breakpoints(alpha, beta, cfg) for _, breakpoints, alpha, beta, _ in parts]
+    rows = np.full((starts[-1], max(k.shape[1] for k in kinks)), np.nan)
+    for k, first in zip(kinks, starts):
+        rows[first:first + len(k), :k.shape[1]] = k
+    upper = np.concatenate([np.broadcast_to(upper, np.shape(alpha))
+                            for _, _, alpha, _, upper in parts])
+
+    def f(g, owner):
+        cuts = np.searchsorted(owner[:, 0], starts)
+        runs = []
+        for (integrand, _, alpha, beta, _), first, lo, hi in zip(
+                parts, starts, cuts, cuts[1:]):
+            if lo < hi:
+                own = owner[lo:hi] - first
+                runs.append(integrand(g[lo:hi], alpha[own], beta[own], cfg))
+        return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+    values = integrate_finite_many(f, 0.0, np.maximum(upper, 0.0), rows, settings)
+    return [values[first:last] for first, last in zip(starts, starts[1:])]
 
 
 def prob_p3(alpha: float, beta: float, cfg: SystemConfig,
@@ -615,8 +643,9 @@ def _slot2_grid(kernel, integrand, breakpoints, alphas, betas, cfg, settings):
     distinct, inverse = np.unique(alpha, return_inverse=True)
     upper = np.array([g_max(a, cfg) for a in distinct.tolist()])[inverse]
     try:
-        return _kernel_grid(integrand, breakpoints, alpha, beta, upper, cfg,
-                            settings or DEFAULT_SETTINGS)
+        [values] = _kernel_grid([(integrand, breakpoints, alpha, beta, upper)],
+                                cfg, settings or DEFAULT_SETTINGS)
+        return values
     except NonConvergence as exc:
         raise exc.named(_integral(kernel, cfg, float(alpha[exc.owner]),
                                   float(beta[exc.owner]))) from None
@@ -670,25 +699,30 @@ def _sc_columns(alphas, cfg, settings):
     """prob_sc's fields at each split alphas[i], with the same bits, as the
     arrays tp3, tp4 and tp4p of ScProbs.checked_columns.
 
-    A NonConvergence, or the ValueError of a failed ScProbs check, is the
-    one a loop of prob_sc would raise first."""
+    All three kernels go through one lockstep quadrature.  tp4 at split a
+    and tp4p at split a' are the same integral when a == 1 - a' (same
+    shares, kinks and upper limit), so each distinct share, told apart by
+    its bits, is integrated once.  A NonConvergence, or the ValueError of
+    a failed ScProbs check, is the one a loop of prob_sc would raise
+    first: on a NonConvergence that loop runs, to raise it."""
     settings = settings or DEFAULT_SETTINGS
     alpha = np.asarray(alphas, dtype=float)
-    upper = np.full(alpha.shape, cfg.sigma2 * TAIL_SPAN)
-    parts, failures = [], []
-    for integrand, breakpoints, share in ((_f3, _h3_breakpoints_grid, alpha),
-                                          (_f4, _h4_breakpoints_grid, alpha),
-                                          (_f4, _h4_breakpoints_grid, 1.0 - alpha)):
-        try:
-            parts.append(_kernel_grid(integrand, breakpoints, share, share,
-                                      upper, cfg, settings))
-        except NonConvergence as exc:
-            failures.append(exc)
-    if failures:
-        # the lowest split first, and tp3 before tp4 before tp4p at a split
-        first = min(failures, key=lambda exc: exc.owner)
-        raise first.named(_integral("sc", cfg, float(alpha[first.owner]))) from None
-    return ScProbs.checked_columns(**dict(zip(("tp3", "tp4", "tp4p"), parts)))
+    both = np.concatenate([alpha, 1.0 - alpha])
+    _, first, inverse = np.unique(both.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    shares = both[first]
+    upper = cfg.sigma2 * TAIL_SPAN
+    try:
+        tp3, tp4 = _kernel_grid([(_f3, _h3_breakpoints_grid, alpha, alpha, upper),
+                                 (_f4, _h4_breakpoints_grid, shares, shares, upper)],
+                                cfg, settings)
+    except NonConvergence:
+        for a in alpha.tolist():
+            prob_sc(a, cfg, settings)
+        raise
+    tp4 = tp4[inverse]
+    return ScProbs.checked_columns(tp3=tp3, tp4=tp4[:len(alpha)],
+                                   tp4p=tp4[len(alpha):])
 
 
 def prob_sc_grid(alphas, cfg: SystemConfig,

@@ -6,11 +6,12 @@ full grid is cheap.  Ties are broken toward alpha = beta = 1 (the
 time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
 
-Each coarse grid and refinement window is evaluated with one lockstep
-quadrature per slot-2 kernel (the closed forms' _grid functions, whose
-values have the scalar closed forms' bits), combined elementwise in the
-scalar search's arithmetic, and offered as one array: the winner is the
-one a point-by-point loop in the scalar search's order would keep.
+Each coarse grid and refinement window is evaluated in lockstep
+quadratures (the closed forms' _grid functions, whose values have the
+scalar closed forms' bits): one per slot-2 kernel for mlh, one for all
+three kernels for sc.  The values are combined elementwise in the scalar
+search's arithmetic and offered as one array: the winner is the one a
+point-by-point loop in the scalar search's order would keep.
 """
 
 import math
@@ -32,7 +33,6 @@ from .closed_form import (
     prob_p4_grid,
     sc_throughput_from_probs,
     throughput_mlh,
-    throughput_sc,
     throughput_ts,
 )
 from .model import PROTOCOLS, PowerSplit, SystemConfig
@@ -210,10 +210,13 @@ def _mlh_values(alphas, betas, cfg, settings):
 
 
 def _search_sc(cfg, grid_step, refine_tol, settings):
-    search = _Search()
+    """Coarse 1-D grid, then local shrink.
 
-    def objective(a):
-        return throughput_sc(a, cfg, settings)
+    The returned value is the best offer's: the grid and every window are
+    evaluated by sc_throughput_from_probs on prob_sc's bits, so it equals
+    throughput_sc(alpha_star) bit for bit without integrating it again.
+    """
+    search = _Search()
 
     def offer_all(alphas):
         search.offer(sc_throughput_from_probs(_sc_columns(alphas, cfg, settings),
@@ -226,9 +229,9 @@ def _search_sc(cfg, grid_step, refine_tol, settings):
         _, a0, _b = search.best
         offer_all(_window(a0, step))
 
-    _, a_star, _ = search.best
+    value, a_star, _ = search.best
     return Optimum(alpha_star=a_star, beta_star=a_star, rate_star=None,
-                   throughput_star=objective(a_star),
+                   throughput_star=value,
                    evaluations=search.evaluations)
 
 

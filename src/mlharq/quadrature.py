@@ -287,12 +287,12 @@ def integrate_finite_many(f, a, b, breakpoints,
     (a and b broadcast to n entries) with kinks breakpoints[i].
     f(x, owner) receives a round's sample points as a (P, 22) array, one
     row per panel, and the (P, 1) integer column of the panels' integrals,
-    so that owner indexes per-integral parameters into a column that
-    broadcasts against x; it must return the (P, 22) integrand values,
-    elementwise, and must not write x.  Entry i of the result equals
-    integrate_finite(lambda x: f(x, np.full((len(x), 1), i)), a[i], b[i],
-    breakpoints[i], settings) bit for bit, whatever the other integrals
-    are.
+    in ascending order, so that owner indexes per-integral parameters into
+    a column that broadcasts against x; it must return the (P, 22)
+    integrand values, elementwise, and must not write x.  Entry i of the
+    result equals integrate_finite(lambda x: f(x, np.full((len(x), 1), i)),
+    a[i], b[i], breakpoints[i], settings) bit for bit, whatever the other
+    integrals are.
 
     Raises what a loop of integrate_finite over i would raise first: the
     ValueError of an entry with a > b, or the NonConvergence (with its

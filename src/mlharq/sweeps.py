@@ -26,6 +26,8 @@ SWEEP_KINDS = {
 
 CSV_HEADER = "protocol,snr_db,rate,alpha,beta,throughput,source,trials,seed"
 
+_MAX_AXIS_POINTS = 10_000   # cap on a sweep's axis, checked before it is built
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -59,6 +61,9 @@ class SweepSpec:
             raise ValueError(f"axis_step must be > 0, got {self.axis_step}")
         if self.axis_max < self.axis_min:
             raise ValueError("axis_max must be >= axis_min")
+        if not self._steps() < _MAX_AXIS_POINTS:   # also NaN and inf
+            raise ValueError(f"axis_step {self.axis_step} makes more than "
+                             f"{_MAX_AXIS_POINTS} axis points")
         mode = SWEEP_KINDS[self.kind]
         if mode == "rate" and self.snr_db is None:
             raise ValueError(f"kind {self.kind!r} needs a fixed snr_db")
@@ -70,8 +75,13 @@ class SweepSpec:
             if proto not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {proto!r}")
 
+    def _steps(self) -> float:
+        """Axis steps from axis_min to axis_max; the axis has floor of this
+        plus 1 points."""
+        return (self.axis_max - self.axis_min) / self.axis_step + 1e-9
+
     def axis_values(self) -> list[float]:
-        n = int(math.floor((self.axis_max - self.axis_min) / self.axis_step + 1e-9))
+        n = int(math.floor(self._steps()))
         return [self.axis_min + k * self.axis_step for k in range(n + 1)]
 
 

@@ -239,6 +239,16 @@ class TestSweep:
         assert "numerical failure" in err
         assert "protocol=sc, axis=0.5 (t-vs-rate)" in err
 
+    def test_tiny_axis_step_exits_1(self, capsys, tmp_path):
+        """4.5e13 axis points are refused before the axis is built."""
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--kind", "t-vs-snr", "--rate",
+                             "1", "--axis-step", "1e-12", "--out", str(out_path))
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 10000 axis points" in err
+
     def test_missing_fixed_param_exits_1(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--kind", "t-vs-rate", "--out",
                          str(tmp_path / "x.csv"))
@@ -258,6 +268,43 @@ class TestValidate:
 
 
 class TestUsage:
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch, tmp_path):
+        """main() builds its parser once per process and reuses it: a run of
+        calls (usage errors among them) prints and returns what the same
+        calls print and return with a fresh parser each."""
+        calls = [
+            ["eval", "--protocol", "ts", "--rate", "1", "--snr-db", "3"],
+            ["eval", "--protocol", "cdma", "--rate", "1", "--snr-db", "3"],
+            ["optimize", "--protocol", "ts", "--rate", "1", "--snr-db", "3"],
+            ["optimize", "--protocol", "sc", "--rate", "1", "--snr-db", "3",
+             "--grid-step", "0.5", "--refine-tol", "0.5", "--frobnicate"],
+            ["sweep", "--kind", "t-vs-rate", "--snr-db", "3", "--axis-min", "1",
+             "--axis-max", "1", "--protocols", "ts", "--out",
+             str(tmp_path / "x.csv")],
+            ["transmogrify"],
+            ["validate", "--configs", "0"],
+            ["optimize", "--protocol", "sc", "--rate", "1", "--snr-db", "3",
+             "--grid-step", "0.5", "--refine-tol", "0.5"],
+        ]
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert len(built) == len(calls)
+        cli._parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in calls]
+        assert len(built) == len(calls) + 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0, 1, 1, 0]
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "transmogrify")
         assert code == 1

@@ -161,12 +161,13 @@ def test_padding_and_non_finite_entries_are_ignored():
 
 def test_integrand_gets_node_rows_and_an_owner_column():
     """f(x, owner) sees a (P, 22) array of rule nodes, one row per panel,
-    and the (P, 1) integer column of the panels' integrals."""
+    and the (P, 1) integer column of the panels' integrals, ascending."""
     calls = []
 
     def f(x, owner):
         assert x.ndim == 2 and x.shape[1] == 22
         assert owner.shape == (len(x), 1) and owner.dtype.kind == "i"
+        assert (np.diff(owner[:, 0]) >= 0).all()
         calls.append(len(x))
         return np.exp(-(1.0 + owner) * np.abs(x - 0.3))
 
@@ -342,4 +343,53 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     assert want is not None and " in sc at alpha=" in want
     with pytest.raises(NonConvergence) as info:
         prob_sc_grid(alphas, cfg, quad)
+    assert str(info.value) == want
+
+
+# The sc kernels of a whole coarse grid go through one lockstep call, tp4p
+# shares that equal a tp4 share (61 of the 101 here) integrated once.
+COARSE = [i / 100 for i in range(101)]
+SC_CONFIGS = [(3.0, 1.0), (3.0, 0.8), (-4.0, 1.0), (25.0, 2.3), (10.0, 0.3)]
+
+
+@pytest.mark.parametrize("block", [quadrature.BLOCK_OWNERS, 7])
+@pytest.mark.parametrize("snr_db, rate", SC_CONFIGS)
+def test_sc_grid_equals_the_scalar_loop_on_a_coarse_grid(monkeypatch, snr_db,
+                                                         rate, block):
+    """Blocks of 7 owners cut the tp3 and tp4 parts across blocks."""
+    from mlharq import closed_form
+
+    calls = []
+
+    def spy(f, a, b, breakpoints, settings):
+        calls.append(len(breakpoints))
+        return integrate_finite_many(f, a, b, breakpoints, settings)
+
+    monkeypatch.setattr(closed_form, "integrate_finite_many", spy)
+    monkeypatch.setattr(quadrature, "BLOCK_OWNERS", block)
+    cfg = SystemConfig.from_snr_db(snr_db, rate)
+    with np.errstate(over="ignore", divide="ignore"):
+        assert [repr(p) for p in prob_sc_grid(COARSE, cfg)] == \
+            [repr(prob_sc(a, cfg)) for a in COARSE]
+    assert calls == [101 + 141]   # tp3, then the 141 distinct tp4/tp4p shares
+
+
+@pytest.mark.parametrize("block", [quadrature.BLOCK_OWNERS, 7])
+@pytest.mark.parametrize("snr_db, rate, tol", [(3.0, 1.0, 1e-300),
+                                               (-4.0, 1.0, 1e-300),
+                                               (3.0, 1.0, 1e-17),
+                                               (10.0, 0.3, 1e-17)])
+def test_sc_grid_raises_the_first_failure_of_the_scalar_loop(monkeypatch, snr_db,
+                                                             rate, tol, block):
+    """At 1e-300 nearly every kernel fails (at -4 dB not those at alpha = 0);
+    at 1e-17 the first failing split is 0.36 at 3 dB and 0.01 at 10 dB."""
+    monkeypatch.setattr(quadrature, "BLOCK_OWNERS", block)
+    cfg = SystemConfig.from_snr_db(snr_db, rate)
+    quad = QuadratureSettings(abs_tol=tol, rel_tol=tol)
+    with np.errstate(over="ignore", divide="ignore"):
+        want = _first_scalar_failure(lambda a: prob_sc(a, cfg, quad),
+                                     [(a,) for a in COARSE])
+        assert want is not None and " in sc at alpha=" in want
+        with pytest.raises(NonConvergence) as info:
+            prob_sc_grid(COARSE, cfg, quad)
     assert str(info.value) == want

@@ -105,6 +105,16 @@ class TestOptimizeSplit:
         again = throughput_mlh(PowerSplit(opt.alpha_star, opt.beta_star), CFG_3DB)
         assert abs(opt.throughput_star - again) <= 1e-10
 
+    @pytest.mark.parametrize("snr_db, rate", [(3.0, 1.0), (3.0, 0.3), (-4.0, 0.8),
+                                              (25.0, 2.3), (40.0, 12.0)])
+    def test_sc_value_is_throughput_sc_at_the_split(self, snr_db, rate):
+        """The sc search returns its best offer's value, not a fresh
+        integration; it must still be throughput_sc's bits at alpha_star."""
+        cfg = SystemConfig.from_snr_db(snr_db, rate)
+        opt = optimize_split("sc", cfg)
+        assert float.hex(opt.throughput_star) == \
+            float.hex(throughput_sc(opt.alpha_star, cfg))
+
     def test_beats_brute_force_grid(self):
         opt = optimize_split("mlh", CFG_3DB, grid_step=0.05, refine_tol=1e-3)
         brute = max(throughput_mlh(PowerSplit(i / 20, j / 20), CFG_3DB)

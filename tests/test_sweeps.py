@@ -1,6 +1,7 @@
 """Tests for the sweep runner and its CSV format."""
 
 import csv
+import math
 
 import pytest
 
@@ -39,6 +40,16 @@ class TestSpecValidation:
 
     def test_axis_values_inclusive(self):
         assert small_spec().axis_values() == [0.5, 1.0]
+
+    def test_axis_points_capped_at_10000(self):
+        """The count is checked from the bounds, before any axis is built."""
+        assert len(small_spec(axis_min=0.0, axis_max=9999.0,
+                              axis_step=1.0).axis_values()) == 10_000
+        for lo, hi, step in ((0.0, 10000.0, 1.0), (-5.0, 40.0, 1e-12),
+                             (0.0, 1.0, 5e-324), (0.0, math.inf, 1.0),
+                             (math.nan, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="more than 10000 axis points"):
+                small_spec(axis_min=lo, axis_max=hi, axis_step=step)
 
 
 class TestRunSweep:
