@@ -22,6 +22,15 @@ array form for grids, which repeats the scalar arithmetic (a test pins the
 two together).  The grid functions do not read or fill the scalar
 kernels' caches.
 
+An only-m1 kernel (_k4: p4, p4', tp4, tp4p) whose interference cap binds
+on the whole slot-1 range is exactly 0.0, and both paths return it
+without integrating (_k4_vanishes decides).  h4's residual n(g) does not
+increase with g, so the cap binds everywhere on [0, upper] once
+n(upper) >= beta/(1-beta) (1 + M) + M; the margin M = 2^-30 dominates the
+rounding of h4's own n and d, so h4 = +inf and _f4 = +0.0 at every
+sample, and the quadrature would have returned 0.0 after one round.
+Skipping it moves no bit.
+
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
 exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window is cut at the
 tail truncation point.
@@ -567,9 +576,41 @@ def _k3(alpha, beta, upper, cfg, settings):
                             settings=settings)
 
 
+# Margin M of _k4's vanishing rule.  h4's computed n and d at a sample, and
+# _k4_vanishes's n at upper, lie within about 10 ulps of n + 1 of their
+# exact values (a sample rounded one ulp past upper included); M exceeds
+# that by a factor of about 2^19.
+_K4_MARGIN = 2.0 ** -30
+
+
+def _k4_vanishes(alpha, beta, upper, cfg):
+    """_k4's vanishing rule, elementwise over floats or arrays: True where
+    _k4(alpha, beta, upper) is 0.0 by proof.
+
+    n(upper) is computed as 2^R (u / v) - 1, u = 1 + upper(1-alpha)P and
+    v = 1 + upper*P, which cannot overflow (an overflowing u or v gives
+    NaN, and False), and the rule is multiplied out by 1 - beta."""
+    p = cfg.power_P
+    ratio = (upper * (1.0 - alpha) * p + 1.0) / (upper * p + 1.0)
+    n = 2.0 ** cfg.rate_R * ratio - 1.0
+    return (1.0 - beta) * (n - _K4_MARGIN) >= beta * (1.0 + _K4_MARGIN)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _k4(alpha, beta, upper, cfg, settings):
-    """Both fail at slot 1, only m1 at slot 2, slot-1 gain in [0, upper]."""
+    """Both fail at slot 1, only m1 at slot 2, slot-1 gain in [0, upper].
+
+    Vanishing rule: h4's residual n(g) = 2^R (1 + g(1-alpha)P)/(1 + gP) - 1
+    does not increase with g (its slope has the sign of -alpha), so the
+    interference cap d = beta - (1-beta) n <= 0 binds on all of [0, upper]
+    once n(upper) >= beta/(1-beta) (1 + M) + M.  The margin M = _K4_MARGIN
+    covers the rounding of h4's own n and d, so every sample then has
+    n > 0 and d <= 0, h4 = +inf and _f4 = +0.0, and integrate_finite
+    would return 0.0 after its first round.  Where _k4_vanishes holds,
+    _k4 returns that 0.0 without integrating (and _kernel_grid does the
+    same for its _f4 parts)."""
+    if _k4_vanishes(alpha, beta, upper, cfg):
+        return 0.0
     return integrate_finite(lambda g: _f4(g, alpha, beta, cfg), 0.0, upper,
                             breakpoints=_h4_breakpoints(alpha, beta, cfg),
                             settings=settings)
@@ -582,6 +623,9 @@ def _kernel_grid(parts, cfg, settings):
     or _f4 with its array kink function, at each point (alpha[i], beta[i])
     over [0, upper[i]] (upper broadcasts), 0.0 where upper[i] <= 0, the
     g_max guard of prob_p3/prob_p4.  Returns one array of values per part.
+    An _f4 integral that _k4_vanishes proves zero gets the upper limit 0.0,
+    so integrate_finite_many returns 0.0 for it without integrating, as
+    _k4 does.
 
     The parts' integrals are the quadrature's owners in order, their kink
     arrays NaN-padded to the widest.  The panels reach the integrand sorted
@@ -595,8 +639,12 @@ def _kernel_grid(parts, cfg, settings):
     rows = np.full((starts[-1], max(k.shape[1] for k in kinks)), np.nan)
     for k, first in zip(kinks, starts):
         rows[first:first + len(k), :k.shape[1]] = k
-    upper = np.concatenate([np.broadcast_to(upper, np.shape(alpha))
-                            for _, _, alpha, _, upper in parts])
+    limits = []
+    for integrand, _, alpha, beta, upper in parts:
+        limit = np.maximum(np.broadcast_to(upper, np.shape(alpha)), 0.0)
+        if integrand is _f4:
+            limit[_k4_vanishes(alpha, beta, limit, cfg)] = 0.0
+        limits.append(limit)
 
     def f(g, owner):
         cuts = np.searchsorted(owner[:, 0], starts)
@@ -608,7 +656,7 @@ def _kernel_grid(parts, cfg, settings):
                 runs.append(integrand(g[lo:hi], alpha[own], beta[own], cfg))
         return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
-    values = integrate_finite_many(f, 0.0, np.maximum(upper, 0.0), rows, settings)
+    values = integrate_finite_many(f, 0.0, np.concatenate(limits), rows, settings)
     return [values[first:last] for first, last in zip(starts, starts[1:])]
 
 

@@ -28,6 +28,15 @@ class SystemConfig:
                 raise ValueError(f"{name} must be > 0, got {value}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # the gain thresholds divide 2^R - 1 and 2^(2R) - 1 by powers
+        if 2.0 ** self.rate_R - 1.0 == 0.0:
+            raise ValueError("rate_R must be at least about 1.6e-16 "
+                             f"(2**rate_R - 1 rounds to 0), got {self.rate_R}")
+        try:
+            2.0 ** (2.0 * self.rate_R)
+        except OverflowError:
+            raise ValueError("rate_R must be below 512 (2**(2*rate_R) "
+                             f"overflows), got {self.rate_R}") from None
 
     @property
     def snr_db(self) -> float:

@@ -103,11 +103,27 @@ _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _NODES = np.concatenate([_X7, _X15])
 
 
-def _rule_batch(f, lo, hi):
-    """Apply the rule pair to a batch of panels [lo_i, hi_i]."""
+def _nodes(lo, hi):
+    """The (P, 22) rule nodes of panels [lo_i, hi_i], mid + half * node,
+    and the half widths.
+
+    Each column is written through the transposed view, one contiguous
+    pass per node: 2.1 ns an element where the broadcast
+    mid[:, None] + half[:, None] * _NODES took 6.3 ns at P = 2,300, equal
+    at P = 50 and 0.2-0.4 us a call slower at P = 2-10 (2-vCPU VM), with
+    the same two roundings, so the same bits."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    x = np.empty((len(lo), len(_NODES)))
+    xt = x.T
+    np.multiply(_NODES[:, None], half, out=xt)
+    xt += mid
+    return x, half
+
+
+def _rule_batch(f, lo, hi):
+    """Apply the rule pair to a batch of panels [lo_i, hi_i]."""
+    x, half = _nodes(lo, hi)
     y = np.asarray(f(x), dtype=float)
     coarse = (y[:, :7] @ _W7) * half
     fine = (y[:, 7:] @ _W15) * half
@@ -190,9 +206,7 @@ def _rule_many(f, lo, hi, owner):
 
     Each owner's panels go through the same matvec call as in _rule_batch,
     stacked with the other owners of equal panel count."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    x, half = _nodes(lo, hi)
     y = np.asarray(f(x, owner[:, None]), dtype=float)
     coarse = np.empty_like(lo)
     fine = np.empty_like(lo)

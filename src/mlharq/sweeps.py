@@ -64,6 +64,8 @@ class SweepSpec:
         if not self._steps() < _MAX_AXIS_POINTS:   # also NaN and inf
             raise ValueError(f"axis_step {self.axis_step} makes more than "
                              f"{_MAX_AXIS_POINTS} axis points")
+        if self.mc_trials < 0:
+            raise ValueError(f"mc_trials must be >= 0, got {self.mc_trials}")
         mode = SWEEP_KINDS[self.kind]
         if mode == "rate" and self.snr_db is None:
             raise ValueError(f"kind {self.kind!r} needs a fixed snr_db")

@@ -142,6 +142,24 @@ class TestEval:
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--protocol", "ts", "--rate", "1e-17", "--snr-db", "3"],
+    ["optimize", "--protocol", "sc", "--rate", "600", "--snr-db", "3"],
+    ["sweep", "--kind", "t-vs-snr", "--rate", "512", "--axis-min", "3",
+     "--axis-max", "3", "--protocols", "ts"],
+])
+def test_rate_without_finite_thresholds_exits_1(capsys, tmp_path, argv):
+    """2^R - 1 rounding to 0, or 2^(2R) overflowing, is refused with one
+    error line that names rate_R."""
+    out_path = tmp_path / "x.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error: rate_R ") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "simulate", "--protocol", "mlh", "--rate",
@@ -248,6 +266,16 @@ class TestSweep:
         assert out == "" and not out_path.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than 10000 axis points" in err
+
+    def test_negative_trials_exits_1(self, capsys, tmp_path):
+        """As simulate --trials -5 does, with one error line and no CSV."""
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--kind", "t-vs-rate", "--snr-db",
+                             "3", "--axis-min", "1", "--axis-max", "1",
+                             "--trials", "-1", "--out", str(out_path))
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err == "error: mc_trials must be >= 0, got -1\n"
 
     def test_missing_fixed_param_exits_1(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--kind", "t-vs-rate", "--out",

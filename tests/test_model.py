@@ -39,6 +39,17 @@ class TestTypes:
         with pytest.raises(ValueError, match=field):
             SystemConfig(**kwargs)
 
+    def test_config_rate_range(self):
+        """The smallest rate with 2^R - 1 > 0 and the largest with a finite
+        2^(2R) are accepted; one ulp beyond either is refused."""
+        smallest, largest = 1.601713251907459e-16, 511.99999999999994
+        for rate in (smallest, largest):
+            assert SystemConfig(rate_R=rate, power_P=1.0).rate_R == rate
+        with pytest.raises(ValueError, match="rate_R must be at least"):
+            SystemConfig(rate_R=math.nextafter(smallest, 0.0), power_P=1.0)
+        with pytest.raises(ValueError, match="rate_R must be below 512"):
+            SystemConfig(rate_R=math.nextafter(largest, 1e3), power_P=1.0)
+
     def test_snr_roundtrip(self):
         cfg = SystemConfig.from_snr_db(3.0, 1.0)
         assert cfg.snr_db == pytest.approx(3.0, abs=1e-12)

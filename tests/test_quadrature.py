@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mlharq.quadrature import (
+    _NODES,
     TAIL_SPAN,
     NonConvergence,
     QuadratureSettings,
+    _nodes,
     integrate_finite,
 )
 
@@ -117,3 +119,32 @@ class TestAgainstMidpointOracle:
             got = integrate_finite(f, 0.0, 2.0, [kink1, kink2])
             want = midpoint_oracle(f, 0.0, 2.0)
             assert got == pytest.approx(want, abs=1e-6), f"trial {trial}"
+
+
+def test_nodes_equal_the_broadcast_expression():
+    """_nodes fills its (P, 22) array column by column, with the roundings
+    of mid + half * node, so it has the broadcast expression's bits, for
+    normal, subnormal, huge and empty widths and for P from 0 to 3000."""
+    rng = np.random.default_rng(7)
+    tiny = 5e-324
+    panels = [(0.0, tiny), (tiny, 2 * tiny), (0.0, 1e-320), (1e-310, 3e-308),
+              (0.0, 1e308), (-1e308, 1e308), (1.0, math.nextafter(1.0, 2.0)),
+              (2.5, 2.5), (0.0, 32.2), (-3.0, 7.0)]
+    lo = np.array([a for a, _ in panels])
+    hi = np.array([b for _, b in panels])
+    cases = [(lo, hi), (lo[:0], hi[:0])]
+    for p in (1, 2, 50, 3000):
+        a = rng.normal(size=p) * 10.0 ** rng.integers(-300, 300, size=p)
+        width = np.abs(rng.normal(size=p)) * 10.0 ** rng.integers(-300, 3, size=p)
+        cases.append((a, a + width))
+    for lo, hi in cases:
+        # an infinite width (the panel over +-1e308) gives NaN at the zero
+        # node in both forms
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            want = mid[:, None] + half[:, None] * _NODES[None, :]
+            x, got_half = _nodes(lo, hi)
+        assert x.shape == (len(lo), 22) and x.flags.c_contiguous
+        assert x.tobytes() == want.tobytes()
+        assert got_half.tobytes() == half.tobytes()
