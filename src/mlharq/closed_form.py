@@ -15,8 +15,9 @@ instead of g_max.
 The _grid functions evaluate a kernel at many points in one lockstep
 quadrature (integrate_finite_many) with the same integrand and
 breakpoints as the scalar path, so each value has the scalar path's bits.
-prob_sc_grid runs its three kernels (tp3, tp4, tp4p) in one such
-quadrature, and a tp4p integral that is also a tp4 integral once.
+prob_p3_p4_grid runs the p3 and p4 integrals of an mlh grid in one such
+quadrature, and prob_sc_grid its three kernels (tp3, tp4, tp4p), a tp4p
+integral that is also a tp4 integral once.
 The kink candidates exist twice: a scalar form for single calls and an
 array form for grids, which repeats the scalar arithmetic (a test pins the
 two together).  The grid functions do not read or fill the scalar
@@ -69,6 +70,7 @@ __all__ = [
     "prob_p2_prime",
     "prob_p3",
     "prob_p3_grid",
+    "prob_p3_p4_grid",
     "prob_p4",
     "prob_p4_grid",
     "prob_p4_prime",
@@ -207,9 +209,11 @@ def _over_power(n, w):
         n /= w
         return n
     zero = ~(np.asarray(w) > 0.0)
-    n /= np.where(zero, 1.0, w)   # n / 1.0 is n: zero-power lanes keep n
-    lanes = np.broadcast_to(zero, n.shape)
-    n[lanes] = np.where(n[lanes] > 0.0, np.inf, 0.0)
+    # n / +0.0 is +inf where n > 0 (a -0.0 power must not flip it to -inf);
+    # the other zero-power lanes, -inf and NaN among them, become 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n /= np.where(zero, 0.0, w)
+    np.copyto(n, 0.0, where=zero & ~(n > 0.0))
     return n
 
 
@@ -287,7 +291,10 @@ def h4(g, alpha, beta, cfg):
     n = np.multiply(k1, u, out=np.empty(shape))
     n -= v
     n /= v
-    d = np.multiply(1.0 - beta, n, out=v)
+    # n overflows to +inf at huge rates; at beta = 1 this is 0 * inf, a NaN
+    # that the cap test below sends to +inf, as it does a finite n's cap
+    with np.errstate(invalid="ignore"):
+        d = np.multiply(1.0 - beta, n, out=v)
     np.subtract(beta, d, out=d)                # the interference cap
     capped = ~(d > 0.0)
     clear = n <= 0.0
@@ -540,9 +547,9 @@ def prob_p2_prime(alpha: float, cfg: SystemConfig,
 
 
 def _decay(x, s2, out):
-    """exp(-x / s2) into out, which may be x itself."""
-    np.negative(x, out=out)
-    out /= s2
+    """exp(-x / s2) into out, which may be x itself; x / -s2 has the bits
+    of -x / s2."""
+    np.divide(x, -s2, out=out)
     return np.exp(out, out=out)
 
 
@@ -639,12 +646,13 @@ def _kernel_grid(parts, cfg, settings):
     rows = np.full((starts[-1], max(k.shape[1] for k in kinks)), np.nan)
     for k, first in zip(kinks, starts):
         rows[first:first + len(k), :k.shape[1]] = k
-    limits = []
-    for integrand, _, alpha, beta, upper in parts:
-        limit = np.maximum(np.broadcast_to(upper, np.shape(alpha)), 0.0)
+    del kinks   # rows holds them for the whole quadrature
+    limits = np.empty(starts[-1])
+    for (integrand, _, alpha, beta, upper), first in zip(parts, starts):
+        limit = limits[first:first + len(alpha)]
+        np.maximum(np.broadcast_to(upper, np.shape(alpha)), 0.0, out=limit)
         if integrand is _f4:
             limit[_k4_vanishes(alpha, beta, limit, cfg)] = 0.0
-        limits.append(limit)
 
     def f(g, owner):
         cuts = np.searchsorted(owner[:, 0], starts)
@@ -656,7 +664,7 @@ def _kernel_grid(parts, cfg, settings):
                 runs.append(integrand(g[lo:hi], alpha[own], beta[own], cfg))
         return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
-    values = integrate_finite_many(f, 0.0, np.concatenate(limits), rows, settings)
+    values = integrate_finite_many(f, 0.0, limits, rows, settings)
     return [values[first:last] for first, last in zip(starts, starts[1:])]
 
 
@@ -684,31 +692,45 @@ def prob_p4(alpha: float, beta: float, cfg: SystemConfig,
         raise exc.named(_integral("p4", cfg, alpha, beta)) from None
 
 
-def _slot2_grid(kernel, integrand, breakpoints, alphas, betas, cfg, settings):
-    """prob_p3 or prob_p4 (kernel names it) at each (alphas[i], betas[i])."""
-    alpha = np.asarray(alphas, dtype=float)
-    beta = np.asarray(betas, dtype=float)
-    distinct, inverse = np.unique(alpha, return_inverse=True)
-    upper = np.array([g_max(a, cfg) for a in distinct.tolist()])[inverse]
+def prob_p3_p4_grid(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
+                    settings: Optional[QuadratureSettings] = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """prob_p3 at each point (p3_alphas[i], p3_betas[i]) and prob_p4 at each
+    point (p4_alphas[j], p4_betas[j]), with the same bits, all in one
+    lockstep quadrature: an mlh grid has one straggler tail, not two.
+
+    A NonConvergence is the one a loop of prob_p3 over the p3 points, then
+    prob_p4 over the p4 points, would raise first."""
+    parts = []
+    for integrand, kinks, alphas, betas in (
+            (_f3, _h3_breakpoints_grid, p3_alphas, p3_betas),
+            (_f4, _h4_breakpoints_grid, p4_alphas, p4_betas)):
+        alpha = np.asarray(alphas, dtype=float)
+        beta = np.asarray(betas, dtype=float)
+        distinct, inverse = np.unique(alpha, return_inverse=True)
+        upper = np.array([g_max(a, cfg) for a in distinct.tolist()])[inverse]
+        parts.append((integrand, kinks, alpha, beta, upper))
     try:
-        [values] = _kernel_grid([(integrand, breakpoints, alpha, beta, upper)],
-                                cfg, settings or DEFAULT_SETTINGS)
-        return values
+        p3, p4 = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
     except NonConvergence as exc:
-        raise exc.named(_integral(kernel, cfg, float(alpha[exc.owner]),
-                                  float(beta[exc.owner]))) from None
+        (_, _, a3, b3, _), (_, _, a4, b4, _) = parts
+        k = exc.owner
+        raise exc.named(_integral("p3" if k < len(a3) else "p4", cfg,
+                                  float(np.concatenate([a3, a4])[k]),
+                                  float(np.concatenate([b3, b4])[k]))) from None
+    return p3, p4
 
 
 def prob_p3_grid(alphas, betas, cfg: SystemConfig,
                  settings: Optional[QuadratureSettings] = None) -> np.ndarray:
     """prob_p3 at each point (alphas[i], betas[i]), with the same bits."""
-    return _slot2_grid("p3", _f3, _h3_breakpoints_grid, alphas, betas, cfg, settings)
+    return prob_p3_p4_grid(alphas, betas, [], [], cfg, settings)[0]
 
 
 def prob_p4_grid(alphas, betas, cfg: SystemConfig,
                  settings: Optional[QuadratureSettings] = None) -> np.ndarray:
     """prob_p4 at each point (alphas[i], betas[i]), with the same bits."""
-    return _slot2_grid("p4", _f4, _h4_breakpoints_grid, alphas, betas, cfg, settings)
+    return prob_p3_p4_grid([], [], alphas, betas, cfg, settings)[1]
 
 
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,

@@ -6,10 +6,10 @@ full grid is cheap.  Ties are broken toward alpha = beta = 1 (the
 time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
 
-Each coarse grid and refinement window is evaluated in lockstep
-quadratures (the closed forms' _grid functions, whose values have the
-scalar closed forms' bits): one per slot-2 kernel for mlh, one for all
-three kernels for sc.  The values are combined elementwise in the scalar
+Each coarse grid and refinement window is evaluated in one lockstep
+quadrature (the closed forms' _grid functions, whose values have the
+scalar closed forms' bits) for all its slot-2 kernels: p3 and p4 for mlh,
+tp3, tp4 and tp4p for sc.  The values are combined elementwise in the scalar
 search's arithmetic and offered as one array: the winner is the one a
 point-by-point loop in the scalar search's order would keep.
 """
@@ -28,9 +28,8 @@ from .closed_form import (
     prob_p1,
     prob_p2,
     prob_p3,
-    prob_p3_grid,
+    prob_p3_p4_grid,
     prob_p4,
-    prob_p4_grid,
     sc_throughput_from_probs,
     throughput_mlh,
     throughput_ts,
@@ -115,8 +114,8 @@ def _coarse_values(pts, cfg, settings):
     The mirrored events are evaluated at the mirrored grid index (exact
     index mirror, never 1 - a), and p3(i, j) = p3(n - i, n - j), which is
     exact on the indices, not on floats (the two quadratures differ in the
-    last bits), at the canonical one of the two.  Each slot-2 kernel comes
-    from one lockstep quadrature; if one fails to converge, _coarse_scalar
+    last bits), at the canonical one of the two.  Both slot-2 kernels come
+    from one lockstep quadrature; if it fails to converge, _coarse_scalar
     runs the scalar closed forms in the scalar search's order and raises
     the failure that it meets first.  The terms here and the calls there
     must stay the same: tests/test_optimizer.py pins both to its
@@ -129,13 +128,14 @@ def _coarse_values(pts, cfg, settings):
     canon = (i < n - i) | ((i == n - i) & (j <= n - j))   # (i, j) <= mirror
     ci, cj = i[canon], j[canon]
     try:
-        p4 = prob_p4_grid(grid[i], grid[j], cfg, settings).reshape(n + 1, n + 1)
-        p3 = np.empty((n + 1, n + 1))
-        p3[ci, cj] = p3[n - ci, n - cj] = prob_p3_grid(grid[ci], grid[cj],
-                                                       cfg, settings)
+        p3c, p4 = prob_p3_p4_grid(grid[ci], grid[cj], grid[i], grid[j],
+                                  cfg, settings)
     except NonConvergence:
         _coarse_scalar(pts, cfg, settings)
         raise
+    p4 = p4.reshape(n + 1, n + 1)
+    p3 = np.empty((n + 1, n + 1))
+    p3[ci, cj] = p3[n - ci, n - cj] = p3c
     base, denom = np.array([_slot1_base(a, pts[n - i], cfg, settings)
                             for i, a in enumerate(pts)]).T
     q = base[:, None] + 2.0 * p3 + p4 + p4[::-1, ::-1]
@@ -195,9 +195,8 @@ def _mlh_values(alphas, betas, cfg, settings):
     bits; at the first point whose EventProbs fails a check, the same
     ValueError."""
     n = len(alphas)
-    p3 = prob_p3_grid(alphas, betas, cfg, settings)
-    p4 = prob_p4_grid(np.concatenate([alphas, 1.0 - alphas]),
-                      np.concatenate([betas, 1.0 - betas]), cfg, settings)
+    p3, p4 = prob_p3_p4_grid(alphas, betas, np.concatenate([alphas, 1.0 - alphas]),
+                             np.concatenate([betas, 1.0 - betas]), cfg, settings)
     # the slot-1 events depend on alpha alone: once per distinct alpha
     distinct, inverse = np.unique(alphas, return_inverse=True)
     p0, p1, p1p, p2, p2p = np.array([

@@ -10,16 +10,21 @@ rule nodes per panel.
 
 integrate_finite_many runs a whole family of such integrals in lockstep:
 their kinks come as one NaN-padded (n, m) array, one row per integral,
-their panels are flattened with an owner index, and each refinement round
-makes one integrand call for the live panels of all owners: the same
-(P, 22) node array, and the (P, 1) column of the panels' owners, against
-which per-integral parameters broadcast.  No step runs Python once per
-integral.  It is the same algorithm, not an approximation of it: every
-owner keeps integrate_finite's panel order and rules, its rule-pair
-matvecs are the same BLAS calls (owners are grouped by panel count, since
-a gemv result can depend on the row count) and its sums reduce
+and their panels are flattened with an owner index.  It runs rolling
+rounds: each round evaluates the children of the live integrals' split
+panels and the first panels of integrals admitted in index order while
+the round has room, so rounds stay full while the slowest integrals
+finish.  The integrand gets a round in calls of a bounded panel count,
+cut between integrals: the (P, 22) node array, and the (P, 1) column of
+the panels' owners, against which per-integral parameters broadcast.  No
+step runs Python once per integral.  It is the same algorithm, not an
+approximation of it: every owner keeps integrate_finite's panel order and
+rules, its rule-pair matvecs are the same BLAS calls and its sums reduce
 equal-length rows, so each value has the bits integrate_finite gives it
-alone.
+alone.  The matvecs are grouped by the owners' panel counts because a
+gemv result can depend on the row count: one gemv over all of a call's
+panels changes 23 of the 101 prob_sc rows of a coarse sc grid at -4 dB,
+R = 0.8, and sc's optimum there by one ulp.
 """
 
 import math
@@ -37,18 +42,24 @@ __all__ = [
 
 MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
 
-# integrate_finite_many runs its integrals in blocks of this many, so one
-# integrand call sees the new panels of at most this many integrals and a
-# round's arrays stay small.  Larger blocks make fewer rounds: 1024 against
-# 256 took sweep-rate wall_s from 2.16 s to 1.69 s (medians of 10
-# alternating pairs, all won; 2-vCPU VM).  Since the slot-2 integrands work
-# in place on a few sample-sized buffers, a block of 1024 costs little
-# memory: one optimize_split("mlh") at 3 dB, R=1 peaks at 4.1 MB under
-# tracemalloc (2.8 MB at 256, 6.3 MB at 2048), where the expression-form
-# integrands peaked at 3.9 MB at 256 and 11.4 MB at 1024, and peak RSS of
-# a sweep-rate pass rises by 0.8 MB over 256.  A test in
-# tests/test_optimizer.py holds the tracemalloc peak.
-BLOCK_OWNERS = 1024
+# integrate_finite_many admits integrals into a round while its panels stay
+# within this many.  In a sweep-rate pass the mlh grids ran 655 rounds
+# in fixed blocks of 1,024 integrals (median 293 panels, 311 under 256: a
+# block's last rounds carry only its stragglers) and run 239 rolling rounds
+# of 3,072 (median 3,068 panels); with the sc grids' small calls the pass
+# runs 575 rounds where it ran 1,021, on the same 665,268 panels.
+# In-process 3 dB passes of the 12 sweep-rate rates (mlh and sc, best of 3
+# in each of 6 fresh processes, medians; 2-vCPU VM) took 1.07 s at 1,024,
+# 1.01 s at 2,048, 0.89 s at 3,072 and 0.87 s at 6,144, which peaks at
+# 4.9 MB where 3,072 peaks at 4.5 MB (tracemalloc, one
+# optimize_split("mlh") at 3 dB, R = 1; a test in tests/test_optimizer.py
+# holds that peak).
+ROUND_PANELS = 3072
+# ...and hands them to the integrand in calls of at most this many panels,
+# cut between integrals, so the integrands' (P, 22) buffers do not grow
+# with the round.  The same passes took 1.17 s at 256, 1.02 s at 512,
+# 0.89 s at 1,024 and 0.92 s at 2,048, which peaks at 5.0 MB.
+CALL_PANELS = 1024
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
 # fallen to 1e-14, well inside abs_tol for the envelopes used here.
@@ -202,91 +213,97 @@ def _segments(owner):
 
 
 def _rule_many(f, lo, hi, owner):
-    """_rule_batch for owner-sorted panels, one integrand call for all.
+    """_rule_batch for owner-sorted panels, in integrand calls of at most
+    CALL_PANELS panels cut between owners (one owner with more panels gets
+    a call of its own).
 
     Each owner's panels go through the same matvec call as in _rule_batch,
-    stacked with the other owners of equal panel count."""
-    x, half = _nodes(lo, hi)
-    y = np.asarray(f(x, owner[:, None]), dtype=float)
+    stacked with the other owners of equal panel count in its call."""
+    start, count = _segments(owner)
+    bounds = np.append(start, len(owner))
     coarse = np.empty_like(lo)
     fine = np.empty_like(lo)
-    for _, idx in _rows_by_length(*_segments(owner)):
-        yk = y[idx]
-        coarse[idx] = (yk[..., :7] @ _W7) * half[idx]
-        fine[idx] = (yk[..., 7:] @ _W15) * half[idx]
+    first = 0
+    while first < len(start):
+        s = bounds[first]
+        last = max(first + 1, int(np.searchsorted(bounds, s + CALL_PANELS,
+                                                  side="right")) - 1)
+        e = bounds[last]
+        x, half = _nodes(lo[s:e], hi[s:e])
+        y = np.asarray(f(x, owner[s:e, None]), dtype=float)
+        c, fn = coarse[s:e], fine[s:e]
+        for _, idx in _rows_by_length(start[first:last] - s, count[first:last]):
+            yk = y[idx]
+            c[idx] = (yk[..., :7] @ _W7) * half[idx]
+            fn[idx] = (yk[..., 7:] @ _W15) * half[idx]
+        first = last
     return fine, np.abs(fine - coarse)
 
 
-def _run_block(f, a, b, breakpoints, owners, settings, out):
-    """integrate_finite for each owner in lockstep; values go to out.
-
-    Returns the NonConvergence of the lowest failing owner, or None."""
-    # first panels as integrate_finite builds them: each row's edges are a,
-    # its breakpoints inside (a, b) sorted (the others replaced by b), then
-    # b, and a panel joins each pair of adjacent distinct edges
+def _first_panels(a, b, breakpoints, owners):
+    """The owners' first panels (lo, hi, owner) as integrate_finite builds
+    them: each row's edges are a, its breakpoints inside (a, b) sorted (the
+    others replaced by b), then b, and a panel joins each pair of adjacent
+    distinct edges."""
     ao, bo = a[owners, None], b[owners, None]
     bps = breakpoints[owners]
     edges = np.concatenate(
         [ao, np.sort(np.where((ao < bps) & (bps < bo), bps, bo), axis=1), bo],
         axis=1)
     new = edges[:, :-1] != edges[:, 1:]
-    lo, hi = edges[:, :-1][new], edges[:, 1:][new]
-    own = np.repeat(owners, new.sum(axis=1))
-    width = b - a
-    vals, errs = _rule_many(f, lo, hi, own)
-    failure = None
+    return (edges[:, :-1][new], edges[:, 1:][new],
+            np.repeat(owners, new.sum(axis=1)))
 
-    while True:
-        start, count = _segments(own)
-        total = np.empty(len(start))
-        err_total = np.empty(len(start))
-        for rows, idx in _rows_by_length(start, count):
-            total[rows] = vals[idx].sum(axis=1)
-            err_total[rows] = errs[idx].sum(axis=1)
-        scaled = settings.rel_tol * np.abs(total)
-        tol = np.where(scaled > settings.abs_tol, scaled, settings.abs_tol)
-        done = err_total <= tol
-        seg_owner = own[start]
-        out[seg_owner[done]] = total[done]
 
-        seg = np.repeat(np.arange(len(start)), count)
-        split = errs > tol[seg] * (hi - lo) / width[own]
-        n_split = np.add.reduceat(split.astype(np.intp), start)
-        worst = ~done & (n_split == 0)
-        for rows, idx in _rows_by_length(start[worst], count[worst]):
-            split[idx[np.arange(len(idx)), np.argmax(errs[idx], axis=1)]] = True
-        n_split[worst] = 1
-        failed = ~done & (count + n_split > MAX_SUBDIVISIONS)
-        if failed.any():
-            k = int(np.flatnonzero(failed)[0])
-            o = int(seg_owner[k])
-            if failure is None or o < failure.owner:
-                failure = NonConvergence(float(total[k]), float(err_total[k]),
-                                         int(count[k]), f"integral {o}", o)
+def _split_round(lo, hi, vals, errs, own, width, settings, out, failure):
+    """integrate_finite's convergence test and split for each owner of the
+    owner-sorted panels; the totals of the owners that converge go to out.
 
-        live = ~done & ~failed
-        if not live.any():
-            return failure
-        live = live[seg]
-        split &= live
-        keep = live & ~split
-        s_lo, s_hi, s_own = lo[split], hi[split], own[split]
-        s_mid = 0.5 * (s_lo + s_hi)
-        # per owner: left halves, then right halves, as in integrate_finite
-        order = np.argsort(np.concatenate([s_own, s_own]), kind="stable")
-        c_lo = np.concatenate([s_lo, s_mid])[order]
-        c_hi = np.concatenate([s_mid, s_hi])[order]
-        c_own = np.concatenate([s_own, s_own])[order]
-        c_vals, c_errs = _rule_many(f, c_lo, c_hi, c_own)
+    Returns the mask of the panels kept as they are, the children (lo, hi,
+    owner; per owner, left halves, then right halves) and the NonConvergence
+    of the lowest owner that has failed so far (failure, or one raised here
+    below it), or None.  Owners above that one stop: they cannot change
+    what is raised."""
+    if not len(own):   # before the first round
+        return np.zeros(0, dtype=bool), lo, hi, own, failure
+    start, count = _segments(own)
+    total = np.empty(len(start))
+    err_total = np.empty(len(start))
+    for rows, idx in _rows_by_length(start, count):
+        total[rows] = vals[idx].sum(axis=1)
+        err_total[rows] = errs[idx].sum(axis=1)
+    scaled = settings.rel_tol * np.abs(total)
+    tol = np.where(scaled > settings.abs_tol, scaled, settings.abs_tol)
+    done = err_total <= tol
+    seg_owner = own[start]
+    out[seg_owner[done]] = total[done]
 
-        # per owner: kept panels, then children
-        own = np.concatenate([own[keep], c_own])
-        order = np.argsort(own, kind="stable")
-        own = own[order]
-        lo = np.concatenate([lo[keep], c_lo])[order]
-        hi = np.concatenate([hi[keep], c_hi])[order]
-        vals = np.concatenate([vals[keep], c_vals])[order]
-        errs = np.concatenate([errs[keep], c_errs])[order]
+    seg = np.repeat(np.arange(len(start)), count)
+    split = errs > tol[seg] * (hi - lo) / width[own]
+    n_split = np.add.reduceat(split.astype(np.intp), start)
+    worst = ~done & (n_split == 0)
+    for rows, idx in _rows_by_length(start[worst], count[worst]):
+        split[idx[np.arange(len(idx)), np.argmax(errs[idx], axis=1)]] = True
+    n_split[worst] = 1
+    failed = ~done & (count + n_split > MAX_SUBDIVISIONS)
+    if failed.any():
+        k = int(np.flatnonzero(failed)[0])
+        o = int(seg_owner[k])
+        if failure is None or o < failure.owner:
+            failure = NonConvergence(float(total[k]), float(err_total[k]),
+                                     int(count[k]), f"integral {o}", o)
+
+    live = ~done & ~failed
+    if failure is not None:
+        live &= seg_owner < failure.owner
+    live = live[seg]
+    split &= live
+    s_lo, s_hi, s_own = lo[split], hi[split], own[split]
+    s_mid = 0.5 * (s_lo + s_hi)
+    order = np.argsort(np.concatenate([s_own, s_own]), kind="stable")
+    return (live & ~split, np.concatenate([s_lo, s_mid])[order],
+            np.concatenate([s_mid, s_hi])[order],
+            np.concatenate([s_own, s_own])[order], failure)
 
 
 def integrate_finite_many(f, a, b, breakpoints,
@@ -299,14 +316,24 @@ def integrate_finite_many(f, a, b, breakpoints,
     integrate_finite, entries that are NaN, infinite or outside (a, b) are
     ignored, and repeats count once.  Integral i runs over [a[i], b[i]]
     (a and b broadcast to n entries) with kinks breakpoints[i].
-    f(x, owner) receives a round's sample points as a (P, 22) array, one
-    row per panel, and the (P, 1) integer column of the panels' integrals,
-    in ascending order, so that owner indexes per-integral parameters into
-    a column that broadcasts against x; it must return the (P, 22)
-    integrand values, elementwise, and must not write x.  Entry i of the
+    f(x, owner) receives sample points as a (P, 22) array, one row per
+    panel, and the (P, 1) integer column of the panels' integrals, in
+    ascending order, so that owner indexes per-integral parameters into a
+    column that broadcasts against x; it must return the (P, 22) integrand
+    values, elementwise, and must not write x.  Entry i of the
     result equals integrate_finite(lambda x: f(x, np.full((len(x), 1), i)),
     a[i], b[i], breakpoints[i], settings) bit for bit, whatever the other
     integrals are.
+
+    The integrals run in rolling rounds.  A round evaluates the children
+    of every live integral's split panels, then the first panels of the
+    next integrals in index order, admitted while the round's panels stay
+    within ROUND_PANELS (an integral's first panels counted as 1 + its
+    kinks inside (a, b); a round with nothing else to do admits one).  f
+    gets a round in calls of at most CALL_PANELS panels, cut between
+    integrals (an integral with more panels gets a call of its own).  Once
+    an integral fails, none is admitted; the live ones below it run on,
+    and the lowest failure is raised.
 
     Raises what a loop of integrate_finite over i would raise first: the
     ValueError of an entry with a > b, or the NonConvergence (with its
@@ -322,13 +349,47 @@ def integrate_finite_many(f, a, b, breakpoints,
     bad = np.flatnonzero(a > b)
     stop = int(bad[0]) if bad.size else n
     out = np.zeros(n)
-    for first in range(0, stop, BLOCK_OWNERS):
-        owners = np.arange(first, min(first + BLOCK_OWNERS, stop))
-        owners = owners[a[owners] != b[owners]]   # a == b integrates to 0.0
-        if owners.size:
-            failure = _run_block(f, a, b, breakpoints, owners, settings, out)
-            if failure is not None:
-                raise failure
+    pending = np.flatnonzero(a[:stop] != b[:stop])   # a == b integrates to 0.0
+    # an integral has at most 1 + (its kinks inside (a, b)) first panels;
+    # admission counts them so, before building them
+    bound = np.cumsum(1 + ((a[:, None] < breakpoints)
+                           & (breakpoints < b[:, None])).sum(axis=1)[pending])
+    width = b - a
+    admitted = 0                      # pending[:admitted] have entered
+    lo = hi = vals = errs = np.empty(0)
+    own = np.empty(0, dtype=np.intp)
+    failure = None
+    while True:
+        keep, c_lo, c_hi, c_own, failure = _split_round(
+            lo, hi, vals, errs, own, width, settings, out, failure)
+        # admit the next integrals, in index order, while the round has
+        # room (an otherwise empty round takes one); they sort after every
+        # live owner, whose indices are lower
+        if failure is None and admitted < len(pending):
+            used = bound[admitted - 1] if admitted else 0
+            end = int(np.searchsorted(bound, used + ROUND_PANELS - len(c_own),
+                                      side="right"))
+            end = max(end, admitted + (len(c_own) == 0))
+            if end > admitted:
+                new = _first_panels(a, b, breakpoints, pending[admitted:end])
+                admitted = end
+                c_lo, c_hi, c_own = (np.concatenate(pair) for pair in
+                                     zip((c_lo, c_hi, c_own), new))
+        if not len(c_own):
+            break
+        c_vals, c_errs = _rule_many(f, c_lo, c_hi, c_own)
+
+        # per owner: kept panels, then children (or first panels)
+        own = np.concatenate([own[keep], c_own])
+        order = np.argsort(own, kind="stable")
+        own = own[order]
+        lo = np.concatenate([lo[keep], c_lo])[order]
+        hi = np.concatenate([hi[keep], c_hi])[order]
+        vals = np.concatenate([vals[keep], c_vals])[order]
+        errs = np.concatenate([errs[keep], c_errs])[order]
+
+    if failure is not None:
+        raise failure
     if bad.size:
         raise ValueError(f"need a <= b, got a={float(a[stop])}, "
                          f"b={float(b[stop])} (integral {stop})")

@@ -160,6 +160,24 @@ def test_rate_without_finite_thresholds_exits_1(capsys, tmp_path, argv):
     assert err.startswith("error: rate_R ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--protocol", "mlh", "--alpha", "0.5", "--beta", "1"],
+    ["eval", "--protocol", "mlh", "--alpha", "0.5", "--beta", "0.9999999999999999"],
+    ["optimize", "--protocol", "mlh"],
+])
+def test_overflowing_residual_keeps_stderr_empty(capsys, argv):
+    """Near the largest accepted rate, h4's residual n overflows to +inf on
+    the upper part of the slot-1 range; at beta = 1 its interference cap
+    is then 0 * inf.  Both betas give the intended h4 = +inf, and no
+    warning reaches stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv, "--rate", "511.99999999999994",
+                             "--snr-db", "3")
+    assert code == 0
+    assert out and err == ""
+
+
 class TestSimulate:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "simulate", "--protocol", "mlh", "--rate",

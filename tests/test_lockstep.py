@@ -22,6 +22,7 @@ from mlharq.closed_form import (
     _h4_breakpoints_grid,
     prob_p3,
     prob_p3_grid,
+    prob_p3_p4_grid,
     prob_p4,
     prob_p4_grid,
     prob_sc,
@@ -99,8 +100,27 @@ def _padded(rows):
                     dtype=float).reshape(len(rows), m)
 
 
-def _many(f, owners, quad, block):
-    with mock.patch.object(quadrature, "BLOCK_OWNERS", block):
+# (ROUND_PANELS, CALL_PANELS) budgets: the defaults, and tiny ones that
+# admit integrals into rounds already under way and cut integrand calls
+# between the integrals of one round; (1, 1) admits one integral per idle
+# round and gives each integral its own calls.
+DEFAULT_BUDGET = (quadrature.ROUND_PANELS, quadrature.CALL_PANELS)
+TINY_BUDGETS = [(1, 1), (3, 2), (7, 5)]
+# the defaults and rounds of 21 panels in calls of 7 on coarse grids, each
+# named by its call budget
+GRID_BUDGETS = [pytest.param(DEFAULT_BUDGET, id=str(quadrature.CALL_PANELS)),
+                pytest.param((21, 7), id="7")]
+
+
+def _budget(budget):
+    """The context in which integrate_finite_many runs on budget."""
+    round_panels, call_panels = budget
+    return mock.patch.multiple(quadrature, ROUND_PANELS=round_panels,
+                               CALL_PANELS=call_panels)
+
+
+def _many(f, owners, quad, budget):
+    with _budget(budget):
         return integrate_finite_many(f, [o[0] for o in owners],
                                      [o[1] for o in owners],
                                      _padded([o[4] for o in owners]), quad)
@@ -108,18 +128,19 @@ def _many(f, owners, quad, block):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(owners=st.lists(owner(), min_size=1, max_size=12),
-       quad=st.sampled_from(SETTINGS), block=st.sampled_from([1, 3, 256]),
-       data=st.data())
-def test_many_equals_scalar_loop_bit_for_bit(owners, quad, block, data):
+       quad=st.sampled_from(SETTINGS),
+       budget=st.sampled_from([*TINY_BUDGETS, DEFAULT_BUDGET]), data=st.data())
+def test_many_equals_scalar_loop_bit_for_bit(owners, quad, budget, data):
     f = _family(owners)
     want, failure = _scalar_loop(f, owners, quad)
     assert failure is None
-    got = _many(f, owners, quad, block)
+    got = _many(f, owners, quad, budget)
     assert _bits(got.tolist()) == _bits(want)
 
     # an owner alone gets the value it gets among its batch-mates
     k = data.draw(st.integers(0, len(owners) - 1))
-    alone = _many(lambda x, i: f(x, np.full((len(x), 1), k)), [owners[k]], quad, block)
+    alone = _many(lambda x, i: f(x, np.full((len(x), 1), k)), [owners[k]], quad,
+                  budget)
     assert _bits(alone.tolist()) == _bits([want[k]])
 
 
@@ -137,7 +158,7 @@ def test_many_ignores_nan_inf_and_repeats_as_integrate_finite_does(owners, data)
     want, failure = _scalar_loop(f, owners, quad)
     assert failure is None
     assert _bits(_scalar_loop(f, noisy, quad)[0]) == _bits(want)
-    assert _bits(_many(f, noisy, quad, 256).tolist()) == _bits(want)
+    assert _bits(_many(f, noisy, quad, DEFAULT_BUDGET).tolist()) == _bits(want)
 
 
 def test_padding_and_non_finite_entries_are_ignored():
@@ -215,8 +236,8 @@ def _noisy_family(owners, noisy):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(owners=st.lists(owner(), min_size=1, max_size=6),
-       data=st.data(), block=st.sampled_from([1, 2, 256]))
-def test_many_raises_the_first_failure_of_the_scalar_loop(owners, data, block):
+       data=st.data(), budget=st.sampled_from([*TINY_BUDGETS, DEFAULT_BUDGET]))
+def test_many_raises_the_first_failure_of_the_scalar_loop(owners, data, budget):
     first = data.draw(st.integers(0, len(owners) - 1))
     noisy = [False] * first + [True] + data.draw(
         st.lists(st.booleans(), min_size=len(owners) - first - 1,
@@ -228,11 +249,49 @@ def test_many_raises_the_first_failure_of_the_scalar_loop(owners, data, block):
     assert failure is not None
     index, expected = failure
     with pytest.raises(NonConvergence) as info:
-        _many(f, owners, TINY, block)
+        _many(f, owners, TINY, budget)
     got = info.value
     assert (got.owner, got.integral) == (index, f"integral {index}")
     assert (got.estimate, got.error, got.panels) == \
         (expected.estimate, expected.error, expected.panels)
+
+
+@pytest.mark.parametrize("budget", [(3, 2), DEFAULT_BUDGET])
+def test_a_later_failure_in_an_earlier_round_is_not_raised(budget):
+    """Integral 1 (fast noise) fails after 11 rounds, integral 0 (the
+    unmarked spike) after 22, and both enter in the first round.  A loop of
+    integrate_finite raises integral 0's failure, and so must the lockstep
+    run, though it records integral 1's failure first."""
+    def f(x, owner):
+        calls.append(set(owner[:, 0].tolist()))
+        spike = np.sin(1000.0 * x) / (np.abs(x - 0.37) + 1e-9)
+        return np.where(owner == 0, spike,
+                        np.where(owner == 1, np.sin(1e7 * x * x), np.exp(-x)))
+
+    def alone(i):
+        return lambda x: f(x, np.full((len(x), 1), i))
+
+    owners = [(0.0, 1.0, None, None, [])] * 3
+    rounds = []
+    for i in (0, 1):
+        calls = []
+        with pytest.raises(NonConvergence):
+            integrate_finite(alone(i), 0.0, 1.0, [], TINY)
+        rounds.append(len(calls))
+    assert rounds == [22, 11]
+    _, (index, expected) = _scalar_loop(f, owners, TINY)
+    assert index == 0
+
+    calls = []
+    with pytest.raises(NonConvergence) as info:
+        _many(f, owners, TINY, budget)
+    got = info.value
+    assert (got.owner, str(got)) == (0, str(expected.named("integral 0")))
+    assert (got.estimate, got.error, got.panels) == \
+        (expected.estimate, expected.error, expected.panels)
+    # integral 1 ran in the first round and stopped long before integral 0
+    last = {i: max(k for k, seen in enumerate(calls) if i in seen) for i in (0, 1)}
+    assert 1 in calls[0] and last[1] < last[0]
 
 
 def test_reversed_interval_raises_after_earlier_integrals():
@@ -300,10 +359,12 @@ def test_grid_forms_equal_scalar_closed_forms(case):
     alphas = [a for a, _ in points]
     betas = [b for _, b in points]
     with np.errstate(over="ignore", divide="ignore"):
-        assert _bits(prob_p3_grid(alphas, betas, cfg).tolist()) == \
-            _bits([prob_p3(a, b, cfg) for a, b in points])
-        assert _bits(prob_p4_grid(alphas, betas, cfg).tolist()) == \
-            _bits([prob_p4(a, b, cfg) for a, b in points])
+        p3 = _bits([prob_p3(a, b, cfg) for a, b in points])
+        p4 = _bits([prob_p4(a, b, cfg) for a, b in points])
+        assert _bits(prob_p3_grid(alphas, betas, cfg).tolist()) == p3
+        assert _bits(prob_p4_grid(alphas, betas, cfg).tolist()) == p4
+        both = prob_p3_p4_grid(alphas, betas, alphas[::-1], betas[::-1], cfg)
+        assert [_bits(v.tolist()) for v in both] == [p3, p4[::-1]]
         assert [repr(p) for p in prob_sc_grid(alphas, cfg)] == \
             [repr(prob_sc(a, cfg)) for a in alphas]
 
@@ -338,6 +399,15 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
         with pytest.raises(NonConvergence) as info:
             grid(alphas, betas, cfg, quad)
         assert str(info.value) == want
+    # p3 and p4 in one quadrature: the first failure of the p3 loop, then
+    # the p4 loop, though a p4 integral may fail in an earlier round
+    want = _first_scalar_failure(lambda k, a, b: cases[k][0](a, b),
+                                 [(0, a, b) for a, b in points[1:]]
+                                 + [(1, a, b) for a, b in points])
+    assert " in p3 at alpha=" in want
+    with pytest.raises(NonConvergence) as info:
+        prob_p3_p4_grid(alphas[1:], betas[1:], alphas, betas, cfg, quad)
+    assert str(info.value) == want
     want = _first_scalar_failure(lambda a: prob_sc(a, cfg, quad),
                                  [(a,) for a in alphas])
     assert want is not None and " in sc at alpha=" in want
@@ -352,11 +422,12 @@ COARSE = [i / 100 for i in range(101)]
 SC_CONFIGS = [(3.0, 1.0), (3.0, 0.8), (-4.0, 1.0), (25.0, 2.3), (10.0, 0.3)]
 
 
-@pytest.mark.parametrize("block", [quadrature.BLOCK_OWNERS, 7])
+@pytest.mark.parametrize("budget", GRID_BUDGETS)
 @pytest.mark.parametrize("snr_db, rate", SC_CONFIGS)
 def test_sc_grid_equals_the_scalar_loop_on_a_coarse_grid(monkeypatch, snr_db,
-                                                         rate, block):
-    """Blocks of 7 owners cut the tp3 and tp4 parts across blocks."""
+                                                         rate, budget):
+    """Rounds of 21 panels and calls of 7 admit tp3 and tp4 integrals into
+    rounds under way and cut integrand calls inside and across the parts."""
     from mlharq import closed_form
 
     calls = []
@@ -366,27 +437,25 @@ def test_sc_grid_equals_the_scalar_loop_on_a_coarse_grid(monkeypatch, snr_db,
         return integrate_finite_many(f, a, b, breakpoints, settings)
 
     monkeypatch.setattr(closed_form, "integrate_finite_many", spy)
-    monkeypatch.setattr(quadrature, "BLOCK_OWNERS", block)
     cfg = SystemConfig.from_snr_db(snr_db, rate)
-    with np.errstate(over="ignore", divide="ignore"):
+    with _budget(budget), np.errstate(over="ignore", divide="ignore"):
         assert [repr(p) for p in prob_sc_grid(COARSE, cfg)] == \
             [repr(prob_sc(a, cfg)) for a in COARSE]
     assert calls == [101 + 141]   # tp3, then the 141 distinct tp4/tp4p shares
 
 
-@pytest.mark.parametrize("block", [quadrature.BLOCK_OWNERS, 7])
+@pytest.mark.parametrize("budget", GRID_BUDGETS)
 @pytest.mark.parametrize("snr_db, rate, tol", [(3.0, 1.0, 1e-300),
                                                (-4.0, 1.0, 1e-300),
                                                (3.0, 1.0, 1e-17),
                                                (10.0, 0.3, 1e-17)])
-def test_sc_grid_raises_the_first_failure_of_the_scalar_loop(monkeypatch, snr_db,
-                                                             rate, tol, block):
+def test_sc_grid_raises_the_first_failure_of_the_scalar_loop(snr_db, rate, tol,
+                                                             budget):
     """At 1e-300 nearly every kernel fails (at -4 dB not those at alpha = 0);
     at 1e-17 the first failing split is 0.36 at 3 dB and 0.01 at 10 dB."""
-    monkeypatch.setattr(quadrature, "BLOCK_OWNERS", block)
     cfg = SystemConfig.from_snr_db(snr_db, rate)
     quad = QuadratureSettings(abs_tol=tol, rel_tol=tol)
-    with np.errstate(over="ignore", divide="ignore"):
+    with _budget(budget), np.errstate(over="ignore", divide="ignore"):
         want = _first_scalar_failure(lambda a: prob_sc(a, cfg, quad),
                                      [(a,) for a in COARSE])
         assert want is not None and " in sc at alpha=" in want

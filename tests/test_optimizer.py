@@ -255,16 +255,16 @@ class TestArrayOffers:
         window = [0.5, 0.53, 0.56]
         alphas = np.repeat(window, 3)
         betas = np.tile(window, 3)
-        grid = optimize.prob_p3_grid
+        grid = optimize.prob_p3_p4_grid
 
-        def patched(a, b, cfg, quad=None):
-            values = grid(a, b, cfg, quad)
+        def patched(a3, b3, a4, b4, cfg, quad=None):
+            p3, p4 = grid(a3, b3, a4, b4, cfg, quad)
             for k, value in bad.items():
-                values[k] = value
-            return values
+                p3[k] = value
+            return p3, p4
 
-        monkeypatch.setattr(optimize, "prob_p3_grid", patched)
-        p3 = patched(alphas, betas, CFG_3DB).tolist()
+        monkeypatch.setattr(optimize, "prob_p3_p4_grid", patched)
+        p3 = patched(alphas, betas, alphas, betas, CFG_3DB)[0].tolist()
         with pytest.raises(ValueError) as want:
             for k, (a, b) in enumerate(zip(alphas.tolist(), betas.tolist())):
                 EventProbs(p0=prob_p0(a, CFG_3DB), p1=prob_p1(a, CFG_3DB),
@@ -299,17 +299,19 @@ class TestGridStep:
 
 
 # tracemalloc peak of optimize_split("mlh") at 3 dB, R = 1 with the slot-2
-# integrands written as numpy expressions and 256-owner blocks, measured in
-# a fresh interpreter (numpy 2.4): 3.93 MB.  The in-place integrands with
-# 1024-owner blocks peak at 4.1 MB.
+# integrands written as numpy expressions and the lockstep quadrature in
+# fixed blocks of 256 integrals, measured in a fresh interpreter (numpy
+# 2.4): 3.93 MB.  The in-place integrands in rolling rounds of 3,072 panels
+# and integrand calls of 1,024 panels peak at 4.5 MB.
 EXPRESSION_FORM_PEAK_MB = 3.93
 PEAK_SLACK_MB = 1.0
 
 
 def test_peak_memory_of_one_mlh_search():
-    """A larger BLOCK_OWNERS (or heavier integrands) must not quietly trade
-    memory for speed: 2,048-owner blocks peak at 6.3 MB, and the expression
-    forms at 1,024 at 11.4 MB."""
+    """A larger ROUND_PANELS or CALL_PANELS (or heavier integrands) must not
+    quietly trade memory for speed: calls of 2,048 panels peak at 5.0 MB,
+    and fixed blocks of 1,024 integrals with the expression forms peaked at
+    11.4 MB."""
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
     tracemalloc.start()
     try:

@@ -98,7 +98,8 @@ def threshold_cases(draw):
     sigma2 = draw(st.sampled_from([1.0, 0.3, 2.5]))
     cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
     t = vanishing_threshold(cfg)
-    edges = [0.0, 1.0, 5e-324, 1e-320, t, math.nextafter(t, 2.0), 1.0 - t, 0.5]
+    edges = [0.0, -0.0, 1.0, 5e-324, 1e-320, t, math.nextafter(t, 2.0), 1.0 - t,
+             0.5]
     share = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
     owners = draw(st.lists(st.tuples(share, share), min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -132,6 +133,9 @@ def _check(g, alpha, beta, cfg):
 @given(case=threshold_cases())
 @example(case=(SystemConfig.from_snr_db(3.0, 1.0, 2.0),
                [(0.0, 1.0), (1.0, 0.0), (5e-324, 1e-320), (1e-320, 5e-324)],
+               np.zeros((4, 22))))
+@example(case=(SystemConfig.from_snr_db(3.0, 1.0),
+               [(-0.0, -0.0), (0.5, -0.0), (-0.0, 0.5), (1.0, -0.0)],
                np.zeros((4, 22))))
 def test_in_place_forms_equal_the_expression_forms(case):
     cfg, owners, g = case
