@@ -33,10 +33,16 @@ class SystemConfig:
             raise ValueError("rate_R must be at least about 1.6e-16 "
                              f"(2**rate_R - 1 rounds to 0), got {self.rate_R}")
         try:
-            2.0 ** (2.0 * self.rate_R)
+            t2 = 2.0 ** (2.0 * self.rate_R) - 1.0
         except OverflowError:
             raise ValueError("rate_R must be below 512 (2**(2*rate_R) "
                              f"overflows), got {self.rate_R}") from None
+        # the sum-rate gain threshold bounds the slot-1 integrals (g_max)
+        if math.isinf(t2 / self.power_P):
+            raise ValueError(
+                f"rate_R {self.rate_R} and power_P {self.power_P} make the "
+                "sum-rate gain threshold (2**(2*rate_R) - 1) / power_P "
+                "overflow")
 
     @property
     def snr_db(self) -> float:

@@ -6,6 +6,16 @@ ladders as the scalar predicates in `model`.  Trials are partitioned into
 blocks, each driven by its own counter-based Philox stream keyed on
 (master_seed, block index), so a run is bit-identical no matter how many
 workers execute it.
+
+The block runner has one decode ladder, `_ladder`, over five
+mutual-information terms (m1 alone, m2 alone, the sum rate, m1 over m2,
+m2 over m1): slot 1 feeds it one slot's terms, the joint slot-2 attempt
+(mlh and sc) the sums of both slots' terms.  Each term is computed once,
+only on the trials that use it: mlh's slot-2 rungs run on the slot-1
+failures, its single-message retransmissions on the only-m1 / only-m2
+trials.  A zero-power layer's terms are exact without a log2, so ts takes
+one log2 per slot.  A block runs in chunks of at most CHUNK_TRIALS trials,
+which caps a worker's memory at any trial count without moving a draw.
 """
 
 import math
@@ -47,6 +57,11 @@ _SEED_MASK = (1 << 64) - 1
 _BOOTSTRAP_STREAM = _SEED_MASK  # block index reserved for the bootstrap RNG
 _BOOTSTRAP_RESAMPLES = 1000
 _REWARDS = np.array([_REWARD_MESSAGES[ev] for ev in SliceEvent], dtype=np.int64)
+# Trials per chunk of a block: a block's arrays scale with this, not with
+# the block.  A block of 4 chunks of 65,536 peaks at 10.2 MB under
+# tracemalloc (mlh with every trial failing slot 1, 156 bytes a trial; sc
+# 9.4 MB, ts 8.3 MB).
+CHUNK_TRIALS = 65_536
 
 
 class InvalidTrials(ValueError):
@@ -144,63 +159,101 @@ def simulate_slice_sc(draw: ChannelDraw, alpha: float,
 # Vectorized block runner
 # ---------------------------------------------------------------------------
 
-def _mi1(g, p):
-    return np.log2(1.0 + g * p)
+def _log2_1p(x):
+    """log2(1 + x), computed in the buffer of x."""
+    x += 1.0
+    return np.log2(x, out=x)
 
 
-def _misinr(g, p_sig, p_int):
-    return np.log2(1.0 + g * p_sig / (1.0 + g * p_int))
+def _terms(g, share, p):
+    """One slot's five mutual-information terms at m1's power share: m1
+    alone, m2 alone, the sum rate, m1 over m2 and m2 over m1.
+
+    With q1 = share*p and q2 = (1 - share)*p, the terms are log2(1 + g*q1),
+    log2(1 + g*q2), log2(1 + g*p), log2(1 + g*q1 / (1 + g*q2)) and
+    log2(1 + g*q2 / (1 + g*q1)), each computed once and sharing g*q1, g*q2,
+    1 + g*q1 and 1 + g*q2.  A zero-power layer takes no log2 (g is finite
+    and >= 0): its terms are log2(1 + g*0) = 0.0, and the other layer over
+    it divides by 1 + g*0 = 1.0, so it equals that layer alone bit for bit.
+    """
+    q1, q2 = share * p, (1.0 - share) * p
+    total = _log2_1p(g * p)
+    if q1 == 0.0 or q2 == 0.0:
+        m1, m2 = (np.zeros(g.shape) if q == 0.0 else total if q == p
+                  else _log2_1p(g * q) for q in (q1, q2))
+        return m1, m2, total, m1, m2
+    s1, s2 = g * q1, g * q2
+    d1, d2 = s1 + 1.0, s2 + 1.0
+    s1 /= d2
+    s2 /= d1
+    return (np.log2(d1, out=d1), np.log2(d2, out=d2), total,
+            _log2_1p(s1), _log2_1p(s2))
 
 
-def _slot1_masks(g1, alpha, cfg):
-    r, p = cfg.rate_R, cfg.power_P
-    both = ((r <= _mi1(g1, alpha * p))
-            & (r <= _mi1(g1, (1.0 - alpha) * p))
-            & (2.0 * r <= _mi1(g1, p)))
-    only1 = ~both & (r <= _misinr(g1, alpha * p, (1.0 - alpha) * p))
-    only2 = ~both & ~only1 & (r <= _misinr(g1, (1.0 - alpha) * p, alpha * p))
+def _ladder(r, terms):
+    """(both, only1, only2) of one decoding attempt on the five terms of
+    `_terms` (one slot's, or two slots' summed): joint decoding first, then
+    each message with the other treated as noise."""
+    m1, m2, total, m1_over, m2_over = terms
+    both = (r <= m1) & (r <= m2) & (2.0 * r <= total)
+    only1 = ~both & (r <= m1_over)
+    only2 = ~(both | only1) & (r <= m2_over)
     return both, only1, only2
 
 
-def _joint2_masks(g1, g2, alpha, beta, cfg):
-    r, p = cfg.rate_R, cfg.power_P
-    both = ((r <= _mi1(g1, alpha * p) + _mi1(g2, beta * p))
-            & (r <= _mi1(g1, (1.0 - alpha) * p) + _mi1(g2, (1.0 - beta) * p))
-            & (2.0 * r <= _mi1(g1, p) + _mi1(g2, p)))
-    only1 = ~both & (r <= _misinr(g1, alpha * p, (1.0 - alpha) * p)
-                     + _misinr(g2, beta * p, (1.0 - beta) * p))
-    only2 = ~both & ~only1 & (r <= _misinr(g1, (1.0 - alpha) * p, alpha * p)
-                              + _misinr(g2, (1.0 - beta) * p, beta * p))
-    return both, only1, only2
+def _joint_events(both, only1, only2):
+    """The slice event of each trial whose decoding waited for slot 2.
+
+    The masks are disjoint, so each trial's event is NONE_DECODED minus at
+    most one mask's offset (bytes summed, then widened once)."""
+    none = int(SliceEvent.NONE_DECODED)
+    offset = np.zeros(both.shape, dtype=np.uint8)
+    for mask, event in ((both, SliceEvent.OMEGA3), (only1, SliceEvent.OMEGA4),
+                        (only2, SliceEvent.OMEGA4P)):
+        offset += mask.view(np.uint8) * np.uint8(none - event)
+    return np.subtract(none, offset, dtype=np.int64)
+
+
+def _trials(mask):
+    """Indices of the trials in mask, the first one repeated to make the
+    count a multiple of 8; a repeated trial gets the same event again.
+
+    Subset arrays then grow in steps of 64 bytes.  At arbitrary lengths,
+    which change from block to block, they fragmented glibc's heap: 16 mlh
+    estimates of 500,000 trials grew it from 6.6 to 7.6 MB, and the
+    mc-oracle benchmark's peak RSS rose by 0.5-1.6 MB a pass.
+    """
+    idx = mask.nonzero()[0]
+    pad = -idx.size % 8
+    return np.concatenate((idx, np.full(pad, idx[0]))) if pad else idx
 
 
 def _mlh_events(g1, g2, alpha, beta, cfg):
     r, p = cfg.rate_R, cfg.power_P
-    both1, only1, only2 = _slot1_masks(g1, alpha, cfg)
-    neither = ~(both1 | only1 | only2)
-    m2_ok = r <= _mi1(g1, (1.0 - alpha) * p) + _mi1(g2, p)
-    m1_ok = r <= _mi1(g1, alpha * p) + _mi1(g2, p)
-    jboth, jonly1, jonly2 = _joint2_masks(g1, g2, alpha, beta, cfg)
-
-    ev = np.full(g1.shape, int(SliceEvent.NONE_DECODED), dtype=np.int64)
-    ev[both1] = int(SliceEvent.OMEGA0)
-    ev[only1 & m2_ok] = int(SliceEvent.OMEGA1)
-    ev[only1 & ~m2_ok] = int(SliceEvent.OMEGA2)
-    ev[only2 & m1_ok] = int(SliceEvent.OMEGA1P)
-    ev[only2 & ~m1_ok] = int(SliceEvent.OMEGA2P)
-    ev[neither & jboth] = int(SliceEvent.OMEGA3)
-    ev[neither & jonly1] = int(SliceEvent.OMEGA4)
-    ev[neither & jonly2] = int(SliceEvent.OMEGA4P)
+    t1 = _terms(g1, alpha, p)
+    both, only1, only2 = _ladder(r, t1)
+    ev = np.where(both, int(SliceEvent.OMEGA0), int(SliceEvent.NONE_DECODED))
+    # a message decoded at slot 1 is removed by SIC; the other keeps its
+    # clean slot-1 term and is sent alone at full power in slot 2
+    for got, kept, done, lost in (
+            (only1, t1[1], SliceEvent.OMEGA1, SliceEvent.OMEGA2),
+            (only2, t1[0], SliceEvent.OMEGA1P, SliceEvent.OMEGA2P)):
+        idx = _trials(got)
+        ok = r <= kept[idx] + _log2_1p(g2[idx] * p)
+        ev[idx] = np.where(ok, int(done), int(lost))
+    # slot-1 failures only: both slots' terms summed, one joint ladder
+    idx = _trials(~(both | only1 | only2))
+    joint = [a[idx] + b for a, b in zip(t1, _terms(g2[idx], beta, p))]
+    ev[idx] = _joint_events(*_ladder(r, joint))
     return ev
 
 
 def _sc_events(g1, g2, alpha, cfg):
-    jboth, jonly1, jonly2 = _joint2_masks(g1, g2, alpha, alpha, cfg)
-    ev = np.full(g1.shape, int(SliceEvent.NONE_DECODED), dtype=np.int64)
-    ev[jboth] = int(SliceEvent.OMEGA3)
-    ev[jonly1] = int(SliceEvent.OMEGA4)
-    ev[jonly2] = int(SliceEvent.OMEGA4P)
-    return ev
+    # both slots share alpha: each term once over both slots' gains
+    n = len(g1)
+    joint = [t[:n] + t[n:] for t in _terms(np.concatenate((g1, g2)), alpha,
+                                             cfg.power_P)]
+    return _joint_events(*_ladder(cfg.rate_R, joint))
 
 
 def _block_stream(master_seed: int, block_index: int) -> np.random.Generator:
@@ -210,17 +263,36 @@ def _block_stream(master_seed: int, block_index: int) -> np.random.Generator:
 
 
 def _run_block(args):
+    """Event counts, reward (messages) and duration (slots) of one block.
+
+    g1 is the first n draws of the block's stream and g2 the next n.  The
+    block runs in chunks of at most CHUNK_TRIALS trials; past one chunk, a
+    second copy of the stream, advanced by n draws, serves g2 (a Philox
+    counter step is 4 doubles), so the draws and the counts do not depend
+    on the chunk size.
+    """
     protocol, alpha, beta, cfg, n, master_seed, block_index = args
-    rng = _block_stream(master_seed, block_index)
-    g1 = -cfg.sigma2 * np.log1p(-rng.random(n))
-    g2 = -cfg.sigma2 * np.log1p(-rng.random(n))
-    if protocol == "sc":
-        ev = _sc_events(g1, g2, alpha, cfg)
-    else:
-        ev = _mlh_events(g1, g2, alpha, beta, cfg)
-    counts = np.bincount(ev, minlength=9)
-    reward = int(_REWARDS[ev].sum())
-    duration = int(np.where(ev == int(SliceEvent.OMEGA0), 1, 2).sum())
+    first = second = _block_stream(master_seed, block_index)
+    if n > CHUNK_TRIALS:
+        second = _block_stream(master_seed, block_index)
+        second.bit_generator.advance(n // 4)
+        second.random(n % 4)
+    counts = np.zeros(9, dtype=np.int64)
+    for start in range(0, n, CHUNK_TRIALS):
+        m = min(CHUNK_TRIALS, n - start)
+        g = np.empty((2, m))   # g1, g2 = -sigma2 * log1p(-u), in place
+        first.random(out=g[0])
+        second.random(out=g[1])
+        np.negative(g, out=g)
+        np.log1p(g, out=g)
+        g *= -cfg.sigma2
+        if protocol == "sc":
+            ev = _sc_events(g[0], g[1], alpha, cfg)
+        else:
+            ev = _mlh_events(g[0], g[1], alpha, beta, cfg)
+        counts += np.bincount(ev, minlength=9)
+    reward = int(counts @ _REWARDS)
+    duration = 2 * n - int(counts[SliceEvent.OMEGA0])
     return counts, reward, duration
 
 

@@ -159,7 +159,11 @@ def _coarse_scalar(pts, cfg, settings):
 def _search_mlh(cfg, grid_step, refine_tol, settings):
     """Coarse 2-D grid exploiting the mirror symmetries, then local shrink.
 
-    Refinement and the returned value use the canonical objective.
+    Refinement and the returned value use the canonical objective.  Each
+    window holds its centre (center + 0*step), so the incumbent is a point
+    of the last window, whose values have throughput_mlh's bits: that
+    value is returned without integrating it again.  With no window, the
+    objective is evaluated at the incumbent.
     """
     pts = _axis_points(grid_step)
     grid = np.array(pts)
@@ -170,6 +174,7 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
     def objective(a, b):
         return throughput_mlh(PowerSplit(alpha=a, beta=b), cfg, settings)
 
+    at_star = []   # the last window's value at the incumbent
     step = grid_step
     while 2.0 * step > refine_tol:
         step /= 10.0
@@ -183,11 +188,14 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
             values = [objective(a, b)
                       for a, b in zip(alphas.tolist(), betas.tolist())]
         search.offer(values, alphas, betas)
+        _, a_star, b_star = search.best
+        at_star = np.asarray(values, dtype=float)[
+            (alphas == a_star) & (betas == b_star)]
 
     _, a_star, b_star = search.best
+    value = float(at_star[0]) if len(at_star) else objective(a_star, b_star)
     return Optimum(alpha_star=a_star, beta_star=b_star, rate_star=None,
-                   throughput_star=objective(a_star, b_star),
-                   evaluations=search.evaluations)
+                   throughput_star=value, evaluations=search.evaluations)
 
 
 def _mlh_values(alphas, betas, cfg, settings):

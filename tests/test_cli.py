@@ -160,6 +160,17 @@ def test_rate_without_finite_thresholds_exits_1(capsys, tmp_path, argv):
     assert err.startswith("error: rate_R ") and err.count("\n") == 1
 
 
+def test_overflowing_sum_rate_threshold_exits_1(capsys):
+    """At -5 dB, P = 0.316 makes (2**(2R) - 1) / P overflow at the largest
+    rate; the config is refused at once with one error line."""
+    code, out, err = run(capsys, "optimize", "--protocol", "mlh", "--rate",
+                         "511.99999999999994", "--snr-db", "-5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rate_R ") and "power_P" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--protocol", "mlh", "--alpha", "0.5", "--beta", "1"],
     ["eval", "--protocol", "mlh", "--alpha", "0.5", "--beta", "0.9999999999999999"],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mlharq.closed_form import g_max
 from mlharq.model import (
     ChannelDraw,
     JointOutcome,
@@ -49,6 +50,16 @@ class TestTypes:
             SystemConfig(rate_R=math.nextafter(smallest, 0.0), power_P=1.0)
         with pytest.raises(ValueError, match="rate_R must be below 512"):
             SystemConfig(rate_R=math.nextafter(largest, 1e3), power_P=1.0)
+
+    def test_config_power_floor_at_the_largest_rate(self):
+        """(2**(2R) - 1) / P must be finite: at the largest rate the
+        smallest accepted power is 0.9999999999999213, and one ulp below it
+        is refused with an error that names rate_R and power_P."""
+        largest, floor = 511.99999999999994, 0.9999999999999213
+        cfg = SystemConfig(rate_R=largest, power_P=floor)
+        assert math.isfinite(g_max(0.5, cfg))
+        with pytest.raises(ValueError, match="rate_R .* power_P .* overflow"):
+            SystemConfig(rate_R=largest, power_P=math.nextafter(floor, 0.0))
 
     def test_snr_roundtrip(self):
         cfg = SystemConfig.from_snr_db(3.0, 1.0)

@@ -2,17 +2,29 @@
 and the determinism contract across worker counts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mlharq.closed_form import prob_p0, throughput_ts
-from mlharq.model import ChannelDraw, PowerSplit, SliceEvent, SystemConfig
+from mlharq import monte_carlo
+from mlharq.closed_form import prob_p0, throughput_ts, vanishing_threshold
+from mlharq.model import (
+    _REWARD_MESSAGES,
+    ChannelDraw,
+    PowerSplit,
+    SliceEvent,
+    SystemConfig,
+)
 from mlharq.monte_carlo import (
     InvalidTrials,
     _block_stream,
     _mlh_events,
+    _run_block,
     _sc_events,
+    _terms,
     estimate,
     sample_gain,
     simulate_slice_mlh,
@@ -173,3 +185,223 @@ class TestEstimate:
         rep = estimate("mlh", PowerSplit(0.5, 0.5), CFG, trials=7, master_seed=1)
         assert rep.trials == 7
         assert rep.event_probs.total() + rep.none_prob == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The block runner against a reference ladder, bit for bit
+#
+# The reference is the runner's earlier form: every mutual-information term
+# over every trial, the slot-2 joint ladder over the whole block, reward and
+# duration read off the event array.  The runner computes each term once,
+# only on the trials that use it, so its events must equal these.
+# ---------------------------------------------------------------------------
+
+def _mi1(g, p):
+    return np.log2(1.0 + g * p)
+
+
+def _misinr(g, p_sig, p_int):
+    return np.log2(1.0 + g * p_sig / (1.0 + g * p_int))
+
+
+def ref_terms(g, share, p):
+    """The five terms of one slot, in `_terms`' order."""
+    return (_mi1(g, share * p), _mi1(g, (1.0 - share) * p), _mi1(g, p),
+            _misinr(g, share * p, (1.0 - share) * p),
+            _misinr(g, (1.0 - share) * p, share * p))
+
+
+def ref_slot1_masks(g1, alpha, cfg):
+    r, p = cfg.rate_R, cfg.power_P
+    both = ((r <= _mi1(g1, alpha * p))
+            & (r <= _mi1(g1, (1.0 - alpha) * p))
+            & (2.0 * r <= _mi1(g1, p)))
+    only1 = ~both & (r <= _misinr(g1, alpha * p, (1.0 - alpha) * p))
+    only2 = ~both & ~only1 & (r <= _misinr(g1, (1.0 - alpha) * p, alpha * p))
+    return both, only1, only2
+
+
+def ref_joint2_masks(g1, g2, alpha, beta, cfg):
+    r, p = cfg.rate_R, cfg.power_P
+    both = ((r <= _mi1(g1, alpha * p) + _mi1(g2, beta * p))
+            & (r <= _mi1(g1, (1.0 - alpha) * p) + _mi1(g2, (1.0 - beta) * p))
+            & (2.0 * r <= _mi1(g1, p) + _mi1(g2, p)))
+    only1 = ~both & (r <= _misinr(g1, alpha * p, (1.0 - alpha) * p)
+                     + _misinr(g2, beta * p, (1.0 - beta) * p))
+    only2 = ~both & ~only1 & (r <= _misinr(g1, (1.0 - alpha) * p, alpha * p)
+                              + _misinr(g2, (1.0 - beta) * p, beta * p))
+    return both, only1, only2
+
+
+def ref_mlh_events(g1, g2, alpha, beta, cfg):
+    r, p = cfg.rate_R, cfg.power_P
+    both1, only1, only2 = ref_slot1_masks(g1, alpha, cfg)
+    neither = ~(both1 | only1 | only2)
+    m2_ok = r <= _mi1(g1, (1.0 - alpha) * p) + _mi1(g2, p)
+    m1_ok = r <= _mi1(g1, alpha * p) + _mi1(g2, p)
+    jboth, jonly1, jonly2 = ref_joint2_masks(g1, g2, alpha, beta, cfg)
+
+    ev = np.full(g1.shape, int(SliceEvent.NONE_DECODED), dtype=np.int64)
+    ev[both1] = int(SliceEvent.OMEGA0)
+    ev[only1 & m2_ok] = int(SliceEvent.OMEGA1)
+    ev[only1 & ~m2_ok] = int(SliceEvent.OMEGA2)
+    ev[only2 & m1_ok] = int(SliceEvent.OMEGA1P)
+    ev[only2 & ~m1_ok] = int(SliceEvent.OMEGA2P)
+    ev[neither & jboth] = int(SliceEvent.OMEGA3)
+    ev[neither & jonly1] = int(SliceEvent.OMEGA4)
+    ev[neither & jonly2] = int(SliceEvent.OMEGA4P)
+    return ev
+
+
+def ref_sc_events(g1, g2, alpha, cfg):
+    jboth, jonly1, jonly2 = ref_joint2_masks(g1, g2, alpha, alpha, cfg)
+    ev = np.full(g1.shape, int(SliceEvent.NONE_DECODED), dtype=np.int64)
+    ev[jboth] = int(SliceEvent.OMEGA3)
+    ev[jonly1] = int(SliceEvent.OMEGA4)
+    ev[jonly2] = int(SliceEvent.OMEGA4P)
+    return ev
+
+
+REF_REWARDS = np.array([_REWARD_MESSAGES[ev] for ev in SliceEvent])
+
+
+def ref_run_block(args):
+    """One block in one piece: g1 is the stream's first n draws, g2 the next n."""
+    protocol, alpha, beta, cfg, n, master_seed, block_index = args
+    rng = _block_stream(master_seed, block_index)
+    g1 = -cfg.sigma2 * np.log1p(-rng.random(n))
+    g2 = -cfg.sigma2 * np.log1p(-rng.random(n))
+    if protocol == "sc":
+        ev = ref_sc_events(g1, g2, alpha, cfg)
+    else:
+        ev = ref_mlh_events(g1, g2, alpha, beta, cfg)
+    counts = np.bincount(ev, minlength=9)
+    reward = int(REF_REWARDS[ev].sum())
+    duration = int(np.where(ev == int(SliceEvent.OMEGA0), 1, 2).sum())
+    return counts, reward, duration
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _rung_value(g1, g2, alpha, beta, p, rung):
+    """Rung `rung` of the slot-1 ladder (0-4) or the joint one (5-9) at one
+    trial, as a rate R that puts the trial exactly on it."""
+    t1 = ref_terms(np.array([g1]), alpha, p)
+    t2 = ref_terms(np.array([g2]), beta, p)
+    k = rung % 5
+    value = float(t1[k][0] if rung < 5 else t1[k][0] + t2[k][0])
+    return value / 2.0 if k == 2 else value   # the sum rate is tested at 2R
+
+
+@st.composite
+def ladder_cases(draw):
+    """A config, a split and gains, with edge shares and edge gains."""
+    rate = draw(st.floats(0.05, 12.0))
+    snr_db = draw(st.floats(-5.0, 40.0))
+    sigma2 = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
+    t = vanishing_threshold(cfg)
+    share = st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5, t, math.nextafter(t, 2.0)]),
+        st.floats(0.0, 1.0))
+    alpha, beta = draw(st.one_of(st.just((1.0, 1.0)), st.tuples(share, share)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 400))
+    g1 = rng.exponential(sigma2, n)
+    g2 = rng.exponential(sigma2, n)
+    g1[rng.random(n) < 0.05] = 0.0
+    g2[rng.random(n) < 0.05] = 0.0
+    # optionally move R onto one rung of one trial: that comparison is ==
+    rung = draw(st.one_of(st.none(), st.integers(0, 9)))
+    if rung is not None:
+        i = draw(st.integers(0, n - 1))
+        r = _rung_value(g1[i], g2[i], alpha, beta, cfg.power_P, rung)
+        if r >= 1e-12:
+            cfg = SystemConfig(rate_R=r, power_P=cfg.power_P, sigma2=sigma2)
+    return cfg, alpha, beta, g1, g2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=ladder_cases())
+@example(case=(SystemConfig(rate_R=1.0, power_P=2.0), 1.0, 1.0,
+               np.array([0.0, 0.5, 3.0]), np.array([2.0, 0.0, 0.1])))
+def test_events_equal_the_reference_ladder(case):
+    cfg, alpha, beta, g1, g2 = case
+    p = cfg.power_P
+    for g in (g1, g2):
+        for share in (alpha, beta):
+            got, want = _terms(g, share, p), ref_terms(g, share, p)
+            assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    assert np.array_equal(_mlh_events(g1, g2, alpha, beta, cfg),
+                          ref_mlh_events(g1, g2, alpha, beta, cfg))
+    assert np.array_equal(_sc_events(g1, g2, alpha, cfg),
+                          ref_sc_events(g1, g2, alpha, cfg))
+
+
+@pytest.mark.parametrize("rate,snr_db,sigma2", [
+    (1.0, 3.0, 1.0), (0.3, -5.0, 2.5), (2.4, 12.0, 0.3), (0.05, 40.0, 1.0),
+    (6.0, 25.0, 1.0),
+])
+def test_reports_equal_the_reference_runner(monkeypatch, rate, snr_db, sigma2):
+    cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
+    t = vanishing_threshold(cfg)
+    cases = [("ts", None), ("sc", PowerSplit(0.5, 0.5)),
+             ("sc", PowerSplit(t, t)), ("sc", PowerSplit(0.0, 0.0)),
+             ("mlh", PowerSplit(0.5, 0.5)), ("mlh", PowerSplit(1.0, 1.0)),
+             ("mlh", PowerSplit(0.0, 1.0)),
+             ("mlh", PowerSplit(math.nextafter(t, 2.0), 0.3)),
+             ("mlh", PowerSplit(0.8, 0.0))]
+    for protocol, split in cases:
+        for trials in (1, 7, 20_000):
+            got = estimate(protocol, split, cfg, trials, master_seed=trials + 3)
+            with monkeypatch.context() as m:
+                m.setattr(monte_carlo, "_run_block", ref_run_block)
+                want = estimate(protocol, split, cfg, trials,
+                                master_seed=trials + 3)
+            assert repr(got) == repr(want), (protocol, split, trials)
+
+
+CHUNK_CFG = SystemConfig.from_snr_db(4.0, 1.1)
+CHUNK_CASES = [("ts", 1.0, 1.0), ("mlh", 0.6, 0.3), ("sc", 0.7, 0.7)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_chunked_blocks_equal_one_chunk(monkeypatch, chunk):
+    """Past one chunk, g2 comes from a copy of the stream advanced by n
+    draws; every block size and chunk size gives the one-chunk counts."""
+    for protocol, alpha, beta in CHUNK_CASES:
+        split = PowerSplit(alpha, beta)
+        for size in (1, 5, 6, 7, 8, 13):
+            want = estimate(protocol, split, CHUNK_CFG, 100 * size,
+                            master_seed=size)
+            with monkeypatch.context() as m:
+                m.setattr(monte_carlo, "CHUNK_TRIALS", chunk)
+                got = estimate(protocol, split, CHUNK_CFG, 100 * size,
+                               master_seed=size)
+            assert repr(got) == repr(want), (protocol, size)
+        args = (protocol, alpha, beta, CHUNK_CFG, 5000, 17, 4)
+        with monkeypatch.context() as m:
+            m.setattr(monte_carlo, "CHUNK_TRIALS", chunk)
+            got = _run_block(args)
+        assert repr(got) == repr(ref_run_block(args)), protocol
+
+
+@pytest.mark.parametrize("protocol,alpha,beta", CHUNK_CASES)
+def test_block_memory_scales_with_the_chunk(monkeypatch, protocol, alpha,
+                                            beta):
+    """A block of 4 chunks peaks at one chunk's arrays (about 150 bytes per
+    chunk trial); the bound is 200.  The same block in one piece peaks at
+    1.1-2.3 MB, above the bound's 0.8 MB."""
+    chunk = 4096
+    monkeypatch.setattr(monte_carlo, "CHUNK_TRIALS", chunk)
+    args = (protocol, alpha, beta, CHUNK_CFG, 4 * chunk, 5, 0)
+    _run_block(args)   # warm up the imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        _run_block(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * chunk

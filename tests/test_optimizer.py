@@ -115,6 +115,23 @@ class TestOptimizeSplit:
         assert float.hex(opt.throughput_star) == \
             float.hex(throughput_sc(opt.alpha_star, cfg))
 
+    @pytest.mark.parametrize("snr_db, rate, grid_step, refine_tol", [
+        (3.0, 1.0, 0.01, 1e-4), (3.0, 0.3, 0.01, 1e-4), (-4.0, 0.8, 0.01, 1e-4),
+        (25.0, 2.3, 0.01, 1e-4), (10.0, 4.3, 0.01, 1e-4),
+        (3.0, 1.0, 0.1, 0.2),   # 2 * grid_step <= refine_tol: no window
+    ])
+    def test_mlh_value_is_throughput_mlh_at_the_split(self, snr_db, rate,
+                                                      grid_step, refine_tol):
+        """The mlh search returns the last window's value at its incumbent
+        (or the objective there, with no window); it must be
+        throughput_mlh's bits at the split."""
+        cfg = SystemConfig.from_snr_db(snr_db, rate)
+        opt = optimize_split("mlh", cfg, grid_step=grid_step,
+                             refine_tol=refine_tol)
+        split = PowerSplit(opt.alpha_star, opt.beta_star)
+        assert float.hex(opt.throughput_star) == \
+            float.hex(throughput_mlh(split, cfg))
+
     def test_beats_brute_force_grid(self):
         opt = optimize_split("mlh", CFG_3DB, grid_step=0.05, refine_tol=1e-3)
         brute = max(throughput_mlh(PowerSplit(i / 20, j / 20), CFG_3DB)
