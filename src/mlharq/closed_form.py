@@ -39,7 +39,7 @@ tail truncation point.
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import SimpleNamespace
 from typing import Optional
@@ -126,7 +126,7 @@ class _Probs:
         return SimpleNamespace(**columns)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,14 @@ def _over_power(n, w):
 # order, so each value keeps its bits: 1 + g*(1-alpha)*P is ((g*(1-alpha))*P)
 # + 1, and max(0, x) is np.maximum(0.0, x).  g itself is never written.
 
+def _shape(g, alpha, beta):
+    """The broadcast shape of the samples g and the shares; g's own shape
+    at float shares, without building a broadcast object."""
+    if isinstance(alpha, float) and isinstance(beta, float):
+        return g.shape
+    return np.broadcast(g, alpha, beta).shape
+
+
 def _residual(k, g, share, p, out):
     """k / (1 + g*share*P) - 1 into out."""
     np.multiply(g, share, out=out)
@@ -246,7 +254,7 @@ def h3(g, alpha, beta, cfg):
     p = cfg.power_P
     k1 = 2.0 ** r
     k2 = 2.0 ** (2.0 * r)
-    shape = np.broadcast(g, alpha, beta).shape
+    shape = _shape(g, alpha, beta)
 
     # max(0, max(t1, max(t2, t3))) over the layer terms t1 (m2, share
     # 1-beta) and t2 (m1, share beta) and the sum-rate term t3 (full power).
@@ -280,7 +288,7 @@ def h4(g, alpha, beta, cfg):
     r = cfg.rate_R
     p = cfg.power_P
     k1 = 2.0 ** r
-    shape = np.broadcast(g, alpha, beta).shape
+    shape = _shape(g, alpha, beta)
 
     u = np.multiply(g, 1.0 - alpha, out=np.empty(shape))
     u *= p
@@ -292,9 +300,13 @@ def h4(g, alpha, beta, cfg):
     n -= v
     n /= v
     # n overflows to +inf at huge rates; at beta = 1 this is 0 * inf, a NaN
-    # that the cap test below sends to +inf, as it does a finite n's cap
-    with np.errstate(invalid="ignore"):
+    # that the cap test below sends to +inf, as it does a finite n's cap.  A
+    # float beta with a finite nonzero 1 - beta cannot make an invalid product.
+    if isinstance(beta, float) and 0.0 < abs(1.0 - beta) < math.inf:
         d = np.multiply(1.0 - beta, n, out=v)
+    else:
+        with np.errstate(invalid="ignore"):
+            d = np.multiply(1.0 - beta, n, out=v)
     np.subtract(beta, d, out=d)                # the interference cap
     capped = ~(d > 0.0)
     clear = n <= 0.0

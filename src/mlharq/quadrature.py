@@ -8,6 +8,18 @@ Gauss-Legendre pair.  Integrands are evaluated on numpy arrays of sample
 points, one batched call per refinement round: a (P, 22) array, one row of
 rule nodes per panel.
 
+integrate_finite keeps its panels in Python lists.  Single integrals are
+small: in a scatter-eval pass an integral evaluates a median of 6 panels
+(at most 34) in 2.7 rounds, and its largest round has at most 10 panels.
+The array form spent about 35 numpy calls a round on arrays of 1-10
+elements, about as long as the integrand took.  Now numpy runs, once a
+round, the rule nodes, the integrand, the two rule matvecs and one
+reduction for both totals; the shares, the split test, the midpoints and
+the panel lists are Python floats, the IEEE operations that the array form
+did elementwise, so every value keeps its bits.  The price is O(P) Python
+work a round: an all-NaN integrand, which spends the 2,000-panel budget
+one split a round, takes 0.5-0.6 s where the array form took 0.08 s.
+
 integrate_finite_many runs a whole family of such integrals in lockstep:
 their kinks come as one NaN-padded (n, m) array, one row per integral,
 and their panels are flattened with an owner index.  It runs rolling
@@ -29,6 +41,7 @@ R = 0.8, and sc's optimum there by one ulp.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -132,13 +145,21 @@ def _nodes(lo, hi):
     return x, half
 
 
-def _rule_batch(f, lo, hi):
-    """Apply the rule pair to a batch of panels [lo_i, hi_i]."""
-    x, half = _nodes(lo, hi)
+def _rule(f, lo, hi):
+    """Apply the rule pair to the panels [lo_i, hi_i], given as lists of
+    floats; their values and error estimates, as lists.
+
+    The nodes are half * node + mid, the roundings of _nodes; each rule is
+    one matvec over the panels' rows; the rest is Python arithmetic on the
+    floats, the IEEE operations that the array form does elementwise."""
+    half = [0.5 * (h - l) for l, h in zip(lo, hi)]
+    x = np.multiply.outer(half, _NODES)
+    x += np.array([0.5 * (l + h) for l, h in zip(lo, hi)])[:, None]
     y = np.asarray(f(x), dtype=float)
-    coarse = (y[:, :7] @ _W7) * half
-    fine = (y[:, 7:] @ _W15) * half
-    return fine, np.abs(fine - coarse)
+    coarse = (y[:, :7] @ _W7).tolist()
+    fine = (y[:, 7:] @ _W15).tolist()
+    vals = [v * w for v, w in zip(fine, half)]
+    return vals, [abs(v - c * w) for v, c, w in zip(vals, coarse, half)]
 
 
 def integrate_finite(f, a, b, breakpoints,
@@ -161,40 +182,39 @@ def integrate_finite(f, a, b, breakpoints,
         return 0.0
 
     interior = sorted({float(p) for p in breakpoints if a < p < b})
-    edges = np.array([a, *interior, b], dtype=float)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    width = b - a
+    lo = [float(a), *interior]
+    hi = [*interior, float(b)]
+    width = float(b - a)
 
-    vals, errs = _rule_batch(f, lo, hi)
+    # the panels, in order: kept ones, then left halves, then right halves
+    vals, errs = _rule(f, lo, hi)
     while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
+        # each row's sum is the pairwise sum of the 1-D array
+        total, err_total = np.add.reduce(np.array([vals, errs]), axis=1).tolist()
         tol = max(settings.abs_tol, settings.rel_tol * abs(total))
         if err_total <= tol:
             return total
 
         # Split every panel holding more than its width-proportional share
-        # of the budget; always at least the worst one.
-        share = tol * (hi - lo) / width
-        split = errs > share
-        if not split.any():
+        # of the budget; always at least the worst one (the first NaN, else
+        # the first largest).
+        split = [e > tol * (h - l) / width for l, h, e in zip(lo, hi, errs)]
+        if not any(split):
             split[int(np.argmax(errs))] = True
-        n_new = len(lo) + int(split.sum())
-        if n_new > MAX_SUBDIVISIONS:
+        if len(lo) + sum(split) > MAX_SUBDIVISIONS:
             raise NonConvergence(total, err_total, len(lo))
 
-        s_lo, s_hi = lo[split], hi[split]
-        s_mid = 0.5 * (s_lo + s_hi)
-        child_lo = np.concatenate([s_lo, s_mid])
-        child_hi = np.concatenate([s_mid, s_hi])
-        child_vals, child_errs = _rule_batch(f, child_lo, child_hi)
-
-        keep = ~split
-        lo = np.concatenate([lo[keep], child_lo])
-        hi = np.concatenate([hi[keep], child_hi])
-        vals = np.concatenate([vals[keep], child_vals])
-        errs = np.concatenate([errs[keep], child_errs])
+        keep = [not s for s in split]
+        s_lo = list(compress(lo, split))
+        s_hi = list(compress(hi, split))
+        s_mid = [0.5 * (l + h) for l, h in zip(s_lo, s_hi)]
+        child_lo = s_lo + s_mid
+        child_hi = s_mid + s_hi
+        child_vals, child_errs = _rule(f, child_lo, child_hi)
+        lo = [*compress(lo, keep), *child_lo]
+        hi = [*compress(hi, keep), *child_hi]
+        vals = [*compress(vals, keep), *child_vals]
+        errs = [*compress(errs, keep), *child_errs]
 
 
 def _rows_by_length(start, count):
@@ -213,11 +233,11 @@ def _segments(owner):
 
 
 def _rule_many(f, lo, hi, owner):
-    """_rule_batch for owner-sorted panels, in integrand calls of at most
-    CALL_PANELS panels cut between owners (one owner with more panels gets
-    a call of its own).
+    """_rule for owner-sorted panels in arrays, in integrand calls of at
+    most CALL_PANELS panels cut between owners (one owner with more panels
+    gets a call of its own).
 
-    Each owner's panels go through the same matvec call as in _rule_batch,
+    Each owner's panels go through the same matvec call as in _rule,
     stacked with the other owners of equal panel count in its call."""
     start, count = _segments(owner)
     bounds = np.append(start, len(owner))

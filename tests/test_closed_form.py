@@ -94,16 +94,21 @@ class TestThresholds:
         assert h4(100.0, 0.9, 0.5, CFG)[0] == 0.0
         assert h4(0.0, 0.5, 1.0, CFG)[1] == math.inf
 
-    @pytest.mark.parametrize("beta", [1.0, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("beta", [1.0, math.nextafter(1.0, 0.0), 0.5, 0.0])
     def test_h4_of_an_overflowing_residual_is_inf(self, beta):
         """Near the largest accepted rate, 2^R (1 + g(1-alpha)P) overflows,
         and so does the residual n: the needed slot-2 gain is +inf, with
         no cap at beta = 1 (0 * inf there must not warn) and with the cap
-        binding below it."""
+        binding below it.  A float beta skips the errstate of the cap
+        unless 1 - beta is 0, and gives the bits of a (P, 1) column of it."""
         cfg = SystemConfig.from_snr_db(3.0, 511.99999999999994)
+        g = np.array([[0.0, 1.0, 1e150, 1e200, 1e300]] * 2)
         with np.errstate(over="ignore"):   # the intended overflow, as in the CLI
-            h4v, _ = h4(np.array([1e200, 1e300]), 0.5, beta, cfg)
-        assert h4v.tolist() == [math.inf, math.inf]
+            scalar = h4(g, 0.5, beta, cfg)
+            column = h4(g, 0.5, np.full((len(g), 1), beta), cfg)
+        assert scalar[0][:, 3:].tolist() == [[math.inf, math.inf]] * 2
+        for got, want in zip(scalar, column):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestVanishing:

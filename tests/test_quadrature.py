@@ -1,16 +1,25 @@
 """Tests for the adaptive integrator, including a brute-force midpoint oracle."""
 
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mlharq import quadrature
 from mlharq.quadrature import (
     _NODES,
+    _W7,
+    _W15,
+    DEFAULT_SETTINGS,
     TAIL_SPAN,
     NonConvergence,
     QuadratureSettings,
     _nodes,
+    _rows_by_length,
     integrate_finite,
 )
 
@@ -148,3 +157,169 @@ def test_nodes_equal_the_broadcast_expression():
         assert x.shape == (len(lo), 22) and x.flags.c_contiguous
         assert x.tobytes() == want.tobytes()
         assert got_half.tobytes() == half.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The list loop against the array loop, bit for bit
+#
+# The reference is integrate_finite's earlier form, whose panels lived in
+# numpy arrays: the same rules, split order and sums, so every value and
+# every NonConvergence must equal its.  It reads MAX_SUBDIVISIONS from the
+# module, as integrate_finite does, so both run on a patched budget.
+# ---------------------------------------------------------------------------
+
+def ref_rule_batch(f, lo, hi):
+    x, half = _nodes(lo, hi)
+    y = np.asarray(f(x), dtype=float)
+    coarse = (y[:, :7] @ _W7) * half
+    fine = (y[:, 7:] @ _W15) * half
+    return fine, np.abs(fine - coarse)
+
+
+def ref_integrate_finite(f, a, b, breakpoints, settings=DEFAULT_SETTINGS):
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
+    if a == b:
+        return 0.0
+    interior = sorted({float(p) for p in breakpoints if a < p < b})
+    edges = np.array([a, *interior, b], dtype=float)
+    lo = edges[:-1].copy()
+    hi = edges[1:].copy()
+    width = b - a
+    vals, errs = ref_rule_batch(f, lo, hi)
+    while True:
+        total = float(vals.sum())
+        err_total = float(errs.sum())
+        tol = max(settings.abs_tol, settings.rel_tol * abs(total))
+        if err_total <= tol:
+            return total
+        share = tol * (hi - lo) / width
+        split = errs > share
+        if not split.any():
+            split[int(np.argmax(errs))] = True
+        n_new = len(lo) + int(split.sum())
+        if n_new > quadrature.MAX_SUBDIVISIONS:
+            raise NonConvergence(total, err_total, len(lo))
+        s_lo, s_hi = lo[split], hi[split]
+        s_mid = 0.5 * (s_lo + s_hi)
+        child_lo = np.concatenate([s_lo, s_mid])
+        child_hi = np.concatenate([s_mid, s_hi])
+        child_vals, child_errs = ref_rule_batch(f, child_lo, child_hi)
+        keep = ~split
+        lo = np.concatenate([lo[keep], child_lo])
+        hi = np.concatenate([hi[keep], child_hi])
+        vals = np.concatenate([vals[keep], child_vals])
+        errs = np.concatenate([errs[keep], child_errs])
+
+
+def _bits(value):
+    """The exact image of a float, NaN payload and sign of zero included."""
+    return struct.pack("<d", value).hex()
+
+
+# the settings of tests/test_lockstep.py, and tolerances no budget meets
+LOOP_SETTINGS = [QuadratureSettings(),
+                 QuadratureSettings(abs_tol=1e-13, rel_tol=1e-12),
+                 QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4),
+                 QuadratureSettings(abs_tol=1e-9, rel_tol=1e-3),
+                 QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14)]
+ODD_KINKS = [math.nan, math.inf, -math.inf, -1e300, 1e300]
+
+
+@st.composite
+def loop_cases(draw):
+    """An interval (sometimes empty), kinks (repeated, non-finite or out of
+    range among them), an integrand with a peak, a jump and a kinked ramp
+    that may be NaN, +inf or -inf past a cut, settings and a panel budget.
+    An integrand that is not finite somewhere never converges: it spends
+    its budget one split a round, so it gets a small one.  Its "coarse"
+    kind is NaN past the cut at the 7-point nodes only, so that a panel has
+    a finite value and a NaN error, and which panel the forced split takes
+    moves the estimate."""
+    a = draw(st.floats(-2.0, 2.0))
+    b = a if draw(st.integers(0, 5)) == 0 else a + draw(st.floats(1e-3, 5.0))
+    kink = draw(st.floats(a - 1.0, b + 1.0))
+    kinks = draw(st.lists(st.one_of(st.floats(-4.0, 8.0), st.sampled_from(ODD_KINKS),
+                                    st.just(kink), st.just(a), st.just(b)),
+                          max_size=8))
+    kinks = kinks + draw(st.lists(st.sampled_from(kinks), max_size=3)) if kinks else kinks
+    shape = (draw(st.floats(0.1, 30.0)), draw(st.floats(-1.0, 1.0)),
+             draw(st.floats(-2.0, 2.0)))
+    bad = draw(st.sampled_from([None, None, None, math.nan, math.inf, -math.inf,
+                                "coarse"]))
+    cut = draw(st.floats(a - 0.5, b + 0.5))
+    quad = draw(st.sampled_from(LOOP_SETTINGS))
+    budget = draw(st.sampled_from([40, 1, 2, 7] if bad is not None
+                                  else [quadrature.MAX_SUBDIVISIONS, 1, 2, 7, 40]))
+    return a, b, kinks, (kink, shape, bad, cut), quad, budget
+
+
+def _integrand(kink, shape, bad, cut):
+    scale, jump, ramp = shape
+
+    def f(x):
+        d = x - kink
+        y = (np.exp(-scale * np.abs(d)) + jump * (d > 0.0)
+             + ramp * np.maximum(0.0, d) ** 2 + np.sin(scale * x))
+        if bad == "coarse":
+            y[:, :7] = np.where(x[:, :7] > cut, math.nan, y[:, :7])
+            return y
+        return y if bad is None else np.where(x > cut, bad, y)
+
+    return f
+
+
+def _outcome(integrate, f, a, b, kinks, quad, budget):
+    """A value's bits, or a NonConvergence's estimate, error and panels."""
+    with mock.patch.object(quadrature, "MAX_SUBDIVISIONS", budget), \
+            np.errstate(all="ignore"):
+        try:
+            value = integrate(f, a, b, kinks, quad)
+        except NonConvergence as exc:
+            return "fails", _bits(exc.estimate), _bits(exc.error), exc.panels
+    assert type(value) is float
+    return "value", _bits(value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=loop_cases())
+@example(case=(0.0, 1.0, [0.5, 0.5, math.nan, 7.0], (0.37, (5.0, 0.0, 0.0), math.nan,
+                                                     0.6), LOOP_SETTINGS[0], 40))
+@example(case=(-1e308, 1e308, [0.0], (0.0, (1.0, 0.0, 0.0), None, 0.0),
+               LOOP_SETTINGS[0], 40))
+@example(case=(0.0, 5e-324, [], (0.0, (1.0, 1.0, 1.0), None, 0.0),
+               LOOP_SETTINGS[4], quadrature.MAX_SUBDIVISIONS))
+@example(case=(0.0, 1.0, [], (0.37, (30.0, 1.0, 2.0), None, 0.0), LOOP_SETTINGS[4],
+               quadrature.MAX_SUBDIVISIONS))
+def test_list_loop_equals_the_array_loop(case):
+    a, b, kinks, family, quad, budget = case
+    f = _integrand(*family)
+    assert (_outcome(integrate_finite, f, a, b, kinks, quad, budget)
+            == _outcome(ref_integrate_finite, f, a, b, kinks, quad, budget))
+
+
+def test_both_totals_in_one_reduction_are_the_one_dimensional_sums():
+    """integrate_finite sums a round's values and errors as the two rows of
+    one 2-D reduction, integrate_finite_many each owner's as a row of its
+    (G, k) gather (_split_round), and the array loop summed 1-D arrays:
+    all three are the same pairwise sum, bit for bit, for every panel count
+    from 1 to 64 and values from signed zeros and non-finite ones to
+    magnitudes of 1e-300 to 1e300."""
+    rng = np.random.default_rng(15)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+    with np.errstate(all="ignore"):
+        for p in range(1, 65):
+            for _ in range(20):
+                rows = rng.choice([-1.0, 1.0], size=(3, p)) * rng.random((3, p)) \
+                    * 10.0 ** rng.integers(-300, 301, size=(3, p))
+                odd = rng.random((3, p)) < rng.choice([0.0, 0.05, 0.3])
+                rows[odd] = rng.choice(special, size=int(odd.sum()))
+                v, e, w = rows
+                both = np.add.reduce(np.array([v.tolist(), e.tolist()]), axis=1)
+                flat = np.concatenate([v, e, w])
+                start, count = np.array([0, p, 2 * p]), np.full(3, p)
+                (_, idx), = _rows_by_length(start, count)
+                gathered = flat[idx].sum(axis=1)
+                for k, row in enumerate((v, e)):
+                    assert _bits(both[k]) == _bits(row.sum()) == _bits(gathered[k])
+                assert _bits(gathered[2]) == _bits(w.sum())
