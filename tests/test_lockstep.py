@@ -16,17 +16,16 @@ from hypothesis import strategies as st
 
 from mlharq import quadrature
 from mlharq.closed_form import (
+    ScProbs,
     _h3_breakpoints,
     _h3_breakpoints_grid,
     _h4_breakpoints,
     _h4_breakpoints_grid,
+    _sc_columns,
     prob_p3,
-    prob_p3_grid,
     prob_p3_p4_grid,
     prob_p4,
-    prob_p4_grid,
     prob_sc,
-    prob_sc_grid,
     vanishing_threshold,
 )
 from mlharq.model import SystemConfig
@@ -98,6 +97,14 @@ def _padded(rows):
     m = max(map(len, rows), default=0)
     return np.array([[*row, *[math.nan] * (m - len(row))] for row in rows],
                     dtype=float).reshape(len(rows), m)
+
+
+def _sc_reprs(alphas, cfg, settings=None):
+    """The reprs of the lockstep sc records, one per split, to hold
+    against the reprs of prob_sc."""
+    cols = _sc_columns(alphas, cfg, settings)
+    return [repr(ScProbs(tp3=t3, tp4=t4, tp4p=t4p)) for t3, t4, t4p in
+            zip(cols.tp3.tolist(), cols.tp4.tolist(), cols.tp4p.tolist())]
 
 
 # (ROUND_PANELS, CALL_PANELS) budgets: the defaults, and tiny ones that
@@ -213,8 +220,8 @@ def test_slot2_kernels_broadcast_owner_columns(monkeypatch):
 
         monkeypatch.setattr(closed_form, name, spy)
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
-    prob_p3_grid([0.3, 0.5], [0.6, 0.5], cfg)
-    prob_p4_grid([0.8, 0.9], [0.6, 0.5], cfg)
+    prob_p3_p4_grid([0.3, 0.5], [0.6, 0.5], [], [], cfg)
+    prob_p3_p4_grid([], [], [0.8, 0.9], [0.6, 0.5], cfg)
     assert shapes
     for g, alpha, beta in shapes:
         assert len(g) == 2 and g[1] == 22 and alpha == beta == (g[0], 1)
@@ -361,12 +368,11 @@ def test_grid_forms_equal_scalar_closed_forms(case):
     with np.errstate(over="ignore", divide="ignore"):
         p3 = _bits([prob_p3(a, b, cfg) for a, b in points])
         p4 = _bits([prob_p4(a, b, cfg) for a, b in points])
-        assert _bits(prob_p3_grid(alphas, betas, cfg).tolist()) == p3
-        assert _bits(prob_p4_grid(alphas, betas, cfg).tolist()) == p4
+        assert _bits(prob_p3_p4_grid(alphas, betas, [], [], cfg)[0].tolist()) == p3
+        assert _bits(prob_p3_p4_grid([], [], alphas, betas, cfg)[1].tolist()) == p4
         both = prob_p3_p4_grid(alphas, betas, alphas[::-1], betas[::-1], cfg)
         assert [_bits(v.tolist()) for v in both] == [p3, p4[::-1]]
-        assert [repr(p) for p in prob_sc_grid(alphas, cfg)] == \
-            [repr(prob_sc(a, cfg)) for a in alphas]
+        assert _sc_reprs(alphas, cfg) == [repr(prob_sc(a, cfg)) for a in alphas]
 
 
 def _first_scalar_failure(call, args):
@@ -389,8 +395,10 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     alphas = [a for a, _ in points]
     betas = [b for _, b in points]
     cases = [
-        (lambda a, b: prob_p3(a, b, cfg, quad), prob_p3_grid, "p3"),
-        (lambda a, b: prob_p4(a, b, cfg, quad), prob_p4_grid, "p4"),
+        (lambda a, b: prob_p3(a, b, cfg, quad),
+         lambda a, b, c, q: prob_p3_p4_grid(a, b, [], [], c, q)[0], "p3"),
+        (lambda a, b: prob_p4(a, b, cfg, quad),
+         lambda a, b, c, q: prob_p3_p4_grid([], [], a, b, c, q)[1], "p4"),
     ]
     for scalar, grid, kernel in cases:
         want = _first_scalar_failure(scalar, points)
@@ -412,7 +420,7 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
                                  [(a,) for a in alphas])
     assert want is not None and " in sc at alpha=" in want
     with pytest.raises(NonConvergence) as info:
-        prob_sc_grid(alphas, cfg, quad)
+        _sc_columns(alphas, cfg, quad)
     assert str(info.value) == want
 
 
@@ -439,8 +447,7 @@ def test_sc_grid_equals_the_scalar_loop_on_a_coarse_grid(monkeypatch, snr_db,
     monkeypatch.setattr(closed_form, "integrate_finite_many", spy)
     cfg = SystemConfig.from_snr_db(snr_db, rate)
     with _budget(budget), np.errstate(over="ignore", divide="ignore"):
-        assert [repr(p) for p in prob_sc_grid(COARSE, cfg)] == \
-            [repr(prob_sc(a, cfg)) for a in COARSE]
+        assert _sc_reprs(COARSE, cfg) == [repr(prob_sc(a, cfg)) for a in COARSE]
     assert calls == [101 + 141]   # tp3, then the 141 distinct tp4/tp4p shares
 
 
@@ -460,5 +467,5 @@ def test_sc_grid_raises_the_first_failure_of_the_scalar_loop(snr_db, rate, tol,
                                      [(a,) for a in COARSE])
         assert want is not None and " in sc at alpha=" in want
         with pytest.raises(NonConvergence) as info:
-            prob_sc_grid(COARSE, cfg, quad)
+            _sc_columns(COARSE, cfg, quad)
     assert str(info.value) == want

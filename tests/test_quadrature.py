@@ -130,6 +130,19 @@ class TestAgainstMidpointOracle:
             assert got == pytest.approx(want, abs=1e-6), f"trial {trial}"
 
 
+@pytest.mark.parametrize("n", [7, 15])
+def test_rule_tables_are_leggauss_bit_for_bit(n):
+    """The literal rule tables are numpy's Gauss-Legendre rules, float.hex
+    for float.hex (numpy.polynomial is imported here, not by the package)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    for name, want in ((f"_X{n}", x), (f"_W{n}", w)):
+        table = getattr(quadrature, name)
+        assert table.dtype == want.dtype and table.shape == want.shape, name
+        assert [float.hex(v) for v in table.tolist()] == \
+            [float.hex(v) for v in want.tolist()], name
+    assert _NODES.tolist() == [*quadrature._X7.tolist(), *quadrature._X15.tolist()]
+
+
 def test_nodes_equal_the_broadcast_expression():
     """_nodes fills its (P, 22) array column by column, with the roundings
     of mid + half * node, so it has the broadcast expression's bits, for

@@ -21,15 +21,15 @@ from hypothesis import strategies as st
 from mlharq import closed_form
 from mlharq.closed_form import (
     _K4_MARGIN,
+    ScProbs,
     _f4,
     _h4_breakpoints,
     _k4_vanishes,
+    _sc_columns,
     event_probs,
     g_max,
-    prob_p3_grid,
-    prob_p4_grid,
+    prob_p3_p4_grid,
     prob_sc,
-    prob_sc_grid,
     throughput_mlh,
     throughput_sc,
     throughput_ts,
@@ -212,6 +212,13 @@ def _hex(x):
     return float.hex(float(x))
 
 
+def _sc_reprs(alphas, cfg):
+    """The reprs of the lockstep sc records, one per split."""
+    cols = _sc_columns(alphas, cfg, None)
+    return [repr(ScProbs(tp3=t3, tp4=t4, tp4p=t4p)) for t3, t4, t4p in
+            zip(cols.tp3.tolist(), cols.tp4.tolist(), cols.tp4p.tolist())]
+
+
 @pytest.mark.parametrize("protocol", ["mlh", "sc"])
 def test_optima_do_not_move(monkeypatch, protocol):
     configs = [SystemConfig.from_snr_db(s, r)
@@ -264,9 +271,9 @@ def test_grids_do_not_move(monkeypatch, snr_db, rate):
     alphas, betas = np.repeat(pts, 21), np.tile(pts, 21)
 
     def compute():
-        return ([_hex(v) for v in prob_p4_grid(alphas, betas, cfg)],
-                [_hex(v) for v in prob_p3_grid(alphas, betas, cfg)],
-                [repr(p) for p in prob_sc_grid(pts, cfg)])
+        return ([_hex(v) for v in prob_p3_p4_grid([], [], alphas, betas, cfg)[1]],
+                [_hex(v) for v in prob_p3_p4_grid(alphas, betas, [], [], cfg)[0]],
+                _sc_reprs(pts, cfg))
 
     got, want, skipped = _with_and_without_skip(monkeypatch, compute)
     assert got == want
@@ -286,9 +293,9 @@ def test_failures_do_not_move(monkeypatch, rate):
 
     def compute():
         out = []
-        for call in (lambda: prob_p4_grid(alphas, betas, cfg, quad),
-                     lambda: prob_p3_grid(alphas, betas, cfg, quad),
-                     lambda: prob_sc_grid(alphas, cfg, quad)):
+        for call in (lambda: prob_p3_p4_grid([], [], alphas, betas, cfg, quad),
+                     lambda: prob_p3_p4_grid(alphas, betas, [], [], cfg, quad),
+                     lambda: _sc_columns(alphas, cfg, quad)):
             with pytest.raises(NonConvergence) as info:
                 call()
             out.append((str(info.value), info.value.owner))
