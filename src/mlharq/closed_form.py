@@ -7,6 +7,13 @@ analytically against the exponential density, leaving integrals over the
 slot-1 gain whose integrands combine exponentials of the gain thresholds
 g_min/g_max, h3, h4 and h4_bar.
 
+Analytic, with no quadrature: p0 everywhere, and p1/p2 where m2's slot-1
+power (1 - alpha)P is 0.0 (alpha = 1, or a share whose product
+underflows), hence p1'/p2' at alpha = 0.  m2's residual is then the
+constant 2^R - 1 and the p1 integrand a plain exponential in g, whose
+integral over the window cut at the tail truncation point is exact.  So
+time-sharing (alpha = 1) integrates only its p4.
+
 Superposition coding is the multi-layer both-fail branch with beta = alpha
 and no slot-1 decoding: it evaluates the same two slot-2 kernels (_k3,
 _k4), with the slot-1 gain integrated up to the tail truncation point
@@ -30,7 +37,9 @@ increase with g, so the cap binds everywhere on [0, upper] once
 n(upper) >= beta/(1-beta) (1 + M) + M; the margin M = 2^-30 dominates the
 rounding of h4's own n and d, so h4 = +inf and _f4 = +0.0 at every
 sample, and the quadrature would have returned 0.0 after one round.
-Skipping it moves no bit.
+Skipping it moves no bit.  Likewise a joint-success kernel (_k3: p3, tp3)
+in which one layer has share 0 in both slots is exactly 0.0
+(_k3_vanishes): that layer's slot-2 requirement is +inf at every g.
 
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
 exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window is cut at the
@@ -210,9 +219,15 @@ def _over_power(n, w):
     """n / w, where w is a layer's slot-2 power; a zero-power layer gives
     the limit +inf where n > 0, else 0.  Elementwise over n and w (w
     broadcasts against n); the result overwrites n."""
-    if isinstance(w, float) and w > 0.0:   # the scalar path's common case
-        n /= w
-        return n
+    if isinstance(w, float):               # the scalar path
+        if w > 0.0:
+            n /= w
+            return n
+        if w == 0.0:                       # +0.0 or -0.0: the bits below
+            pos = n > 0.0
+            n.fill(0.0)
+            np.copyto(n, np.inf, where=pos)
+            return n
     zero = ~(np.asarray(w) > 0.0)
     # n / +0.0 is +inf where n > 0 (a -0.0 power must not flip it to -inf);
     # the other zero-power lanes, -inf and NaN among them, become 0
@@ -511,13 +526,21 @@ def _p1_value(alpha, cfg, settings):
     s2 = cfg.sigma2
     c = (1.0 - alpha) * p
     k1 = 2.0 ** r
+    if math.isinf(hi):
+        hi = lo + s2 * TAIL_SPAN
+    if c == 0.0:
+        # m2 has no slot-1 power (alpha = 1, or a share whose (1-alpha)P
+        # underflows): its residual is the constant 2^R - 1, so the
+        # integrand is C exp(-g/s2)/s2 with C = exp(-(2^R - 1)/(s2 P)), and
+        # its integral over the window, cut at the tail truncation point
+        # as the quadrature would cut it, is C (exp(-lo/s2) - exp(-hi/s2))
+        return (math.exp(-(k1 - 1.0) / (s2 * p))
+                * (math.exp(-lo / s2) - math.exp(-hi / s2)))
 
     def f(g):
         resid = np.maximum(0.0, k1 / (1.0 + g * c) - 1.0)
         return np.exp(-resid / (s2 * p)) * np.exp(-g / s2) / s2
 
-    if math.isinf(hi):
-        hi = lo + s2 * TAIL_SPAN
     # the positive part activates on the whole window (it reaches zero
     # exactly at the upper limit), so the integrand is smooth inside
     try:
@@ -592,9 +615,22 @@ def _f4(g, alpha, beta, cfg):
     return layer
 
 
+def _k3_vanishes(alpha, beta):
+    """_k3's vanishing rule, elementwise over floats or arrays: True where
+    one layer has share 0 in both slots (alpha == beta == 1.0 for m2,
+    alpha == beta == 0.0 for m1).  That layer's residual is then
+    2^R - 1 > 0 at every g and its slot-2 power is +0.0, so h3 = +inf and
+    _f3 = +0.0 at every sample: the integral is exactly 0.0."""
+    return (alpha == beta) & ((alpha == 0.0) | (alpha == 1.0))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _k3(alpha, beta, upper, cfg, settings):
-    """Both fail at slot 1, joint success at slot 2, slot-1 gain in [0, upper]."""
+    """Both fail at slot 1, joint success at slot 2, slot-1 gain in [0, upper].
+    Where _k3_vanishes holds, returns 0.0 without integrating (and
+    _kernel_grid does the same for its _f3 parts)."""
+    if _k3_vanishes(alpha, beta):
+        return 0.0
     return integrate_finite(lambda g: _f3(g, alpha, beta, cfg), 0.0, upper,
                             breakpoints=_h3_breakpoints(alpha, beta, cfg),
                             settings=settings)
@@ -647,9 +683,9 @@ def _kernel_grid(parts, cfg, settings):
     or _f4 with its array kink function, at each point (alpha[i], beta[i])
     over [0, upper[i]] (upper broadcasts), 0.0 where upper[i] <= 0, the
     g_max guard of prob_p3/prob_p4.  Returns one array of values per part.
-    An _f4 integral that _k4_vanishes proves zero gets the upper limit 0.0,
-    so integrate_finite_many returns 0.0 for it without integrating, as
-    _k4 does.
+    An integral that _k3_vanishes (_f3) or _k4_vanishes (_f4) proves zero
+    gets the upper limit 0.0, so integrate_finite_many returns 0.0 for it
+    without integrating, as _k3 and _k4 do.
 
     The parts' integrals are the quadrature's owners in order, their kink
     arrays NaN-padded to the widest.  The panels reach the integrand sorted
@@ -670,6 +706,8 @@ def _kernel_grid(parts, cfg, settings):
         np.maximum(np.broadcast_to(upper, np.shape(alpha)), 0.0, out=limit)
         if integrand is _f4:
             limit[_k4_vanishes(alpha, beta, limit, cfg)] = 0.0
+        else:
+            limit[_k3_vanishes(alpha, beta)] = 0.0
 
     def f(g, owner):
         cuts = np.searchsorted(owner[:, 0], starts)

@@ -12,6 +12,11 @@ from enum import Enum, IntEnum
 
 PROTOCOLS = ("ts", "mlh", "sc")
 
+# Largest gain / sigma2 that either path samples: Monte-Carlo's
+# -log(1 - u) at its largest u, 1 - 2^-53 (36.74), which exceeds the
+# closed forms' tail truncation point quadrature.TAIL_SPAN (32.24).
+_GAIN_SPAN = -math.log(2.0 ** -53)
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -43,6 +48,12 @@ class SystemConfig:
                 f"rate_R {self.rate_R} and power_P {self.power_P} make the "
                 "sum-rate gain threshold (2**(2*rate_R) - 1) / power_P "
                 "overflow")
+        # every received SNR g*P either path forms must be finite
+        if math.isinf(_GAIN_SPAN * self.sigma2 * self.power_P):
+            raise ValueError(
+                f"sigma2 {self.sigma2} and power_P {self.power_P} make the "
+                f"largest sampled gain times power_P ({_GAIN_SPAN:.2f} * "
+                "sigma2 * power_P) overflow")
 
     @property
     def snr_db(self) -> float:

@@ -189,6 +189,43 @@ def test_overflowing_residual_keeps_stderr_empty(capsys, argv):
     assert out and err == ""
 
 
+HUGE_SIGMA2_RUNS = [
+    ["eval", "--protocol", "ts"],
+    ["eval", "--protocol", "mlh", "--alpha", "0.5", "--beta", "0.3"],
+    ["eval", "--protocol", "sc", "--alpha", "0.5"],
+    ["simulate", "--protocol", "ts", "--trials", "20000"],
+    ["simulate", "--protocol", "mlh", "--alpha", "0.5", "--beta", "0.3",
+     "--trials", "20000"],
+    ["simulate", "--protocol", "sc", "--alpha", "0.5", "--trials", "20000"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_SIGMA2_RUNS)
+def test_largest_accepted_sigma2_keeps_stderr_empty(capsys, argv):
+    """P = sigma2 * 10^(snr/10), so g*P grows like sigma2^2: at 3 dB,
+    sigma2 = 1e153 keeps every sampled g*P finite and runs warning-free."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv, "--rate", "1", "--snr-db", "3",
+                             "--sigma2", "1e153")
+    assert code == 0
+    assert out and err == ""
+
+
+@pytest.mark.parametrize("sigma2", ["3e153", "1e154"])
+@pytest.mark.parametrize("argv", HUGE_SIGMA2_RUNS)
+def test_overflowing_received_snr_exits_1(capsys, argv, sigma2):
+    """Past sigma2 of about 1.6e153 at 3 dB the largest sampled gain times P
+    overflows (inf - inf and inf / inf in the thresholds and the
+    Monte-Carlo terms); the config is refused with one error line."""
+    code, out, err = run(capsys, *argv, "--rate", "1", "--snr-db", "3",
+                         "--sigma2", sigma2)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sigma2 ") and "power_P" in err
+    assert err.count("\n") == 1
+
+
 class TestSimulate:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "simulate", "--protocol", "mlh", "--rate",

@@ -9,6 +9,7 @@ import functools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,10 @@ from mlharq import closed_form
 from mlharq.closed_form import (
     EventProbs,
     ScProbs,
+    _f3,
+    _f4,
+    _over_power,
+    _p1_bounds,
     event_probs,
     g_max,
     g_min,
@@ -38,6 +43,7 @@ from mlharq.closed_form import (
 )
 from mlharq.model import PowerSplit, SystemConfig
 from mlharq.optimize import optimize_split
+from mlharq.quadrature import TAIL_SPAN, _nodes
 
 CFG = SystemConfig(rate_R=1.0, power_P=2.0)
 
@@ -115,6 +121,45 @@ class TestThresholds:
             assert got.tobytes() == want.tobytes()
 
 
+class TestZeroPowerFastPath:
+    """_over_power's float branch for a zero-power layer (w == +-0.0) gives
+    the array branch's bits, and so do the thresholds and integrands at
+    float shares 0 and 1 against (P, 1)-column shares."""
+
+    N = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -2.5, 1e308,
+         math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("w", [0.0, -0.0])
+    @pytest.mark.parametrize("shape", [(12,), (3, 4), ()])
+    def test_over_power_keeps_the_array_branch_bits(self, w, shape):
+        values = np.array(self.N)
+        cases = [values.reshape(shape)] if shape else [np.array(v) for v in self.N]
+        for n in cases:
+            got = _over_power(n.copy(), w)
+            assert got.shape == n.shape
+            # a (1,) w cannot broadcast into a 0-d n in place
+            for as_array in (np.array(w), np.array([w]))[:1 + (n.ndim > 0)]:
+                want = _over_power(n.copy(), as_array)
+                assert got.tobytes() == want.tobytes(), (n, as_array)
+            assert got.tobytes() == np.where(n > 0.0, math.inf, 0.0).tobytes()
+
+    @pytest.mark.parametrize("snr_db, rate", [
+        (3.0, 1.0), (-5.0, 0.05), (40.0, 12.0), (3.0, 511.99999999999994)])
+    def test_float_edge_shares_keep_the_column_bits(self, snr_db, rate):
+        cfg = SystemConfig.from_snr_db(snr_db, rate)
+        edges = np.linspace(0.0, cfg.sigma2 * TAIL_SPAN, 9)
+        g, _ = _nodes(edges[:-1], edges[1:])
+        column = np.ones((g.shape[0], 1))
+        for alpha in (0.0, 1.0):
+            for beta in (0.0, 1.0):
+                for fn in (h3, h4, _f3, _f4):
+                    got = fn(g, alpha, beta, cfg)
+                    want = fn(g, alpha * column, beta * column, cfg)
+                    if fn is h4:
+                        got, want = np.stack(got), np.stack(want)
+                    assert got.tobytes() == want.tobytes(), (fn, alpha, beta)
+
+
 class TestVanishing:
     def test_threshold_value(self):
         assert vanishing_threshold(CFG) == pytest.approx(2.0 / 3.0)
@@ -168,6 +213,51 @@ class TestAnalyticValues:
                     case = (rate, snr_db, sigma2)
                     assert abs(prob_p1(1.0, cfg) - p1) <= 1e-10, case
                     assert abs(prob_p2(1.0, cfg) - p2) <= 1e-10, case
+
+    @staticmethod
+    def _tail_cut_reference(alpha, cfg):
+        """p1 and p2 at a share with (1 - alpha)P = 0, at 30 digits: the
+        tail-cut expression C (exp(-lo/s2) - exp(-hi/s2)) and
+        exp(-lo/s2) - p1, at the closed form's own float lo and
+        hi = lo + s2 TAIL_SPAN, with C = exp(-(2^R - 1)/(s2 P)) from the float
+        rate; also the exponent x of C exp(-lo/s2)."""
+        with mpmath.workdps(30):
+            lo, _ = _p1_bounds(alpha, cfg)
+            hi = lo + cfg.sigma2 * TAIL_SPAN
+            s2 = mpmath.mpf(cfg.sigma2)
+            c = (mpmath.mpf(2) ** cfg.rate_R - 1) / (s2 * cfg.power_P)
+            near = mpmath.exp(-mpmath.mpf(lo) / s2)
+            p1 = mpmath.exp(-c) * (near - mpmath.exp(-mpmath.mpf(hi) / s2))
+            return p1, near - p1, float(c + mpmath.mpf(lo) / s2)
+
+    @staticmethod
+    def _assert_near(got1, got2, want1, want2, x, case):
+        """p1 within 8 ulps per unit of its exponent (exp(-x) turns a
+        rounding of x into a relative error of x ulps), p2 within 1e-15."""
+        assert abs(got1 - want1) <= 8.0 * (1.0 + x) * math.ulp(float(want1)), case
+        assert abs(got2 - want2) <= 1e-15, case
+
+    def test_zero_power_p1_matches_the_tail_cut_at_30_digits(self):
+        for rate in (0.05, 0.3, 1.0, 2.5, 6.0, 12.0, 24.0):
+            for snr_db in (-5.0, 0.0, 3.0, 10.0, 20.0, 40.0):
+                for sigma2 in (0.3, 1.0, 4.0):
+                    cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
+                    self._assert_near(prob_p1(1.0, cfg), prob_p2(1.0, cfg),
+                                      *self._tail_cut_reference(1.0, cfg),
+                                      (rate, snr_db, sigma2))
+
+    def test_underflowing_share_takes_the_closed_form(self):
+        """alpha < 1 whose (1 - alpha)P underflows to 0.0 (P subnormal):
+        m2 has no slot-1 power, as at alpha = 1, and p1 is the tail-cut
+        expression at this share's own window."""
+        alpha = math.nextafter(1.0, 0.0)
+        cfg = SystemConfig(rate_R=0.05, power_P=2e-308, sigma2=4e306)
+        assert (1.0 - alpha) * cfg.power_P == 0.0
+        assert alpha > vanishing_threshold(cfg)
+        got1, got2 = prob_p1(alpha, cfg), prob_p2(alpha, cfg)
+        want1, want2, x = self._tail_cut_reference(alpha, cfg)
+        assert 0.1 < got1 < 1.0
+        self._assert_near(got1, got2, want1, want2, x, alpha)
 
     def test_p1_prime_mirror(self):
         assert prob_p1_prime(0.0, CFG) == pytest.approx(math.exp(-1.0), abs=1e-9)

@@ -7,6 +7,7 @@ import pytest
 
 from mlharq.closed_form import g_max
 from mlharq.model import (
+    _GAIN_SPAN,
     ChannelDraw,
     JointOutcome,
     PowerSplit,
@@ -21,6 +22,7 @@ from mlharq.model import (
     pos_part,
     safe_div_threshold,
 )
+from mlharq.quadrature import TAIL_SPAN
 
 CFG = SystemConfig(rate_R=1.0, power_P=2.0)
 
@@ -60,6 +62,28 @@ class TestTypes:
         assert math.isfinite(g_max(0.5, cfg))
         with pytest.raises(ValueError, match="rate_R .* power_P .* overflow"):
             SystemConfig(rate_R=largest, power_P=math.nextafter(floor, 0.0))
+
+    def test_config_gain_ceiling(self):
+        """sigma2 * power_P is bounded so that the largest gain either path
+        samples, times power_P, is finite: Monte-Carlo's largest gain
+        -sigma2 * log1p(-u) at u = 1 - 2^-53 is the bound's _GAIN_SPAN * sigma2,
+        above the closed forms' sigma2 * TAIL_SPAN.  At sigma2 = 1 the largest
+        accepted power is accepted and one ulp above it is refused with an
+        error that names sigma2 and power_P."""
+        assert -math.log1p(-(1.0 - 2.0 ** -53)) == _GAIN_SPAN > TAIL_SPAN
+        ceiling = math.nextafter(math.inf, 0.0) / _GAIN_SPAN
+        while math.isinf(_GAIN_SPAN * ceiling):
+            ceiling = math.nextafter(ceiling, 0.0)
+        while math.isfinite(_GAIN_SPAN * math.nextafter(ceiling, math.inf)):
+            ceiling = math.nextafter(ceiling, math.inf)
+        assert SystemConfig(rate_R=1.0, power_P=ceiling).power_P == ceiling
+        with pytest.raises(ValueError, match="sigma2 .* power_P .* overflow"):
+            SystemConfig(rate_R=1.0, power_P=math.nextafter(ceiling, math.inf))
+        # from_snr_db's power grows with sigma2: at 3 dB, 1e153 is accepted
+        SystemConfig.from_snr_db(3.0, 1.0, 1e153)
+        for sigma2 in (3e153, 1e154):
+            with pytest.raises(ValueError, match="sigma2"):
+                SystemConfig.from_snr_db(3.0, 1.0, sigma2)
 
     def test_snr_roundtrip(self):
         cfg = SystemConfig.from_snr_db(3.0, 1.0)

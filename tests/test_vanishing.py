@@ -1,13 +1,15 @@
-"""Slot-2 only-m1 integrals that are zero by proof are never integrated.
+"""Slot-2 integrals that are zero by proof are never integrated.
 
 closed_form._k4_vanishes claims that h4's interference cap binds on the
-whole slot-1 range [0, upper], so that the p4/tp4 integral is exactly 0.0.
-The first tests hold the claim against the unskipped quadrature wherever it
-is made, on random and adversarial cases.  The others switch the claim off
-(all False, which is the program without the skip) and compare the closed
-forms, their grids, their failures and the optimizer's results with and
-without it, by repr and float.hex, in the same process: frozen hex
-constants would depend on the CPU's BLAS kernels, this comparison does not.
+whole slot-1 range [0, upper], so that the p4/tp4 integral is exactly 0.0;
+closed_form._k3_vanishes that one layer has share 0 in both slots, so that
+the p3/tp3 integral is exactly 0.0.  The first tests hold the claims
+against the unskipped quadrature wherever they are made, on random and
+adversarial cases.  The others switch the claims off (all False, which is
+the program without the skips) and compare the closed forms, their grids,
+their failures and the optimizer's results with and without them, by repr
+and float.hex, in the same process: frozen hex constants would depend on
+the CPU's BLAS kernels, this comparison does not.
 """
 
 import math
@@ -22,8 +24,11 @@ from mlharq import closed_form
 from mlharq.closed_form import (
     _K4_MARGIN,
     ScProbs,
+    _f3,
     _f4,
+    _h3_breakpoints,
     _h4_breakpoints,
+    _k3_vanishes,
     _k4_vanishes,
     _sc_columns,
     event_probs,
@@ -104,6 +109,20 @@ def vanishing_cases(draw):
     return alpha, beta, upper, cfg
 
 
+def _assert_zero_unskipped(integrand, alpha, beta, upper, cfg, bps):
+    """The unskipped quadrature of the integrand over [0, upper] gives +0.0,
+    and the integrand is +0.0 on every node of the first round."""
+    with np.errstate(all="ignore"):
+        value = integrate_finite(lambda g: integrand(g, alpha, beta, cfg),
+                                 0.0, upper, bps)
+        assert float.hex(value) == "0x0.0p+0"
+        edges = np.array([0.0, *sorted({p for p in bps if 0.0 < p < upper}),
+                          upper])
+        x, _ = _nodes(edges[:-1], edges[1:])
+        y = integrand(x, alpha, beta, cfg)
+    assert not np.signbit(y).any() and not y.any()
+
+
 def _assert_zero_if_claimed(alpha, beta, upper, cfg):
     """Where _k4_vanishes holds, the unskipped quadrature gives +0.0 and _f4
     is +0.0 on every node of the first round; the array form of the test
@@ -115,16 +134,8 @@ def _assert_zero_if_claimed(alpha, beta, upper, cfg):
     assert as_arrays.tolist() == [claim]
     if not claim:
         return False
-    bps = _h4_breakpoints(alpha, beta, cfg)
-    with np.errstate(all="ignore"):
-        value = integrate_finite(lambda g: _f4(g, alpha, beta, cfg),
-                                 0.0, upper, bps)
-        assert float.hex(value) == "0x0.0p+0"
-        edges = np.array([0.0, *sorted({p for p in bps if 0.0 < p < upper}),
-                          upper])
-        x, _ = _nodes(edges[:-1], edges[1:])
-        y = _f4(x, alpha, beta, cfg)
-    assert not np.signbit(y).any() and not y.any()
+    _assert_zero_unskipped(_f4, alpha, beta, upper, cfg,
+                           _h4_breakpoints(alpha, beta, cfg))
     return True
 
 
@@ -173,11 +184,48 @@ def test_the_claim_is_made_and_holds(snr_db, rate, alpha, beta, upper):
     assert _assert_zero_if_claimed(alpha, beta, upper, cfg)
 
 
+@st.composite
+def k3_cases(draw):
+    """(alpha, beta, upper, cfg) with shares on or one step beside the
+    edges 0 and 1, and upper g_max(alpha), the sc tail limit or a
+    subnormal."""
+    rate = draw(st.floats(0.05, 24.0))
+    snr_db = draw(st.floats(-5.0, 40.0))
+    sigma2 = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
+    shares = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, ONE_MINUS_ULP]),
+                       st.floats(0.0, 1.0))
+    alpha = draw(shares)
+    beta = draw(st.one_of(st.just(alpha), shares))
+    upper = draw(st.sampled_from([g_max(alpha, cfg), sigma2 * TAIL_SPAN,
+                                  *SUBNORMALS]))
+    return alpha, beta, upper, cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=k3_cases())
+@example(case=(1.0, 1.0, g_max(1.0, SystemConfig.from_snr_db(3.0, 1.0)),
+               SystemConfig.from_snr_db(3.0, 1.0)))
+@example(case=(0.0, 0.0, TAIL_SPAN, SystemConfig.from_snr_db(40.0, 24.0)))
+def test_a_vanishing_k3_integral_is_zero_unskipped(case):
+    """_k3_vanishes holds exactly where one layer has share 0 in both
+    slots; there the unskipped quadrature gives +0.0 and _f3 is +0.0 on
+    every node of the first round; the array form agrees."""
+    alpha, beta, upper, cfg = case
+    claim = _k3_vanishes(alpha, beta)
+    assert type(claim) is bool
+    assert claim == (alpha == beta and alpha in (0.0, 1.0))
+    assert _k3_vanishes(np.array([alpha]), np.array([beta])).tolist() == [claim]
+    if claim:
+        _assert_zero_unskipped(_f3, alpha, beta, upper, cfg,
+                               _h3_breakpoints(alpha, beta, cfg))
+
+
 # ---------------------------------------------------------------------------
 # Bit identity: the program with and without the skip, in one process
 # ---------------------------------------------------------------------------
 
-def _never(alpha, beta, upper, cfg):
+def _never(alpha, *_):
     return np.zeros(np.shape(alpha), dtype=bool)
 
 
@@ -186,26 +234,35 @@ def _cold():
         cached.cache_clear()
 
 
-def _with_and_without_skip(monkeypatch, compute):
-    """compute() with the skip and without it, each from cold caches, and
-    how many integrals the skip claimed zero."""
-    claims = []
+RULES = ("_k3_vanishes", "_k4_vanishes")
 
-    def spy(alpha, beta, upper, cfg):
-        claim = _k4_vanishes(alpha, beta, upper, cfg)
-        claims.append(int(np.sum(claim)))
+
+def _with_and_without_skip(monkeypatch, compute):
+    """compute() with the skips and without them, each from cold caches,
+    and how many integrals each rule claimed zero."""
+    claims = {rule: 0 for rule in RULES}
+
+    def spy(rule):
+        test = getattr(closed_form, rule)
+
+        def claim(*args):
+            out = test(*args)
+            claims[rule] += int(np.sum(out))
+            return out
         return claim
 
     _cold()
     with monkeypatch.context() as m:
-        m.setattr(closed_form, "_k4_vanishes", spy)
+        for rule in RULES:
+            m.setattr(closed_form, rule, spy(rule))
         got = compute()
     _cold()
     with monkeypatch.context() as m:
-        m.setattr(closed_form, "_k4_vanishes", _never)
+        for rule in RULES:
+            m.setattr(closed_form, rule, _never)
         want = compute()
     _cold()
-    return got, want, sum(claims)
+    return got, want, claims
 
 
 def _hex(x):
@@ -227,7 +284,7 @@ def test_optima_do_not_move(monkeypatch, protocol):
         monkeypatch,
         lambda: [repr(optimize_split(protocol, cfg)) for cfg in configs])
     assert got == want
-    assert skipped > 0
+    assert min(skipped.values()) > 0
 
 
 def _scatter_configs(n, seed):
@@ -261,7 +318,7 @@ def test_single_calls_do_not_move(monkeypatch):
 
     got, want, skipped = _with_and_without_skip(monkeypatch, compute)
     assert got == want
-    assert skipped > 0
+    assert min(skipped.values()) > 0
 
 
 @pytest.mark.parametrize("snr_db, rate", [(3.0, 1.0), (-4.0, 0.3), (25.0, 4.3)])
@@ -277,7 +334,7 @@ def test_grids_do_not_move(monkeypatch, snr_db, rate):
 
     got, want, skipped = _with_and_without_skip(monkeypatch, compute)
     assert got == want
-    assert skipped > 0
+    assert min(skipped.values()) > 0
 
 
 @pytest.mark.parametrize("rate", [0.8, 2.0])
