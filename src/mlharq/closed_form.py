@@ -815,9 +815,12 @@ def _sc_columns(alphas, cfg, settings):
     All three kernels go through one lockstep quadrature.  tp4 at split a
     and tp4p at split a' are the same integral when a == 1 - a' (same
     shares, kinks and upper limit), so each distinct share, told apart by
-    its bits, is integrated once.  A NonConvergence, or the ValueError of
-    a failed ScProbs check, is the one a loop of prob_sc would raise
-    first: on a NonConvergence that loop runs, to raise it."""
+    its bits, is integrated once.  The ValueError of a failed ScProbs check
+    is the one a loop of prob_sc would raise first.  A NonConvergence is
+    that of the lowest failing integral, tp3 at each split in order, then
+    the distinct tp4 shares, named "sc" at its split: alphas[i] for tp3,
+    the share s for tp4, which prob_sc(s) integrates as its tp4, so
+    prob_sc fails at the named split as well."""
     settings = settings or DEFAULT_SETTINGS
     alpha = np.asarray(alphas, dtype=float)
     both = np.concatenate([alpha, 1.0 - alpha])
@@ -829,10 +832,9 @@ def _sc_columns(alphas, cfg, settings):
         tp3, tp4 = _kernel_grid([(_f3, _h3_breakpoints_grid, alpha, alpha, upper),
                                  (_f4, _h4_breakpoints_grid, shares, shares, upper)],
                                 cfg, settings)
-    except NonConvergence:
-        for a in alpha.tolist():
-            prob_sc(a, cfg, settings)
-        raise
+    except NonConvergence as exc:
+        split = float(np.concatenate([alpha, shares])[exc.owner])
+        raise exc.named(_integral("sc", cfg, split)) from None
     tp4 = tp4[inverse]
     return ScProbs.checked_columns(tp3=tp3, tp4=tp4[:len(alpha)],
                                    tp4p=tp4[len(alpha):])

@@ -11,7 +11,10 @@ quadrature (the closed forms' _grid functions, whose values have the
 scalar closed forms' bits) for all its slot-2 kernels: p3 and p4 for mlh,
 tp3, tp4 and tp4p for sc.  The values are combined elementwise in the scalar
 search's arithmetic and offered as one array: the winner is the one a
-point-by-point loop in the scalar search's order would keep.
+point-by-point loop in the scalar search's order would keep.  A lockstep
+call that fails raises the NonConvergence of its lowest failing integral,
+which names a kernel, shares and config at which the scalar closed form
+fails too.
 """
 
 import math
@@ -27,15 +30,13 @@ from .closed_form import (
     prob_p0,
     prob_p1,
     prob_p2,
-    prob_p3,
     prob_p3_p4_grid,
-    prob_p4,
     sc_throughput_from_probs,
     throughput_mlh,
     throughput_ts,
 )
 from .model import PROTOCOLS, PowerSplit, SystemConfig
-from .quadrature import NonConvergence, QuadratureSettings
+from .quadrature import QuadratureSettings
 
 __all__ = ["Optimum", "optimize_split", "optimize_rate_and_split"]
 
@@ -115,24 +116,17 @@ def _coarse_values(pts, cfg, settings):
     index mirror, never 1 - a), and p3(i, j) = p3(n - i, n - j), which is
     exact on the indices, not on floats (the two quadratures differ in the
     last bits), at the canonical one of the two.  Both slot-2 kernels come
-    from one lockstep quadrature; if it fails to converge, _coarse_scalar
-    runs the scalar closed forms in the scalar search's order and raises
-    the failure that it meets first.  The terms here and the calls there
-    must stay the same: tests/test_optimizer.py pins both to its
-    scalar_search (test_raises_the_failure_the_scalar_search_meets_first
-    for the order, TestMatchesScalarSearch for the values).
+    from one lockstep quadrature, whose NonConvergence names its lowest
+    failing integral (p3 before p4), a point at which the scalar closed
+    form fails as well.  tests/test_optimizer.py pins the values to its
+    scalar_search (TestMatchesScalarSearch).
     """
     n = len(pts) - 1
     grid = np.array(pts)
     i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
     canon = (i < n - i) | ((i == n - i) & (j <= n - j))   # (i, j) <= mirror
     ci, cj = i[canon], j[canon]
-    try:
-        p3c, p4 = prob_p3_p4_grid(grid[ci], grid[cj], grid[i], grid[j],
-                                  cfg, settings)
-    except NonConvergence:
-        _coarse_scalar(pts, cfg, settings)
-        raise
+    p3c, p4 = prob_p3_p4_grid(grid[ci], grid[cj], grid[i], grid[j], cfg, settings)
     p4 = p4.reshape(n + 1, n + 1)
     p3 = np.empty((n + 1, n + 1))
     p3[ci, cj] = p3[n - ci, n - cj] = p3c
@@ -140,20 +134,6 @@ def _coarse_values(pts, cfg, settings):
                             for i, a in enumerate(pts)]).T
     q = base[:, None] + 2.0 * p3 + p4 + p4[::-1, ::-1]
     return cfg.rate_R * q / denom[:, None]
-
-
-def _coarse_scalar(pts, cfg, settings):
-    """The coarse grid's closed-form calls in the scalar search's order,
-    which this walk alone defines: _coarse_values computes the same terms
-    as arrays and runs it only to raise the first failure."""
-    n = len(pts) - 1
-    for i, a in enumerate(pts):
-        _slot1_base(a, pts[n - i], cfg, settings)
-        for j, b in enumerate(pts):
-            ci, cj = min((i, j), (n - i, n - j))
-            prob_p3(pts[ci], pts[cj], cfg, settings)
-            prob_p4(a, b, cfg, settings)
-            prob_p4(pts[n - i], pts[n - j], cfg, settings)
 
 
 def _search_mlh(cfg, grid_step, refine_tol, settings):
@@ -181,16 +161,10 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
         _, a0, b0 = search.best
         wa, wb = np.array(_window(a0, step)), np.array(_window(b0, step))
         alphas, betas = np.repeat(wa, len(wb)), np.tile(wb, len(wa))
-        try:
-            values = _mlh_values(alphas, betas, cfg, settings)
-        except NonConvergence:
-            # point by point, the failure the scalar search meets first
-            values = [objective(a, b)
-                      for a, b in zip(alphas.tolist(), betas.tolist())]
+        values = _mlh_values(alphas, betas, cfg, settings)
         search.offer(values, alphas, betas)
         _, a_star, b_star = search.best
-        at_star = np.asarray(values, dtype=float)[
-            (alphas == a_star) & (betas == b_star)]
+        at_star = values[(alphas == a_star) & (betas == b_star)]
 
     _, a_star, b_star = search.best
     value = float(at_star[0]) if len(at_star) else objective(a_star, b_star)

@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 import warnings
 
 import pytest
 
 import mlharq.cli as cli
 import mlharq.sweeps as sweeps
-from mlharq.quadrature import NonConvergence
+from mlharq.closed_form import prob_p3, prob_p4
+from mlharq.model import SystemConfig
+from mlharq.quadrature import NonConvergence, QuadratureSettings
+
+
+# a coarse search at tolerances that its integrals miss at 3 dB, R = 1
+TIGHT_SEARCH = ("--grid-step", "0.1", "--refine-tol", "0.01",
+                "--abs-tol", "1e-19", "--rel-tol", "1e-19")
 
 
 def run(capsys, *argv):
@@ -77,15 +85,24 @@ class TestEval:
         assert "numerical" in err
 
     def test_numerical_failure_names_the_integral(self, capsys):
-        code, out, err = run(capsys, "optimize", "--protocol", "mlh",
-                             "--rate", "1", "--snr-db", "3",
-                             "--grid-step", "0.1", "--refine-tol", "0.01",
-                             "--abs-tol", "1e-19", "--rel-tol", "1e-19")
+        """The lockstep mlh grid names its lowest failing integral, a point
+        at which the scalar closed form fails too, the same on every run."""
+        argv = ("optimize", "--protocol", "mlh", "--rate", "1", "--snr-db", "3",
+                *TIGHT_SEARCH)
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("numerical failure: quadrature did not converge")
-        assert err.rstrip().endswith(
-            " in p4 at alpha=1.0, beta=0.6, SystemConfig(rate_R=1.0, "
-            "power_P=1.9952623149688795, sigma2=1.0)")
+        assert err.count("\n") == 1
+        cfg = SystemConfig.from_snr_db(3.0, 1.0)
+        named = re.search(r" in (p3|p4) at alpha=([^,]+), beta=([^,]+), "
+                          + re.escape(repr(cfg)) + "$", err.rstrip())
+        assert named is not None, err
+        kernel, alpha, beta = named.groups()
+        scalar = {"p3": prob_p3, "p4": prob_p4}[kernel]
+        with pytest.raises(NonConvergence):
+            scalar(float(alpha), float(beta), cfg,
+                   QuadratureSettings(abs_tol=1e-19, rel_tol=1e-19))
+        assert run(capsys, *argv) == (code, out, err)
 
     def test_empty_p1_window_exits_0(self, capsys):
         # alpha just above the vanishing threshold: the p1 window bounds
@@ -278,6 +295,14 @@ class TestOptimize:
         doc = json.loads(out)
         assert doc["alpha_star"] == 1.0 and doc["beta_star"] == 1.0
 
+    def test_sc_numerical_failure_exits_2(self, capsys):
+        """A real failure of the lockstep sc grid, one stderr line naming
+        the split."""
+        code, out, err = run(capsys, "optimize", "--protocol", "sc", "--rate",
+                             "1", "--snr-db", "3", *TIGHT_SEARCH)
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert " in sc at alpha=" in err
 
     @pytest.mark.parametrize("command", [
         ["optimize", "--protocol", "mlh", "--rate", "1", "--snr-db", "3"],
@@ -322,6 +347,20 @@ class TestSweep:
         assert code == 2
         assert "numerical failure" in err
         assert "protocol=sc, axis=0.5 (t-vs-rate)" in err
+
+    def test_sc_numerical_failure_exits_2(self, capsys, tmp_path):
+        """A real failure in a sweep point: one stderr line naming the
+        point and the split, and no CSV."""
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--kind", "t-vs-rate", "--snr-db",
+                             "3", "--axis-min", "1", "--axis-max", "1",
+                             "--protocols", "sc", *TIGHT_SEARCH,
+                             "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "protocol=sc, axis=1.0 (t-vs-rate)" in err
+        assert " in sc at alpha=" in err
+        assert not out_path.exists()
 
     def test_tiny_axis_step_exits_1(self, capsys, tmp_path):
         """4.5e13 axis points are refused before the axis is built."""

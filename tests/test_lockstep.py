@@ -1,8 +1,10 @@
 """The lockstep paths against the scalar ones, bit for bit.
 
 integrate_finite_many and the closed forms' _grid functions promise the
-exact floats of integrate_finite and the scalar closed forms, and the
-failure that a scalar loop would raise first.  Every comparison here is
+exact floats of integrate_finite and the scalar closed forms.  A failed
+lockstep call raises the failure of its lowest failing owner, the one a
+scalar loop over its integrals in owner order would raise first, named at
+a point where the scalar closed form fails too.  Every comparison here is
 `==` on floats (or on reprs), never approximate.
 """
 
@@ -21,6 +23,8 @@ from mlharq.closed_form import (
     _h3_breakpoints_grid,
     _h4_breakpoints,
     _h4_breakpoints_grid,
+    _k3,
+    _k4,
     _sc_columns,
     prob_p3,
     prob_p3_p4_grid,
@@ -30,6 +34,7 @@ from mlharq.closed_form import (
 )
 from mlharq.model import SystemConfig
 from mlharq.quadrature import (
+    TAIL_SPAN,
     NonConvergence,
     QuadratureSettings,
     integrate_finite,
@@ -375,6 +380,41 @@ def test_grid_forms_equal_scalar_closed_forms(case):
         assert _sc_reprs(alphas, cfg) == [repr(prob_sc(a, cfg)) for a in alphas]
 
 
+def _sc_failure_names_its_first_owner(alphas, cfg, quad):
+    """Run _sc_columns, which must fail, and return the split it names.
+
+    Its owners are tp3 at each split in order, then tp4 at each distinct
+    share of the splits and their mirrors, ascending.  The error must be
+    the first failure of a loop of the scalar kernels over them, named "sc"
+    at that owner's split; prob_sc must fail at that split, and a second
+    run must raise the same message."""
+    upper = cfg.sigma2 * TAIL_SPAN
+    shares = sorted({*alphas, *(1.0 - a for a in alphas)})
+    owners = [(_k3, a) for a in alphas] + [(_k4, s) for s in shares]
+    for index, (kernel, split) in enumerate(owners):
+        try:
+            kernel(split, split, upper, cfg, quad)
+        except NonConvergence as exc:
+            expected = exc
+            break
+    else:
+        raise AssertionError("no owner fails")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NonConvergence) as info:
+            _sc_columns(alphas, cfg, quad)
+        messages.append(str(info.value))
+    got = info.value
+    assert messages[0] == messages[1]
+    assert got.owner == index
+    assert got.integral == f"sc at alpha={split!r}, {cfg!r}"
+    assert (got.estimate, got.error, got.panels) == \
+        (expected.estimate, expected.error, expected.panels)
+    with pytest.raises(NonConvergence):
+        prob_sc(split, cfg, quad)
+    return split
+
+
 def _first_scalar_failure(call, args):
     for arg in args:
         try:
@@ -389,8 +429,8 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     cfg = SystemConfig.from_snr_db(3.0, rate)
     quad = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
     # each kernel first fails at a different point: p3 and p4 skip or
-    # resolve the early ones, and sc's first failure (tp4p at alpha = 0)
-    # comes before the first tp3 failure
+    # resolve the early ones, and sc's first failing owner is tp3 at
+    # alpha = 0.5, not tp4p at alpha = 0, where prob_sc fails first
     points = [(0.0, 0.0), (0.5, 0.5), (0.3, 0.7), (0.9, 0.1)]
     alphas = [a for a, _ in points]
     betas = [b for _, b in points]
@@ -416,12 +456,7 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     with pytest.raises(NonConvergence) as info:
         prob_p3_p4_grid(alphas[1:], betas[1:], alphas, betas, cfg, quad)
     assert str(info.value) == want
-    want = _first_scalar_failure(lambda a: prob_sc(a, cfg, quad),
-                                 [(a,) for a in alphas])
-    assert want is not None and " in sc at alpha=" in want
-    with pytest.raises(NonConvergence) as info:
-        _sc_columns(alphas, cfg, quad)
-    assert str(info.value) == want
+    assert _sc_failure_names_its_first_owner(alphas, cfg, quad) == 0.5
 
 
 # The sc kernels of a whole coarse grid go through one lockstep call, tp4p
@@ -458,14 +493,42 @@ def test_sc_grid_equals_the_scalar_loop_on_a_coarse_grid(monkeypatch, snr_db,
                                                (10.0, 0.3, 1e-17)])
 def test_sc_grid_raises_the_first_failure_of_the_scalar_loop(snr_db, rate, tol,
                                                              budget):
-    """At 1e-300 nearly every kernel fails (at -4 dB not those at alpha = 0);
-    at 1e-17 the first failing split is 0.36 at 3 dB and 0.01 at 10 dB."""
+    """The scalar loop runs tp3 at each split, then tp4 at each distinct
+    share.  At 1e-300 nearly every kernel fails (at -4 dB not those at
+    alpha = 0), and the first is tp3 at alpha = 0.01.  At 1e-17 the first
+    failing owner is tp3 at alpha = 0.01 at 10 dB; at 3 dB no tp3 fails,
+    and it is tp4 at the share 0.6."""
     cfg = SystemConfig.from_snr_db(snr_db, rate)
     quad = QuadratureSettings(abs_tol=tol, rel_tol=tol)
     with _budget(budget), np.errstate(over="ignore", divide="ignore"):
-        want = _first_scalar_failure(lambda a: prob_sc(a, cfg, quad),
-                                     [(a,) for a in COARSE])
-        assert want is not None and " in sc at alpha=" in want
-        with pytest.raises(NonConvergence) as info:
-            _sc_columns(COARSE, cfg, quad)
-    assert str(info.value) == want
+        split = _sc_failure_names_its_first_owner(COARSE, cfg, quad)
+    assert split == (0.6 if (snr_db, tol) == (3.0, 1e-17) else 0.01)
+
+
+def test_sc_grid_names_a_failing_tp4p_share(monkeypatch):
+    """At 3 dB, R = 1 and 1e-17 every tp3 converges and tp4 fails at the
+    shares 0.6-0.64.  Of the splits 0.3 and 0.36, only the mirror share
+    0.64 (tp4p at 0.36) fails: the error names it as the split 0.64, which
+    is not one of the splits asked for, and prob_sc fails there too."""
+    from mlharq import closed_form
+
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    quad = QuadratureSettings(abs_tol=1e-17, rel_tol=1e-17)
+    alphas = [0.3, 0.36]
+    kernel_grid = closed_form._kernel_grid
+    tp3 = []
+
+    def spy(parts, cfg, settings):
+        tp3.append(kernel_grid(parts[:1], cfg, settings)[0])   # must not raise
+        return kernel_grid(parts, cfg, settings)
+
+    monkeypatch.setattr(closed_form, "_kernel_grid", spy)
+    with pytest.raises(NonConvergence) as info:
+        _sc_columns(alphas, cfg, quad)
+    assert len(tp3) == 1 and len(tp3[0]) == len(alphas)
+    assert info.value.owner >= len(alphas)
+    mirror = 1.0 - alphas[1]
+    assert info.value.integral == f"sc at alpha={mirror!r}, {cfg!r}"
+    assert 0.0 <= mirror <= 1.0 and mirror not in alphas
+    with pytest.raises(NonConvergence):
+        prob_sc(mirror, cfg, quad)

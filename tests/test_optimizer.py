@@ -1,6 +1,7 @@
 """Tests for the split/rate optimizer."""
 
 import math
+import re
 import tracemalloc
 
 import hypothesis
@@ -17,6 +18,7 @@ from mlharq.closed_form import (
     prob_p2,
     prob_p3,
     prob_p4,
+    prob_sc,
     throughput_mlh,
     throughput_sc,
     throughput_ts,
@@ -219,19 +221,45 @@ class TestMatchesScalarSearch:
     @pytest.mark.parametrize("protocol, snr_db, tol", [("mlh", 3.0, 1e-19),
                                                        ("mlh", 10.0, 1e-18),
                                                        ("sc", 3.0, 1e-19)])
-    def test_raises_the_failure_the_scalar_search_meets_first(self, protocol,
-                                                              snr_db, tol):
-        """Several integrals fail at these tolerances, and the first one in
-        the scalar search's order is not the first in a batch's order: on
-        the mlh coarse grid at 3 dB (a mirrored p4 term at alpha = 1) and
-        in an mlh refinement window at 10 dB."""
+    def test_names_a_point_the_scalar_fails_at(self, monkeypatch, protocol,
+                                               snr_db, tol):
+        """A lockstep call that fails raises the NonConvergence of its
+        lowest failing integral, and the scalar closed form fails at the
+        point that it names.  The three cases fail in the mlh coarse grid
+        (3 dB), in an mlh refinement window (10 dB) and in the sc coarse
+        grid (3 dB)."""
         cfg = SystemConfig.from_snr_db(snr_db, 1.0)
         tight = QuadratureSettings(abs_tol=tol, rel_tol=tol)
-        with pytest.raises(NonConvergence) as want:
-            scalar_search(protocol, cfg, 0.1, 1e-2, tight)
-        with pytest.raises(NonConvergence) as got:
-            optimize_split(protocol, cfg, 0.1, 1e-2, tight)
-        assert str(got.value) == str(want.value)
+        failed = []   # the lockstep calls that raised, in order
+        for name in ("_coarse_values", "_mlh_values", "_sc_columns"):
+            def spy(*args, name=name, call=getattr(optimize, name)):
+                try:
+                    return call(*args)
+                except NonConvergence:
+                    failed.append(name)
+                    raise
+            monkeypatch.setattr(optimize, name, spy)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NonConvergence) as info:
+                optimize_split(protocol, cfg, 0.1, 1e-2, tight)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        phase = {(3.0, "mlh"): "_coarse_values", (10.0, "mlh"): "_mlh_values",
+                 (3.0, "sc"): "_sc_columns"}[snr_db, protocol]
+        assert failed == [phase, phase]
+        assert info.value.owner is not None   # the lockstep call's own error
+
+        named = re.fullmatch(r"(p3|p4|sc) at alpha=([^,]+)(?:, beta=([^,]+))?, "
+                             + re.escape(repr(cfg)), info.value.integral)
+        assert named is not None, info.value.integral
+        kernel, *shares = named.groups()
+        shares = [float(x) for x in shares if x is not None]
+        assert len(shares) == (1 if kernel == "sc" else 2)
+        assert all(0.0 <= x <= 1.0 for x in shares)
+        scalar = {"p3": prob_p3, "p4": prob_p4, "sc": prob_sc}[kernel]
+        with pytest.raises(NonConvergence):
+            scalar(*shares, cfg, tight)
 
 
 class TestArrayOffers:
