@@ -13,12 +13,12 @@ small: in a scatter-eval pass an integral evaluates a median of 6 panels
 (at most 34) in 2.7 rounds, and its largest round has at most 10 panels.
 The array form spent about 35 numpy calls a round on arrays of 1-10
 elements, about as long as the integrand took.  Now numpy runs, once a
-round, the rule nodes, the integrand, the two rule matvecs and one
-reduction for both totals; the shares, the split test, the midpoints and
-the panel lists are Python floats, the IEEE operations that the array form
-did elementwise, so every value keeps its bits.  The price is O(P) Python
-work a round: an all-NaN integrand, which spends the 2,000-panel budget
-one split a round, takes 0.5-0.6 s where the array form took 0.08 s.
+round, the rule nodes, the integrand, the two rule sums and one reduction
+for both totals; the shares, the split test, the midpoints and the panel
+lists are Python floats, the IEEE operations that the array form did
+elementwise.  The price is O(P) Python work a round: an all-NaN
+integrand, which spends the 2,000-panel budget one split a round, takes
+0.5-0.6 s where the array form took 0.08 s.
 
 integrate_finite_many runs a whole family of such integrals in lockstep:
 their kinks come as one NaN-padded (n, m) array, one row per integral,
@@ -26,17 +26,16 @@ and their panels are flattened with an owner index.  It runs rolling
 rounds: each round evaluates the children of the live integrals' split
 panels and the first panels of integrals admitted in index order while
 the round has room, so rounds stay full while the slowest integrals
-finish.  The integrand gets a round in calls of a bounded panel count,
-cut between integrals: the (P, 22) node array, and the (P, 1) column of
-the panels' owners, against which per-integral parameters broadcast.  No
-step runs Python once per integral.  It is the same algorithm, not an
-approximation of it: every owner keeps integrate_finite's panel order and
-rules, its rule-pair matvecs are the same BLAS calls and its sums reduce
-equal-length rows, so each value has the bits integrate_finite gives it
-alone.  The matvecs are grouped by the owners' panel counts because a
-gemv result can depend on the row count: one gemv over all of a call's
-panels changes 23 of the 101 prob_sc rows of a coarse sc grid at -4 dB,
-R = 0.8, and sc's optimum there by one ulp.
+finish.  The integrand gets a round in calls of a bounded panel count:
+the (P, 22) node array, and the (P, 1) column of the panels' owners,
+against which per-integral parameters broadcast.  No step runs Python
+once per integral.  It is the same algorithm, not an approximation of
+it: every owner keeps integrate_finite's panel order and rules, and both
+paths reduce alike, each result depending on the owner's own data only:
+a panel's rule sums on its row (_rule_sums), an integral's totals on its
+run of panels (np.add.reduceat) and its forced split on its own errors.
+So each value has the bits integrate_finite gives it alone, however the
+panels are batched; tests hold each reduction to that bit for bit.
 
 The rule tables are literals, the reprs of numpy's leggauss(7) and
 leggauss(15), which round-trip exactly (a test pins them bit for bit):
@@ -49,6 +48,11 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:   # numpy < 2: np.einsum calls the same function
+    _einsum = np.einsum
 
 __all__ = [
     "QuadratureSettings",
@@ -68,15 +72,14 @@ MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
 # runs 575 rounds where it ran 1,021, on the same 665,268 panels.
 # In-process 3 dB passes of the 12 sweep-rate rates (mlh and sc, best of 3
 # in each of 6 fresh processes, medians; 2-vCPU VM) took 1.07 s at 1,024,
-# 1.01 s at 2,048, 0.89 s at 3,072 and 0.87 s at 6,144, which peaks at
-# 4.9 MB where 3,072 peaks at 4.5 MB (tracemalloc, one
-# optimize_split("mlh") at 3 dB, R = 1; a test in tests/test_optimizer.py
-# holds that peak).
+# 1.01 s at 2,048, 0.89 s at 3,072 and 0.87 s at 6,144, which peaked
+# 0.4 MB higher than 3,072 (tracemalloc, one optimize_split("mlh") at
+# 3 dB, R = 1; a test in tests/test_optimizer.py holds that peak).
 ROUND_PANELS = 3072
 # ...and hands them to the integrand in calls of at most this many panels,
-# cut between integrals, so the integrands' (P, 22) buffers do not grow
-# with the round.  The same passes took 1.17 s at 256, 1.02 s at 512,
-# 0.89 s at 1,024 and 0.92 s at 2,048, which peaks at 5.0 MB.
+# so the integrands' (P, 22) buffers do not grow with the round.  The
+# same passes took 0.70 s at 512, 0.64 s at 1,024 and 0.64 s at 2,048,
+# which peaks at 4.9 MB where 1,024 peaks at 4.1 MB.
 CALL_PANELS = 1024
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
@@ -164,21 +167,32 @@ def _nodes(lo, hi):
     return x, half
 
 
+def _rule_sums(y):
+    """The GL7 and GL15 sums of each row of the C-ordered (P, 22)
+    integrand values.  einsum runs along each row, so a row's sums do not
+    depend on the row count, its offset or the other rows.  A BLAS gemv
+    does not promise that (one gemv over a call's panels moved 23 of 101
+    prob_sc rows of a coarse sc grid at -4 dB, R = 0.8), and a stacked
+    per-row dot (matmul, vecdot) moves sc's split at 3 dB, R = 0.5 to its
+    mirror.  _einsum is np.einsum less its Python wrapper, which cost
+    2.4 us a call on 3 rows (2-vCPU VM)."""
+    return (_einsum("ij,j->i", y[:, :7], _W7),
+            _einsum("ij,j->i", y[:, 7:], _W15))
+
+
 def _rule(f, lo, hi):
     """Apply the rule pair to the panels [lo_i, hi_i], given as lists of
     floats; their values and error estimates, as lists.
 
-    The nodes are half * node + mid, the roundings of _nodes; each rule is
-    one matvec over the panels' rows; the rest is Python arithmetic on the
-    floats, the IEEE operations that the array form does elementwise."""
+    The nodes are half * node + mid, the roundings of _nodes; the rest is
+    Python arithmetic on the floats, the IEEE operations that
+    _rule_many does elementwise."""
     half = [0.5 * (h - l) for l, h in zip(lo, hi)]
     x = np.multiply.outer(half, _NODES)
     x += np.array([0.5 * (l + h) for l, h in zip(lo, hi)])[:, None]
-    y = np.asarray(f(x), dtype=float)
-    coarse = (y[:, :7] @ _W7).tolist()
-    fine = (y[:, 7:] @ _W15).tolist()
-    vals = [v * w for v, w in zip(fine, half)]
-    return vals, [abs(v - c * w) for v, c, w in zip(vals, coarse, half)]
+    coarse, fine = _rule_sums(np.asarray(f(x), dtype=float, order="C"))
+    vals = [v * w for v, w in zip(fine.tolist(), half)]
+    return vals, [abs(v - c * w) for v, c, w in zip(vals, coarse.tolist(), half)]
 
 
 def integrate_finite(f, a, b, breakpoints,
@@ -208,8 +222,9 @@ def integrate_finite(f, a, b, breakpoints,
     # the panels, in order: kept ones, then left halves, then right halves
     vals, errs = _rule(f, lo, hi)
     while True:
-        # each row's sum is the pairwise sum of the 1-D array
-        total, err_total = np.add.reduce(np.array([vals, errs]), axis=1).tolist()
+        # the reduction integrate_finite_many runs over each owner's panels
+        total, err_total = np.add.reduceat(np.array([vals, errs]), [0],
+                                           axis=1)[:, 0].tolist()
         tol = max(settings.abs_tol, settings.rel_tol * abs(total))
         if err_total <= tol:
             return total
@@ -236,14 +251,6 @@ def integrate_finite(f, a, b, breakpoints,
         errs = [*compress(errs, keep), *child_errs]
 
 
-def _rows_by_length(start, count):
-    """(rows, index) for each distinct segment length k: rows selects the
-    segments of length k, index is their (G, k) array of element indices."""
-    for k in np.flatnonzero(np.bincount(count)):
-        rows = count == k
-        yield rows, start[rows, None] + np.arange(k)
-
-
 def _segments(owner):
     """Start and length of each owner's run in a nonempty owner-sorted
     array."""
@@ -253,30 +260,17 @@ def _segments(owner):
 
 def _rule_many(f, lo, hi, owner):
     """_rule for owner-sorted panels in arrays, in integrand calls of at
-    most CALL_PANELS panels cut between owners (one owner with more panels
-    gets a call of its own).
-
-    Each owner's panels go through the same matvec call as in _rule,
-    stacked with the other owners of equal panel count in its call."""
-    start, count = _segments(owner)
-    bounds = np.append(start, len(owner))
-    coarse = np.empty_like(lo)
+    most CALL_PANELS panels, wherever the owners' runs fall."""
     fine = np.empty_like(lo)
-    first = 0
-    while first < len(start):
-        s = bounds[first]
-        last = max(first + 1, int(np.searchsorted(bounds, s + CALL_PANELS,
-                                                  side="right")) - 1)
-        e = bounds[last]
-        x, half = _nodes(lo[s:e], hi[s:e])
-        y = np.asarray(f(x, owner[s:e, None]), dtype=float)
-        c, fn = coarse[s:e], fine[s:e]
-        for _, idx in _rows_by_length(start[first:last] - s, count[first:last]):
-            yk = y[idx]
-            c[idx] = (yk[..., :7] @ _W7) * half[idx]
-            fn[idx] = (yk[..., 7:] @ _W15) * half[idx]
-        first = last
-    return fine, np.abs(fine - coarse)
+    errs = np.empty_like(lo)
+    for s in range(0, len(lo), CALL_PANELS):
+        run = slice(s, s + CALL_PANELS)
+        x, half = _nodes(lo[run], hi[run])
+        coarse, fine[run] = _rule_sums(
+            np.asarray(f(x, owner[run, None]), dtype=float, order="C"))
+        fine[run] *= half
+        errs[run] = np.abs(fine[run] - coarse * half)
+    return fine, errs
 
 
 def _first_panels(a, b, breakpoints, owners):
@@ -306,11 +300,8 @@ def _split_round(lo, hi, vals, errs, own, width, settings, out, failure):
     if not len(own):   # before the first round
         return np.zeros(0, dtype=bool), lo, hi, own, failure
     start, count = _segments(own)
-    total = np.empty(len(start))
-    err_total = np.empty(len(start))
-    for rows, idx in _rows_by_length(start, count):
-        total[rows] = vals[idx].sum(axis=1)
-        err_total[rows] = errs[idx].sum(axis=1)
+    total = np.add.reduceat(vals, start)
+    err_total = np.add.reduceat(errs, start)
     scaled = settings.rel_tol * np.abs(total)
     tol = np.where(scaled > settings.abs_tol, scaled, settings.abs_tol)
     done = err_total <= tol
@@ -320,9 +311,13 @@ def _split_round(lo, hi, vals, errs, own, width, settings, out, failure):
     seg = np.repeat(np.arange(len(start)), count)
     split = errs > tol[seg] * (hi - lo) / width[own]
     n_split = np.add.reduceat(split.astype(np.intp), start)
+    # np.argmax's panel of each owner that splits none: its first NaN
+    # (np.maximum propagates it), else its first largest
     worst = ~done & (n_split == 0)
-    for rows, idx in _rows_by_length(start[worst], count[worst]):
-        split[idx[np.arange(len(idx)), np.argmax(errs[idx], axis=1)]] = True
+    if worst.any():
+        peak = np.maximum.reduceat(errs, start)[seg]
+        hits = np.flatnonzero((errs == peak) | np.isnan(errs))
+        split[hits[np.searchsorted(hits, start[worst])]] = True
     n_split[worst] = 1
     failed = ~done & (count + n_split > MAX_SUBDIVISIONS)
     if failed.any():
@@ -369,10 +364,10 @@ def integrate_finite_many(f, a, b, breakpoints,
     next integrals in index order, admitted while the round's panels stay
     within ROUND_PANELS (an integral's first panels counted as 1 + its
     kinks inside (a, b); a round with nothing else to do admits one).  f
-    gets a round in calls of at most CALL_PANELS panels, cut between
-    integrals (an integral with more panels gets a call of its own).  Once
-    an integral fails, none is admitted; the live ones below it run on,
-    and the lowest failure is raised.
+    gets a round in calls of at most CALL_PANELS panels, cut wherever that
+    count falls, so one integral's panels may span two calls.  Once an
+    integral fails, none is admitted; the live ones below it run on, and
+    the lowest failure is raised.
 
     Raises what a loop of integrate_finite over i would raise first: the
     ValueError of an entry with a > b, or the NonConvergence (with its

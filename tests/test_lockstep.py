@@ -114,8 +114,8 @@ def _sc_reprs(alphas, cfg, settings=None):
 
 # (ROUND_PANELS, CALL_PANELS) budgets: the defaults, and tiny ones that
 # admit integrals into rounds already under way and cut integrand calls
-# between the integrals of one round; (1, 1) admits one integral per idle
-# round and gives each integral its own calls.
+# inside and between the integrals of one round; (1, 1) admits one
+# integral per idle round and makes one call per panel.
 DEFAULT_BUDGET = (quadrature.ROUND_PANELS, quadrature.CALL_PANELS)
 TINY_BUDGETS = [(1, 1), (3, 2), (7, 5)]
 # the defaults and rounds of 21 panels in calls of 7 on coarse grids, each
@@ -306,6 +306,72 @@ def test_a_later_failure_in_an_earlier_round_is_not_raised(budget):
     assert 1 in calls[0] and last[1] < last[0]
 
 
+def test_fallback_split_is_np_argmax_of_each_owner():
+    """An owner over tolerance with no panel over its share splits the
+    panel np.argmax picks from its errors, its first NaN, else its first
+    largest, whatever the other owners hold.  The panels here have width
+    1 and the owners width 1, so with tol = 1 every share is 1: errors of
+    0, 0.25 and 0.5 (ties are common) and NaN force the fallback, 2.0 is
+    over its share and 0.25 alone converges."""
+    rng = np.random.default_rng(19)
+    quad = QuadratureSettings(abs_tol=1.0, rel_tol=1e-300)
+    for _ in range(200):
+        count = rng.integers(1, 7, size=int(rng.integers(1, 12)))
+        own = np.repeat(np.arange(len(count)), count)
+        errs = rng.choice([0.0, 0.25, 0.5, math.nan, 2.0], size=len(own),
+                          p=[0.2, 0.3, 0.3, 0.1, 0.1])
+        lo = np.arange(len(own), dtype=float)
+        keep, c_lo, _, _, failure = quadrature._split_round(
+            lo, lo + 1.0, np.zeros(len(own)), errs, own, np.ones(len(count)),
+            quad, np.zeros(len(count)), None)
+        assert failure is None
+        split = {x for x in c_lo.tolist() if x == int(x)}   # the left halves
+        for o in range(len(count)):
+            mine = np.flatnonzero(own == o)
+            e = errs[mine]
+            done = e.sum() <= 1.0
+            if done:
+                want = set()
+            elif (e > 1.0).any():
+                want = set(lo[mine][e > 1.0].tolist())
+            else:
+                want = {float(lo[mine][np.argmax(e)])}
+            assert {x for x in split if own[int(x)] == o} == want
+            assert keep[mine].tolist() == [not done and x not in want
+                                           for x in lo[mine].tolist()]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(owners=st.lists(owner(), min_size=1, max_size=6), data=st.data(),
+       budget=st.sampled_from([*TINY_BUDGETS, DEFAULT_BUDGET]))
+def test_nan_errors_split_and_fail_as_the_scalar_loop(owners, data, budget):
+    """Owners whose integrand is NaN at the 7-point nodes past a cut have
+    finite values and NaN errors: they never converge, and each round
+    splits the first NaN panel.  The lowest one's failure (its estimate
+    depends on which panels were split) is the scalar loop's."""
+    cuts = np.array([data.draw(st.floats(a - 0.5, b + 0.5)) for a, b, *_ in owners])
+    f = _family(owners)
+
+    def g(x, i):
+        y = f(x, i)
+        y[:, :7] = np.where(x[:, :7] > cuts[i], math.nan, y[:, :7])
+        return y
+
+    with mock.patch.object(quadrature, "MAX_SUBDIVISIONS", 40):
+        want, failure = _scalar_loop(g, owners, QuadratureSettings())
+        if failure is None:   # every cut lies past its interval
+            got = _many(g, owners, QuadratureSettings(), budget)
+            assert _bits(got.tolist()) == _bits(want)
+            return
+        with pytest.raises(NonConvergence) as info:
+            _many(g, owners, QuadratureSettings(), budget)
+    index, expected = failure
+    assert info.value.owner == index
+    assert _bits([info.value.estimate, info.value.error]) == \
+        _bits([expected.estimate, expected.error])
+    assert info.value.panels == expected.panels
+
+
 def test_reversed_interval_raises_after_earlier_integrals():
     def decay(x, i):
         return np.exp(-x)
@@ -430,7 +496,8 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     quad = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
     # each kernel first fails at a different point: p3 and p4 skip or
     # resolve the early ones, and sc's first failing owner is tp3 at
-    # alpha = 0.5, not tp4p at alpha = 0, where prob_sc fails first
+    # alpha = 0.9 at R = 0.8 and 0.5 at R = 2, not the tp4p where prob_sc
+    # fails first (alpha = 0.3 and 0)
     points = [(0.0, 0.0), (0.5, 0.5), (0.3, 0.7), (0.9, 0.1)]
     alphas = [a for a, _ in points]
     betas = [b for _, b in points]
@@ -456,7 +523,8 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     with pytest.raises(NonConvergence) as info:
         prob_p3_p4_grid(alphas[1:], betas[1:], alphas, betas, cfg, quad)
     assert str(info.value) == want
-    assert _sc_failure_names_its_first_owner(alphas, cfg, quad) == 0.5
+    assert _sc_failure_names_its_first_owner(alphas, cfg, quad) == \
+        {0.8: 0.9, 2.0: 0.5}[rate]
 
 
 # The sc kernels of a whole coarse grid go through one lockstep call, tp4p
@@ -507,14 +575,14 @@ def test_sc_grid_raises_the_first_failure_of_the_scalar_loop(snr_db, rate, tol,
 
 def test_sc_grid_names_a_failing_tp4p_share(monkeypatch):
     """At 3 dB, R = 1 and 1e-17 every tp3 converges and tp4 fails at the
-    shares 0.6-0.64.  Of the splits 0.3 and 0.36, only the mirror share
-    0.64 (tp4p at 0.36) fails: the error names it as the split 0.64, which
+    shares 0.6-0.62.  Of the splits 0.3 and 0.38, only the mirror share
+    0.62 (tp4p at 0.38) fails: the error names it as the split 0.62, which
     is not one of the splits asked for, and prob_sc fails there too."""
     from mlharq import closed_form
 
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
     quad = QuadratureSettings(abs_tol=1e-17, rel_tol=1e-17)
-    alphas = [0.3, 0.36]
+    alphas = [0.3, 0.38]
     kernel_grid = closed_form._kernel_grid
     tp3 = []
 

@@ -347,14 +347,14 @@ class TestGridStep:
 # integrands written as numpy expressions and the lockstep quadrature in
 # fixed blocks of 256 integrals, measured in a fresh interpreter (numpy
 # 2.4): 3.93 MB.  The in-place integrands in rolling rounds of 3,072 panels
-# and integrand calls of 1,024 panels peak at 4.5 MB.
+# and integrand calls of 1,024 panels peak at 4.1 MB.
 EXPRESSION_FORM_PEAK_MB = 3.93
 PEAK_SLACK_MB = 1.0
 
 
 def test_peak_memory_of_one_mlh_search():
     """A larger ROUND_PANELS or CALL_PANELS (or heavier integrands) must not
-    quietly trade memory for speed: calls of 2,048 panels peak at 5.0 MB,
+    quietly trade memory for speed: calls of 2,048 panels peak at 4.9 MB,
     and fixed blocks of 1,024 integrals with the expression forms peaked at
     11.4 MB."""
     cfg = SystemConfig.from_snr_db(3.0, 1.0)

@@ -19,7 +19,7 @@ from mlharq.quadrature import (
     NonConvergence,
     QuadratureSettings,
     _nodes,
-    _rows_by_length,
+    _rule_sums,
     integrate_finite,
 )
 
@@ -176,16 +176,17 @@ def test_nodes_equal_the_broadcast_expression():
 # The list loop against the array loop, bit for bit
 #
 # The reference is integrate_finite's earlier form, whose panels lived in
-# numpy arrays: the same rules, split order and sums, so every value and
-# every NonConvergence must equal its.  It reads MAX_SUBDIVISIONS from the
+# numpy arrays: the same rules, split order, row sums (np.einsum) and
+# totals (np.add.reduceat over one segment), so every value and every
+# NonConvergence must equal its.  It reads MAX_SUBDIVISIONS from the
 # module, as integrate_finite does, so both run on a patched budget.
 # ---------------------------------------------------------------------------
 
 def ref_rule_batch(f, lo, hi):
     x, half = _nodes(lo, hi)
     y = np.asarray(f(x), dtype=float)
-    coarse = (y[:, :7] @ _W7) * half
-    fine = (y[:, 7:] @ _W15) * half
+    coarse = np.einsum("ij,j->i", y[:, :7], _W7) * half
+    fine = np.einsum("ij,j->i", y[:, 7:], _W15) * half
     return fine, np.abs(fine - coarse)
 
 
@@ -201,8 +202,8 @@ def ref_integrate_finite(f, a, b, breakpoints, settings=DEFAULT_SETTINGS):
     width = b - a
     vals, errs = ref_rule_batch(f, lo, hi)
     while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
+        total = float(np.add.reduceat(vals, [0])[0])
+        err_total = float(np.add.reduceat(errs, [0])[0])
         tol = max(settings.abs_tol, settings.rel_tol * abs(total))
         if err_total <= tol:
             return total
@@ -311,28 +312,81 @@ def test_list_loop_equals_the_array_loop(case):
             == _outcome(ref_integrate_finite, f, a, b, kinks, quad, budget))
 
 
-def test_both_totals_in_one_reduction_are_the_one_dimensional_sums():
-    """integrate_finite sums a round's values and errors as the two rows of
-    one 2-D reduction, integrate_finite_many each owner's as a row of its
-    (G, k) gather (_split_round), and the array loop summed 1-D arrays:
-    all three are the same pairwise sum, bit for bit, for every panel count
-    from 1 to 64 and values from signed zeros and non-finite ones to
-    magnitudes of 1e-300 to 1e300."""
-    rng = np.random.default_rng(15)
+def _odd_values(rng, shape):
+    """Signed values of magnitude 1e-300 to 1e300, some of them +-0, +-inf
+    or NaN."""
     special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+    values = rng.choice([-1.0, 1.0], size=shape) * rng.random(shape) \
+        * 10.0 ** rng.integers(-300, 301, size=shape)
+    odd = rng.random(shape) < rng.choice([0.0, 0.05, 0.3])
+    values[odd] = rng.choice(special, size=int(odd.sum()))
+    return values
+
+
+def _bits_list(values):
+    return [_bits(v) for v in np.asarray(values).tolist()]
+
+
+def _rows_at(rng, rows, p, offset):
+    """rows (k, m) placed at row offset of a (p, m) array of other values,
+    itself a view that starts 0-3 elements into its buffer, so that its
+    rows start at varied alignments."""
+    k, m = rows.shape
+    shift = int(rng.integers(0, 4))
+    flat = np.empty(p * m + shift)
+    y = flat[shift:].reshape(p, m)
+    y[:] = _odd_values(rng, (p, m))
+    y[offset:offset + k] = rows
+    return y
+
+
+def test_a_rows_rule_sums_depend_on_that_row_alone():
+    """_rule_sums gives each row the sums it gets alone, whatever the row
+    count (1-64), its offset among the rows and the other rows' values,
+    for signed zeros, infinities, NaNs and magnitudes of 1e-300 to 1e300;
+    and it equals np.einsum, bit for bit."""
+    rng = np.random.default_rng(19)
+    with np.errstate(all="ignore"):
+        for p in range(1, 65):
+            for _ in range(10):
+                k = int(rng.integers(1, p + 1))
+                rows = _odd_values(rng, (k, 22))
+                alone = [_rule_sums(rows[i:i + 1]) for i in range(k)]
+                offset = int(rng.integers(0, p - k + 1))
+                y = _rows_at(rng, rows, p, offset)
+                coarse, fine = _rule_sums(y)
+                assert _bits_list(coarse) == _bits_list(
+                    np.einsum("ij,j->i", y[:, :7], _W7))
+                assert _bits_list(fine) == _bits_list(
+                    np.einsum("ij,j->i", y[:, 7:], _W15))
+                assert _bits_list(coarse[offset:offset + k]) == \
+                    [_bits(c[0]) for c, _ in alone]
+                assert _bits_list(fine[offset:offset + k]) == \
+                    [_bits(f[0]) for _, f in alone]
+
+
+def test_both_totals_in_one_reduction_are_the_one_dimensional_sums():
+    """integrate_finite sums a round's values and errors as the two rows
+    of one reduceat over [0], integrate_finite_many each owner's as one
+    segment of a reduceat over its owners' starts (_split_round): a
+    segment's total is the same whatever segments surround it, bit for
+    bit, for segments of 1 to 64 panels at varied offsets and alignments,
+    and values from signed zeros and non-finite ones to magnitudes of
+    1e-300 to 1e300."""
+    rng = np.random.default_rng(15)
     with np.errstate(all="ignore"):
         for p in range(1, 65):
             for _ in range(20):
-                rows = rng.choice([-1.0, 1.0], size=(3, p)) * rng.random((3, p)) \
-                    * 10.0 ** rng.integers(-300, 301, size=(3, p))
-                odd = rng.random((3, p)) < rng.choice([0.0, 0.05, 0.3])
-                rows[odd] = rng.choice(special, size=int(odd.sum()))
-                v, e, w = rows
-                both = np.add.reduce(np.array([v.tolist(), e.tolist()]), axis=1)
-                flat = np.concatenate([v, e, w])
-                start, count = np.array([0, p, 2 * p]), np.full(3, p)
-                (_, idx), = _rows_by_length(start, count)
-                gathered = flat[idx].sum(axis=1)
+                v, e = _odd_values(rng, (2, p))
+                both = np.add.reduceat(np.array([v.tolist(), e.tolist()]), [0],
+                                       axis=1)[:, 0]
+                counts = rng.integers(1, 65, size=int(rng.integers(1, 6)))
+                place = int(rng.integers(0, len(counts)))
+                counts[place] = p
+                start = np.concatenate(([0], np.cumsum(counts)[:-1]))
                 for k, row in enumerate((v, e)):
-                    assert _bits(both[k]) == _bits(row.sum()) == _bits(gathered[k])
-                assert _bits(gathered[2]) == _bits(w.sum())
+                    seq = _rows_at(rng, row[:, None], int(counts.sum()),
+                                   int(start[place]))[:, 0]
+                    total = np.add.reduceat(seq, start)[place]
+                    alone = np.add.reduceat(row, [0])[0]
+                    assert _bits(both[k]) == _bits(alone) == _bits(total)
