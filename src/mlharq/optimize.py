@@ -6,11 +6,15 @@ full grid is cheap.  Ties are broken toward alpha = beta = 1 (the
 time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
 
-Each coarse grid and refinement window is evaluated in one lockstep
-quadrature (the closed forms' _grid functions, whose values have the
+Each coarse grid and refinement window is evaluated in lockstep
+quadratures (the closed forms' _grid functions, whose values have the
 scalar closed forms' bits) for all its slot-2 kernels: p3 and p4 for mlh,
-tp3, tp4 and tp4p for sc.  The values are combined elementwise in the scalar
-search's arithmetic and offered as one array: the winner is the one a
+tp3, tp4 and tp4p for sc; one call per window and per sc grid.  The mlh
+coarse grid integrates only the points that can still be its argmax: the
+others are pruned by upper bounds on p3 and p4 (closed_form's
+prob_p3_p4_bound) against an incumbent, in a few calls (_coarse_values).
+The values are combined elementwise in the scalar search's arithmetic and
+offered as one array, a pruned point as NaN: the winner is the one a
 point-by-point loop in the scalar search's order would keep.  A lockstep
 call that fails raises the NonConvergence of its lowest failing integral,
 which names a kernel, shares and config at which the scalar closed form
@@ -25,11 +29,13 @@ import numpy as np
 
 from .closed_form import (
     EventProbs,
+    _bound_slack,
     _sc_columns,
     mlh_throughput_from_probs,
     prob_p0,
     prob_p1,
     prob_p2,
+    prob_p3_p4_bound,
     prob_p3_p4_grid,
     sc_throughput_from_probs,
     throughput_mlh,
@@ -53,6 +59,8 @@ class Optimum:
 
 
 _MAX_GRID = 1000   # cap on the coarse grid's subdivisions of [0, 1]
+_BOUND_PIECES = (8, 32)   # pieces of the mlh coarse grid's bounds, pass by pass
+_INCUMBENT_POINTS = 16    # points integrated per pass: the highest bounds
 
 
 def _axis_points(grid_step: float) -> list[float]:
@@ -110,30 +118,100 @@ def _slot1_base(a, m, cfg, settings):
 
 def _coarse_values(pts, cfg, settings):
     """The mlh objective at every coarse grid point (pts[i], pts[j]), an
-    (n + 1, n + 1) array, in the scalar search's arithmetic.
+    (n + 1, n + 1) array, in the scalar search's arithmetic; NaN at a point
+    pruned as one that cannot be the grid's argmax.
 
     The mirrored events are evaluated at the mirrored grid index (exact
     index mirror, never 1 - a), and p3(i, j) = p3(n - i, n - j), which is
     exact on the indices, not on floats (the two quadratures differ in the
-    last bits), at the canonical one of the two.  Both slot-2 kernels come
-    from one lockstep quadrature, whose NonConvergence names its lowest
-    failing integral (p3 before p4), a point at which the scalar closed
-    form fails as well.  tests/test_optimizer.py pins the values to its
-    scalar_search (TestMatchesScalarSearch).
+    last bits), at the canonical one of the two.
+
+    Only the argmax is used, so only the points that can still win are
+    integrated.  prob_p3_p4_bound gives each p3/p4 integral an upper bound
+    on the value its quadrature returns, with no quadrature, so the
+    objective in the same arithmetic gives each point a bound.  The
+    incumbent starts at the time-sharing corner (1, 1).  Then for 8, then
+    32 pieces: the points still in play are bounded, the 16 highest bounds
+    are integrated and the best value found becomes the incumbent, and a
+    point whose bound lies below it is pruned.  Two margins keep that
+    sound: each integral's bound carries closed_form._BOUND_MARGIN for its
+    own rounding and 6 max(abs_tol, rel_tol) of the run's settings for the
+    quadrature's, so the objective's bound carries 24 R max(abs_tol,
+    rel_tol) over a denominator 2 - p0 <= 2: at least 12 R max(abs_tol,
+    rel_tol).  A pruned point's value thus lies below the incumbent, a
+    value of the grid, and never wins; a NaN or +inf bound never prunes.
+    No integral's bound falls below those margins, so a point whose
+    objective at the margins alone reaches the incumbent cannot be pruned
+    and is not bounded again.  The points left are integrated in one last
+    lockstep call, each integral once over all the calls.  The pruned
+    points are offered as NaN, which never wins, so the argmax, the windows
+    and `evaluations` are those of the whole grid.
+
+    Each lockstep call's NonConvergence names its lowest failing integral
+    (p3 before p4), a point at which the scalar closed form fails as well;
+    an integral at a pruned point is never run and cannot fail.
+    tests/test_optimizer.py pins the search to its scalar_search, which
+    integrates every point (TestMatchesScalarSearch).
     """
     n = len(pts) - 1
+    size = (n + 1) ** 2
     grid = np.array(pts)
-    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    canon = (i < n - i) | ((i == n - i) & (j <= n - j))   # (i, j) <= mirror
-    ci, cj = i[canon], j[canon]
-    p3c, p4 = prob_p3_p4_grid(grid[ci], grid[cj], grid[i], grid[j], cfg, settings)
-    p4 = p4.reshape(n + 1, n + 1)
-    p3 = np.empty((n + 1, n + 1))
-    p3[ci, cj] = p3[n - ci, n - cj] = p3c
-    base, denom = np.array([_slot1_base(a, pts[n - i], cfg, settings)
-                            for i, a in enumerate(pts)]).T
-    q = base[:, None] + 2.0 * p3 + p4 + p4[::-1, ::-1]
-    return cfg.rate_R * q / denom[:, None]
+    i, j = np.divmod(np.arange(size), n + 1)
+    alphas, betas = grid[i], grid[j]
+    # flat indices: the mirror of point k is size - 1 - k, and p3 lives at
+    # the lower of the two, the canonical point
+    canon = np.minimum(np.arange(size), np.arange(size)[::-1])
+    base, denom = np.array([_slot1_base(a, pts[n - k], cfg, settings)
+                            for k, a in enumerate(pts)]).T
+    base, denom = base[i], denom[i]
+
+    def objective(p3, p4):
+        q = base + 2.0 * p3[canon] + p4 + p4[::-1]
+        return cfg.rate_R * q / denom
+
+    def needs(points):
+        """Masks of the p3 and p4 integrals that the objective at `points`
+        reads."""
+        need3 = np.zeros(size, dtype=bool)
+        need3[canon[points]] = True
+        return need3, points | points[::-1]
+
+    u3, u4 = np.full(size, np.nan), np.full(size, np.nan)   # the bounds
+
+    def bound(points, pieces):
+        k3, k4 = (np.flatnonzero(need) for need in needs(points))
+        u3[k3], u4[k4] = prob_p3_p4_bound(alphas[k3], betas[k3], alphas[k4],
+                                          betas[k4], cfg, pieces, settings)
+        return objective(u3, u4)
+
+    p3, p4 = np.full(size, np.nan), np.full(size, np.nan)   # NaN: not run
+
+    def integrate(points):
+        k3, k4 = (np.flatnonzero(need & np.isnan(p))
+                  for need, p in zip(needs(points), (p3, p4)))
+        if k3.size or k4.size:
+            p3[k3], p4[k4] = prob_p3_p4_grid(alphas[k3], betas[k3], alphas[k4],
+                                             betas[k4], cfg, settings)
+
+    slack = np.full(size, _bound_slack(settings))
+    floor = objective(slack, slack)   # no point's bound lies below its floor
+    integrate(np.arange(size) == size - 1)
+    incumbent = objective(p3, p4)[-1]
+    live = np.ones(size, dtype=bool)
+    candidates = live   # the points to bound: at first all of them
+    for pieces in _BOUND_PIECES:
+        if not (candidates & (floor < incumbent)).any():
+            break
+        tb = np.where(live, bound(candidates, pieces), np.nan)
+        top = np.zeros(size, dtype=bool)
+        top[np.argsort(-tb, kind="stable")[:_INCUMBENT_POINTS]] = True
+        top &= live
+        integrate(top)
+        incumbent = max(incumbent, objective(p3, p4)[top].max(initial=-math.inf))
+        live = live & ~(tb < incumbent)
+        candidates = live & (floor < incumbent)
+    integrate(live)
+    return objective(p3, p4).reshape(n + 1, n + 1)
 
 
 def _search_mlh(cfg, grid_step, refine_tol, settings):
@@ -227,6 +305,13 @@ def optimize_split(protocol: str, cfg: SystemConfig, grid_step: float = 0.01,
     1000 of them, else ValueError) and the incumbent is then refined by
     repeated 10x grid shrinks until the remaining argument box is below
     refine_tol per coordinate.
+
+    The mlh coarse grid integrates only the points whose upper bound, with
+    margins for rounding and for the quadrature tolerance, still reaches the
+    best value integrated so far; a pruned point is offered as NaN, so the
+    result and `evaluations` (every grid and window point) are those of the
+    whole grid.  An integral at a pruned point is never run, so it cannot
+    raise NonConvergence either.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")

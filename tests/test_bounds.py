@@ -1,0 +1,100 @@
+"""Upper bounds on p3 and p4, which prune the mlh coarse grid.
+
+closed_form.prob_p3_p4_bound claims to bound, with no quadrature, what
+prob_p3 and prob_p4 return at the given settings.  These tests hold the
+claim against the quadratures where the integrands change form: shares 0
+and 1, the vanishing threshold 2^R/(2^R + 1), one ulp either side of it
+and its mirror, over rates, SNRs and sigma2 from 0.3 to the largest decade
+a config accepts.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
+
+from mlharq.closed_form import (
+    _bound_slack,
+    _g_max_at,
+    _slot1_pieces,
+    prob_p3,
+    prob_p3_p4_bound,
+    prob_p4,
+    vanishing_threshold,
+)
+from mlharq.model import SystemConfig
+from mlharq.quadrature import DEFAULT_SETTINGS, NonConvergence, QuadratureSettings
+
+LOOSE = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4)
+
+
+def _edge_shares(cfg):
+    vt = vanishing_threshold(cfg)
+    return [0.0, 1.0, vt, math.nextafter(vt, 0.0), math.nextafter(vt, 1.0),
+            1.0 - vt]
+
+
+@st.composite
+def bound_cases(draw):
+    """(alphas, betas, cfg, settings, pieces): up to 6 points with shares on
+    the edges above, or in [0.001, 0.999]."""
+    rate = draw(st.floats(0.05, 24.0))
+    snr_db = draw(st.floats(-5.0, 40.0))
+    sigma2 = draw(st.sampled_from([0.3, 1.0, 4.0, 1e153]))
+    try:
+        cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
+    except ValueError:   # sigma2 * P overflows at the largest sigma2
+        reject()
+    shares = st.one_of(st.sampled_from(_edge_shares(cfg)), st.floats(1e-3, 0.999))
+    n = draw(st.integers(1, 6))
+    alphas = draw(st.lists(shares, min_size=n, max_size=n))
+    betas = draw(st.lists(shares, min_size=n, max_size=n))
+    quad = draw(st.sampled_from([DEFAULT_SETTINGS, LOOSE]))
+    pieces = draw(st.sampled_from([1, 8, 32]))
+    return alphas, betas, cfg, quad, pieces
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=bound_cases())
+@example(case=([0.0, 1.0], [1.0, 0.0], SystemConfig.from_snr_db(25.5, 2.0, 4.0),
+               LOOSE, 32))
+@example(case=([1.0], [0.6942738200469402], SystemConfig.from_snr_db(32.7, 1.18, 4.0),
+               DEFAULT_SETTINGS, 8))
+def test_the_bounds_reach_past_the_values(case):
+    """Each bound is at least what prob_p3 / prob_p4 return there, plus
+    twice the tolerance that value was computed to: the integral may lie a
+    tolerance above the value, and another value computed to that tolerance
+    a tolerance above the integral.  The pieces' slot-1 masses and the
+    mass past their cut add up to the slot-1 mass of [0, g_max].  The
+    examples are points where the integrand's factor is constant in g, so
+    that the sum is the integral itself."""
+    alphas, betas, cfg, quad, pieces = case
+    upper = np.maximum(_g_max_at(np.array(alphas), cfg)[0], 0.0)
+    _, mass = _slot1_pieces(upper, cfg.sigma2, pieces)
+    for row, g in zip(mass.tolist(), upper.tolist()):
+        # the pieces and the tail partition [0, g_max]
+        assert abs(math.fsum(row) + math.expm1(-g / cfg.sigma2)) <= 1e-15
+    u3, u4 = prob_p3_p4_bound(alphas, betas, alphas, betas, cfg, pieces, quad)
+    room = 2.0 * max(quad.abs_tol, quad.rel_tol)
+    for k, (a, b) in enumerate(zip(alphas, betas)):
+        try:
+            v3, v4 = prob_p3(a, b, cfg, quad), prob_p4(a, b, cfg, quad)
+        except NonConvergence:
+            continue
+        assert u3[k] - room >= v3, (a, b, cfg, quad, pieces)
+        assert u4[k] - room >= v4, (a, b, cfg, quad, pieces)
+
+
+def test_more_pieces_bound_tighter():
+    """32 pieces nest the 8, so each of their bounds is at most the 8's (up
+    to rounding, where the integrand's factor is constant in g), and none
+    falls below the slack."""
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    grid = np.linspace(0.0, 1.0, 21)
+    alphas, betas = np.repeat(grid, 21), np.tile(grid, 21)
+    coarse = prob_p3_p4_bound(alphas, betas, alphas, betas, cfg, 8)
+    fine = prob_p3_p4_bound(alphas, betas, alphas, betas, cfg, 32)
+    for c, f in zip(coarse, fine):
+        assert (f <= c + 2.0 ** -50).all()
+        assert (f >= _bound_slack(None)).all()

@@ -203,20 +203,40 @@ class TestOptimizeSplit:
         assert abs(opt_a.throughput_star - opt_b.throughput_star) <= 1e-12
 
 
+def _repr_cases():
+    """The default search for both protocols at five configs, then the mlh
+    search at a coarser grid, at four configs where the bounds prune 92%
+    (40 dB, R = 12) to 96% of the coarse points, and at a loose tolerance
+    (73% pruned)."""
+    cases = [pytest.param(protocol, snr_db, rate, {},
+                          id=f"{snr_db}-{rate}-{protocol}")
+             for snr_db, rate in [(3.0, 0.3), (3.0, 0.8), (3.0, 1.3),
+                                  (-4.0, 1.0), (25.0, 2.3)]
+             for protocol in ("mlh", "sc")]
+    coarse = {"grid_step": 0.05, "refine_tol": 1e-3}
+    cases += [pytest.param("mlh", snr_db, rate, coarse,
+                           id=f"{snr_db}-{rate}-mlh-grid0.05")
+              for snr_db, rate in [(-5.0, 0.05), (10.0, 4.3), (40.0, 12.0),
+                                   (3.0, 5.8)]]
+    loose = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4)
+    cases.append(pytest.param("mlh", 3.0, 1.0, dict(coarse, settings=loose),
+                              id="3.0-1.0-mlh-grid0.05-loose"))
+    return cases
+
+
 class TestMatchesScalarSearch:
     """The batched search returns the scalar search's Optimum, repr for
     repr.  At 3 dB, R = 0.3, 0.8 and 1.3 sc's split is decided by a
     5.6e-17 margin or by an exact tie between mirror splits, so a value
-    that moved by one ulp would move the reported split."""
+    that moved by one ulp would move the reported split.  The scalar search
+    integrates every mlh coarse point, so it is also the reference for the
+    bound-pruned coarse grid."""
 
-    @pytest.mark.parametrize("protocol", ["mlh", "sc"])
-    @pytest.mark.parametrize("snr_db, rate", [(3.0, 0.3), (3.0, 0.8),
-                                              (3.0, 1.3), (-4.0, 1.0),
-                                              (25.0, 2.3)])
-    def test_repr_identical(self, protocol, snr_db, rate):
+    @pytest.mark.parametrize("protocol, snr_db, rate, search", _repr_cases())
+    def test_repr_identical(self, protocol, snr_db, rate, search):
         cfg = SystemConfig.from_snr_db(snr_db, rate)
-        assert repr(optimize_split(protocol, cfg)) == \
-            repr(scalar_search(protocol, cfg))
+        assert repr(optimize_split(protocol, cfg, **search)) == \
+            repr(scalar_search(protocol, cfg, **search))
 
     @pytest.mark.parametrize("protocol, snr_db, tol", [("mlh", 3.0, 1e-19),
                                                        ("mlh", 10.0, 1e-18),
@@ -260,6 +280,62 @@ class TestMatchesScalarSearch:
         scalar = {"p3": prob_p3, "p4": prob_p4, "sc": prob_sc}[kernel]
         with pytest.raises(NonConvergence):
             scalar(*shares, cfg, tight)
+
+
+class TestPruning:
+    """The mlh coarse grid prunes a point only where its objective's bound
+    lies below an incumbent: a NaN or +inf bound never prunes."""
+
+    @staticmethod
+    def unpruned(pts, cfg):
+        """_coarse_values with every integral run, in its arithmetic."""
+        n = len(pts) - 1
+        grid = np.array(pts)
+        a, b = np.repeat(grid, n + 1), np.tile(grid, n + 1)
+        p3, p4 = optimize.prob_p3_p4_grid(a, b, a, b, cfg)
+        k = np.arange((n + 1) ** 2)
+        p3 = p3[np.minimum(k, k[::-1])]   # the canonical point's value
+        base, denom = np.array([optimize._slot1_base(x, pts[n - i], cfg, None)
+                                for i, x in enumerate(pts)]).repeat(n + 1, axis=0).T
+        return cfg.rate_R * (base + 2.0 * p3 + p4 + p4[::-1]) / denom
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_a_nan_or_inf_bound_never_prunes(self, monkeypatch, bad, every):
+        """Spoil the bound of every integral (every = 1), or of the points
+        (i, j) with i + j divisible by 3: no point whose objective reads a
+        spoiled bound is pruned, and each point that is not pruned has the
+        unpruned grid's bits."""
+        pts = _axis_points(0.1)
+        n = len(pts) - 1
+        bound = optimize.prob_p3_p4_bound
+
+        def spoiled(alphas, betas):
+            i, j = (np.rint(np.asarray(x) * n).astype(int) for x in (alphas, betas))
+            return (i + j) % every == 0
+
+        def patched(a3, b3, a4, b4, cfg, pieces, quad=None):
+            u3, u4 = bound(a3, b3, a4, b4, cfg, pieces, quad)
+            u3[spoiled(a3, b3)] = bad
+            u4[spoiled(a4, b4)] = bad
+            return u3, u4
+
+        monkeypatch.setattr(optimize, "prob_p3_p4_bound", patched)
+        got = optimize._coarse_values(pts, CFG_3DB, None).ravel()
+        want = self.unpruned(pts, CFG_3DB)
+        grid = np.array(pts)
+        a, b = np.repeat(grid, n + 1), np.tile(grid, n + 1)
+        k = np.arange((n + 1) ** 2)
+        canon = np.minimum(k, k[::-1])
+        reads = (spoiled(a[canon], b[canon]) | spoiled(a, b)
+                 | spoiled(a[::-1], b[::-1]))
+        assert reads.any()
+        kept = ~np.isnan(got)
+        assert kept[reads].all()
+        assert [float.hex(x) for x in got[kept]] == \
+            [float.hex(x) for x in want[kept]]
+        if every == 3:
+            assert not kept.all()   # the other points are still pruned
 
 
 class TestArrayOffers:
