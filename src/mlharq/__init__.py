@@ -25,13 +25,12 @@ from .closed_form import (
     throughput_sc,
     throughput_ts,
 )
-from .model import ChannelDraw, PowerSplit, SliceEvent, SliceOutcome, SystemConfig
+from .model import PowerSplit, SliceEvent, SystemConfig
 from .monte_carlo import McEstimate, McReport, estimate
 from .optimize import Optimum, optimize_rate_and_split, optimize_split
 from .quadrature import NonConvergence, QuadratureSettings
 
 __all__ = [
-    "ChannelDraw",
     "EventProbs",
     "McEstimate",
     "McReport",
@@ -41,7 +40,6 @@ __all__ = [
     "QuadratureSettings",
     "ScProbs",
     "SliceEvent",
-    "SliceOutcome",
     "SystemConfig",
     "estimate",
     "event_probs",

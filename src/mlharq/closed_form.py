@@ -222,9 +222,14 @@ def g_max(alpha: float, cfg: SystemConfig) -> float:
 def _over_power(n, w):
     """n / w, where w is a layer's slot-2 power; a zero-power layer gives
     the limit +inf where n > 0, else 0.  Elementwise over n and w (w
-    broadcasts against n); the result overwrites n."""
+    broadcasts against n); the result overwrites n.
+
+    Every caller's |n| is at most 2^R < 2^512 (SystemConfig), so n / w
+    cannot overflow for w > 2^-500, and the float fast path divides only
+    there; a smaller positive power, where n / w may overflow to the +inf
+    it means, takes the array path, which divides quietly to the same bits."""
     if isinstance(w, float):               # the scalar path
-        if w > 0.0:
+        if w > 2.0 ** -500:
             n /= w
             return n
         if w == 0.0:                       # +0.0 or -0.0: the bits below
@@ -235,7 +240,7 @@ def _over_power(n, w):
     zero = ~(np.asarray(w) > 0.0)
     # n / +0.0 is +inf where n > 0 (a -0.0 power must not flip it to -inf);
     # the other zero-power lanes, -inf and NaN among them, become 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n /= np.where(zero, 0.0, w)
     np.copyto(n, 0.0, where=zero & ~(n > 0.0))
     return n
@@ -336,7 +341,13 @@ def h4(g, alpha, beta, cfg):
     clear = n <= 0.0
     np.copyto(d, 1.0, where=capped)
     d *= p
-    h4v = np.divide(n, d, out=n)
+    # an uncapped d > 0 is at least about beta 2^-54, so d*P can underflow
+    # to 0 (n / 0, or 0 / 0 where clear overwrites it) only at a tiny beta*P
+    if isinstance(beta, float) and beta * p > 2.0 ** -500:
+        h4v = np.divide(n, d, out=n)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h4v = np.divide(n, d, out=n)
     np.copyto(h4v, np.inf, where=capped)
     np.copyto(h4v, 0.0, where=clear)
 
@@ -592,8 +603,14 @@ def prob_p2_prime(alpha: float, cfg: SystemConfig,
 
 def _decay(x, s2, out):
     """exp(-x / s2) into out, which may be x itself; x / -s2 has the bits
-    of -x / s2."""
-    np.divide(x, -s2, out=out)
+    of -x / s2.  x is finite or +inf, so the quotient can overflow only at
+    s2 < 1 (a threshold past s2 DBL_MAX, as at a tiny slot-2 power): to
+    -inf, where exp gives the limit 0, quietly."""
+    if s2 < 1.0:
+        with np.errstate(over="ignore"):
+            np.divide(x, -s2, out=out)
+    else:
+        np.divide(x, -s2, out=out)
     return np.exp(out, out=out)
 
 

@@ -1,14 +1,16 @@
-"""Physical scenario types and the decode-event predicates shared by the
-analytic formulas, the Monte-Carlo simulator, and the tests.
+"""Physical scenario types, the slice events with their reward table, and
+the gain-threshold convention of the analytic formulas.
 
 Two messages are delivered over a slice of two fading timeslots.  Decoding
 succeeds whenever the accumulated mutual information for a message reaches
-the per-message rate R (Gaussian threshold model, logs base 2).
+the per-message rate R (Gaussian threshold model, logs base 2).  The one
+decode ladder that classifies a slice into these events is the Monte-Carlo
+oracle's, `monte_carlo._ladder` over `monte_carlo._terms`.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 PROTOCOLS = ("ts", "mlh", "sc")
 
@@ -86,29 +88,6 @@ class PowerSplit:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the two per-slot channel gains."""
-
-    g1: float
-    g2: float
-
-    def __post_init__(self):
-        if not self.g1 >= 0:
-            raise ValueError(f"g1 must be >= 0, got {self.g1}")
-        if not self.g2 >= 0:
-            raise ValueError(f"g2 must be >= 0, got {self.g2}")
-
-
-class JointOutcome(Enum):
-    """Result of a joint decoding attempt on two superposed messages."""
-
-    BOTH = "both"
-    ONLY_M1 = "only_m1"
-    ONLY_M2 = "only_m2"
-    NEITHER = "neither"
-
-
 class SliceEvent(IntEnum):
     """Decoding outcome of one two-slot slice.
 
@@ -139,31 +118,6 @@ _REWARD_MESSAGES = {
 }
 
 
-@dataclass(frozen=True)
-class SliceOutcome:
-    """Event label of one simulated slice plus its reward bookkeeping.
-
-    reward_messages counts correctly delivered messages (multiples of R*N
-    information bits); duration_slots is 1 only when both messages clear
-    at slot 1 under the multi-layer protocol, else 2.
-    """
-
-    event: SliceEvent
-    reward_messages: int
-    duration_slots: int
-
-    @classmethod
-    def from_event(cls, event: SliceEvent) -> "SliceOutcome":
-        duration = 1 if event is SliceEvent.OMEGA0 else 2
-        return cls(event=event, reward_messages=_REWARD_MESSAGES[event],
-                   duration_slots=duration)
-
-
-def pos_part(x: float) -> float:
-    """max(0, x)."""
-    return x if x > 0.0 else 0.0
-
-
 def safe_div_threshold(numerator: float, denominator: float) -> float:
     """numerator/denominator for positive denominators, +inf otherwise.
 
@@ -176,66 +130,3 @@ def safe_div_threshold(numerator: float, denominator: float) -> float:
     if denominator <= 0.0:
         return math.inf
     return numerator / denominator
-
-
-def mi_single(g: float, p: float) -> float:
-    """Mutual information log2(1 + g*p) of an interference-free layer."""
-    return math.log2(1.0 + g * p)
-
-
-def mi_sinr(g: float, p_sig: float, p_int: float) -> float:
-    """Mutual information of a layer decoded with the other treated as noise."""
-    return math.log2(1.0 + g * p_sig / (1.0 + g * p_int))
-
-
-def classify_slot1(g1: float, alpha: float, cfg: SystemConfig) -> JointOutcome:
-    """Decode outcome of the superposed slot-1 observation.
-
-    Joint decoding first (two individual-rate and one sum-rate inequality);
-    failing that, each message is tried with the other treated as noise.
-    If both single-message conditions held simultaneously the joint region
-    would too, so the ladder order cannot mask an outcome.
-    """
-    r, p = cfg.rate_R, cfg.power_P
-    if (r <= mi_single(g1, alpha * p)
-            and r <= mi_single(g1, (1.0 - alpha) * p)
-            and 2.0 * r <= mi_single(g1, p)):
-        return JointOutcome.BOTH
-    if r <= mi_sinr(g1, alpha * p, (1.0 - alpha) * p):
-        return JointOutcome.ONLY_M1
-    if r <= mi_sinr(g1, (1.0 - alpha) * p, alpha * p):
-        return JointOutcome.ONLY_M2
-    return JointOutcome.NEITHER
-
-
-def classify_slot2_joint(draw: ChannelDraw, split: PowerSplit,
-                         cfg: SystemConfig) -> JointOutcome:
-    """Decode outcome after slot 2 when both messages failed at slot 1.
-
-    Same ladder as classify_slot1 but on mutual information accumulated
-    over the two slots (slot-2 shares beta / 1-beta).
-    """
-    r, p = cfg.rate_R, cfg.power_P
-    a, b = split.alpha, split.beta
-    g1, g2 = draw.g1, draw.g2
-    if (r <= mi_single(g1, a * p) + mi_single(g2, b * p)
-            and r <= mi_single(g1, (1.0 - a) * p) + mi_single(g2, (1.0 - b) * p)
-            and 2.0 * r <= mi_single(g1, p) + mi_single(g2, p)):
-        return JointOutcome.BOTH
-    if r <= (mi_sinr(g1, a * p, (1.0 - a) * p)
-             + mi_sinr(g2, b * p, (1.0 - b) * p)):
-        return JointOutcome.ONLY_M1
-    if r <= (mi_sinr(g1, (1.0 - a) * p, a * p)
-             + mi_sinr(g2, (1.0 - b) * p, b * p)):
-        return JointOutcome.ONLY_M2
-    return JointOutcome.NEITHER
-
-
-def classify_slot2_single(g_prev: float, p_prev: float, g2: float,
-                          cfg: SystemConfig) -> bool:
-    """Whether the one surviving message clears after a full-power slot 2.
-
-    p_prev is its interference-free slot-1 residual power (the decoded
-    message has been removed by SIC); slot 2 retransmits it alone at P.
-    """
-    return cfg.rate_R <= mi_single(g_prev, p_prev) + mi_single(g2, cfg.power_P)

@@ -1,8 +1,9 @@
 """Independent brute-force oracle for the analytic event probabilities.
 
 Simulates the two-slot slice of each protocol by sampling exponential
-channel gains and classifying decoding events with the same inequality
-ladders as the scalar predicates in `model`.  Trials are partitioned into
+channel gains and classifying decoding events with the mutual-information
+decode ladder, stated here once and independent of the closed forms' gain
+thresholds (g_min, g_max, h3, h4).  Trials are partitioned into
 blocks, each driven by its own counter-based Philox stream keyed on
 (master_seed, block index), so a run is bit-identical no matter how many
 workers execute it.
@@ -25,7 +26,6 @@ per process); ProcessPoolExecutor is imported only when estimate runs
 more than one worker (concurrent.futures.process, 1.9 MB and 23 ms).
 """
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -36,25 +36,15 @@ from .closed_form import EventProbs, ScProbs
 from .model import (
     PROTOCOLS,
     _REWARD_MESSAGES,
-    ChannelDraw,
-    JointOutcome,
     PowerSplit,
     SliceEvent,
-    SliceOutcome,
     SystemConfig,
-    classify_slot1,
-    classify_slot2_joint,
-    classify_slot2_single,
 )
 
 __all__ = [
     "InvalidTrials",
     "McEstimate",
     "McReport",
-    "sample_gain",
-    "simulate_slice_mlh",
-    "simulate_slice_ts",
-    "simulate_slice_sc",
     "estimate",
     "resolve_workers",
 ]
@@ -98,71 +88,8 @@ class McReport:
     throughput: McEstimate
 
 
-def sample_gain(stream: "np.random.Generator", sigma2: float) -> float:
-    """Draw one exponential channel gain with mean sigma2 (inverse CDF)."""
-    u = stream.random()  # in [0, 1); 1-u is the U in -sigma2*ln(U)
-    return -sigma2 * math.log1p(-u)
-
-
 # ---------------------------------------------------------------------------
-# Scalar slice simulators (unit-test surface; the block runner below applies
-# the same inequalities vectorized).
-# ---------------------------------------------------------------------------
-
-def simulate_slice_mlh(draw: ChannelDraw, split: PowerSplit,
-                       cfg: SystemConfig) -> SliceOutcome:
-    """Classify one multi-layer slice: decode at slot 1, adapt slot 2."""
-    first = classify_slot1(draw.g1, split.alpha, cfg)
-    p = cfg.power_P
-    if first is JointOutcome.BOTH:
-        return SliceOutcome.from_event(SliceEvent.OMEGA0)
-    if first is JointOutcome.ONLY_M1:
-        # m1 removed by SIC; m2 keeps its clean slot-1 residual and gets
-        # the whole slot-2 power.
-        ok = classify_slot2_single(draw.g1, (1.0 - split.alpha) * p, draw.g2, cfg)
-        return SliceOutcome.from_event(
-            SliceEvent.OMEGA1 if ok else SliceEvent.OMEGA2)
-    if first is JointOutcome.ONLY_M2:
-        ok = classify_slot2_single(draw.g1, split.alpha * p, draw.g2, cfg)
-        return SliceOutcome.from_event(
-            SliceEvent.OMEGA1P if ok else SliceEvent.OMEGA2P)
-    second = classify_slot2_joint(draw, split, cfg)
-    return SliceOutcome.from_event({
-        JointOutcome.BOTH: SliceEvent.OMEGA3,
-        JointOutcome.ONLY_M1: SliceEvent.OMEGA4,
-        JointOutcome.ONLY_M2: SliceEvent.OMEGA4P,
-        JointOutcome.NEITHER: SliceEvent.NONE_DECODED,
-    }[second])
-
-
-def simulate_slice_ts(draw: ChannelDraw, cfg: SystemConfig) -> SliceOutcome:
-    """Classify one time-sharing slice (one message per slot, full power).
-
-    Equals the multi-layer slice at alpha = beta = 1: the zero-power m2
-    layer makes slot-1 joint success impossible, so every slice lasts two
-    slots.
-    """
-    return simulate_slice_mlh(draw, PowerSplit(alpha=1.0, beta=1.0), cfg)
-
-
-def simulate_slice_sc(draw: ChannelDraw, alpha: float,
-                      cfg: SystemConfig) -> SliceOutcome:
-    """Classify one superposition-coding slice (no slot-1 decoding attempt).
-
-    Both slots superpose the messages with the same split alpha; decoding
-    happens once, on the two accumulated observations.
-    """
-    second = classify_slot2_joint(draw, PowerSplit(alpha=alpha, beta=alpha), cfg)
-    return SliceOutcome.from_event({
-        JointOutcome.BOTH: SliceEvent.OMEGA3,
-        JointOutcome.ONLY_M1: SliceEvent.OMEGA4,
-        JointOutcome.ONLY_M2: SliceEvent.OMEGA4P,
-        JointOutcome.NEITHER: SliceEvent.NONE_DECODED,
-    }[second])
-
-
-# ---------------------------------------------------------------------------
-# Vectorized block runner
+# The decode ladder and the block runner
 # ---------------------------------------------------------------------------
 
 def _log2_1p(x):

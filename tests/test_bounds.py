@@ -4,8 +4,8 @@ closed_form.prob_p3_p4_bound claims to bound, with no quadrature, what
 prob_p3 and prob_p4 return at the given settings.  These tests hold the
 claim against the quadratures where the integrands change form: shares 0
 and 1, the vanishing threshold 2^R/(2^R + 1), one ulp either side of it
-and its mirror, over rates, SNRs and sigma2 from 0.3 to the largest decade
-a config accepts.
+and its mirror, and a subnormal share, over rates, SNRs and sigma2 from
+0.3 to the largest decade a config accepts.
 """
 
 import math
@@ -30,15 +30,17 @@ LOOSE = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4)
 
 
 def _edge_shares(cfg):
+    """The shares where the integrands change form, and a subnormal share,
+    at which h3 divides by a power that can be subnormal too."""
     vt = vanishing_threshold(cfg)
     return [0.0, 1.0, vt, math.nextafter(vt, 0.0), math.nextafter(vt, 1.0),
-            1.0 - vt]
+            1.0 - vt, 2.2250738585e-313]
 
 
 @st.composite
 def bound_cases(draw):
     """(alphas, betas, cfg, settings, pieces): up to 6 points with shares on
-    the edges above, or in [0.001, 0.999]."""
+    the edges above, or anywhere in [0, 1]."""
     rate = draw(st.floats(0.05, 24.0))
     snr_db = draw(st.floats(-5.0, 40.0))
     sigma2 = draw(st.sampled_from([0.3, 1.0, 4.0, 1e153]))
@@ -46,7 +48,7 @@ def bound_cases(draw):
         cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
     except ValueError:   # sigma2 * P overflows at the largest sigma2
         reject()
-    shares = st.one_of(st.sampled_from(_edge_shares(cfg)), st.floats(1e-3, 0.999))
+    shares = st.one_of(st.sampled_from(_edge_shares(cfg)), st.floats(0.0, 1.0))
     n = draw(st.integers(1, 6))
     alphas = draw(st.lists(shares, min_size=n, max_size=n))
     betas = draw(st.lists(shares, min_size=n, max_size=n))

@@ -1,4 +1,5 @@
-"""Unit tests for the scenario types and decode-event predicates."""
+"""Unit tests for the scenario types, the reward rules and the decode
+ladder (`monte_carlo._ladder` over `_terms`) on hand-classified draws."""
 
 import math
 
@@ -8,20 +9,13 @@ import pytest
 from mlharq.closed_form import g_max
 from mlharq.model import (
     _GAIN_SPAN,
-    ChannelDraw,
-    JointOutcome,
+    _REWARD_MESSAGES,
     PowerSplit,
     SliceEvent,
-    SliceOutcome,
     SystemConfig,
-    classify_slot1,
-    classify_slot2_joint,
-    classify_slot2_single,
-    mi_single,
-    mi_sinr,
-    pos_part,
     safe_div_threshold,
 )
+from mlharq.monte_carlo import _ladder, _mlh_events, _run_block, _terms
 from mlharq.quadrature import TAIL_SPAN
 
 CFG = SystemConfig(rate_R=1.0, power_P=2.0)
@@ -97,24 +91,23 @@ class TestTypes:
         with pytest.raises(ValueError):
             PowerSplit(alpha=0.5, beta=-0.1)
 
-    def test_channel_draw_nonnegative(self):
-        with pytest.raises(ValueError):
-            ChannelDraw(g1=-0.1, g2=0.0)
-
     def test_slice_outcome_rewards(self):
-        assert SliceOutcome.from_event(SliceEvent.OMEGA0).reward_messages == 2
-        assert SliceOutcome.from_event(SliceEvent.OMEGA0).duration_slots == 1
-        assert SliceOutcome.from_event(SliceEvent.OMEGA2).reward_messages == 1
-        assert SliceOutcome.from_event(SliceEvent.OMEGA3).duration_slots == 2
-        assert SliceOutcome.from_event(SliceEvent.NONE_DECODED).reward_messages == 0
+        """A slice's reward counts the messages it delivers, and it lasts
+        one slot only when both clear at slot 1 (OMEGA0), else two."""
+        assert _REWARD_MESSAGES[SliceEvent.OMEGA0] == 2
+        assert _REWARD_MESSAGES[SliceEvent.OMEGA2] == 1
+        assert _REWARD_MESSAGES[SliceEvent.NONE_DECODED] == 0
+        n = 5000
+        counts, reward, duration = _run_block(
+            ("mlh", 0.6, 0.5, SystemConfig.from_snr_db(10.0, 1.0), n, 3, 0))
+        one_slot = int(counts[SliceEvent.OMEGA0])
+        assert 0 < one_slot < n
+        assert duration == one_slot + 2 * (n - one_slot)
+        assert reward == sum(int(counts[ev]) * _REWARD_MESSAGES[ev]
+                             for ev in SliceEvent)
 
 
 class TestScalarHelpers:
-    def test_pos_part(self):
-        assert pos_part(-2.5) == 0.0
-        assert pos_part(0.0) == 0.0
-        assert pos_part(3.7) == 3.7
-
     def test_safe_div_threshold(self):
         assert safe_div_threshold(1.0, 0.5) == 2.0
         assert safe_div_threshold(1.0, 0.0) == math.inf
@@ -122,104 +115,127 @@ class TestScalarHelpers:
         with pytest.raises(ValueError):
             safe_div_threshold(0.0, 1.0)
 
-    def test_mi_single(self):
-        assert mi_single(0.0, 5.0) == 0.0
-        assert mi_single(1.5, 2.0) == pytest.approx(2.0)
-        assert mi_single(3.0, 1.0) == pytest.approx(2.0)
 
-    def test_mi_sinr(self):
-        g = 0.7
-        assert mi_sinr(g, 2.0, 0.0) == pytest.approx(mi_single(g, 2.0))
-        assert mi_sinr(0.0, 3.0, 1.0) == 0.0
-        assert mi_sinr(1.0, 2.0, 2.0) == pytest.approx(math.log2(1 + 2 / 3))
+BOTH, ONLY_M1, ONLY_M2, NEITHER = range(4)
+SWAP = np.array([BOTH, ONLY_M2, ONLY_M1, NEITHER])   # the outcome with m1, m2 swapped
+
+
+def outcome(masks):
+    """The outcome code of each trial from `_ladder`'s disjoint masks."""
+    both, only1, only2 = masks
+    return np.select([both, only1, only2], [BOTH, ONLY_M1, ONLY_M2], NEITHER)
+
+
+def slot1(g1, alpha, cfg):
+    """The slot-1 outcome of each gain in g1 at m1's share alpha."""
+    g1 = np.asarray(g1, dtype=float)
+    return outcome(_ladder(cfg.rate_R, _terms(g1, alpha, cfg.power_P)))
+
+
+def slot2_joint(g1, g2, alpha, beta, cfg):
+    """The outcome of the joint attempt after a both-fail slot 1: the
+    ladder on both slots' terms summed, slot-2 shares beta / 1 - beta."""
+    p = cfg.power_P
+    terms = [a + b for a, b in zip(_terms(np.asarray(g1, dtype=float), alpha, p),
+                                   _terms(np.asarray(g2, dtype=float), beta, p))]
+    return outcome(_ladder(cfg.rate_R, terms))
+
+
+class TestTerms:
+    def test_terms_of_one_layer_alone(self):
+        """At share 1, m1's term is log2(1 + g*P), the interference-free
+        mutual information, and m2's is 0."""
+        m1, m2, total, _, _ = _terms(np.array([0.0, 1.5]), 1.0, 2.0)
+        assert m1.tolist() == [0.0, pytest.approx(2.0)]
+        assert m2.tolist() == [0.0, 0.0]
+        assert _terms(np.array([3.0]), 1.0, 1.0)[0][0] == pytest.approx(2.0)
+        assert total.tolist() == m1.tolist()
+
+    def test_terms_over_the_other_layer(self):
+        """A layer decoded with the other treated as noise: equal to the
+        layer alone when the other has no power, 0 at g = 0, and
+        log2(1 + gq1 / (1 + gq2)) otherwise."""
+        g = np.array([0.7])
+        m1, _, _, m1_over, _ = _terms(g, 1.0, 2.0)
+        assert m1_over[0] == pytest.approx(m1[0])
+        assert _terms(np.array([0.0]), 0.75, 4.0)[3][0] == 0.0
+        assert _terms(np.array([1.0]), 0.5, 4.0)[3][0] == \
+            pytest.approx(math.log2(1 + 2 / 3))
 
 
 class TestClassifySlot1:
     def test_strong_gain_decodes_both(self):
         # all three gain thresholds max out at 2.5 < 10
-        assert classify_slot1(10.0, 0.8, CFG) is JointOutcome.BOTH
+        assert slot1([10.0], 0.8, CFG)[0] == BOTH
 
     def test_zero_gain_decodes_nothing(self):
-        assert classify_slot1(0.0, 0.3, CFG) is JointOutcome.NEITHER
+        assert slot1([0.0], 0.3, CFG)[0] == NEITHER
 
     def test_full_share_gives_only_m1(self):
         # m2 has zero power; m1 sees log2(5) >= 1
-        assert classify_slot1(2.0, 1.0, CFG) is JointOutcome.ONLY_M1
+        assert slot1([2.0], 1.0, CFG)[0] == ONLY_M1
 
     def test_exhaustive_and_ladder_consistent(self):
         """The two single-message conditions never hold together outside the
         joint region, so step 3 is unreachable with step 2's condition true."""
         rng = np.random.default_rng(42)
-        for _ in range(5000):
-            g1 = rng.exponential(2.0)
+        for _ in range(500):
             alpha = rng.uniform(0.0, 1.0)
             cfg = SystemConfig(rate_R=rng.uniform(0.1, 4.0),
                                power_P=rng.uniform(0.1, 50.0))
-            r, p = cfg.rate_R, cfg.power_P
-            out = classify_slot1(g1, alpha, cfg)
-            assert out in JointOutcome
-            c1 = r <= mi_sinr(g1, alpha * p, (1 - alpha) * p)
-            c2 = r <= mi_sinr(g1, (1 - alpha) * p, alpha * p)
-            if c1 and c2:
-                assert out is JointOutcome.BOTH, (g1, alpha, cfg)
+            g1 = rng.exponential(2.0, size=10)
+            terms = _terms(g1, alpha, cfg.power_P)
+            out = outcome(_ladder(cfg.rate_R, terms))
+            c1 = cfg.rate_R <= terms[3]
+            c2 = cfg.rate_R <= terms[4]
+            assert (out[c1 & c2] == BOTH).all(), (g1, alpha, cfg)
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(7)
-        swap = {JointOutcome.ONLY_M1: JointOutcome.ONLY_M2,
-                JointOutcome.ONLY_M2: JointOutcome.ONLY_M1,
-                JointOutcome.BOTH: JointOutcome.BOTH,
-                JointOutcome.NEITHER: JointOutcome.NEITHER}
-        for _ in range(2000):
-            g1 = rng.exponential(1.5)
+        for _ in range(200):
+            g1 = rng.exponential(1.5, size=10)
             alpha = rng.uniform(0.0, 1.0)
-            assert classify_slot1(g1, alpha, CFG) is \
-                swap[classify_slot1(g1, 1.0 - alpha, CFG)]
+            assert (slot1(g1, alpha, CFG) == SWAP[slot1(g1, 1.0 - alpha, CFG)]).all()
 
     def test_monotone_in_gain(self):
         rng = np.random.default_rng(3)
-        for _ in range(500):
+        for _ in range(50):
             alpha = rng.uniform(0.05, 0.95)
-            g1 = rng.exponential(2.0)
-            if classify_slot1(g1, alpha, CFG) is JointOutcome.BOTH:
-                for bump in (1.1, 2.0, 10.0):
-                    assert classify_slot1(g1 * bump, alpha, CFG) is JointOutcome.BOTH
+            g1 = rng.exponential(2.0, size=10)
+            both = g1[slot1(g1, alpha, CFG) == BOTH]
+            for bump in (1.1, 2.0, 10.0):
+                assert (slot1(both * bump, alpha, CFG) == BOTH).all()
 
 
 class TestClassifySlot2:
     def test_zero_gains(self):
-        draw = ChannelDraw(0.0, 0.0)
-        assert classify_slot2_joint(draw, PowerSplit(0.4, 0.6), CFG) \
-            is JointOutcome.NEITHER
+        assert slot2_joint([0.0], [0.0], 0.4, 0.6, CFG)[0] == NEITHER
 
     def test_m1_alone_with_huge_second_slot(self):
         # m2 has zero slot-2 power and no slot-1 accumulation
-        draw = ChannelDraw(0.0, 1e9)
-        assert classify_slot2_joint(draw, PowerSplit(0.4, 1.0), CFG) \
-            is JointOutcome.ONLY_M1
+        assert slot2_joint([0.0], [1e9], 0.4, 1.0, CFG)[0] == ONLY_M1
 
     def test_both_with_strong_gains(self):
-        draw = ChannelDraw(10.0, 10.0)
-        assert classify_slot2_joint(draw, PowerSplit(0.5, 0.5), CFG) \
-            is JointOutcome.BOTH
+        assert slot2_joint([10.0], [10.0], 0.5, 0.5, CFG)[0] == BOTH
 
     def test_swap_invariance(self):
         rng = np.random.default_rng(11)
-        swap = {JointOutcome.ONLY_M1: JointOutcome.ONLY_M2,
-                JointOutcome.ONLY_M2: JointOutcome.ONLY_M1,
-                JointOutcome.BOTH: JointOutcome.BOTH,
-                JointOutcome.NEITHER: JointOutcome.NEITHER}
-        for _ in range(2000):
-            draw = ChannelDraw(rng.exponential(1.0), rng.exponential(1.0))
+        for _ in range(200):
+            g1, g2 = rng.exponential(1.0, size=(2, 10))
             a, b = rng.uniform(0.0, 1.0, size=2)
-            out = classify_slot2_joint(draw, PowerSplit(a, b), CFG)
-            mirrored = classify_slot2_joint(
-                draw, PowerSplit(1.0 - a, 1.0 - b), CFG)
-            assert out is swap[mirrored]
+            out = slot2_joint(g1, g2, a, b, CFG)
+            mirrored = slot2_joint(g1, g2, 1.0 - a, 1.0 - b, CFG)
+            assert (out == SWAP[mirrored]).all()
 
     def test_single_message_accumulation(self):
-        # slot 2 alone suffices
-        assert classify_slot2_single(0.0, 0.4, 10.0, CFG)
-        # nothing accumulated anywhere
-        assert not classify_slot2_single(0.0, 0.4, 0.0, CFG)
-        # log2(1.4) + log2(2) = 1.485 >= 1
-        assert classify_slot2_single(0.5, 0.8, 0.5, CFG)
+        """After only m1 clears slot 1, m2 is sent alone at full power and
+        clears once its clean slot-1 term plus log2(1 + g2*P) reaches R."""
+        # ts (alpha = 1): m2 accumulated nothing at slot 1, so slot 2
+        # alone decides
+        ts = _mlh_events(np.array([2.0, 2.0]), np.array([10.0, 0.0]), 1.0, 1.0, CFG)
+        assert ts.tolist() == [SliceEvent.OMEGA1, SliceEvent.OMEGA2]
+        # alpha = 0.9, g1 = 1: only m1 clears slot 1, m2 keeps log2(1.2);
+        # slot 2 alone falls short (log2(1.8) < 1), the sum clears R
+        assert slot1([1.0], 0.9, CFG)[0] == ONLY_M1
+        mlh = _mlh_events(np.array([1.0, 1.0]), np.array([0.4, 0.3]), 0.9, 0.5, CFG)
+        assert mlh.tolist() == [SliceEvent.OMEGA1, SliceEvent.OMEGA2]

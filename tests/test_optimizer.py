@@ -287,17 +287,45 @@ class TestPruning:
     lies below an incumbent: a NaN or +inf bound never prunes."""
 
     @staticmethod
-    def unpruned(pts, cfg):
-        """_coarse_values with every integral run, in its arithmetic."""
+    def objective(pts, cfg, integrals):
+        """_coarse_values' objective over the grid of pts, in its
+        arithmetic, from p3 and p4 (values or bounds) at every point."""
         n = len(pts) - 1
         grid = np.array(pts)
         a, b = np.repeat(grid, n + 1), np.tile(grid, n + 1)
-        p3, p4 = optimize.prob_p3_p4_grid(a, b, a, b, cfg)
+        p3, p4 = integrals(a, b, a, b, cfg)
         k = np.arange((n + 1) ** 2)
         p3 = p3[np.minimum(k, k[::-1])]   # the canonical point's value
         base, denom = np.array([optimize._slot1_base(x, pts[n - i], cfg, None)
                                 for i, x in enumerate(pts)]).repeat(n + 1, axis=0).T
         return cfg.rate_R * (base + 2.0 * p3 + p4 + p4[::-1]) / denom
+
+    @classmethod
+    def unpruned(cls, pts, cfg):
+        """_coarse_values with every integral run, in its arithmetic."""
+        return cls.objective(pts, cfg, optimize.prob_p3_p4_grid)
+
+    @pytest.mark.parametrize("snr_db,rate", [(3.0, 1.0), (10.0, 1.78)])
+    def test_every_pruned_point_has_a_bound_below_the_grid_maximum(self, snr_db,
+                                                                   rate):
+        """Every point the 0.01 grid prunes has a 32-piece bound below the
+        grid's exact maximum, each point integrated; comparing values alone
+        would not do, as a pruned value below the kept maximum says nothing
+        of the bound that pruned it.  A point pruned at 8 pieces passes
+        too, as more pieces bound tighter.  Multiplying the incumbent by
+        1.001 in _coarse_values prunes points that this test catches (46
+        and 30 bounds here lie in [max, 1.001 max))."""
+        cfg = SystemConfig.from_snr_db(snr_db, rate)
+        pts = _axis_points(0.01)
+        got = optimize._coarse_values(pts, cfg, None).ravel()
+        exact = self.unpruned(pts, cfg)
+        pruned = np.isnan(got)
+        assert pruned.sum() > 5000
+        assert [float.hex(x) for x in got[~pruned]] == \
+            [float.hex(x) for x in exact[~pruned]]
+        bound = self.objective(pts, cfg, lambda *args: optimize.prob_p3_p4_bound(
+            *args, pieces=32))
+        assert (bound[pruned] < exact.max()).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("every", [1, 3])
