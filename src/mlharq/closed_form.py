@@ -19,19 +19,22 @@ and no slot-1 decoding: it evaluates the same two slot-2 kernels (_k3,
 _k4), with the slot-1 gain integrated up to the tail truncation point
 instead of g_max.
 
-The _grid functions evaluate a kernel at many points in one lockstep
-quadrature (integrate_finite_many) with the same integrand and
-breakpoints as the scalar path, so each value has the scalar path's bits.
-prob_p3_p4_grid runs the p3 and p4 integrals of an mlh grid in one such
-quadrature, and _sc_columns an sc grid's three kernels (tp3, tp4, tp4p), a
-tp4p integral that is also a tp4 integral once.
+The grid functions evaluate many integrals in one lockstep quadrature
+(integrate_finite_many, through _kernel_grid) with the same integrands
+(_f1, _f3, _f4) and breakpoints as the scalar path, so each value has the
+scalar path's bits.  _mlh_columns runs the p1 integrals of an mlh grid's
+rows (each distinct share and mirrored share once) with its p3 and p4
+integrals in one such quadrature, and p0, p2 and the analytic p1 beside
+it, once per distinct share; prob_p3_p4_grid runs p3 and p4 alone, and
+_sc_columns an sc grid's three kernels (tp3, tp4, tp4p), a tp4p integral
+that is also a tp4 integral once.
 prob_p3_p4_bound bounds what prob_p3 and prob_p4 return from above, with
 no quadrature: upper Riemann sums, as h3, h4 and h4_bar do not increase
 with g.  The optimizer prunes the mlh coarse grid with them.
-The kink candidates exist twice: a scalar form for single calls and an
-array form for grids, which repeats the scalar arithmetic (a test pins the
-two together).  The grid functions do not read or fill the scalar
-kernels' caches.
+The kink candidates, g_max and p1's window exist twice: a scalar form for
+single calls and an array form for grids, which repeats the scalar
+arithmetic (tests pin the two together).  The grid functions do not read
+or fill the scalar kernels' caches.
 
 An only-m1 kernel (_k4: p4, p4', tp4, tp4p) whose interference cap binds
 on the whole slot-1 range is exactly 0.0, and both paths return it
@@ -54,7 +57,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -99,12 +102,15 @@ _PROB_SLACK = 1e-9  # float-noise allowance on the [0, 1] field checks
 _SUM_SLACK = 1e-8   # and on the check that the fields sum to at most 1
 # Entries per cache of _p1_value, _k3 and _k4.  Every hit is a reuse
 # within one operation: p2 asking for p1 again, throughput_mlh and
-# throughput_sc asking for event_probs and prob_sc again.  1,024 is the
-# smallest power of two that keeps every hit of the 65,536 it replaces
-# (hits of _p1_value / _k3 / _k4): a scatter-eval pass 8,966 / 4,800 /
-# 9,648, a sweep-rate pass 2,130 / 0 / 0 (2,127 at 512), the 3 dB mlh
-# opt-rate optimum 14,179 / 0 / 0.  At 65,536 a scatter-eval pass kept
-# 23,856 entries, about 6 MB.
+# throughput_sc asking for event_probs and prob_sc again.  Hits of
+# _p1_value / _k3 / _k4, the same at 256 entries, 1,024 and unbounded: a
+# scatter-eval pass (seed 1) 8,966 / 4,800 / 9,648, a sweep-rate pass
+# 12 / 0 / 0 (time-sharing's p2 asking for p1 at alpha = 1 again).  The
+# mlh and sc searches call no scalar kernel once they refine, so the 3 dB
+# mlh opt-rate optimum makes none.  1,024 was the smallest power of two
+# that kept every hit while the mlh searches integrated p1 through
+# _p1_value (2,130 hits in a sweep-rate pass, 2,127 at 512).  At 65,536 a
+# scatter-eval pass kept 23,856 entries, about 6 MB.
 _CACHE_SIZE = 1024
 
 
@@ -225,9 +231,10 @@ def _over_power(n, w):
     broadcasts against n); the result overwrites n.
 
     Every caller's |n| is at most 2^R < 2^512 (SystemConfig), so n / w
-    cannot overflow for w > 2^-500, and the float fast path divides only
-    there; a smaller positive power, where n / w may overflow to the +inf
-    it means, takes the array path, which divides quietly to the same bits."""
+    cannot overflow for w > 2^-500, and the fast paths (a float power, or
+    powers that all exceed it) divide only there; a smaller positive power,
+    where n / w may overflow to the +inf it means, takes the masked path,
+    which divides quietly to the same bits."""
     if isinstance(w, float):               # the scalar path
         if w > 2.0 ** -500:
             n /= w
@@ -237,7 +244,11 @@ def _over_power(n, w):
             n.fill(0.0)
             np.copyto(n, np.inf, where=pos)
             return n
-    zero = ~(np.asarray(w) > 0.0)
+    w = np.asarray(w)
+    if (w > 2.0 ** -500).all():            # the float path's rule, every lane
+        n /= w
+        return n
+    zero = ~(w > 0.0)
     # n / +0.0 is +inf where n > 0 (a -0.0 power must not flip it to -inf);
     # the other zero-power lanes, -inf and NaN among them, become 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -519,12 +530,43 @@ def prob_p0(alpha: float, cfg: SystemConfig) -> float:
     return math.exp(-g_min(alpha, cfg) / cfg.sigma2)
 
 
+def _decay(x, s2, out):
+    """exp(-x / s2) into out, which may be x itself; x / -s2 has the bits
+    of -x / s2.  x is finite or +inf, so the quotient can overflow only at
+    s2 < 1 (a threshold past s2 DBL_MAX, as at a tiny slot-2 power, or
+    p1's residual past sigma2 P DBL_MAX): to -inf, where exp gives the
+    limit 0, quietly."""
+    if s2 < 1.0:
+        with np.errstate(over="ignore"):
+            np.divide(x, -s2, out=out)
+    else:
+        np.divide(x, -s2, out=out)
+    return np.exp(out, out=out)
+
+
 def _p1_bounds(alpha, cfg):
     t1 = 2.0 ** cfg.rate_R - 1.0
     p = cfg.power_P
     lo = t1 / ((1.0 + 2.0 ** cfg.rate_R * (alpha - 1.0)) * p)
     hi = safe_div_threshold(t1, (1.0 - alpha) * p)
     return lo, hi
+
+
+def _f1(g, c, cfg):
+    """Integrand of p1, m2's slot-1 power c = (1-alpha)P: slot-1 gain
+    density times m2's recovery at slot 2, elementwise over g and c.
+    m2's residual max(0, 2^R/(1 + g c) - 1) over sigma2 P is divided as
+    _decay divides, so a tiny sigma2 P gives exp(-inf) = 0 quietly."""
+    s2 = cfg.sigma2
+    y = np.multiply(g, c)
+    y += 1.0
+    np.divide(2.0 ** cfg.rate_R, y, out=y)
+    y -= 1.0
+    np.maximum(0.0, y, out=y)
+    _decay(y, s2 * cfg.power_P, y)
+    y *= _decay(g, s2, np.empty_like(y))
+    y /= s2
+    return y
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -552,14 +594,11 @@ def _p1_value(alpha, cfg, settings):
         return (math.exp(-(k1 - 1.0) / (s2 * p))
                 * (math.exp(-lo / s2) - math.exp(-hi / s2)))
 
-    def f(g):
-        resid = np.maximum(0.0, k1 / (1.0 + g * c) - 1.0)
-        return np.exp(-resid / (s2 * p)) * np.exp(-g / s2) / s2
-
     # the positive part activates on the whole window (it reaches zero
     # exactly at the upper limit), so the integrand is smooth inside
     try:
-        return integrate_finite(f, lo, hi, breakpoints=[], settings=settings)
+        return integrate_finite(lambda g: _f1(g, c, cfg), lo, hi,
+                                breakpoints=[], settings=settings)
     except NonConvergence as exc:
         raise exc.named(_integral("p1", cfg, alpha)) from None
 
@@ -599,19 +638,6 @@ def prob_p2_prime(alpha: float, cfg: SystemConfig,
                   settings: Optional[QuadratureSettings] = None) -> float:
     """Mirror of prob_p2 with the message roles swapped."""
     return prob_p2(1.0 - alpha, cfg, settings)
-
-
-def _decay(x, s2, out):
-    """exp(-x / s2) into out, which may be x itself; x / -s2 has the bits
-    of -x / s2.  x is finite or +inf, so the quotient can overflow only at
-    s2 < 1 (a threshold past s2 DBL_MAX, as at a tiny slot-2 power): to
-    -inf, where exp gives the limit 0, quietly."""
-    if s2 < 1.0:
-        with np.errstate(over="ignore"):
-            np.divide(x, -s2, out=out)
-    else:
-        np.divide(x, -s2, out=out)
-    return np.exp(out, out=out)
 
 
 def _f3(g, alpha, beta, cfg):
@@ -697,50 +723,84 @@ def _k4(alpha, beta, upper, cfg, settings):
                             settings=settings)
 
 
-def _kernel_grid(parts, cfg, settings):
-    """Slot-2 kernels at many points, all in one lockstep quadrature.
+class _Part(NamedTuple):
+    """One family of integrals of a lockstep quadrature (_kernel_grid):
+    integral i is integrand(g, *(x[i] for x in args), cfg) over
+    [lower[i], upper[i]] (lower and upper broadcast), with the kink
+    candidates row i of kinks(*args, cfg).  Its NonConvergence is named
+    `kernel` at the shares (x[i] for x in shares)."""
+    kernel: str
+    shares: tuple
+    integrand: Callable
+    kinks: Callable
+    args: tuple
+    lower: object
+    upper: object
 
-    Each part is an (integrand, breakpoints, alpha, beta, upper) tuple: _f3
-    or _f4 with its array kink function, at each point (alpha[i], beta[i])
-    over [0, upper[i]] (upper broadcasts), 0.0 where upper[i] <= 0, the
-    g_max guard of prob_p3/prob_p4.  Returns one array of values per part.
-    An integral that _k3_vanishes (_f3) or _k4_vanishes (_f4) proves zero
-    gets the upper limit 0.0, so integrate_finite_many returns 0.0 for it
-    without integrating, as _k3 and _k4 do.
+
+def _slot2_part(kernel, shares, integrand, alpha, beta, upper, cfg):
+    """The _Part of _f3 or _f4 at each point (alpha[i], beta[i]) over
+    [0, upper[i]] (upper broadcasts), 0.0 where upper[i] <= 0, the g_max
+    guard of prob_p3/prob_p4.  An integral that _k3_vanishes (_f3) or
+    _k4_vanishes (_f4) proves zero gets the upper limit 0.0, so
+    integrate_finite_many returns 0.0 for it without integrating, as _k3
+    and _k4 do."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    limit = np.maximum(np.broadcast_to(upper, alpha.shape), 0.0)
+    if integrand is _f4:
+        limit[_k4_vanishes(alpha, beta, limit, cfg)] = 0.0
+        kinks = _h4_breakpoints_grid
+    else:
+        limit[_k3_vanishes(alpha, beta)] = 0.0
+        kinks = _h3_breakpoints_grid
+    return _Part(kernel, shares, integrand, kinks, (alpha, beta), 0.0, limit)
+
+
+def _no_kinks(c, cfg):
+    """p1's kink candidates: none (see _p1_value)."""
+    return np.empty((len(c), 0))
+
+
+def _kernel_grid(parts, cfg, settings):
+    """The integrals of the _Parts, all in one lockstep quadrature; one
+    array of values per part.
 
     The parts' integrals are the quadrature's owners in order, their kink
     arrays NaN-padded to the widest.  The panels reach the integrand sorted
     by owner, so each part's panels are one run of rows, found by
     searchsorted on the owner column, and each part's integrand gets its
-    run as a row slice of the nodes.  A NonConvergence's owner indexes the
-    parts' integrals in that order.
+    run as a row slice of the nodes.  A NonConvergence, that of the lowest
+    failing owner, is named after its part's kernel and shares.
     """
-    starts = np.cumsum([0] + [len(alpha) for _, _, alpha, _, _ in parts])
-    kinks = [breakpoints(alpha, beta, cfg) for _, breakpoints, alpha, beta, _ in parts]
+    starts = np.cumsum([0] + [len(part.args[0]) for part in parts])
+    kinks = [part.kinks(*part.args, cfg) for part in parts]
     rows = np.full((starts[-1], max(k.shape[1] for k in kinks)), np.nan)
     for k, first in zip(kinks, starts):
         rows[first:first + len(k), :k.shape[1]] = k
     del kinks   # rows holds them for the whole quadrature
-    limits = np.empty(starts[-1])
-    for (integrand, _, alpha, beta, upper), first in zip(parts, starts):
-        limit = limits[first:first + len(alpha)]
-        np.maximum(np.broadcast_to(upper, np.shape(alpha)), 0.0, out=limit)
-        if integrand is _f4:
-            limit[_k4_vanishes(alpha, beta, limit, cfg)] = 0.0
-        else:
-            limit[_k3_vanishes(alpha, beta)] = 0.0
+    lower, upper = np.empty(starts[-1]), np.empty(starts[-1])
+    for part, first, last in zip(parts, starts, starts[1:]):
+        lower[first:last] = part.lower
+        upper[first:last] = part.upper
 
     def f(g, owner):
         cuts = np.searchsorted(owner[:, 0], starts)
         runs = []
-        for (integrand, _, alpha, beta, _), first, lo, hi in zip(
-                parts, starts, cuts, cuts[1:]):
+        for part, first, lo, hi in zip(parts, starts, cuts, cuts[1:]):
             if lo < hi:
                 own = owner[lo:hi] - first
-                runs.append(integrand(g[lo:hi], alpha[own], beta[own], cfg))
+                runs.append(part.integrand(g[lo:hi], *(x[own] for x in part.args),
+                                           cfg))
         return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
-    values = integrate_finite_many(f, 0.0, limits, rows, settings)
+    try:
+        values = integrate_finite_many(f, lower, upper, rows, settings)
+    except NonConvergence as exc:
+        i = int(np.searchsorted(starts, exc.owner, side="right")) - 1
+        at = exc.owner - starts[i]
+        raise exc.named(_integral(parts[i].kernel, cfg, *(
+            float(x[at]) for x in parts[i].shares))) from None
     return [values[first:last] for first, last in zip(starts, starts[1:])]
 
 
@@ -768,11 +828,43 @@ def prob_p4(alpha: float, beta: float, cfg: SystemConfig,
         raise exc.named(_integral("p4", cfg, alpha, beta)) from None
 
 
+def _threshold(t, d):
+    """safe_div_threshold(t, d[i]) at each d[i], for t > 0; a quotient
+    that overflows is +inf, quietly, as in Python's float division."""
+    with np.errstate(over="ignore"):
+        return np.divide(t, d, out=np.full(len(d), np.inf), where=d > 0.0)
+
+
+def _g_max_each(alpha, cfg):
+    """g_max at each share of the array alpha, with g_max's bits: its
+    arithmetic elementwise, which numpy rounds as Python does."""
+    k1 = 2.0 ** cfg.rate_R
+    t1 = k1 - 1.0
+    p = cfg.power_P
+    upper = np.minimum(_threshold(t1, (1.0 + k1 * (alpha - 1.0)) * p),
+                       _threshold(t1, (1.0 - k1 * alpha) * p))
+    return np.minimum(upper, (2.0 ** (2.0 * cfg.rate_R) - 1.0) / p, out=upper)
+
+
 def _g_max_at(alpha, cfg):
     """g_max at each distinct share of alpha, and the inverse index that
     maps them back onto alpha."""
     distinct, inverse = np.unique(alpha, return_inverse=True)
-    return np.array([g_max(a, cfg) for a in distinct.tolist()]), inverse
+    return _g_max_each(distinct, cfg), inverse
+
+
+def _p3_p4_parts(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg):
+    """The _Parts of prob_p3 at each point (p3_alphas[i], p3_betas[i]) and
+    of prob_p4 at each point (p4_alphas[j], p4_betas[j]), each over
+    [0, g_max]."""
+    parts = []
+    for kernel, integrand, alphas, betas in (("p3", _f3, p3_alphas, p3_betas),
+                                             ("p4", _f4, p4_alphas, p4_betas)):
+        alpha = np.asarray(alphas, dtype=float)
+        beta = np.asarray(betas, dtype=float)
+        parts.append(_slot2_part(kernel, (alpha, beta), integrand, alpha, beta,
+                                 _g_max_each(alpha, cfg), cfg))
+    return parts
 
 
 def prob_p3_p4_grid(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
@@ -784,23 +876,73 @@ def prob_p3_p4_grid(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
 
     A NonConvergence is the one a loop of prob_p3 over the p3 points, then
     prob_p4 over the p4 points, would raise first."""
-    parts = []
-    for integrand, kinks, alphas, betas in (
-            (_f3, _h3_breakpoints_grid, p3_alphas, p3_betas),
-            (_f4, _h4_breakpoints_grid, p4_alphas, p4_betas)):
-        alpha = np.asarray(alphas, dtype=float)
-        beta = np.asarray(betas, dtype=float)
-        upper, inverse = _g_max_at(alpha, cfg)
-        parts.append((integrand, kinks, alpha, beta, upper[inverse]))
-    try:
-        p3, p4 = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
-    except NonConvergence as exc:
-        (_, _, a3, b3, _), (_, _, a4, b4, _) = parts
-        k = exc.owner
-        raise exc.named(_integral("p3" if k < len(a3) else "p4", cfg,
-                                  float(np.concatenate([a3, a4])[k]),
-                                  float(np.concatenate([b3, b4])[k]))) from None
+    p3, p4 = _kernel_grid(_p3_p4_parts(p3_alphas, p3_betas, p4_alphas, p4_betas,
+                                       cfg), cfg, settings or DEFAULT_SETTINGS)
     return p3, p4
+
+
+def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
+                 cfg, settings=None, p1_last=False):
+    """The slot-1 events of rows and prob_p3_p4_grid's p3 and p4, with the
+    scalar closed forms' bits, all integrals in one lockstep quadrature.
+
+    Row k has the share alphas[k] and the mirror share mirrors[k].  Its
+    slot-1 fields of EventProbs are returned as columns in a namespace: p0
+    (prob_p0 at alphas), p1 and p2 (prob_p1 and prob_p2 at alphas), and
+    p1p and p2p (at mirrors); then the p3 and p4 arrays.
+
+    The slot-1 terms are computed once per distinct share, with
+    _p1_value's cases elementwise: 0.0 at or below the vanishing threshold
+    and in an empty window, the closed form where (1 - alpha)P is 0.0,
+    else one integral over the window cut at the tail truncation point.
+    The window and the cut are +, -, * and / in numpy, with the scalar
+    bits; p0, p2's window and the closed form use math.exp once per share,
+    as numpy's exp differs from it in the last bit at some arguments.  The
+    p1 integrals are owners in the order in which a loop over the rows asks
+    for p1 at alphas[k], then at mirrors[k], each share once, before the p3
+    and p4 integrals or after them (p1_last); each failure is named as the
+    scalar closed form names it.  So a NonConvergence is the one that loop,
+    before or after a loop of prob_p3 then prob_p4, raises first.  The
+    scalar caches are neither read nor filled."""
+    alphas = np.asarray(alphas, dtype=float)
+    rows = np.stack([alphas, np.asarray(mirrors, dtype=float)], axis=1).ravel()
+    shares, first, inverse = np.unique(rows, return_index=True,
+                                       return_inverse=True)
+    k1 = 2.0 ** cfg.rate_R
+    t1 = k1 - 1.0
+    p = cfg.power_P
+    s2 = cfg.sigma2
+    live = np.flatnonzero(shares > vanishing_threshold(cfg))
+    a = shares[live]
+    # _p1_bounds; lo's denominator is positive above the threshold
+    lo = _threshold(t1, (1.0 + k1 * (a - 1.0)) * p)
+    c = (1.0 - a) * p
+    hi = _threshold(t1, c)
+    keep = lo < hi
+    live, lo, hi, c = live[keep], lo[keep], hi[keep], c[keep]
+    window = np.array([math.exp(-x / s2) - math.exp(-y / s2)   # prob_p2's
+                       for x, y in zip(lo.tolist(), hi.tolist())])
+    cut = np.isinf(hi)
+    hi[cut] = lo[cut] + s2 * TAIL_SPAN
+    p1 = np.zeros(len(shares))
+    closed = c == 0.0
+    p1[live[closed]] = [math.exp(-t1 / (s2 * p))
+                        * (math.exp(-x / s2) - math.exp(-y / s2))
+                        for x, y in zip(lo[closed].tolist(), hi[closed].tolist())]
+    quad = np.flatnonzero(~closed)
+    quad = quad[np.argsort(first[live[quad]])]       # in the loop's order
+    parts = _p3_p4_parts(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg)
+    parts.insert(len(parts) if p1_last else 0,
+                 _Part("p1", (shares[live[quad]],), _f1, _no_kinks, (c[quad],),
+                       lo[quad], hi[quad]))
+    values = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
+    p1[live[quad]] = values.pop(-1 if p1_last else 0)
+    p2 = np.zeros(len(shares))
+    p2[live] = window - p1[live]
+    (p1, p1p), (p2, p2p) = (x[inverse].reshape(-1, 2).T for x in (p1, p2))
+    p0 = np.array([prob_p0(x, cfg) for x in alphas.tolist()])
+    p3, p4 = values
+    return SimpleNamespace(p0=p0, p1=p1, p1p=p1p, p2=p2, p2p=p2p), p3, p4
 
 
 # Margins of the p3/p4 bounds.  _BOUND_MARGIN M covers rounding: the
@@ -816,7 +958,14 @@ def prob_p3_p4_grid(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
 # holds the bounds against the quadratures.
 _BOUND_MARGIN = 2.0 ** -30
 _TOL_SLACK = 6.0
-_BOUND_CHUNK = 512   # points per (points, pieces) block of a bound
+# Points per (points, pieces) block of a bound.  Each row's sum is its own,
+# so a bound has the same bits at any block size (checked at 512, 1,024,
+# 2,048 and one block of 10,201 points over 50 configs).  At 3 dB, R = 3.3
+# the 8-piece bound of a 0.01 grid took 5.1 ms at 512, 4.4 ms at 1,024 and
+# 3.9 ms at 2,048, which raised the tracemalloc peak of
+# test_peak_memory_of_one_mlh_search from 2.9 to 4.0 MiB; 1,024 leaves it
+# at 2.9 MiB.
+_BOUND_CHUNK = 1024
 
 
 def _slot1_pieces(upper, s2, pieces):
@@ -966,13 +1115,10 @@ def _sc_columns(alphas, cfg, settings):
                                   return_inverse=True)
     shares = both[first]
     upper = cfg.sigma2 * TAIL_SPAN
-    try:
-        tp3, tp4 = _kernel_grid([(_f3, _h3_breakpoints_grid, alpha, alpha, upper),
-                                 (_f4, _h4_breakpoints_grid, shares, shares, upper)],
-                                cfg, settings)
-    except NonConvergence as exc:
-        split = float(np.concatenate([alpha, shares])[exc.owner])
-        raise exc.named(_integral("sc", cfg, split)) from None
+    tp3, tp4 = _kernel_grid(
+        [_slot2_part("sc", (alpha,), _f3, alpha, alpha, upper, cfg),
+         _slot2_part("sc", (shares,), _f4, shares, shares, upper, cfg)],
+        cfg, settings)
     tp4 = tp4[inverse]
     return ScProbs.checked_columns(tp3=tp3, tp4=tp4[:len(alpha)],
                                    tp4p=tp4[len(alpha):])

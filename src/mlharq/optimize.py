@@ -7,15 +7,17 @@ time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
 
 Each coarse grid and refinement window is evaluated in lockstep
-quadratures (the closed forms' _grid functions, whose values have the
-scalar closed forms' bits) for all its slot-2 kernels: p3 and p4 for mlh,
-tp3, tp4 and tp4p for sc; one call per window and per sc grid.  The mlh
-coarse grid integrates only the points that can still be its argmax: the
-others are pruned by upper bounds on p3 and p4 (closed_form's
-prob_p3_p4_bound) against an incumbent, in a few calls (_coarse_values).
-The values are combined elementwise in the scalar search's arithmetic and
-offered as one array, a pruned point as NaN: the winner is the one a
-point-by-point loop in the scalar search's order would keep.  A lockstep
+quadratures (the closed forms' _grid and _columns functions, whose values
+have the scalar closed forms' bits) for all its integrals: p1 at each
+distinct share and its mirror, p3 and p4 for mlh, tp3, tp4 and tp4p for
+sc; one call per window and per sc grid.  The mlh coarse grid integrates
+only the points that can still be its argmax: the others are pruned by
+upper bounds on p3 and p4 (closed_form's prob_p3_p4_bound) against an
+incumbent, in a few calls (_coarse_values), the first of which carries
+p1.  The values are combined elementwise by mlh_throughput_from_probs and
+sc_throughput_from_probs and offered as one array, a pruned point as NaN:
+the winner is the one a point-by-point loop in the scalar search's order
+would keep.  A lockstep
 call that fails raises the NonConvergence of its lowest failing integral,
 which names a kernel, shares and config at which the scalar closed form
 fails too.
@@ -23,6 +25,7 @@ fails too.
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,11 +33,9 @@ import numpy as np
 from .closed_form import (
     EventProbs,
     _bound_slack,
+    _mlh_columns,
     _sc_columns,
     mlh_throughput_from_probs,
-    prob_p0,
-    prob_p1,
-    prob_p2,
     prob_p3_p4_bound,
     prob_p3_p4_grid,
     sc_throughput_from_probs,
@@ -106,25 +107,17 @@ class _Search:
             self.best = point
 
 
-def _slot1_base(a, m, cfg, settings):
-    """The coarse grid's slot-1 terms of a row: base and denominator of the
-    objective at alpha = a, whose mirrored grid share is m."""
-    p0 = prob_p0(a, cfg)
-    base = (2.0 * p0 + 2.0 * (prob_p1(a, cfg, settings)
-                              + prob_p1(m, cfg, settings))
-            + prob_p2(a, cfg, settings) + prob_p2(m, cfg, settings))
-    return base, 2.0 - p0
-
-
 def _coarse_values(pts, cfg, settings):
     """The mlh objective at every coarse grid point (pts[i], pts[j]), an
-    (n + 1, n + 1) array, in the scalar search's arithmetic; NaN at a point
-    pruned as one that cannot be the grid's argmax.
+    (n + 1, n + 1) array, in mlh_throughput_from_probs' arithmetic; NaN at
+    a point pruned as one that cannot be the grid's argmax.
 
     The mirrored events are evaluated at the mirrored grid index (exact
     index mirror, never 1 - a), and p3(i, j) = p3(n - i, n - j), which is
     exact on the indices, not on floats (the two quadratures differ in the
-    last bits), at the canonical one of the two.
+    last bits), at the canonical one of the two.  The slot-1 events depend
+    on the row alone: the first lockstep call integrates p1 at every grid
+    share, with the corner's p3 and p4.
 
     Only the argmax is used, so only the points that can still win are
     integrated.  prob_p3_p4_bound gives each p3/p4 integral an upper bound
@@ -148,8 +141,9 @@ def _coarse_values(pts, cfg, settings):
     and `evaluations` are those of the whole grid.
 
     Each lockstep call's NonConvergence names its lowest failing integral
-    (p3 before p4), a point at which the scalar closed form fails as well;
-    an integral at a pruned point is never run and cannot fail.
+    (p1 before p3 before p4), a share or point at which the scalar closed
+    form fails as well; an integral at a pruned point is never run and
+    cannot fail.
     tests/test_optimizer.py pins the search to its scalar_search, which
     integrates every point (TestMatchesScalarSearch).
     """
@@ -161,13 +155,6 @@ def _coarse_values(pts, cfg, settings):
     # flat indices: the mirror of point k is size - 1 - k, and p3 lives at
     # the lower of the two, the canonical point
     canon = np.minimum(np.arange(size), np.arange(size)[::-1])
-    base, denom = np.array([_slot1_base(a, pts[n - k], cfg, settings)
-                            for k, a in enumerate(pts)]).T
-    base, denom = base[i], denom[i]
-
-    def objective(p3, p4):
-        q = base + 2.0 * p3[canon] + p4 + p4[::-1]
-        return cfg.rate_R * q / denom
 
     def needs(points):
         """Masks of the p3 and p4 integrals that the objective at `points`
@@ -175,6 +162,35 @@ def _coarse_values(pts, cfg, settings):
         need3 = np.zeros(size, dtype=bool)
         need3[canon[points]] = True
         return need3, points | points[::-1]
+
+    p3, p4 = np.full(size, np.nan), np.full(size, np.nan)   # NaN: not run
+
+    def missing(points):
+        """The p3 and p4 integrals that the objective at `points` reads and
+        that have not run."""
+        return (np.flatnonzero(need & np.isnan(p))
+                for need, p in zip(needs(points), (p3, p4)))
+
+    def integrate(points):
+        k3, k4 = missing(points)
+        if k3.size or k4.size:
+            p3[k3], p4[k4] = prob_p3_p4_grid(alphas[k3], betas[k3], alphas[k4],
+                                             betas[k4], cfg, settings)
+
+    # the first lockstep call: every row's slot-1 terms, at its share and
+    # its mirrored share, with the corner (1, 1)
+    k3, k4 = missing(np.arange(size) == size - 1)
+    slot1, p3[k3], p4[k4] = _mlh_columns(grid, grid[::-1], alphas[k3], betas[k3],
+                                         alphas[k4], betas[k4], cfg, settings)
+    rows = {name: column[:, None] for name, column in vars(slot1).items()}
+
+    def objective(p3, p4):
+        """mlh_throughput_from_probs at every point, the rows' slot-1
+        columns broadcast along the rows."""
+        square = (n + 1, n + 1)
+        probs = SimpleNamespace(**rows, p3=p3[canon].reshape(square),
+                                p4=p4.reshape(square), p4p=p4[::-1].reshape(square))
+        return mlh_throughput_from_probs(probs, cfg).ravel()
 
     u3, u4 = np.full(size, np.nan), np.full(size, np.nan)   # the bounds
 
@@ -184,18 +200,8 @@ def _coarse_values(pts, cfg, settings):
                                           betas[k4], cfg, pieces, settings)
         return objective(u3, u4)
 
-    p3, p4 = np.full(size, np.nan), np.full(size, np.nan)   # NaN: not run
-
-    def integrate(points):
-        k3, k4 = (np.flatnonzero(need & np.isnan(p))
-                  for need, p in zip(needs(points), (p3, p4)))
-        if k3.size or k4.size:
-            p3[k3], p4[k4] = prob_p3_p4_grid(alphas[k3], betas[k3], alphas[k4],
-                                             betas[k4], cfg, settings)
-
     slack = np.full(size, _bound_slack(settings))
     floor = objective(slack, slack)   # no point's bound lies below its floor
-    integrate(np.arange(size) == size - 1)
     incumbent = objective(p3, p4)[-1]
     live = np.ones(size, dtype=bool)
     candidates = live   # the points to bound: at first all of them
@@ -252,19 +258,18 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
 
 def _mlh_values(alphas, betas, cfg, settings):
     """throughput_mlh at each point (alphas[k], betas[k]), with the same
-    bits; at the first point whose EventProbs fails a check, the same
-    ValueError."""
+    bits, in one lockstep call: the p3 and p4 integrals, then p1 at each
+    distinct alpha and 1 - alpha.  At the first point whose EventProbs
+    fails a check, the same ValueError."""
     n = len(alphas)
-    p3, p4 = prob_p3_p4_grid(alphas, betas, np.concatenate([alphas, 1.0 - alphas]),
-                             np.concatenate([betas, 1.0 - betas]), cfg, settings)
-    # the slot-1 events depend on alpha alone: once per distinct alpha
     distinct, inverse = np.unique(alphas, return_inverse=True)
-    p0, p1, p1p, p2, p2p = np.array([
-        (prob_p0(a, cfg), prob_p1(a, cfg, settings), prob_p1(1.0 - a, cfg, settings),
-         prob_p2(a, cfg, settings), prob_p2(1.0 - a, cfg, settings))
-        for a in distinct.tolist()])[inverse].T
-    probs = EventProbs.checked_columns(p0=p0, p1=p1, p1p=p1p, p2=p2, p2p=p2p,
-                                       p3=p3, p4=p4[:n], p4p=p4[n:])
+    slot1, p3, p4 = _mlh_columns(distinct, 1.0 - distinct, alphas, betas,
+                                 np.concatenate([alphas, 1.0 - alphas]),
+                                 np.concatenate([betas, 1.0 - betas]), cfg,
+                                 settings, p1_last=True)
+    probs = EventProbs.checked_columns(
+        **{name: column[inverse] for name, column in vars(slot1).items()},
+        p3=p3, p4=p4[:n], p4p=p4[n:])
     return mlh_throughput_from_probs(probs, cfg)
 
 

@@ -65,21 +65,25 @@ __all__ = [
 MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
 
 # integrate_finite_many admits integrals into a round while its panels stay
-# within this many.  In a sweep-rate pass the mlh grids ran 655 rounds
-# in fixed blocks of 1,024 integrals (median 293 panels, 311 under 256: a
-# block's last rounds carry only its stragglers) and run 239 rolling rounds
-# of 3,072 (median 3,068 panels); with the sc grids' small calls the pass
-# runs 575 rounds where it ran 1,021, on the same 665,268 panels.
-# In-process 3 dB passes of the 12 sweep-rate rates (mlh and sc, best of 3
-# in each of 6 fresh processes, medians; 2-vCPU VM) took 1.07 s at 1,024,
-# 1.01 s at 2,048, 0.89 s at 3,072 and 0.87 s at 6,144, which peaked
-# 0.4 MB higher than 3,072 (tracemalloc, one optimize_split("mlh") at
-# 3 dB, R = 1; a test in tests/test_optimizer.py holds that peak).
+# within this many.  When it was chosen, before the mlh coarse grid pruned
+# its points, a sweep-rate pass evaluated 665,268 panels: the mlh grids ran
+# 655 rounds in fixed blocks of 1,024 integrals (median 293 panels, 311
+# under 256: a block's last rounds carry only its stragglers) and 239
+# rolling rounds of 3,072 (median 3,068 panels); with the sc grids' small
+# calls the pass ran 575 rounds where it had run 1,021.  In-process 3 dB
+# passes of the 12 sweep-rate rates (mlh and sc, best of 3 in each of 6
+# fresh processes, medians; 2-vCPU VM) took 1.07 s at 1,024, 1.01 s at
+# 2,048, 0.89 s at 3,072 and 0.87 s at 6,144, which peaked 0.4 MB higher
+# than 3,072 (tracemalloc, one optimize_split("mlh") at 3 dB, R = 1; a
+# test in tests/test_optimizer.py holds that peak).  With the pruning a
+# pass evaluates 91,212 panels in 580 rounds (median 23 panels, 14 rounds
+# over 1,024), and the same passes take 0.29-0.35 s at 1,024, 3,072 and
+# 6,144 alike (best of 3 in each of 3 fresh processes).
 ROUND_PANELS = 3072
 # ...and hands them to the integrand in calls of at most this many panels,
-# so the integrands' (P, 22) buffers do not grow with the round.  The
-# same passes took 0.70 s at 512, 0.64 s at 1,024 and 0.64 s at 2,048,
-# which peaks at 4.9 MB where 1,024 peaks at 4.1 MB.
+# so the integrands' (P, 22) buffers do not grow with the round.  Before
+# the pruning the same passes took 0.70 s at 512, 0.64 s at 1,024 and
+# 0.64 s at 2,048, which peaks at 4.9 MB where 1,024 peaks at 4.1 MB.
 CALL_PANELS = 1024
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have

@@ -19,13 +19,20 @@ from hypothesis import strategies as st
 from mlharq import quadrature
 from mlharq.closed_form import (
     ScProbs,
+    _g_max_at,
     _h3_breakpoints,
     _h3_breakpoints_grid,
     _h4_breakpoints,
     _h4_breakpoints_grid,
     _k3,
     _k4,
+    _mlh_columns,
+    _p1_bounds,
     _sc_columns,
+    g_max,
+    prob_p0,
+    prob_p1,
+    prob_p2,
     prob_p3,
     prob_p3_p4_grid,
     prob_p4,
@@ -525,6 +532,122 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     assert str(info.value) == want
     assert _sc_failure_names_its_first_owner(alphas, cfg, quad) == \
         {0.8: 0.9, 2.0: 0.5}[rate]
+
+
+def _slot1_bits(alphas, mirrors, cfg, settings=None):
+    """The slot-1 columns of _mlh_columns, from the scalar closed forms."""
+    return [_bits([prob_p0(a, cfg) for a in alphas]),
+            _bits([prob_p1(a, cfg, settings) for a in alphas]),
+            _bits([prob_p1(m, cfg, settings) for m in mirrors]),
+            _bits([prob_p2(a, cfg, settings) for a in alphas]),
+            _bits([prob_p2(m, cfg, settings) for m in mirrors])]
+
+
+def _columns_bits(alphas, mirrors, cfg, settings=None):
+    slot1, _, _ = _mlh_columns(alphas, mirrors, [], [], [], [], cfg, settings)
+    return [_bits(getattr(slot1, name).tolist())
+            for name in ("p0", "p1", "p1p", "p2", "p2p")]
+
+
+def _shares_at_the_edges(cfg):
+    t = vanishing_threshold(cfg)
+    return [t, math.nextafter(t, 2.0), 1.0 - t, 0.0, 1.0, 0.5,
+            math.nextafter(1.0, 0.0)]
+
+
+# Configs at which p1's window takes each of _p1_value's branches at a
+# share listed with it, besides the edges of every config.
+SLOT1_EDGE_CONFIGS = [
+    # the window is empty: its bounds cross by rounding
+    (SystemConfig.from_snr_db(7.692280364297938, 3.936831108168777),
+     [0.9387050224783754]),
+    # (1 - alpha)P underflows to 0.0 below alpha = 1: the closed form
+    (SystemConfig(rate_R=0.05, power_P=2e-308, sigma2=4e306),
+     [math.nextafter(1.0, 0.0)]),
+    # (1 - alpha)P > 0, but t1 / ((1 - alpha)P) overflows: an infinite hi,
+    # cut at the tail truncation point, and an integral
+    (SystemConfig(rate_R=1.0, power_P=1e-293, sigma2=1e300), [1.0 - 2.0 ** -53]),
+    # sigma2 P is subnormal: m2's residual over it overflows, quietly, and
+    # the integrand is 0.0
+    (SystemConfig(rate_R=1.0, power_P=1e-160, sigma2=1e-160), [0.9]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SLOT1_EDGE_CONFIGS)))
+def test_slot1_columns_take_every_branch_of_the_scalar_p1(case):
+    cfg, shares = SLOT1_EDGE_CONFIGS[case]
+    lo, hi = _p1_bounds(shares[0], cfg)
+    c = (1.0 - shares[0]) * cfg.power_P
+    assert shares[0] > vanishing_threshold(cfg)
+    assert [lo >= hi, c == 0.0, 0.0 < c and hi == math.inf,
+            lo < hi and prob_p1(shares[0], cfg) == 0.0][case]
+    alphas = shares + _shares_at_the_edges(cfg)
+    mirrors = [1.0 - a for a in alphas]
+    assert _columns_bits(alphas, mirrors, cfg) == _slot1_bits(alphas, mirrors, cfg)
+
+
+@st.composite
+def slot1_cases(draw):
+    cfg = SystemConfig.from_snr_db(draw(st.floats(-5.0, 40.0)),
+                                   draw(st.floats(0.05, 12.0)),
+                                   draw(st.sampled_from([0.3, 1.0, 4.0])))
+    share = st.one_of(st.sampled_from(_shares_at_the_edges(cfg)),
+                      st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.tuples(share, st.one_of(st.none(), share)),
+                         min_size=1, max_size=8))
+    return cfg, [a for a, _ in rows], [1.0 - a if m is None else m for a, m in rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=slot1_cases(), quad=st.sampled_from(SETTINGS))
+def test_slot1_columns_equal_the_scalar_closed_forms(case, quad):
+    """p0, p1, p1', p2 and p2' of each row (alpha, mirror), mirrors at 1 -
+    alpha or anywhere, have the bits of prob_p0, prob_p1 and prob_p2."""
+    cfg, alphas, mirrors = case
+    assert _columns_bits(alphas, mirrors, cfg, quad) == \
+        _slot1_bits(alphas, mirrors, cfg, quad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=kink_cases())
+def test_g_max_at_equals_g_max(case):
+    cfg, points = case
+    alpha = np.array([a for pair in points for a in pair])
+    upper, inverse = _g_max_at(alpha, cfg)
+    assert _bits(upper[inverse].tolist()) == _bits([g_max(a, cfg)
+                                                    for a in alpha.tolist()])
+
+
+@pytest.mark.parametrize("p1_last", [False, True])
+def test_mlh_columns_raise_the_first_failure_of_the_scalar_loops(p1_last):
+    """p1 integrals in a loop over the rows, p1 at alpha then at the
+    mirror, before or after a loop of prob_p3 then prob_p4: the first
+    failure is the lockstep call's, named as the scalar closed form names
+    it.  The loop asks for p1 at 0.95 before 0.9, so an ascending order of
+    the shares would name the wrong one."""
+    from mlharq import closed_form
+
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    quad = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+    alphas, mirrors = [0.3, 0.9], [0.95, 0.1]
+    points = [(0.5, 0.5), (0.3, 0.7)]
+    p1_loop = [(prob_p1, (x,)) for pair in zip(alphas, mirrors) for x in pair]
+    slot2_loop = [(kernel, point) for kernel in (prob_p3, prob_p4)
+                  for point in points]
+    loop = slot2_loop + p1_loop if p1_last else p1_loop + slot2_loop
+    # p1's error estimate reaches 0.0 at any tolerance: a small panel
+    # budget makes it fail (and a cached value would not)
+    closed_form._p1_value.cache_clear()
+    with mock.patch.object(quadrature, "MAX_SUBDIVISIONS", 4):
+        want = _first_scalar_failure(lambda kernel, args: kernel(*args, cfg, quad),
+                                     loop)
+        with pytest.raises(NonConvergence) as info:
+            _mlh_columns(alphas, mirrors, *zip(*points), *zip(*points), cfg, quad,
+                         p1_last)
+    assert str(info.value) == want
+    assert (" in p1 at alpha=" in want) != p1_last
+    if not p1_last:
+        assert f" in p1 at alpha=0.95, {cfg!r}" in want
 
 
 # The sc kernels of a whole coarse grid go through one lockstep call, tp4p

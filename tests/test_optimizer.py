@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import hypothesis
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mlharq import optimize
 from mlharq.closed_form import (
     EventProbs,
+    mlh_throughput_from_probs,
     prob_p0,
     prob_p1,
     prob_p2,
@@ -42,6 +44,11 @@ def scalar_search(protocol, cfg, grid_step=0.01, refine_tol=1e-4, settings=None)
 
     The reference for the batched search: the same grid, windows, mirror
     indices, arithmetic and tie-break, on the public scalar closed forms.
+    The one difference is the order of the mlh coarse objective's sum:
+    here the slot-1 terms first, where the search sums in
+    mlh_throughput_from_probs' order, as its windows and throughput_mlh
+    do; the coarse values may differ in their last bit, the Optimum must
+    not.
     """
     n = max(1, round(1.0 / grid_step))
     pts = [i / n for i in range(n + 1)]
@@ -289,16 +296,25 @@ class TestPruning:
     @staticmethod
     def objective(pts, cfg, integrals):
         """_coarse_values' objective over the grid of pts, in its
-        arithmetic, from p3 and p4 (values or bounds) at every point."""
+        arithmetic (mlh_throughput_from_probs), from the scalar slot-1
+        closed forms at each row and its mirrored row, and p3 and p4
+        (values or bounds) at every point."""
         n = len(pts) - 1
         grid = np.array(pts)
         a, b = np.repeat(grid, n + 1), np.tile(grid, n + 1)
         p3, p4 = integrals(a, b, a, b, cfg)
         k = np.arange((n + 1) ** 2)
-        p3 = p3[np.minimum(k, k[::-1])]   # the canonical point's value
-        base, denom = np.array([optimize._slot1_base(x, pts[n - i], cfg, None)
-                                for i, x in enumerate(pts)]).repeat(n + 1, axis=0).T
-        return cfg.rate_R * (base + 2.0 * p3 + p4 + p4[::-1]) / denom
+
+        def rows(closed_form, shares):
+            return np.repeat([closed_form(x, cfg) for x in shares], n + 1)
+
+        probs = SimpleNamespace(
+            p0=rows(prob_p0, pts), p1=rows(prob_p1, pts),
+            p1p=rows(prob_p1, pts[::-1]), p2=rows(prob_p2, pts),
+            p2p=rows(prob_p2, pts[::-1]),
+            p3=p3[np.minimum(k, k[::-1])],   # the canonical point's value
+            p4=p4, p4p=p4[::-1])
+        return mlh_throughput_from_probs(probs, cfg)
 
     @classmethod
     def unpruned(cls, pts, cfg):
@@ -404,16 +420,16 @@ class TestArrayOffers:
         window = [0.5, 0.53, 0.56]
         alphas = np.repeat(window, 3)
         betas = np.tile(window, 3)
-        grid = optimize.prob_p3_p4_grid
+        columns = optimize._mlh_columns
 
-        def patched(a3, b3, a4, b4, cfg, quad=None):
-            p3, p4 = grid(a3, b3, a4, b4, cfg, quad)
+        def patched(*args, **kwargs):
+            slot1, p3, p4 = columns(*args, **kwargs)
             for k, value in bad.items():
                 p3[k] = value
-            return p3, p4
+            return slot1, p3, p4
 
-        monkeypatch.setattr(optimize, "prob_p3_p4_grid", patched)
-        p3 = patched(alphas, betas, alphas, betas, CFG_3DB)[0].tolist()
+        monkeypatch.setattr(optimize, "_mlh_columns", patched)
+        p3 = patched(alphas, 1.0 - alphas, alphas, betas, [], [], CFG_3DB)[1].tolist()
         with pytest.raises(ValueError) as want:
             for k, (a, b) in enumerate(zip(alphas.tolist(), betas.tolist())):
                 EventProbs(p0=prob_p0(a, CFG_3DB), p1=prob_p1(a, CFG_3DB),
