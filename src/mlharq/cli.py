@@ -20,7 +20,7 @@ from .closed_form import (
     event_probs,
     mlh_throughput_from_probs,
     prob_sc,
-    throughput_sc,
+    sc_throughput_from_probs,
     throughput_ts,
 )
 from .model import PROTOCOLS, PowerSplit, SystemConfig
@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
     if args.protocol == "sc":
         probs = prob_sc(split.alpha, cfg, settings)
         out["sc_probs"] = probs.as_dict()
-        out["throughput"] = throughput_sc(split.alpha, cfg, settings)
+        out["throughput"] = sc_throughput_from_probs(probs, cfg)
     else:
         probs = event_probs(split, cfg, settings)
         out["event_probs"] = probs.as_dict()

@@ -22,19 +22,19 @@ instead of g_max.
 The grid functions evaluate many integrals in one lockstep quadrature
 (integrate_finite_many, through _kernel_grid) with the same integrands
 (_f1, _f3, _f4) and breakpoints as the scalar path, so each value has the
-scalar path's bits.  _mlh_columns runs the p1 integrals of an mlh grid's
-rows (each distinct share and mirrored share once) with its p3 and p4
-integrals in one such quadrature, and p0, p2 and the analytic p1 beside
-it, once per distinct share; prob_p3_p4_grid runs p3 and p4 alone, and
-_sc_columns an sc grid's three kernels (tp3, tp4, tp4p), a tp4p integral
-that is also a tp4 integral once.
+scalar path's bits.  _mlh_columns, the one mlh entry, runs the p1
+integrals of an mlh grid's rows (each distinct share and mirrored share
+once) with its p3 and p4 integrals in one such quadrature; _sc_columns
+runs an sc grid's three kernels (tp3, tp4, tp4p), a tp4p integral that is
+also a tp4 integral once.
 prob_p3_p4_bound bounds what prob_p3 and prob_p4 return from above, with
 no quadrature: upper Riemann sums, as h3, h4 and h4_bar do not increase
 with g.  The optimizer prunes the mlh coarse grid with them.
-The kink candidates, g_max and p1's window exist twice: a scalar form for
-single calls and an array form for grids, which repeats the scalar
-arithmetic (tests pin the two together).  The grid functions do not read
-or fill the scalar kernels' caches.
+p1's window rule has one form, _p1_window and _p1_closed, which both
+paths call once per share.  The kink candidates and g_max exist twice: a
+scalar form for single calls and an array form for grids, which repeats
+the scalar arithmetic (tests pin the two together).  The grid functions
+do not read or fill the scalar kernels' caches.
 
 An only-m1 kernel (_k4: p4, p4', tp4, tp4p) whose interference cap binds
 on the whole slot-1 range is exactly 0.0, and both paths return it
@@ -85,7 +85,6 @@ __all__ = [
     "prob_p2_prime",
     "prob_p3",
     "prob_p3_p4_bound",
-    "prob_p3_p4_grid",
     "prob_p4",
     "prob_p4_prime",
     "prob_sc",
@@ -552,6 +551,39 @@ def _p1_bounds(alpha, cfg):
     return lo, hi
 
 
+def _p1_window(alpha, cfg):
+    """p1's slot-1 window at share alpha, the gains [lo, hi] at which only
+    m1 decodes at slot 1, as (lo, hi, mass): hi cut at the tail truncation
+    point lo + sigma2 TAIL_SPAN where it is infinite, and the window's
+    slot-1 mass exp(-lo/s2) - exp(-hi/s2) before the cut, which prob_p2
+    reads.  None at or below the vanishing threshold and where the window
+    is empty."""
+    if alpha <= vanishing_threshold(cfg):
+        return None
+    lo, hi = _p1_bounds(alpha, cfg)
+    if lo >= hi:
+        # just above the vanishing threshold the window is empty but its
+        # bounds can cross by rounding
+        return None
+    s2 = cfg.sigma2
+    mass = math.exp(-lo / s2) - math.exp(-hi / s2)
+    if math.isinf(hi):
+        hi = lo + s2 * TAIL_SPAN
+    return lo, hi, mass
+
+
+def _p1_closed(lo, hi, cfg):
+    """p1 over the window [lo, hi] where m2 has no slot-1 power ((1 -
+    alpha)P is 0.0: alpha = 1, or a share whose product underflows).  m2's
+    residual is then the constant 2^R - 1, so the integrand is
+    C exp(-g/s2)/s2 with C = exp(-(2^R - 1)/(s2 P)), and its integral over
+    the window, cut as the quadrature would cut it, is
+    C (exp(-lo/s2) - exp(-hi/s2)).  SystemConfig keeps s2 P above 0.0."""
+    s2 = cfg.sigma2
+    return (math.exp(-(2.0 ** cfg.rate_R - 1.0) / (s2 * cfg.power_P))
+            * (math.exp(-lo / s2) - math.exp(-hi / s2)))
+
+
 def _f1(g, c, cfg):
     """Integrand of p1, m2's slot-1 power c = (1-alpha)P: slot-1 gain
     density times m2's recovery at slot 2, elementwise over g and c.
@@ -571,29 +603,13 @@ def _f1(g, c, cfg):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _p1_value(alpha, cfg, settings):
-    if alpha <= vanishing_threshold(cfg):
+    window = _p1_window(alpha, cfg)
+    if window is None:
         return 0.0
-    lo, hi = _p1_bounds(alpha, cfg)
-    if lo >= hi:
-        # just above the vanishing threshold the window is empty but its
-        # bounds can cross by rounding
-        return 0.0
-    r = cfg.rate_R
-    p = cfg.power_P
-    s2 = cfg.sigma2
-    c = (1.0 - alpha) * p
-    k1 = 2.0 ** r
-    if math.isinf(hi):
-        hi = lo + s2 * TAIL_SPAN
+    lo, hi, _ = window
+    c = (1.0 - alpha) * cfg.power_P
     if c == 0.0:
-        # m2 has no slot-1 power (alpha = 1, or a share whose (1-alpha)P
-        # underflows): its residual is the constant 2^R - 1, so the
-        # integrand is C exp(-g/s2)/s2 with C = exp(-(2^R - 1)/(s2 P)), and
-        # its integral over the window, cut at the tail truncation point
-        # as the quadrature would cut it, is C (exp(-lo/s2) - exp(-hi/s2))
-        return (math.exp(-(k1 - 1.0) / (s2 * p))
-                * (math.exp(-lo / s2) - math.exp(-hi / s2)))
-
+        return _p1_closed(lo, hi, cfg)
     # the positive part activates on the whole window (it reaches zero
     # exactly at the upper limit), so the integrand is smooth inside
     try:
@@ -624,14 +640,10 @@ def prob_p2(alpha: float, cfg: SystemConfig,
 
     Window probability of the slot-1 only-m1 gains, minus prob_p1.
     """
-    if alpha <= vanishing_threshold(cfg):
+    window = _p1_window(alpha, cfg)
+    if window is None:
         return 0.0
-    s2 = cfg.sigma2
-    lo, hi = _p1_bounds(alpha, cfg)
-    if lo >= hi:
-        return 0.0
-    window = math.exp(-lo / s2) - math.exp(-hi / s2)
-    return window - prob_p1(alpha, cfg, settings)
+    return window[2] - prob_p1(alpha, cfg, settings)
 
 
 def prob_p2_prime(alpha: float, cfg: SystemConfig,
@@ -846,102 +858,54 @@ def _g_max_each(alpha, cfg):
     return np.minimum(upper, (2.0 ** (2.0 * cfg.rate_R) - 1.0) / p, out=upper)
 
 
-def _g_max_at(alpha, cfg):
-    """g_max at each distinct share of alpha, and the inverse index that
-    maps them back onto alpha."""
-    distinct, inverse = np.unique(alpha, return_inverse=True)
-    return _g_max_each(distinct, cfg), inverse
-
-
-def _p3_p4_parts(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg):
-    """The _Parts of prob_p3 at each point (p3_alphas[i], p3_betas[i]) and
-    of prob_p4 at each point (p4_alphas[j], p4_betas[j]), each over
-    [0, g_max]."""
-    parts = []
-    for kernel, integrand, alphas, betas in (("p3", _f3, p3_alphas, p3_betas),
-                                             ("p4", _f4, p4_alphas, p4_betas)):
-        alpha = np.asarray(alphas, dtype=float)
-        beta = np.asarray(betas, dtype=float)
-        parts.append(_slot2_part(kernel, (alpha, beta), integrand, alpha, beta,
-                                 _g_max_each(alpha, cfg), cfg))
-    return parts
-
-
-def prob_p3_p4_grid(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
-                    settings: Optional[QuadratureSettings] = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """prob_p3 at each point (p3_alphas[i], p3_betas[i]) and prob_p4 at each
-    point (p4_alphas[j], p4_betas[j]), with the same bits, all in one
-    lockstep quadrature: an mlh grid has one straggler tail, not two.
-
-    A NonConvergence is the one a loop of prob_p3 over the p3 points, then
-    prob_p4 over the p4 points, would raise first."""
-    p3, p4 = _kernel_grid(_p3_p4_parts(p3_alphas, p3_betas, p4_alphas, p4_betas,
-                                       cfg), cfg, settings or DEFAULT_SETTINGS)
-    return p3, p4
-
-
 def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
-                 cfg, settings=None, p1_last=False):
-    """The slot-1 events of rows and prob_p3_p4_grid's p3 and p4, with the
-    scalar closed forms' bits, all integrals in one lockstep quadrature.
+                 cfg, settings=None):
+    """The slot-1 events of rows, and prob_p3 at each point (p3_alphas[i],
+    p3_betas[i]) and prob_p4 at each point (p4_alphas[j], p4_betas[j]),
+    with the scalar closed forms' bits, all integrals in one lockstep
+    quadrature.  The rows may be empty, and so may the points.
 
     Row k has the share alphas[k] and the mirror share mirrors[k].  Its
     slot-1 fields of EventProbs are returned as columns in a namespace: p0
     (prob_p0 at alphas), p1 and p2 (prob_p1 and prob_p2 at alphas), and
     p1p and p2p (at mirrors); then the p3 and p4 arrays.
 
-    The slot-1 terms are computed once per distinct share, with
-    _p1_value's cases elementwise: 0.0 at or below the vanishing threshold
-    and in an empty window, the closed form where (1 - alpha)P is 0.0,
-    else one integral over the window cut at the tail truncation point.
-    The window and the cut are +, -, * and / in numpy, with the scalar
-    bits; p0, p2's window and the closed form use math.exp once per share,
-    as numpy's exp differs from it in the last bit at some arguments.  The
-    p1 integrals are owners in the order in which a loop over the rows asks
-    for p1 at alphas[k], then at mirrors[k], each share once, before the p3
-    and p4 integrals or after them (p1_last); each failure is named as the
-    scalar closed form names it.  So a NonConvergence is the one that loop,
-    before or after a loop of prob_p3 then prob_p4, raises first.  The
+    The slot-1 terms are computed once per distinct share, in the order in
+    which a loop over the rows asks for p1 at alphas[k], then at
+    mirrors[k]: each share's _p1_window, then _p1_closed where (1 - alpha)P
+    is 0.0, else one p1 integral.  The quadrature's owners are those p1
+    integrals in that order, then the p3 and p4 integrals, each failure
+    named as the scalar closed form names it; so a NonConvergence is the
+    one that loop, then a loop of prob_p3 then prob_p4, raises first.  The
     scalar caches are neither read nor filled."""
     alphas = np.asarray(alphas, dtype=float)
     rows = np.stack([alphas, np.asarray(mirrors, dtype=float)], axis=1).ravel()
     shares, first, inverse = np.unique(rows, return_index=True,
                                        return_inverse=True)
-    k1 = 2.0 ** cfg.rate_R
-    t1 = k1 - 1.0
-    p = cfg.power_P
-    s2 = cfg.sigma2
-    live = np.flatnonzero(shares > vanishing_threshold(cfg))
-    a = shares[live]
-    # _p1_bounds; lo's denominator is positive above the threshold
-    lo = _threshold(t1, (1.0 + k1 * (a - 1.0)) * p)
-    c = (1.0 - a) * p
-    hi = _threshold(t1, c)
-    keep = lo < hi
-    live, lo, hi, c = live[keep], lo[keep], hi[keep], c[keep]
-    window = np.array([math.exp(-x / s2) - math.exp(-y / s2)   # prob_p2's
-                       for x, y in zip(lo.tolist(), hi.tolist())])
-    cut = np.isinf(hi)
-    hi[cut] = lo[cut] + s2 * TAIL_SPAN
-    p1 = np.zeros(len(shares))
-    closed = c == 0.0
-    p1[live[closed]] = [math.exp(-t1 / (s2 * p))
-                        * (math.exp(-x / s2) - math.exp(-y / s2))
-                        for x, y in zip(lo[closed].tolist(), hi[closed].tolist())]
-    quad = np.flatnonzero(~closed)
-    quad = quad[np.argsort(first[live[quad]])]       # in the loop's order
-    parts = _p3_p4_parts(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg)
-    parts.insert(len(parts) if p1_last else 0,
-                 _Part("p1", (shares[live[quad]],), _f1, _no_kinks, (c[quad],),
-                       lo[quad], hi[quad]))
-    values = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
-    p1[live[quad]] = values.pop(-1 if p1_last else 0)
-    p2 = np.zeros(len(shares))
-    p2[live] = window - p1[live]
+    p1, p2, lo, hi, c = np.zeros((5, len(shares)))
+    order = np.argsort(first)
+    for k in order.tolist():
+        share = float(shares[k])
+        window = _p1_window(share, cfg)
+        if window is None:
+            continue
+        lo[k], hi[k], p2[k] = window
+        c[k] = (1.0 - share) * cfg.power_P
+        if c[k] == 0.0:
+            p1[k] = _p1_closed(*window[:2], cfg)
+    index = order[c[order] > 0.0]   # the p1 integrals, in the loop's order
+    parts = [_Part("p1", (shares[index],), _f1, _no_kinks, (c[index],),
+                   lo[index], hi[index])]
+    for kernel, integrand, a, b in (("p3", _f3, p3_alphas, p3_betas),
+                                    ("p4", _f4, p4_alphas, p4_betas)):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        parts.append(_slot2_part(kernel, (a, b), integrand, a, b,
+                                 _g_max_each(a, cfg), cfg))
+    p1[index], p3, p4 = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
+    p2 -= p1   # prob_p2's window - p1; 0.0 - 0.0 where the window is None
     (p1, p1p), (p2, p2p) = (x[inverse].reshape(-1, 2).T for x in (p1, p2))
     p0 = np.array([prob_p0(x, cfg) for x in alphas.tolist()])
-    p3, p4 = values
     return SimpleNamespace(p0=p0, p1=p1, p1p=p1p, p2=p2, p2p=p2p), p3, p4
 
 
@@ -1046,7 +1010,8 @@ def prob_p3_p4_bound(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig
                                      (_f4, p4_alphas, p4_betas)):
         alpha = np.asarray(alphas, dtype=float)
         beta = np.asarray(betas, dtype=float)
-        upper, inverse = _g_max_at(alpha, cfg)
+        distinct, inverse = np.unique(alpha, return_inverse=True)
+        upper = _g_max_each(distinct, cfg)
         np.maximum(upper, 0.0, out=upper)
         edges, mass = _slot1_pieces(upper, cfg.sigma2, pieces)
         bound = np.zeros(len(alpha))

@@ -56,6 +56,11 @@ class SystemConfig:
                 f"sigma2 {self.sigma2} and power_P {self.power_P} make the "
                 f"largest sampled gain times power_P ({_GAIN_SPAN:.2f} * "
                 "sigma2 * power_P) overflow")
+        # p1 divides m2's residual by sigma2 * power_P
+        if self.sigma2 * self.power_P == 0.0:
+            raise ValueError(
+                f"sigma2 {self.sigma2} and power_P {self.power_P} make "
+                "sigma2 * power_P underflow to 0")
 
     @property
     def snr_db(self) -> float:

@@ -7,20 +7,19 @@ time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
 
 Each coarse grid and refinement window is evaluated in lockstep
-quadratures (the closed forms' _grid and _columns functions, whose values
+quadratures (closed_form's _mlh_columns and _sc_columns, whose values
 have the scalar closed forms' bits) for all its integrals: p1 at each
-distinct share and its mirror, p3 and p4 for mlh, tp3, tp4 and tp4p for
-sc; one call per window and per sc grid.  The mlh coarse grid integrates
-only the points that can still be its argmax: the others are pruned by
-upper bounds on p3 and p4 (closed_form's prob_p3_p4_bound) against an
-incumbent, in a few calls (_coarse_values), the first of which carries
-p1.  The values are combined elementwise by mlh_throughput_from_probs and
-sc_throughput_from_probs and offered as one array, a pruned point as NaN:
-the winner is the one a point-by-point loop in the scalar search's order
-would keep.  A lockstep
-call that fails raises the NonConvergence of its lowest failing integral,
-which names a kernel, shares and config at which the scalar closed form
-fails too.
+distinct share and its mirror, then p3 and p4 for mlh, tp3, tp4 and tp4p
+for sc; one call per window and per sc grid.  The mlh coarse grid
+integrates only the points that can still be its argmax: the others are
+pruned by upper bounds on p3 and p4 (closed_form's prob_p3_p4_bound)
+against an incumbent, in a few _mlh_columns calls (_coarse_values), the
+first of which carries p1.  The values are combined elementwise by
+mlh_throughput_from_probs and sc_throughput_from_probs and offered as one
+array, a pruned point as NaN: the winner is the one a point-by-point loop
+in the scalar search's order would keep.  A lockstep call that fails
+raises the NonConvergence of its lowest failing integral, which names a
+kernel, shares and config at which the scalar closed form fails too.
 """
 
 import math
@@ -37,7 +36,6 @@ from .closed_form import (
     _sc_columns,
     mlh_throughput_from_probs,
     prob_p3_p4_bound,
-    prob_p3_p4_grid,
     sc_throughput_from_probs,
     throughput_mlh,
     throughput_ts,
@@ -116,8 +114,9 @@ def _coarse_values(pts, cfg, settings):
     index mirror, never 1 - a), and p3(i, j) = p3(n - i, n - j), which is
     exact on the indices, not on floats (the two quadratures differ in the
     last bits), at the canonical one of the two.  The slot-1 events depend
-    on the row alone: the first lockstep call integrates p1 at every grid
-    share, with the corner's p3 and p4.
+    on the row alone: the first _mlh_columns call integrates p1 at every
+    grid share, then the corner's p3 and p4, and the later calls, which
+    pass no rows, p3 and p4 alone.
 
     Only the argmax is used, so only the points that can still win are
     integrated.  prob_p3_p4_bound gives each p3/p4 integral an upper bound
@@ -171,17 +170,19 @@ def _coarse_values(pts, cfg, settings):
         return (np.flatnonzero(need & np.isnan(p))
                 for need, p in zip(needs(points), (p3, p4)))
 
-    def integrate(points):
+    def integrate(points, shares=grid[:0]):
+        """Run the p3 and p4 integrals that the objective at `points` reads
+        and that have not run, with the slot-1 terms of the rows `shares`;
+        those terms."""
         k3, k4 = missing(points)
-        if k3.size or k4.size:
-            p3[k3], p4[k4] = prob_p3_p4_grid(alphas[k3], betas[k3], alphas[k4],
-                                             betas[k4], cfg, settings)
+        slot1, p3[k3], p4[k4] = _mlh_columns(shares, shares[::-1], alphas[k3],
+                                             betas[k3], alphas[k4], betas[k4],
+                                             cfg, settings)
+        return slot1
 
     # the first lockstep call: every row's slot-1 terms, at its share and
     # its mirrored share, with the corner (1, 1)
-    k3, k4 = missing(np.arange(size) == size - 1)
-    slot1, p3[k3], p4[k4] = _mlh_columns(grid, grid[::-1], alphas[k3], betas[k3],
-                                         alphas[k4], betas[k4], cfg, settings)
+    slot1 = integrate(np.arange(size) == size - 1, grid)
     rows = {name: column[:, None] for name, column in vars(slot1).items()}
 
     def objective(p3, p4):
@@ -258,15 +259,15 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
 
 def _mlh_values(alphas, betas, cfg, settings):
     """throughput_mlh at each point (alphas[k], betas[k]), with the same
-    bits, in one lockstep call: the p3 and p4 integrals, then p1 at each
-    distinct alpha and 1 - alpha.  At the first point whose EventProbs
+    bits, in one lockstep call: p1 at each distinct alpha and 1 - alpha,
+    then the p3 and p4 integrals.  At the first point whose EventProbs
     fails a check, the same ValueError."""
     n = len(alphas)
     distinct, inverse = np.unique(alphas, return_inverse=True)
     slot1, p3, p4 = _mlh_columns(distinct, 1.0 - distinct, alphas, betas,
                                  np.concatenate([alphas, 1.0 - alphas]),
                                  np.concatenate([betas, 1.0 - betas]), cfg,
-                                 settings, p1_last=True)
+                                 settings)
     probs = EventProbs.checked_columns(
         **{name: column[inverse] for name, column in vars(slot1).items()},
         p3=p3, p4=p4[:n], p4p=p4[n:])

@@ -65,25 +65,18 @@ __all__ = [
 MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
 
 # integrate_finite_many admits integrals into a round while its panels stay
-# within this many.  When it was chosen, before the mlh coarse grid pruned
-# its points, a sweep-rate pass evaluated 665,268 panels: the mlh grids ran
-# 655 rounds in fixed blocks of 1,024 integrals (median 293 panels, 311
-# under 256: a block's last rounds carry only its stragglers) and 239
-# rolling rounds of 3,072 (median 3,068 panels); with the sc grids' small
-# calls the pass ran 575 rounds where it had run 1,021.  In-process 3 dB
-# passes of the 12 sweep-rate rates (mlh and sc, best of 3 in each of 6
-# fresh processes, medians; 2-vCPU VM) took 1.07 s at 1,024, 1.01 s at
-# 2,048, 0.89 s at 3,072 and 0.87 s at 6,144, which peaked 0.4 MB higher
-# than 3,072 (tracemalloc, one optimize_split("mlh") at 3 dB, R = 1; a
-# test in tests/test_optimizer.py holds that peak).  With the pruning a
-# pass evaluates 91,212 panels in 580 rounds (median 23 panels, 14 rounds
-# over 1,024), and the same passes take 0.29-0.35 s at 1,024, 3,072 and
-# 6,144 alike (best of 3 in each of 3 fresh processes).
-ROUND_PANELS = 3072
-# ...and hands them to the integrand in calls of at most this many panels,
-# so the integrands' (P, 22) buffers do not grow with the round.  Before
-# the pruning the same passes took 0.70 s at 512, 0.64 s at 1,024 and
-# 0.64 s at 2,048, which peaks at 4.9 MB where 1,024 peaks at 4.1 MB.
+# within this many, and hands a round to the integrand in calls of at most
+# this many panels, so the integrands' (P, 22) buffers do not grow with the
+# round.  Every value has the same bits at any budget.  With the mlh coarse
+# grid pruned, a sweep-rate pass evaluates 91,212 panels in 603 rounds
+# (median 28 panels, none over 1,024), and admitting up to 3,072 panels a
+# round ran it in 580 rounds (14 over 1,024) but bought no speed: 0.299 s
+# a pass against 0.302 s (mlh and sc at the 12 sweep-rate rates at 3 dB,
+# best of 5 in each of 5 alternating fresh processes, medians; 2-vCPU VM),
+# within the runs' spread, and peaked higher (tracemalloc,
+# optimize_split("mlh") at 3 dB: 3.05 against 2.84 MB at R = 1, 4.57
+# against 4.30 MB at R = 9.5).  Calls of 2,048 panels peaked at 4.9 MB
+# where 1,024 peaked at 4.1 MB.
 CALL_PANELS = 1024
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
@@ -366,7 +359,7 @@ def integrate_finite_many(f, a, b, breakpoints,
     The integrals run in rolling rounds.  A round evaluates the children
     of every live integral's split panels, then the first panels of the
     next integrals in index order, admitted while the round's panels stay
-    within ROUND_PANELS (an integral's first panels counted as 1 + its
+    within CALL_PANELS (an integral's first panels counted as 1 + its
     kinks inside (a, b); a round with nothing else to do admits one).  f
     gets a round in calls of at most CALL_PANELS panels, cut wherever that
     count falls, so one integral's panels may span two calls.  Once an
@@ -405,7 +398,7 @@ def integrate_finite_many(f, a, b, breakpoints,
         # live owner, whose indices are lower
         if failure is None and admitted < len(pending):
             used = bound[admitted - 1] if admitted else 0
-            end = int(np.searchsorted(bound, used + ROUND_PANELS - len(c_own),
+            end = int(np.searchsorted(bound, used + CALL_PANELS - len(c_own),
                                       side="right"))
             end = max(end, admitted + (len(c_own) == 0))
             if end > admitted:

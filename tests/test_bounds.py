@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mlharq.closed_form import (
     _bound_slack,
-    _g_max_at,
+    _g_max_each,
     _slot1_pieces,
     prob_p3,
     prob_p3_p4_bound,
@@ -72,7 +72,7 @@ def test_the_bounds_reach_past_the_values(case):
     examples are points where the integrand's factor is constant in g, so
     that the sum is the integral itself."""
     alphas, betas, cfg, quad, pieces = case
-    upper = np.maximum(_g_max_at(np.array(alphas), cfg)[0], 0.0)
+    upper = np.maximum(_g_max_each(np.array(alphas), cfg), 0.0)
     _, mass = _slot1_pieces(upper, cfg.sigma2, pieces)
     for row, g in zip(mass.tolist(), upper.tolist()):
         # the pieces and the tail partition [0, g_max]

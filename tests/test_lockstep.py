@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from mlharq import quadrature
 from mlharq.closed_form import (
     ScProbs,
-    _g_max_at,
+    _g_max_each,
     _h3_breakpoints,
     _h3_breakpoints_grid,
     _h4_breakpoints,
@@ -28,13 +28,13 @@ from mlharq.closed_form import (
     _k4,
     _mlh_columns,
     _p1_bounds,
+    _p1_window,
     _sc_columns,
     g_max,
     prob_p0,
     prob_p1,
     prob_p2,
     prob_p3,
-    prob_p3_p4_grid,
     prob_p4,
     prob_sc,
     vanishing_threshold,
@@ -119,23 +119,20 @@ def _sc_reprs(alphas, cfg, settings=None):
             zip(cols.tp3.tolist(), cols.tp4.tolist(), cols.tp4p.tolist())]
 
 
-# (ROUND_PANELS, CALL_PANELS) budgets: the defaults, and tiny ones that
-# admit integrals into rounds already under way and cut integrand calls
-# inside and between the integrals of one round; (1, 1) admits one
-# integral per idle round and makes one call per panel.
-DEFAULT_BUDGET = (quadrature.ROUND_PANELS, quadrature.CALL_PANELS)
-TINY_BUDGETS = [(1, 1), (3, 2), (7, 5)]
-# the defaults and rounds of 21 panels in calls of 7 on coarse grids, each
-# named by its call budget
-GRID_BUDGETS = [pytest.param(DEFAULT_BUDGET, id=str(quadrature.CALL_PANELS)),
-                pytest.param((21, 7), id="7")]
+# CALL_PANELS budgets: the default, and tiny ones that admit integrals
+# into rounds already under way and cut integrand calls inside and between
+# the integrals of one round, as a round's children are not held to the
+# budget; 1 admits one integral per idle round and makes one call per
+# panel.
+DEFAULT_BUDGET = quadrature.CALL_PANELS
+TINY_BUDGETS = [1, 2, 5]
+# the default and calls of 7 panels on coarse grids
+GRID_BUDGETS = [DEFAULT_BUDGET, 7]
 
 
 def _budget(budget):
     """The context in which integrate_finite_many runs on budget."""
-    round_panels, call_panels = budget
-    return mock.patch.multiple(quadrature, ROUND_PANELS=round_panels,
-                               CALL_PANELS=call_panels)
+    return mock.patch.object(quadrature, "CALL_PANELS", budget)
 
 
 def _many(f, owners, quad, budget):
@@ -232,8 +229,8 @@ def test_slot2_kernels_broadcast_owner_columns(monkeypatch):
 
         monkeypatch.setattr(closed_form, name, spy)
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
-    prob_p3_p4_grid([0.3, 0.5], [0.6, 0.5], [], [], cfg)
-    prob_p3_p4_grid([], [], [0.8, 0.9], [0.6, 0.5], cfg)
+    _mlh_columns([], [], [0.3, 0.5], [0.6, 0.5], [], [], cfg)
+    _mlh_columns([], [], [], [], [0.8, 0.9], [0.6, 0.5], cfg)
     assert shapes
     for g, alpha, beta in shapes:
         assert len(g) == 2 and g[1] == 22 and alpha == beta == (g[0], 1)
@@ -275,7 +272,7 @@ def test_many_raises_the_first_failure_of_the_scalar_loop(owners, data, budget):
         (expected.estimate, expected.error, expected.panels)
 
 
-@pytest.mark.parametrize("budget", [(3, 2), DEFAULT_BUDGET])
+@pytest.mark.parametrize("budget", [2, DEFAULT_BUDGET], ids=["budget0", "budget1"])
 def test_a_later_failure_in_an_earlier_round_is_not_raised(budget):
     """Integral 1 (fast noise) fails after 11 rounds, integral 0 (the
     unmarked spike) after 22, and both enter in the first round.  A loop of
@@ -424,6 +421,13 @@ def test_array_kink_candidates_equal_the_scalar_lists(case):
             want = [p for p in scalar(a, b, cfg) if not math.isnan(p)]
             assert _bits([p for p in row if not math.isnan(p)]) == _bits(want)
 
+
+def _p3_p4(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg, settings=None):
+    """The p3 and p4 arrays of _mlh_columns with no rows."""
+    return _mlh_columns([], [], p3_alphas, p3_betas, p4_alphas, p4_betas, cfg,
+                        settings)[1:]
+
+
 @st.composite
 def grid_cases(draw):
     rate = draw(st.floats(0.05, 12.0))
@@ -446,9 +450,9 @@ def test_grid_forms_equal_scalar_closed_forms(case):
     with np.errstate(over="ignore", divide="ignore"):
         p3 = _bits([prob_p3(a, b, cfg) for a, b in points])
         p4 = _bits([prob_p4(a, b, cfg) for a, b in points])
-        assert _bits(prob_p3_p4_grid(alphas, betas, [], [], cfg)[0].tolist()) == p3
-        assert _bits(prob_p3_p4_grid([], [], alphas, betas, cfg)[1].tolist()) == p4
-        both = prob_p3_p4_grid(alphas, betas, alphas[::-1], betas[::-1], cfg)
+        assert _bits(_p3_p4(alphas, betas, [], [], cfg)[0].tolist()) == p3
+        assert _bits(_p3_p4([], [], alphas, betas, cfg)[1].tolist()) == p4
+        both = _p3_p4(alphas, betas, alphas[::-1], betas[::-1], cfg)
         assert [_bits(v.tolist()) for v in both] == [p3, p4[::-1]]
         assert _sc_reprs(alphas, cfg) == [repr(prob_sc(a, cfg)) for a in alphas]
 
@@ -510,9 +514,9 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
     betas = [b for _, b in points]
     cases = [
         (lambda a, b: prob_p3(a, b, cfg, quad),
-         lambda a, b, c, q: prob_p3_p4_grid(a, b, [], [], c, q)[0], "p3"),
+         lambda a, b, c, q: _p3_p4(a, b, [], [], c, q)[0], "p3"),
         (lambda a, b: prob_p4(a, b, cfg, quad),
-         lambda a, b, c, q: prob_p3_p4_grid([], [], a, b, c, q)[1], "p4"),
+         lambda a, b, c, q: _p3_p4([], [], a, b, c, q)[1], "p4"),
     ]
     for scalar, grid, kernel in cases:
         want = _first_scalar_failure(scalar, points)
@@ -528,7 +532,7 @@ def test_grid_forms_name_the_first_failure_of_the_scalar_loop(rate):
                                  + [(1, a, b) for a, b in points])
     assert " in p3 at alpha=" in want
     with pytest.raises(NonConvergence) as info:
-        prob_p3_p4_grid(alphas[1:], betas[1:], alphas, betas, cfg, quad)
+        _p3_p4(alphas[1:], betas[1:], alphas, betas, cfg, quad)
     assert str(info.value) == want
     assert _sc_failure_names_its_first_owner(alphas, cfg, quad) == \
         {0.8: 0.9, 2.0: 0.5}[rate]
@@ -555,8 +559,10 @@ def _shares_at_the_edges(cfg):
             math.nextafter(1.0, 0.0)]
 
 
-# Configs at which p1's window takes each of _p1_value's branches at a
-# share listed with it, besides the edges of every config.
+# Configs at which p1's window takes each branch of _p1_window and
+# _p1_value at a share listed with it, besides the edges of every config,
+# which hold a share at the vanishing threshold (None) and shares with a
+# finite, nonempty window.
 SLOT1_EDGE_CONFIGS = [
     # the window is empty: its bounds cross by rounding
     (SystemConfig.from_snr_db(7.692280364297938, 3.936831108168777),
@@ -579,8 +585,10 @@ def test_slot1_columns_take_every_branch_of_the_scalar_p1(case):
     lo, hi = _p1_bounds(shares[0], cfg)
     c = (1.0 - shares[0]) * cfg.power_P
     assert shares[0] > vanishing_threshold(cfg)
+    assert (_p1_window(shares[0], cfg) is None) == (case == 0)
     assert [lo >= hi, c == 0.0, 0.0 < c and hi == math.inf,
             lo < hi and prob_p1(shares[0], cfg) == 0.0][case]
+    assert _p1_window(vanishing_threshold(cfg), cfg) is None
     alphas = shares + _shares_at_the_edges(cfg)
     mirrors = [1.0 - a for a in alphas]
     assert _columns_bits(alphas, mirrors, cfg) == _slot1_bits(alphas, mirrors, cfg)
@@ -610,21 +618,36 @@ def test_slot1_columns_equal_the_scalar_closed_forms(case, quad):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=kink_cases())
-def test_g_max_at_equals_g_max(case):
+def test_g_max_each_equals_g_max(case):
     cfg, points = case
     alpha = np.array([a for pair in points for a in pair])
-    upper, inverse = _g_max_at(alpha, cfg)
-    assert _bits(upper[inverse].tolist()) == _bits([g_max(a, cfg)
-                                                    for a in alpha.tolist()])
+    assert _bits(_g_max_each(alpha, cfg).tolist()) == _bits(
+        [g_max(a, cfg) for a in alpha.tolist()])
 
 
-@pytest.mark.parametrize("p1_last", [False, True])
-def test_mlh_columns_raise_the_first_failure_of_the_scalar_loops(p1_last):
+def test_mlh_columns_with_no_rows():
+    """With no rows the slot-1 columns are empty, and p3 and p4 have the
+    bits of prob_p3 and prob_p4."""
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    alphas, betas = [0.0, 0.3, 0.5, 0.9, 1.0], [1.0, 0.7, 0.5, 0.2, 1.0]
+    slot1, p3, p4 = _mlh_columns([], [], alphas, betas, alphas[::-1],
+                                 betas[::-1], cfg)
+    assert {name: len(column) for name, column in vars(slot1).items()} == \
+        dict.fromkeys(["p0", "p1", "p1p", "p2", "p2p"], 0)
+    assert _bits(p3.tolist()) == _bits([prob_p3(a, b, cfg)
+                                        for a, b in zip(alphas, betas)])
+    assert _bits(p4.tolist()) == _bits([prob_p4(a, b, cfg)
+                                        for a, b in zip(alphas[::-1], betas[::-1])])
+    slot1, p3, p4 = _mlh_columns([], [], [], [], [], [], cfg)
+    assert len(p3) == len(p4) == len(slot1.p0) == 0
+
+
+def test_mlh_columns_raise_the_first_failure_of_the_scalar_loops():
     """p1 integrals in a loop over the rows, p1 at alpha then at the
-    mirror, before or after a loop of prob_p3 then prob_p4: the first
-    failure is the lockstep call's, named as the scalar closed form names
-    it.  The loop asks for p1 at 0.95 before 0.9, so an ascending order of
-    the shares would name the wrong one."""
+    mirror, then a loop of prob_p3 then prob_p4: the first failure is the
+    lockstep call's, named as the scalar closed form names it.  The loop
+    asks for p1 at 0.95 before 0.9, so an ascending order of the shares
+    would name the wrong one."""
     from mlharq import closed_form
 
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
@@ -634,7 +657,7 @@ def test_mlh_columns_raise_the_first_failure_of_the_scalar_loops(p1_last):
     p1_loop = [(prob_p1, (x,)) for pair in zip(alphas, mirrors) for x in pair]
     slot2_loop = [(kernel, point) for kernel in (prob_p3, prob_p4)
                   for point in points]
-    loop = slot2_loop + p1_loop if p1_last else p1_loop + slot2_loop
+    loop = p1_loop + slot2_loop
     # p1's error estimate reaches 0.0 at any tolerance: a small panel
     # budget makes it fail (and a cached value would not)
     closed_form._p1_value.cache_clear()
@@ -642,12 +665,9 @@ def test_mlh_columns_raise_the_first_failure_of_the_scalar_loops(p1_last):
         want = _first_scalar_failure(lambda kernel, args: kernel(*args, cfg, quad),
                                      loop)
         with pytest.raises(NonConvergence) as info:
-            _mlh_columns(alphas, mirrors, *zip(*points), *zip(*points), cfg, quad,
-                         p1_last)
+            _mlh_columns(alphas, mirrors, *zip(*points), *zip(*points), cfg, quad)
     assert str(info.value) == want
-    assert (" in p1 at alpha=" in want) != p1_last
-    if not p1_last:
-        assert f" in p1 at alpha=0.95, {cfg!r}" in want
+    assert f" in p1 at alpha=0.95, {cfg!r}" in want
 
 
 # The sc kernels of a whole coarse grid go through one lockstep call, tp4p

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mlharq.closed_form import g_max
+from mlharq.closed_form import g_max, throughput_ts
 from mlharq.model import (
     _GAIN_SPAN,
     _REWARD_MESSAGES,
@@ -78,6 +78,21 @@ class TestTypes:
         for sigma2 in (3e153, 1e154):
             with pytest.raises(ValueError, match="sigma2"):
                 SystemConfig.from_snr_db(3.0, 1.0, sigma2)
+
+    def test_config_gain_floor(self):
+        """p1 divides m2's residual by sigma2 * power_P, so a product that
+        underflows to 0.0 is refused with an error that names sigma2 and
+        power_P, where p1 divided by zero; the smallest nonzero product is
+        accepted, and time-sharing's p1 (alpha = 1, the closed form) is
+        then exp(-inf) = 0.0."""
+        with pytest.raises(ValueError, match="sigma2 .* power_P .* underflow"):
+            SystemConfig(rate_R=1.0, power_P=1e-170, sigma2=1e-170)
+        with pytest.raises(ValueError, match="underflow"):
+            SystemConfig(rate_R=1.0, power_P=2.0 ** -600, sigma2=2.0 ** -600)
+        for power, sigma2 in ((1.0, 5e-324), (1e-160, 1e-160)):
+            cfg = SystemConfig(rate_R=1.0, power_P=power, sigma2=sigma2)
+            assert cfg.sigma2 * cfg.power_P > 0.0
+            assert throughput_ts(cfg) == 0.0
 
     def test_snr_roundtrip(self):
         cfg = SystemConfig.from_snr_db(3.0, 1.0)

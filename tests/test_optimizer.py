@@ -319,7 +319,8 @@ class TestPruning:
     @classmethod
     def unpruned(cls, pts, cfg):
         """_coarse_values with every integral run, in its arithmetic."""
-        return cls.objective(pts, cfg, optimize.prob_p3_p4_grid)
+        return cls.objective(pts, cfg, lambda *points: optimize._mlh_columns(
+            [], [], *points)[1:])
 
     @pytest.mark.parametrize("snr_db,rate", [(3.0, 1.0), (10.0, 1.78)])
     def test_every_pruned_point_has_a_bound_below_the_grid_maximum(self, snr_db,
@@ -466,17 +467,20 @@ class TestGridStep:
 # tracemalloc peak of optimize_split("mlh") at 3 dB, R = 1 with the slot-2
 # integrands written as numpy expressions and the lockstep quadrature in
 # fixed blocks of 256 integrals, measured in a fresh interpreter (numpy
-# 2.4): 3.93 MB.  The in-place integrands in rolling rounds of 3,072 panels
-# and integrand calls of 1,024 panels peak at 4.1 MB.
+# 2.4): 3.93 MB.  The in-place integrands in rolling rounds and integrand
+# calls of at most 1,024 panels, with the coarse grid pruned, peak at
+# 2.84 MB.
 EXPRESSION_FORM_PEAK_MB = 3.93
 PEAK_SLACK_MB = 1.0
 
 
 def test_peak_memory_of_one_mlh_search():
-    """A larger ROUND_PANELS or CALL_PANELS (or heavier integrands) must not
-    quietly trade memory for speed: calls of 2,048 panels peak at 4.9 MB,
-    and fixed blocks of 1,024 integrals with the expression forms peaked at
-    11.4 MB."""
+    """A larger CALL_PANELS (or heavier integrands) must not quietly trade
+    memory for speed: before the coarse grid was pruned, calls of 2,048
+    panels peaked at 4.9 MB where 1,024 peaked at 4.1 MB, and fixed blocks
+    of 1,024 integrals with the expression forms peaked at 11.4 MB; rounds
+    admitted up to 3,072 panels peak at 3.05 MB, against 2.84 MB at
+    1,024."""
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
     tracemalloc.start()
     try:

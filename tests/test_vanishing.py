@@ -30,10 +30,10 @@ from mlharq.closed_form import (
     _h4_breakpoints,
     _k3_vanishes,
     _k4_vanishes,
+    _mlh_columns,
     _sc_columns,
     event_probs,
     g_max,
-    prob_p3_p4_grid,
     prob_sc,
     throughput_mlh,
     throughput_sc,
@@ -328,8 +328,8 @@ def test_grids_do_not_move(monkeypatch, snr_db, rate):
     alphas, betas = np.repeat(pts, 21), np.tile(pts, 21)
 
     def compute():
-        return ([_hex(v) for v in prob_p3_p4_grid([], [], alphas, betas, cfg)[1]],
-                [_hex(v) for v in prob_p3_p4_grid(alphas, betas, [], [], cfg)[0]],
+        _, p3, p4 = _mlh_columns([], [], alphas, betas, alphas, betas, cfg)
+        return ([_hex(v) for v in p4], [_hex(v) for v in p3],
                 _sc_reprs(pts, cfg))
 
     got, want, skipped = _with_and_without_skip(monkeypatch, compute)
@@ -350,8 +350,8 @@ def test_failures_do_not_move(monkeypatch, rate):
 
     def compute():
         out = []
-        for call in (lambda: prob_p3_p4_grid([], [], alphas, betas, cfg, quad),
-                     lambda: prob_p3_p4_grid(alphas, betas, [], [], cfg, quad),
+        for call in (lambda: _mlh_columns([], [], [], [], alphas, betas, cfg, quad),
+                     lambda: _mlh_columns([], [], alphas, betas, [], [], cfg, quad),
                      lambda: _sc_columns(alphas, cfg, quad)):
             with pytest.raises(NonConvergence) as info:
                 call()
