@@ -15,9 +15,9 @@ integral over the window cut at the tail truncation point is exact.  So
 time-sharing (alpha = 1) integrates only its p4.
 
 Superposition coding is the multi-layer both-fail branch with beta = alpha
-and no slot-1 decoding: it evaluates the same two slot-2 kernels (_k3,
-_k4), with the slot-1 gain integrated up to the tail truncation point
-instead of g_max.
+and no slot-1 decoding: it evaluates the same two slot-2 kernels (_JOINT:
+p3, tp3; _ONLY_M1: p4, p4', tp4, tp4p), with the slot-1 gain integrated up
+to the tail truncation point instead of g_max.
 
 The grid functions evaluate many integrals in one lockstep quadrature
 (integrate_finite_many, through _kernel_grid) with the same integrands
@@ -31,21 +31,19 @@ prob_p3_p4_bound bounds what prob_p3 and prob_p4 return from above, with
 no quadrature: upper Riemann sums, as h3, h4 and h4_bar do not increase
 with g.  The optimizer prunes the mlh coarse grid with them.
 p1's window rule has one form, _p1_window and _p1_closed, which both
-paths call once per share.  The kink candidates and g_max exist twice: a
-scalar form for single calls and an array form for grids, which repeats
-the scalar arithmetic (tests pin the two together).  The grid functions
-do not read or fill the scalar kernels' caches.
+paths call once per share.  Each slot-2 kernel is one _Kernel record, its
+integrand, kink root terms, vanishing rule and bound factor, which the
+scalar path, the lockstep path and the bounds all read.  The kink
+candidates are solved from the one set of terms into a list for single
+calls and into an array for grids, with the same bits.  Only g_max is
+written twice, as g_max and _g_max_each (tests pin the two together).  The
+grid functions do not read or fill the scalar caches.
 
-An only-m1 kernel (_k4: p4, p4', tp4, tp4p) whose interference cap binds
-on the whole slot-1 range is exactly 0.0, and both paths return it
-without integrating (_k4_vanishes decides).  h4's residual n(g) does not
-increase with g, so the cap binds everywhere on [0, upper] once
-n(upper) >= beta/(1-beta) (1 + M) + M; the margin M = 2^-30 dominates the
-rounding of h4's own n and d, so h4 = +inf and _f4 = +0.0 at every
-sample, and the quadrature would have returned 0.0 after one round.
-Skipping it moves no bit.  Likewise a joint-success kernel (_k3: p3, tp3)
-in which one layer has share 0 in both slots is exactly 0.0
-(_k3_vanishes): that layer's slot-2 requirement is +inf at every g.
+A kernel's integral that is exactly 0.0 by proof is returned without
+integrating, on both paths, so skipping it moves no bit: _ONLY_M1's where
+h4's interference cap binds on the whole slot-1 range, with a margin over
+rounding (_only_m1_vanishes), and _JOINT's where one layer has share 0 in
+both slots (_joint_vanishes).
 
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
 exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window is cut at the
@@ -99,17 +97,14 @@ __all__ = [
 
 _PROB_SLACK = 1e-9  # float-noise allowance on the [0, 1] field checks
 _SUM_SLACK = 1e-8   # and on the check that the fields sum to at most 1
-# Entries per cache of _p1_value, _k3 and _k4.  Every hit is a reuse
-# within one operation: p2 asking for p1 again, throughput_mlh and
-# throughput_sc asking for event_probs and prob_sc again.  Hits of
-# _p1_value / _k3 / _k4, the same at 256 entries, 1,024 and unbounded: a
-# scatter-eval pass (seed 1) 8,966 / 4,800 / 9,648, a sweep-rate pass
-# 12 / 0 / 0 (time-sharing's p2 asking for p1 at alpha = 1 again).  The
-# mlh and sc searches call no scalar kernel once they refine, so the 3 dB
-# mlh opt-rate optimum makes none.  1,024 was the smallest power of two
-# that kept every hit while the mlh searches integrated p1 through
-# _p1_value (2,130 hits in a sweep-rate pass, 2,127 at 512).  At 65,536 a
-# scatter-eval pass kept 23,856 entries, about 6 MB.
+# Entries in each of the two caches, _p1_value's and _slot2's (both
+# slot-2 kernels).  Every hit is a reuse within one operation: p2 asking
+# for p1 again, throughput_mlh and throughput_sc asking for event_probs
+# and prob_sc again.  Hits of _p1_value / _slot2, the same at 256
+# entries, 1,024 and unbounded: a scatter-eval pass (seed 1) 8,966 /
+# 14,448, a sweep-rate pass 12 / 0 (time-sharing's p2 asking for p1 at
+# alpha = 1 again).  The mlh and sc searches call neither once they
+# refine.  At 65,536 a scatter-eval pass kept 23,856 entries, about 6 MB.
 _CACHE_SIZE = 1024
 
 
@@ -368,8 +363,20 @@ def h4(g, alpha, beta, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Breakpoint bookkeeping for the quadratures
+# Kink candidates for the quadratures
 # ---------------------------------------------------------------------------
+
+# A slot-2 kernel's kink candidates are the roots of its root terms, which
+# are written once, elementwise over float or array shares: ratios
+# (num, den, mask), whose root num / den exists where mask holds, and
+# quadratics (a2, a1, a0, mask), whose real roots of a2 g^2 + a1 g + a0
+# exist where mask holds.  _kinks solves them into a list for single calls,
+# _kinks_grid into an (n, m) array for grids: row i holds the list at
+# (alpha[i], beta[i]) in its order, NaN where the list has no entry.
+# numpy rounds the IEEE operations and sqrt as Python does, so every
+# candidate has the same bits on both paths.  A ratio's mask includes
+# den > 0.0, so the list never divides by zero.  Candidates outside the
+# integration range are left for the quadrature to drop.
 
 def _quadratic_roots(a2, a1, a0):
     if a2 == 0.0:
@@ -383,74 +390,6 @@ def _quadratic_roots(a2, a1, a0):
     return [(-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)]
 
 
-def _h3_breakpoints(alpha, beta, cfg):
-    """Kink candidates of h3: branch switches of the max and zero crossings
-    of each term (linear or quadratic in g).  Candidates outside the
-    integration range are left for integrate_finite to drop."""
-    r = cfg.rate_R
-    p = cfg.power_P
-    # terms as (share w, 2^rate factor K, gain coefficient c): value is
-    # (K/(1+c*g) - 1) / (w*P)
-    terms = [(1.0 - beta, 2.0 ** r, (1.0 - alpha) * p),
-             (beta, 2.0 ** r, alpha * p),
-             (1.0, 2.0 ** (2.0 * r), p)]
-    pts = []
-    for w, k, c in terms:
-        if c > 0.0:
-            pts.append((k - 1.0) / c)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            wi, ki, ci = terms[i]
-            wj, kj, cj = terms[j]
-            if wi <= 0.0 or wj <= 0.0:
-                continue
-            a2 = (wi - wj) * ci * cj
-            a1 = (wi - wj) * (ci + cj) + wj * ki * cj - wi * kj * ci
-            a0 = (wi - wj) + wj * ki - wi * kj
-            pts.extend(_quadratic_roots(a2, a1, a0))
-    return pts
-
-
-def _h4_breakpoints(alpha, beta, cfg):
-    """Kink candidates of the only-m1 integrand, in or out of range."""
-    r = cfg.rate_R
-    p = cfg.power_P
-    k1 = 2.0 ** r
-    pts = []
-    # residual requirement n crosses zero
-    den = 1.0 + k1 * (alpha - 1.0)
-    if den > 0.0:
-        pts.append((k1 - 1.0) / (p * den))
-    # interference cap d crosses zero
-    if beta < 1.0 and k1 * (1.0 - beta) > 1.0:
-        den = 1.0 - k1 * (1.0 - beta) * (1.0 - alpha)
-        if den > 0.0:
-            pts.append((k1 * (1.0 - beta) - 1.0) / (p * den))
-    # m2 residual nbar crosses zero
-    if alpha < 1.0:
-        pts.append((k1 - 1.0) / ((1.0 - alpha) * p))
-    # positive-part clamp switch h4 = h4_bar: cross-multiplying the two
-    # rational forms (u = 1 + g(1-alpha)P, v = 1 + gP) reduces to
-    # beta*u*v - k*v + (1-beta)*k^2*u = 0, a quadratic in g.  Roots off the
-    # active branches only add harmless panel splits.
-    c1 = (1.0 - alpha) * p
-    c2 = p
-    pts.extend(_quadratic_roots(
-        beta * c1 * c2,
-        beta * (c1 + c2) - k1 * c2 + (1.0 - beta) * k1 * k1 * c1,
-        beta - k1 + (1.0 - beta) * k1 * k1,
-    ))
-    return pts
-
-
-# Array forms of the kink candidates, for the grid path.  Each returns an
-# (n, m) array: row i holds the scalar form's list at (alpha[i], beta[i])
-# in its order, NaN where the scalar form appends nothing.  They repeat the
-# scalar expressions operation for operation (IEEE arithmetic and sqrt
-# round alike in numpy), so every candidate has the scalar bits.  Each runs
-# under one np.errstate(all="ignore"): the where= divisions skip masked
-# lanes, but sqrt of a negative discriminant and x/0+ = inf still occur.
-
 def _quadratic_roots_into(a2, a1, a0, first, second, where=True):
     """_quadratic_roots elementwise where `where` holds, written into the
     NaN-filled first and second; a linear root goes to first."""
@@ -463,55 +402,77 @@ def _quadratic_roots_into(a2, a1, a0, first, second, where=True):
     np.divide(-a1 - sq, den, out=second, where=quadratic)
 
 
-def _h3_breakpoints_grid(alpha, beta, cfg):
-    """_h3_breakpoints at each (alpha[i], beta[i]): an (n, 9) array of the
-    3 zero crossings, then 2 roots for each pair of terms."""
-    r = cfg.rate_R
-    p = cfg.power_P
-    n = len(alpha)
-    # the terms, one row each, as in _h3_breakpoints
-    w = np.stack([1.0 - beta, beta, np.ones(n)])
-    k = np.array([[2.0 ** r], [2.0 ** r], [2.0 ** (2.0 * r)]])
-    c = np.stack([(1.0 - alpha) * p, alpha * p, np.full(n, p)])
-    out = np.full((9, n), np.nan)
+def _kinks(terms, alpha, beta, cfg):
+    """The kink candidates of the root terms at float shares, as a list:
+    the ratios' roots, then each quadratic's."""
+    ratios, quadratics = terms(alpha, beta, cfg)
+    pts = [num / den for num, den, mask in ratios if mask]
+    for a2, a1, a0, mask in quadratics:
+        if mask:
+            pts.extend(_quadratic_roots(a2, a1, a0))
+    return pts
+
+
+def _kinks_grid(terms, alpha, beta, cfg):
+    """_kinks at each point (alpha[i], beta[i]) of the arrays, as an (n, m)
+    array.  One np.errstate(all="ignore") covers the terms and the roots:
+    the where= divisions skip masked lanes, but the terms can overflow and
+    sqrt of a negative discriminant still occurs."""
     with np.errstate(all="ignore"):
-        np.divide(k - 1.0, c, out=out[:3], where=c > 0.0)
-        i, j = [0, 0, 1], [1, 2, 2]
-        wi, ki, ci = w[i], k[i], c[i]
-        wj, kj, cj = w[j], k[j], c[j]
-        dw = wi - wj
-        roots = out[3:].reshape(3, 2, n)
-        _quadratic_roots_into(
-            dw * ci * cj,
-            dw * (ci + cj) + wj * ki * cj - wi * kj * ci,
-            dw + wj * ki - wi * kj,
-            roots[:, 0], roots[:, 1], where=(wi > 0.0) & (wj > 0.0))
+        ratios, quadratics = terms(alpha, beta, cfg)
+        out = np.full((len(ratios) + 2 * len(quadratics), len(alpha)), np.nan)
+        for row, (num, den, mask) in zip(out, ratios):
+            np.divide(num, den, out=row, where=mask)
+        roots = out[len(ratios):]
+        for k, (a2, a1, a0, mask) in enumerate(quadratics):
+            _quadratic_roots_into(a2, a1, a0, roots[2 * k], roots[2 * k + 1],
+                                  where=mask)
     return out.T
 
 
-def _h4_breakpoints_grid(alpha, beta, cfg):
-    """_h4_breakpoints at each (alpha[i], beta[i]): an (n, 5) array of the
-    n, d and nbar zero crossings, then the 2 clamp-switch roots."""
-    r = cfg.rate_R
+def _switch(wi, ki, ci, wj, kj, cj):
+    """The quadratic whose roots are where two of h3's terms (K/(1 + c g) -
+    1)/(w P) are equal, for two terms with positive shares w."""
+    dw = wi - wj
+    return (dw * ci * cj, dw * (ci + cj) + wj * ki * cj - wi * kj * ci,
+            dw + wj * ki - wi * kj, (wi > 0.0) & (wj > 0.0))
+
+
+def _joint_terms(alpha, beta, cfg):
+    """h3's root terms: each term's zero crossing, then the switches of the
+    max between each pair of terms.  The terms, as (share w, 2^rate factor
+    K, gain coefficient c), are m2's, m1's and the sum rate's."""
     p = cfg.power_P
-    k1 = 2.0 ** r
-    out = np.full((5, len(alpha)), np.nan)
-    with np.errstate(all="ignore"):
-        den = 1.0 + k1 * (alpha - 1.0)
-        np.divide(k1 - 1.0, p * den, out=out[0], where=den > 0.0)
-        kb = k1 * (1.0 - beta)
-        den = 1.0 - kb * (1.0 - alpha)
-        np.divide(kb - 1.0, p * den, out=out[1],
-                  where=(beta < 1.0) & (kb > 1.0) & (den > 0.0))
-        c1 = (1.0 - alpha) * p
-        c2 = p
-        np.divide(k1 - 1.0, c1, out=out[2], where=alpha < 1.0)
-        _quadratic_roots_into(
-            beta * c1 * c2,
-            beta * (c1 + c2) - k1 * c2 + (1.0 - beta) * k1 * k1 * c1,
-            beta - k1 + (1.0 - beta) * k1 * k1,
-            out[3], out[4])
-    return out.T
+    k1 = 2.0 ** cfg.rate_R
+    k2 = 2.0 ** (2.0 * cfg.rate_R)
+    c2 = (1.0 - alpha) * p
+    c1 = alpha * p
+    return (((k1 - 1.0, c2, c2 > 0.0), (k1 - 1.0, c1, c1 > 0.0),
+             (k2 - 1.0, p, p > 0.0)),
+            (_switch(1.0 - beta, k1, c2, beta, k1, c1),
+             _switch(1.0 - beta, k1, c2, 1.0, k2, p),
+             _switch(beta, k1, c1, 1.0, k2, p)))
+
+
+def _only_m1_terms(alpha, beta, cfg):
+    """h4's root terms: the zero crossings of its residual n, of its
+    interference cap d and of m2's residual nbar, then the switch of the
+    positive-part clamp, h4 = h4_bar.  Cross-multiplying the two rational
+    forms (u = 1 + g(1-alpha)P, v = 1 + gP) reduces that to
+    beta*u*v - k*v + (1-beta)*k^2*u = 0, a quadratic in g; roots off the
+    active branches only add harmless panel splits."""
+    p = cfg.power_P
+    k1 = 2.0 ** cfg.rate_R
+    n_den = p * (1.0 + k1 * (alpha - 1.0))
+    kb = k1 * (1.0 - beta)
+    d_den = p * (1.0 - kb * (1.0 - alpha))
+    c1 = (1.0 - alpha) * p
+    return (((k1 - 1.0, n_den, n_den > 0.0),
+             (kb - 1.0, d_den, (kb > 1.0) & (d_den > 0.0)),
+             (k1 - 1.0, c1, c1 > 0.0)),
+            ((beta * c1 * p,
+              beta * (c1 + p) - k1 * p + (1.0 - beta) * k1 * k1 * c1,
+              beta - k1 + (1.0 - beta) * k1 * k1, True),))
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +505,15 @@ def _decay(x, s2, out):
 
 
 def _p1_bounds(alpha, cfg):
+    """The ends (lo, hi) of p1's slot-1 window: m1 decodes over m2's
+    interference from lo on, and m2 fails up to hi.  Each is +inf where
+    its power coefficient is not positive, as in g_max.  Above R = 53,
+    t + 1 is inexact and vanishing_threshold can round one ulp low; a share
+    just above it can then have a negative coefficient for lo, and
+    lo = +inf leaves the window empty."""
     t1 = 2.0 ** cfg.rate_R - 1.0
     p = cfg.power_P
-    lo = t1 / ((1.0 + 2.0 ** cfg.rate_R * (alpha - 1.0)) * p)
+    lo = safe_div_threshold(t1, (1.0 + 2.0 ** cfg.rate_R * (alpha - 1.0)) * p)
     hi = safe_div_threshold(t1, (1.0 - alpha) * p)
     return lo, hi
 
@@ -653,7 +620,7 @@ def prob_p2_prime(alpha: float, cfg: SystemConfig,
 
 
 def _f3(g, alpha, beta, cfg):
-    """Integrand of _k3: slot-1 gain density times joint slot-2 success."""
+    """_JOINT's integrand: slot-1 gain density times joint slot-2 success."""
     s2 = cfg.sigma2
     y = h3(g, alpha, beta, cfg)
     _decay(y, s2, y)
@@ -663,7 +630,7 @@ def _f3(g, alpha, beta, cfg):
 
 
 def _f4(g, alpha, beta, cfg):
-    """Integrand of _k4: slot-1 gain density times only-m1 at slot 2."""
+    """_ONLY_M1's integrand: slot-1 gain density times only-m1 at slot 2."""
     s2 = cfg.sigma2
     hv, hb = h4(g, alpha, beta, cfg)
     _decay(hv, s2, hv)
@@ -674,65 +641,117 @@ def _f4(g, alpha, beta, cfg):
     return layer
 
 
-def _k3_vanishes(alpha, beta):
-    """_k3's vanishing rule, elementwise over floats or arrays: True where
-    one layer has share 0 in both slots (alpha == beta == 1.0 for m2,
-    alpha == beta == 0.0 for m1).  That layer's residual is then
+# The bound factors: an upper bound, at most 1, on an integrand's slot-2
+# factor on each piece between consecutive edges (an (n, pieces + 1) array;
+# the shares are (n, 1) columns).  h3, h4 and h4_bar do not increase with
+# g, so each is taken at the end of the piece that makes the factor
+# largest.
+
+def _f3_factor(edges, alpha, beta, cfg):
+    """_f3's factor exp(-h3/s2) at each piece's right end."""
+    y = h3(edges[:, 1:], alpha, beta, cfg)
+    return _decay(y, cfg.sigma2, y)
+
+
+def _f4_factor(edges, alpha, beta, cfg):
+    """A bound on _f4's factor max(0, exp(-h4/s2) - exp(-h4_bar/s2)) on
+    each piece: exp(-h4/s2) at its right end less exp(-h4_bar/s2) at its
+    left end, or 0."""
+    s2 = cfg.sigma2
+    hv, hb = h4(edges, alpha, beta, cfg)
+    factor = _decay(hv, s2, hv)[:, 1:]
+    factor -= _decay(hb, s2, hb)[:, :-1]
+    return np.maximum(factor, 0.0, out=factor)
+
+
+# The vanishing rules, elementwise over floats or arrays: True where a
+# kernel's integral over [0, upper] is exactly 0.0 by proof, so that
+# neither path integrates it.
+
+def _joint_vanishes(alpha, beta, upper, cfg):
+    """True where one layer has share 0 in both slots (alpha == beta == 1.0
+    for m2, alpha == beta == 0.0 for m1).  That layer's residual is then
     2^R - 1 > 0 at every g and its slot-2 power is +0.0, so h3 = +inf and
-    _f3 = +0.0 at every sample: the integral is exactly 0.0."""
+    _f3 = +0.0 at every sample."""
     return (alpha == beta) & ((alpha == 0.0) | (alpha == 1.0))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _k3(alpha, beta, upper, cfg, settings):
-    """Both fail at slot 1, joint success at slot 2, slot-1 gain in [0, upper].
-    Where _k3_vanishes holds, returns 0.0 without integrating (and
-    _kernel_grid does the same for its _f3 parts)."""
-    if _k3_vanishes(alpha, beta):
-        return 0.0
-    return integrate_finite(lambda g: _f3(g, alpha, beta, cfg), 0.0, upper,
-                            breakpoints=_h3_breakpoints(alpha, beta, cfg),
-                            settings=settings)
+# Margin M of _only_m1_vanishes.  h4's computed n and d at a sample, and the
+# rule's n at upper, lie within about 10 ulps of n + 1 of their exact values
+# (a sample rounded one ulp past upper included); M exceeds that by a
+# factor of about 2^19.
+_ONLY_M1_MARGIN = 2.0 ** -30
 
 
-# Margin M of _k4's vanishing rule.  h4's computed n and d at a sample, and
-# _k4_vanishes's n at upper, lie within about 10 ulps of n + 1 of their
-# exact values (a sample rounded one ulp past upper included); M exceeds
-# that by a factor of about 2^19.
-_K4_MARGIN = 2.0 ** -30
+def _only_m1_vanishes(alpha, beta, upper, cfg):
+    """True where h4's interference cap binds on all of [0, upper].
 
-
-def _k4_vanishes(alpha, beta, upper, cfg):
-    """_k4's vanishing rule, elementwise over floats or arrays: True where
-    _k4(alpha, beta, upper) is 0.0 by proof.
-
-    n(upper) is computed as 2^R (u / v) - 1, u = 1 + upper(1-alpha)P and
-    v = 1 + upper*P, which cannot overflow (an overflowing u or v gives
-    NaN, and False), and the rule is multiplied out by 1 - beta."""
+    h4's residual n(g) = 2^R (1 + g(1-alpha)P)/(1 + gP) - 1 does not
+    increase with g (its slope has the sign of -alpha), so the cap
+    d = beta - (1-beta) n <= 0 binds on all of [0, upper] once
+    n(upper) >= beta/(1-beta) (1 + M) + M, M = _ONLY_M1_MARGIN, which
+    covers the rounding of h4's own n and d.  Every sample then has n > 0
+    and d <= 0, h4 = +inf and _f4 = +0.0, and the quadrature would return
+    0.0 after its first round.  n(upper) is computed as 2^R (u / v) - 1,
+    u = 1 + upper(1-alpha)P and v = 1 + upper*P, which cannot overflow (an
+    overflowing u or v gives NaN, and False), and the rule is multiplied
+    out by 1 - beta."""
     p = cfg.power_P
     ratio = (upper * (1.0 - alpha) * p + 1.0) / (upper * p + 1.0)
     n = 2.0 ** cfg.rate_R * ratio - 1.0
-    return (1.0 - beta) * (n - _K4_MARGIN) >= beta * (1.0 + _K4_MARGIN)
+    return ((1.0 - beta) * (n - _ONLY_M1_MARGIN)
+            >= beta * (1.0 + _ONLY_M1_MARGIN))
+
+
+class _Kernel(NamedTuple):
+    """One slot-2 kernel after a both-fail slot 1: the integral of
+    integrand(g, alpha, beta, cfg) over the slot-1 gain g in [0, upper].
+    The scalar path (_slot2), the lockstep path (_slot2_part) and the
+    bounds (prob_p3_p4_bound) all read it.
+
+    terms(alpha, beta, cfg) gives the integrand's kink root terms,
+    vanishes(alpha, beta, upper, cfg) its vanishing rule, and
+    factor(edges, alpha, beta, cfg) a bound on its slot-2 factor on each
+    piece between consecutive edges."""
+    integrand: Callable
+    terms: Callable
+    vanishes: Callable
+    factor: Callable
+
+    def kinks(self, alpha, beta, cfg):
+        """The kink candidates at float shares, as a list."""
+        return _kinks(self.terms, alpha, beta, cfg)
+
+    def kinks_grid(self, alpha, beta, cfg):
+        """The kink candidates at each point of the share arrays."""
+        return _kinks_grid(self.terms, alpha, beta, cfg)
+
+
+_JOINT = _Kernel(_f3, _joint_terms, _joint_vanishes, _f3_factor)
+_ONLY_M1 = _Kernel(_f4, _only_m1_terms, _only_m1_vanishes, _f4_factor)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _k4(alpha, beta, upper, cfg, settings):
-    """Both fail at slot 1, only m1 at slot 2, slot-1 gain in [0, upper].
-
-    Vanishing rule: h4's residual n(g) = 2^R (1 + g(1-alpha)P)/(1 + gP) - 1
-    does not increase with g (its slope has the sign of -alpha), so the
-    interference cap d = beta - (1-beta) n <= 0 binds on all of [0, upper]
-    once n(upper) >= beta/(1-beta) (1 + M) + M.  The margin M = _K4_MARGIN
-    covers the rounding of h4's own n and d, so every sample then has
-    n > 0 and d <= 0, h4 = +inf and _f4 = +0.0, and integrate_finite
-    would return 0.0 after its first round.  Where _k4_vanishes holds,
-    _k4 returns that 0.0 without integrating (and _kernel_grid does the
-    same for its _f4 parts)."""
-    if _k4_vanishes(alpha, beta, upper, cfg):
+def _slot2(kernel, alpha, beta, upper, cfg, settings):
+    """The kernel's integral at float shares over [0, upper]; 0.0 without
+    integrating where it vanishes, as on the lockstep path."""
+    if kernel.vanishes(alpha, beta, upper, cfg):
         return 0.0
-    return integrate_finite(lambda g: _f4(g, alpha, beta, cfg), 0.0, upper,
-                            breakpoints=_h4_breakpoints(alpha, beta, cfg),
+    return integrate_finite(lambda g: kernel.integrand(g, alpha, beta, cfg),
+                            0.0, upper, breakpoints=kernel.kinks(alpha, beta, cfg),
                             settings=settings)
+
+
+def _slot2_prob(name, kernel, alpha, beta, cfg, settings):
+    """prob_p3 or prob_p4: the kernel over [0, g_max(alpha)], 0.0 where
+    g_max <= 0, and a NonConvergence named `name` at the shares."""
+    gm = g_max(alpha, cfg)
+    if gm <= 0.0:
+        return 0.0
+    try:
+        return _slot2(kernel, alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
+    except NonConvergence as exc:
+        raise exc.named(_integral(name, cfg, alpha, beta)) from None
 
 
 class _Part(NamedTuple):
@@ -740,8 +759,8 @@ class _Part(NamedTuple):
     integral i is integrand(g, *(x[i] for x in args), cfg) over
     [lower[i], upper[i]] (lower and upper broadcast), with the kink
     candidates row i of kinks(*args, cfg).  Its NonConvergence is named
-    `kernel` at the shares (x[i] for x in shares)."""
-    kernel: str
+    `name` at the shares (x[i] for x in shares)."""
+    name: str
     shares: tuple
     integrand: Callable
     kinks: Callable
@@ -750,23 +769,18 @@ class _Part(NamedTuple):
     upper: object
 
 
-def _slot2_part(kernel, shares, integrand, alpha, beta, upper, cfg):
-    """The _Part of _f3 or _f4 at each point (alpha[i], beta[i]) over
+def _slot2_part(name, shares, kernel, alpha, beta, upper, cfg):
+    """The _Part of the kernel at each point (alpha[i], beta[i]) over
     [0, upper[i]] (upper broadcasts), 0.0 where upper[i] <= 0, the g_max
-    guard of prob_p3/prob_p4.  An integral that _k3_vanishes (_f3) or
-    _k4_vanishes (_f4) proves zero gets the upper limit 0.0, so
-    integrate_finite_many returns 0.0 for it without integrating, as _k3
-    and _k4 do."""
+    guard of prob_p3/prob_p4.  An integral that the kernel's vanishing rule
+    proves zero gets the upper limit 0.0, so integrate_finite_many returns
+    0.0 for it without integrating, as _slot2 does."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     limit = np.maximum(np.broadcast_to(upper, alpha.shape), 0.0)
-    if integrand is _f4:
-        limit[_k4_vanishes(alpha, beta, limit, cfg)] = 0.0
-        kinks = _h4_breakpoints_grid
-    else:
-        limit[_k3_vanishes(alpha, beta)] = 0.0
-        kinks = _h3_breakpoints_grid
-    return _Part(kernel, shares, integrand, kinks, (alpha, beta), 0.0, limit)
+    limit[kernel.vanishes(alpha, beta, limit, cfg)] = 0.0
+    return _Part(name, shares, kernel.integrand, kernel.kinks_grid,
+                 (alpha, beta), 0.0, limit)
 
 
 def _no_kinks(c, cfg):
@@ -783,7 +797,7 @@ def _kernel_grid(parts, cfg, settings):
     by owner, so each part's panels are one run of rows, found by
     searchsorted on the owner column, and each part's integrand gets its
     run as a row slice of the nodes.  A NonConvergence, that of the lowest
-    failing owner, is named after its part's kernel and shares.
+    failing owner, is named after its part's name and shares.
     """
     starts = np.cumsum([0] + [len(part.args[0]) for part in parts])
     kinks = [part.kinks(*part.args, cfg) for part in parts]
@@ -811,7 +825,7 @@ def _kernel_grid(parts, cfg, settings):
     except NonConvergence as exc:
         i = int(np.searchsorted(starts, exc.owner, side="right")) - 1
         at = exc.owner - starts[i]
-        raise exc.named(_integral(parts[i].kernel, cfg, *(
+        raise exc.named(_integral(parts[i].name, cfg, *(
             float(x[at]) for x in parts[i].shares))) from None
     return [values[first:last] for first, last in zip(starts, starts[1:])]
 
@@ -819,25 +833,13 @@ def _kernel_grid(parts, cfg, settings):
 def prob_p3(alpha: float, beta: float, cfg: SystemConfig,
             settings: Optional[QuadratureSettings] = None) -> float:
     """Both messages fail at slot 1 and decode jointly at slot 2."""
-    gm = g_max(alpha, cfg)
-    if gm <= 0.0:
-        return 0.0
-    try:
-        return _k3(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
-    except NonConvergence as exc:
-        raise exc.named(_integral("p3", cfg, alpha, beta)) from None
+    return _slot2_prob("p3", _JOINT, alpha, beta, cfg, settings)
 
 
 def prob_p4(alpha: float, beta: float, cfg: SystemConfig,
             settings: Optional[QuadratureSettings] = None) -> float:
     """Both messages fail at slot 1 and only m1 recovers at slot 2."""
-    gm = g_max(alpha, cfg)
-    if gm <= 0.0:
-        return 0.0
-    try:
-        return _k4(alpha, beta, gm, cfg, settings or DEFAULT_SETTINGS)
-    except NonConvergence as exc:
-        raise exc.named(_integral("p4", cfg, alpha, beta)) from None
+    return _slot2_prob("p4", _ONLY_M1, alpha, beta, cfg, settings)
 
 
 def _threshold(t, d):
@@ -896,11 +898,11 @@ def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
     index = order[c[order] > 0.0]   # the p1 integrals, in the loop's order
     parts = [_Part("p1", (shares[index],), _f1, _no_kinks, (c[index],),
                    lo[index], hi[index])]
-    for kernel, integrand, a, b in (("p3", _f3, p3_alphas, p3_betas),
-                                    ("p4", _f4, p4_alphas, p4_betas)):
+    for name, kernel, a, b in (("p3", _JOINT, p3_alphas, p3_betas),
+                               ("p4", _ONLY_M1, p4_alphas, p4_betas)):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        parts.append(_slot2_part(kernel, (a, b), integrand, a, b,
+        parts.append(_slot2_part(name, (a, b), kernel, a, b,
                                  _g_max_each(a, cfg), cfg))
     p1[index], p3, p4 = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
     p2 -= p1   # prob_p2's window - p1; 0.0 - 0.0 where the window is None
@@ -960,27 +962,13 @@ def _slot1_pieces(upper, s2, pieces):
     return edges, survival[:, :-1] - survival[:, 1:]
 
 
-def _upper_sum(integrand, alpha, beta, edges, mass, cfg):
-    """The upper Riemann sum of _f3 or _f4 at each point (alpha[i],
-    beta[i]) over the pieces of _slot1_pieces (edges[i], mass[i]), plus
-    the mass past the cut.
-
-    h3, h4 and h4_bar do not increase with g, so on a piece _f3's factor
-    exp(-h3/s2) is at most its value at the right end, and _f4's factor
-    max(0, exp(-h4/s2) - exp(-h4_bar/s2)) at most exp(-h4/s2) at the right
-    end less exp(-h4_bar/s2) at the left end.  Each factor is at most 1, so
-    a piece contributes at most its bound times its exact slot-1 mass, and
-    the range past the cut its mass."""
-    s2 = cfg.sigma2
-    a, b = alpha[:, None], beta[:, None]
-    if integrand is _f3:
-        y = h3(edges[:, 1:], a, b, cfg)
-        factor = _decay(y, s2, y)
-    else:
-        hv, hb = h4(edges, a, b, cfg)
-        factor = _decay(hv, s2, hv)[:, 1:]
-        factor -= _decay(hb, s2, hb)[:, :-1]
-        np.maximum(factor, 0.0, out=factor)
+def _upper_sum(kernel, alpha, beta, edges, mass, cfg):
+    """The upper Riemann sum of the kernel's integrand at each point
+    (alpha[i], beta[i]) over the pieces of _slot1_pieces (edges[i],
+    mass[i]), plus the mass past the cut: a piece contributes at most the
+    kernel's bound factor on it times its exact slot-1 mass, and the range
+    past the cut its mass."""
+    factor = kernel.factor(edges, alpha[:, None], beta[:, None], cfg)
     factor *= mass[:, :-1]
     return factor.sum(axis=1) + mass[:, -1]
 
@@ -1002,12 +990,12 @@ def prob_p3_p4_bound(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig
     _slot1_pieces over [0, g_max] (0 where g_max <= 0, prob_p3/prob_p4's
     guard), inflated to (1 + M) bound + M +
     _TOL_SLACK max(abs_tol, rel_tol), M = _BOUND_MARGIN.  An integral that
-    _k3_vanishes or _k4_vanishes proves 0.0 gets no sum.  More pieces give
+    its kernel's vanishing rule proves 0.0 gets no sum.  More pieces give
     a tighter bound."""
     slack = _bound_slack(settings)
     bounds = []
-    for integrand, alphas, betas in ((_f3, p3_alphas, p3_betas),
-                                     (_f4, p4_alphas, p4_betas)):
+    for kernel, alphas, betas in ((_JOINT, p3_alphas, p3_betas),
+                                  (_ONLY_M1, p4_alphas, p4_betas)):
         alpha = np.asarray(alphas, dtype=float)
         beta = np.asarray(betas, dtype=float)
         distinct, inverse = np.unique(alpha, return_inverse=True)
@@ -1015,14 +1003,11 @@ def prob_p3_p4_bound(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig
         np.maximum(upper, 0.0, out=upper)
         edges, mass = _slot1_pieces(upper, cfg.sigma2, pieces)
         bound = np.zeros(len(alpha))
-        if integrand is _f4:
-            rest = np.flatnonzero(~_k4_vanishes(alpha, beta, upper[inverse], cfg))
-        else:
-            rest = np.flatnonzero(~_k3_vanishes(alpha, beta))
+        rest = np.flatnonzero(~kernel.vanishes(alpha, beta, upper[inverse], cfg))
         for s in range(0, len(rest), _BOUND_CHUNK):
             run = rest[s:s + _BOUND_CHUNK]
             at = inverse[run]
-            bound[run] = _upper_sum(integrand, alpha[run], beta[run], edges[at],
+            bound[run] = _upper_sum(kernel, alpha[run], beta[run], edges[at],
                                     mass[at], cfg)
         bounds.append(bound * (1.0 + _BOUND_MARGIN) + slack)
     return bounds[0], bounds[1]
@@ -1052,9 +1037,9 @@ def prob_sc(alpha: float, cfg: SystemConfig,
     settings = settings or DEFAULT_SETTINGS
     upper = cfg.sigma2 * TAIL_SPAN
     try:
-        tp3 = _k3(alpha, alpha, upper, cfg, settings)
-        tp4 = _k4(alpha, alpha, upper, cfg, settings)
-        tp4p = _k4(1.0 - alpha, 1.0 - alpha, upper, cfg, settings)
+        tp3 = _slot2(_JOINT, alpha, alpha, upper, cfg, settings)
+        tp4 = _slot2(_ONLY_M1, alpha, alpha, upper, cfg, settings)
+        tp4p = _slot2(_ONLY_M1, 1.0 - alpha, 1.0 - alpha, upper, cfg, settings)
     except NonConvergence as exc:
         raise exc.named(_integral("sc", cfg, alpha)) from None
     return ScProbs(tp3=tp3, tp4=tp4, tp4p=tp4p)
@@ -1081,8 +1066,8 @@ def _sc_columns(alphas, cfg, settings):
     shares = both[first]
     upper = cfg.sigma2 * TAIL_SPAN
     tp3, tp4 = _kernel_grid(
-        [_slot2_part("sc", (alpha,), _f3, alpha, alpha, upper, cfg),
-         _slot2_part("sc", (shares,), _f4, shares, shares, upper, cfg)],
+        [_slot2_part("sc", (alpha,), _JOINT, alpha, alpha, upper, cfg),
+         _slot2_part("sc", (shares,), _ONLY_M1, shares, shares, upper, cfg)],
         cfg, settings)
     tp4 = tp4[inverse]
     return ScProbs.checked_columns(tp3=tp3, tp4=tp4[:len(alpha)],

@@ -12,6 +12,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlharq import closed_form
 from mlharq.closed_form import (
@@ -19,8 +21,10 @@ from mlharq.closed_form import (
     ScProbs,
     _f3,
     _f4,
+    _mlh_columns,
     _over_power,
     _p1_bounds,
+    _p1_window,
     event_probs,
     g_max,
     g_min,
@@ -186,6 +190,48 @@ class TestVanishing:
         assert prob_p1(0.7, CFG) > 0.0
         assert prob_p2(0.7, CFG) > 0.0
 
+    def test_share_past_a_threshold_rounded_low_has_an_empty_window(self):
+        """Past R = 53, t + 1 is inexact and vanishing_threshold rounds one
+        ulp low: alpha = 1 - 2^-53 passes it while the coefficient
+        1 + 2^R (alpha - 1) of p1's lower window end is negative.  The
+        window is empty, so p1 = p2 = 0.0 on both paths (the simulation
+        finds 0 too), and the primes are 0.0 at 2^-53."""
+        cfg = SystemConfig.from_snr_db(3.0, 53.1)
+        alpha, mirror = 1.0 - 2.0 ** -53, 2.0 ** -53
+        assert alpha > vanishing_threshold(cfg)
+        assert 1.0 + 2.0 ** cfg.rate_R * (alpha - 1.0) < 0.0
+        assert _p1_window(alpha, cfg) is None
+        assert prob_p1(alpha, cfg) == prob_p2(alpha, cfg) == 0.0
+        assert prob_p1_prime(mirror, cfg) == prob_p2_prime(mirror, cfg) == 0.0
+        for split in (PowerSplit(alpha, 0.5), PowerSplit(mirror, 0.5)):
+            assert set(event_probs(split, cfg).as_dict().values()) == {0.0}
+        rows, _, _ = _mlh_columns([alpha, mirror], [mirror, alpha],
+                                  [], [], [], [], cfg)
+        for column in (rows.p1, rows.p2, rows.p1p, rows.p2p):
+            assert column.tolist() == [0.0, 0.0]
+
+
+def _ulps(x, k):
+    """x moved k ulps (down for k < 0), kept in [0, 1]."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return min(max(x, 0.0), 1.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rate=st.floats(1.7e-16, 511.99), snr_db=st.floats(0.0, 40.0),
+       near=st.sampled_from(["threshold", "one"]), k=st.integers(-11, 3))
+@example(rate=53.1, snr_db=3.0, near="one", k=-1)
+def test_p1_window_is_empty_or_ordered(rate, snr_db, near, k):
+    """Within a few ulps of the vanishing threshold or of 1, p1's window is
+    None or has 0 <= lo < hi (a low-rounded threshold once let through a
+    negative lo, and math.exp(-lo/s2) overflowed).  SNRs from 0 dB keep
+    (2^(2R) - 1)/P finite at every rate, as SystemConfig requires."""
+    cfg = SystemConfig.from_snr_db(snr_db, rate)
+    alpha = _ulps(vanishing_threshold(cfg) if near == "threshold" else 1.0, k)
+    window = _p1_window(alpha, cfg)
+    assert window is None or 0.0 <= window[0] < window[1]
+
 
 class TestAnalyticValues:
     def test_p0_interior(self):
@@ -245,6 +291,19 @@ class TestAnalyticValues:
                     self._assert_near(prob_p1(1.0, cfg), prob_p2(1.0, cfg),
                                       *self._tail_cut_reference(1.0, cfg),
                                       (rate, snr_db, sigma2))
+
+    def test_slot2_kernels_at_an_underflowing_slot1_power(self):
+        """(1 - alpha)P underflows to 0.0 below alpha = 1: no kink root
+        divides by it (the scalar list once raised ZeroDivisionError where
+        the array form gave an out-of-range +inf), and the scalar p3 and p4
+        equal the lockstep ones."""
+        alpha = math.nextafter(1.0, 0.0)
+        cfg = SystemConfig(rate_R=0.05, power_P=2e-308, sigma2=4e306)
+        assert (1.0 - alpha) * cfg.power_P == 0.0
+        for beta in (0.0, 0.5, 1.0):
+            _, p3, p4 = _mlh_columns([], [], [alpha], [beta], [alpha], [beta], cfg)
+            assert (prob_p3(alpha, beta, cfg), prob_p4(alpha, beta, cfg)) == \
+                (p3[0], p4[0])
 
     def test_underflowing_share_takes_the_closed_form(self):
         """alpha < 1 whose (1 - alpha)P underflows to 0.0 (P subnormal):
@@ -416,10 +475,11 @@ class TestThroughputs:
 
 
 class TestCacheBound:
-    """The kernel caches hold at most _CACHE_SIZE entries, and that bound
-    costs no hit: every hit is a reuse within one operation."""
+    """The kernel caches, _p1_value's and the one of both slot-2 kernels,
+    hold at most _CACHE_SIZE entries each, and that bound costs no hit:
+    every hit is a reuse within one operation."""
 
-    CACHES = ("_p1_value", "_k3", "_k4")
+    CACHES = ("_p1_value", "_slot2")
 
     def test_caches_hold_at_most_cache_size_entries(self):
         cfg = SystemConfig.from_snr_db(3.0, 1.0)   # vanishing threshold 2/3
@@ -431,15 +491,16 @@ class TestCacheBound:
             prob_p1(alpha, cfg)
             prob_p3(alpha, 0.5, cfg)
             prob_p4(alpha, 0.9, cfg)
-        for name in self.CACHES:
+        for name, misses in zip(self.CACHES, (n, 2 * n)):
             info = getattr(closed_form, name).cache_info()
-            assert info.misses == n and info.currsize == closed_form._CACHE_SIZE, name
+            assert info.misses == misses, name
+            assert info.currsize == closed_form._CACHE_SIZE, name
 
     @staticmethod
     def _scatter_ops():
         """300 scatter-eval-shaped operations: event_probs, prob_sc and the
-        three throughputs at one config each.  They make more _k4 entries
-        than the bound holds, so the bounded cache evicts."""
+        three throughputs at one config each.  They make more slot-2
+        entries than the bound holds, so the bounded cache evicts."""
         rng = random.Random(16)
         for i in range(300):
             cfg = SystemConfig.from_snr_db(rng.uniform(-5.0, 40.0),
@@ -468,8 +529,8 @@ class TestCacheBound:
 
         bounded = hits(closed_form._CACHE_SIZE)
         assert bounded == hits(None)
-        assert bounded["_p1_value"][0] > 0
-        assert bounded["_k4"][1] > closed_form._CACHE_SIZE
+        assert bounded["_p1_value"][0] > 0 and bounded["_slot2"][0] > 0
+        assert bounded["_slot2"][1] > closed_form._CACHE_SIZE
 
     @pytest.mark.parametrize("rate", [0.3, 1.3])
     def test_mlh_search_leaves_the_caches_alone(self, rate):

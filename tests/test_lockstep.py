@@ -18,18 +18,15 @@ from hypothesis import strategies as st
 
 from mlharq import quadrature
 from mlharq.closed_form import (
+    _JOINT,
+    _ONLY_M1,
     ScProbs,
     _g_max_each,
-    _h3_breakpoints,
-    _h3_breakpoints_grid,
-    _h4_breakpoints,
-    _h4_breakpoints_grid,
-    _k3,
-    _k4,
     _mlh_columns,
     _p1_bounds,
     _p1_window,
     _sc_columns,
+    _slot2,
     g_max,
     prob_p0,
     prob_p1,
@@ -220,14 +217,14 @@ def test_slot2_kernels_broadcast_owner_columns(monkeypatch):
     from mlharq import closed_form
 
     shapes = []
-    for name in ("_f3", "_f4"):
-        integrand = getattr(closed_form, name)
+    for name in ("_JOINT", "_ONLY_M1"):
+        kernel = getattr(closed_form, name)
 
-        def spy(g, alpha, beta, cfg, integrand=integrand):
+        def spy(g, alpha, beta, cfg, integrand=kernel.integrand):
             shapes.append((g.shape, np.shape(alpha), np.shape(beta)))
             return integrand(g, alpha, beta, cfg)
 
-        monkeypatch.setattr(closed_form, name, spy)
+        monkeypatch.setattr(closed_form, name, kernel._replace(integrand=spy))
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
     _mlh_columns([], [], [0.3, 0.5], [0.6, 0.5], [], [], cfg)
     _mlh_columns([], [], [], [], [0.8, 0.9], [0.6, 0.5], cfg)
@@ -413,12 +410,11 @@ def test_array_kink_candidates_equal_the_scalar_lists(case):
     cfg, points = case
     alpha = np.array([a for a, _ in points])
     beta = np.array([b for _, b in points])
-    for scalar, grid, width in ((_h3_breakpoints, _h3_breakpoints_grid, 9),
-                                (_h4_breakpoints, _h4_breakpoints_grid, 5)):
-        rows = grid(alpha, beta, cfg)
+    for kernel, width in ((_JOINT, 9), (_ONLY_M1, 5)):
+        rows = kernel.kinks_grid(alpha, beta, cfg)
         assert rows.shape == (len(points), width)
         for (a, b), row in zip(points, rows.tolist()):
-            want = [p for p in scalar(a, b, cfg) if not math.isnan(p)]
+            want = [p for p in kernel.kinks(a, b, cfg) if not math.isnan(p)]
             assert _bits([p for p in row if not math.isnan(p)]) == _bits(want)
 
 
@@ -467,10 +463,10 @@ def _sc_failure_names_its_first_owner(alphas, cfg, quad):
     run must raise the same message."""
     upper = cfg.sigma2 * TAIL_SPAN
     shares = sorted({*alphas, *(1.0 - a for a in alphas)})
-    owners = [(_k3, a) for a in alphas] + [(_k4, s) for s in shares]
+    owners = [(_JOINT, a) for a in alphas] + [(_ONLY_M1, s) for s in shares]
     for index, (kernel, split) in enumerate(owners):
         try:
-            kernel(split, split, upper, cfg, quad)
+            _slot2(kernel, split, split, upper, cfg, quad)
         except NonConvergence as exc:
             expected = exc
             break

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlharq.closed_form import (
+    _JOINT,
+    _ONLY_M1,
     _f3,
     _f4,
-    _h3_breakpoints,
-    _h4_breakpoints,
     h3,
     h4,
     vanishing_threshold,
@@ -105,7 +105,7 @@ def threshold_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for a, b in owners:
-        kinks = [x for x in _h3_breakpoints(a, b, cfg) + _h4_breakpoints(a, b, cfg)
+        kinks = [x for x in _JOINT.kinks(a, b, cfg) + _ONLY_M1.kinks(a, b, cfg)
                  if math.isfinite(x) and x >= 0.0]
         row = [0.0, *kinks[:8]]
         row += (sigma2 * rng.exponential(4.0, 22 - len(row))).tolist()

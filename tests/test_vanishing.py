@@ -1,9 +1,9 @@
 """Slot-2 integrals that are zero by proof are never integrated.
 
-closed_form._k4_vanishes claims that h4's interference cap binds on the
-whole slot-1 range [0, upper], so that the p4/tp4 integral is exactly 0.0;
-closed_form._k3_vanishes that one layer has share 0 in both slots, so that
-the p3/tp3 integral is exactly 0.0.  The first tests hold the claims
+closed_form._ONLY_M1's vanishing rule claims that h4's interference cap
+binds on the whole slot-1 range [0, upper], so that the p4/tp4 integral is
+exactly 0.0; closed_form._JOINT's that one layer has share 0 in both
+slots, so that the p3/tp3 integral is exactly 0.0.  The first tests hold the claims
 against the unskipped quadrature wherever they are made, on random and
 adversarial cases.  The others switch the claims off (all False, which is
 the program without the skips) and compare the closed forms, their grids,
@@ -22,15 +22,15 @@ from hypothesis import strategies as st
 
 from mlharq import closed_form
 from mlharq.closed_form import (
-    _K4_MARGIN,
+    _JOINT,
+    _ONLY_M1,
+    _ONLY_M1_MARGIN,
     ScProbs,
     _f3,
     _f4,
-    _h3_breakpoints,
-    _h4_breakpoints,
-    _k3_vanishes,
-    _k4_vanishes,
+    _joint_vanishes,
     _mlh_columns,
+    _only_m1_vanishes,
     _sc_columns,
     event_probs,
     g_max,
@@ -55,7 +55,7 @@ SUBNORMALS = [5e-324, 1e-320, math.nextafter(2.2250738585072014e-308, 0.0)]
 
 
 def _n_upper(alpha, upper, cfg):
-    """h4's residual n at g = upper, in _k4_vanishes's arithmetic."""
+    """h4's residual n at g = upper, in _only_m1_vanishes's arithmetic."""
     p = cfg.power_P
     ratio = (upper * (1.0 - alpha) * p + 1.0) / (upper * p + 1.0)
     return 2.0 ** cfg.rate_R * ratio - 1.0
@@ -96,12 +96,12 @@ def vanishing_cases(draw):
     if kind == "margin":
         # n(g) = M where k1 (1 + g c P) = (1 + M)(1 + g P), c = 1 - alpha
         k1, p = 2.0 ** rate, cfg.power_P
-        den = p * ((1.0 + _K4_MARGIN) - k1 * (1.0 - alpha))
-        g = (k1 - 1.0 - _K4_MARGIN) / den if den > 0.0 else -1.0
+        den = p * ((1.0 + _ONLY_M1_MARGIN) - k1 * (1.0 - alpha))
+        g = (k1 - 1.0 - _ONLY_M1_MARGIN) / den if den > 0.0 else -1.0
         if 0.0 < g < math.inf:
             upper = _ulps(g, k, hi=math.inf)
     n = _n_upper(alpha, upper, cfg)
-    switch = (n - _K4_MARGIN) / (n + 1.0) if n > _K4_MARGIN else 0.0
+    switch = (n - _ONLY_M1_MARGIN) / (n + 1.0) if n > _ONLY_M1_MARGIN else 0.0
     beta = draw(st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0),
                           st.just(_ulps(switch, k))))
     if kind == "margin":
@@ -124,18 +124,18 @@ def _assert_zero_unskipped(integrand, alpha, beta, upper, cfg, bps):
 
 
 def _assert_zero_if_claimed(alpha, beta, upper, cfg):
-    """Where _k4_vanishes holds, the unskipped quadrature gives +0.0 and _f4
+    """Where _only_m1_vanishes holds, the unskipped quadrature gives +0.0 and _f4
     is +0.0 on every node of the first round; the array form of the test
     agrees with the float form."""
-    claim = _k4_vanishes(alpha, beta, upper, cfg)
+    claim = _only_m1_vanishes(alpha, beta, upper, cfg)
     assert type(claim) is bool   # plain float arithmetic on the scalar path
-    as_arrays = _k4_vanishes(np.array([alpha]), np.array([beta]),
+    as_arrays = _only_m1_vanishes(np.array([alpha]), np.array([beta]),
                              np.array([upper]), cfg)
     assert as_arrays.tolist() == [claim]
     if not claim:
         return False
     _assert_zero_unskipped(_f4, alpha, beta, upper, cfg,
-                           _h4_breakpoints(alpha, beta, cfg))
+                           _ONLY_M1.kinks(alpha, beta, cfg))
     return True
 
 
@@ -165,9 +165,9 @@ def test_the_margin_keeps_a_nonzero_integral():
     u, v = upper * (1.0 - alpha) * p + 1.0, upper * p + 1.0
     assert 0.0 < (k1 * u - v) / v < 1e-15
     value = integrate_finite(lambda g: _f4(g, alpha, beta, cfg), 0.0, upper,
-                             _h4_breakpoints(alpha, beta, cfg))
+                             _ONLY_M1.kinks(alpha, beta, cfg))
     assert value == pytest.approx(1.757e-17, rel=1e-3)
-    assert not _k4_vanishes(alpha, beta, upper, cfg)
+    assert not _only_m1_vanishes(alpha, beta, upper, cfg)
 
 
 @pytest.mark.parametrize("snr_db, rate, alpha, beta, upper", [
@@ -208,17 +208,18 @@ def k3_cases(draw):
                SystemConfig.from_snr_db(3.0, 1.0)))
 @example(case=(0.0, 0.0, TAIL_SPAN, SystemConfig.from_snr_db(40.0, 24.0)))
 def test_a_vanishing_k3_integral_is_zero_unskipped(case):
-    """_k3_vanishes holds exactly where one layer has share 0 in both
+    """_joint_vanishes holds exactly where one layer has share 0 in both
     slots; there the unskipped quadrature gives +0.0 and _f3 is +0.0 on
     every node of the first round; the array form agrees."""
     alpha, beta, upper, cfg = case
-    claim = _k3_vanishes(alpha, beta)
+    claim = _joint_vanishes(alpha, beta, upper, cfg)
     assert type(claim) is bool
     assert claim == (alpha == beta and alpha in (0.0, 1.0))
-    assert _k3_vanishes(np.array([alpha]), np.array([beta])).tolist() == [claim]
+    assert _joint_vanishes(np.array([alpha]), np.array([beta]),
+                           np.array([upper]), cfg).tolist() == [claim]
     if claim:
         _assert_zero_unskipped(_f3, alpha, beta, upper, cfg,
-                               _h3_breakpoints(alpha, beta, cfg))
+                               _JOINT.kinks(alpha, beta, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -230,36 +231,39 @@ def _never(alpha, *_):
 
 
 def _cold():
-    for cached in (closed_form._k3, closed_form._k4, closed_form._p1_value):
+    for cached in (closed_form._slot2, closed_form._p1_value):
         cached.cache_clear()
 
 
-RULES = ("_k3_vanishes", "_k4_vanishes")
+KERNELS = ("_JOINT", "_ONLY_M1")
 
 
 def _with_and_without_skip(monkeypatch, compute):
     """compute() with the skips and without them, each from cold caches,
-    and how many integrals each rule claimed zero."""
-    claims = {rule: 0 for rule in RULES}
+    and how many integrals each kernel's vanishing rule claimed zero."""
+    claims = {name: 0 for name in KERNELS}
 
-    def spy(rule):
-        test = getattr(closed_form, rule)
+    def spy(name):
+        test = getattr(closed_form, name).vanishes
 
         def claim(*args):
             out = test(*args)
-            claims[rule] += int(np.sum(out))
+            claims[name] += int(np.sum(out))
             return out
         return claim
 
+    def with_rules(m, rule):
+        for name in KERNELS:
+            kernel = getattr(closed_form, name)
+            m.setattr(closed_form, name, kernel._replace(vanishes=rule(name)))
+
     _cold()
     with monkeypatch.context() as m:
-        for rule in RULES:
-            m.setattr(closed_form, rule, spy(rule))
+        with_rules(m, spy)
         got = compute()
     _cold()
     with monkeypatch.context() as m:
-        for rule in RULES:
-            m.setattr(closed_form, rule, _never)
+        with_rules(m, lambda _: _never)
         want = compute()
     _cold()
     return got, want, claims
