@@ -7,23 +7,34 @@ time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
 
 Each coarse grid and refinement window is evaluated in lockstep
-quadratures (closed_form's _mlh_columns and _sc_columns, whose values
-have the scalar closed forms' bits) for all its integrals: p1 at each
-distinct share and its mirror, then p3 and p4 for mlh, tp3, tp4 and tp4p
-for sc; one call per window and per sc grid.  The mlh coarse grid
-integrates only the points that can still be its argmax: the others are
-pruned by upper bounds on p3 and p4 (closed_form's prob_p3_p4_bound)
-against an incumbent, in a few _mlh_columns calls (_coarse_values), the
-first of which carries p1.  The values are combined elementwise by
+quadratures (closed_form's _mlh_columns, _sc_columns and _lockstep, whose
+values have the scalar closed forms' bits) for all its integrals: p1 at
+each distinct share and its mirror, then p3 and p4 for mlh, tp3, tp4 and
+tp4p for sc.  One call per sc grid, and one call per window, unless a
+stage ends on the point it started from (the coarse grid on the
+time-sharing corner, where it seeds its incumbent, or a window on its
+centre; at 3 dB both searches keep the corner throughout at 9 of the 12
+rates of the benchmark's sweep): then all the remaining windows, centred
+on that point, run in one call, and are offered in turn until one moves
+the best point (_refine).  The later windows are dropped, so the windows
+offered, their values and failures, the result and `evaluations` are
+those of one call per window.  The mlh coarse grid integrates only the
+points that can still be its argmax: the others are pruned by upper
+bounds on p3 and p4 (closed_form's prob_p3_p4_bound) against an
+incumbent, in a few _mlh_columns calls (_coarse_values), the first of
+which carries p1.  The values are combined elementwise by
 mlh_throughput_from_probs and sc_throughput_from_probs and offered as one
 array, a pruned point as NaN: the winner is the one a point-by-point loop
 in the scalar search's order would keep.  A lockstep call that fails
 raises the NonConvergence of its lowest failing integral, which names a
-kernel, shares and config at which the scalar closed form fails too.
+kernel, shares and config at which the scalar closed form fails too; one
+that holds speculative windows runs its first window again alone, which
+raises only if that window fails.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -31,9 +42,13 @@ import numpy as np
 
 from .closed_form import (
     EventProbs,
+    ScProbs,
     _bound_slack,
+    _lockstep,
     _mlh_columns,
+    _mlh_job,
     _sc_columns,
+    _sc_job,
     mlh_throughput_from_probs,
     prob_p3_p4_bound,
     sc_throughput_from_probs,
@@ -173,8 +188,10 @@ def _coarse_values(pts, cfg, settings):
     def integrate(points, shares=grid[:0]):
         """Run the p3 and p4 integrals that the objective at `points` reads
         and that have not run, with the slot-1 terms of the rows `shares`;
-        those terms."""
+        those terms.  With nothing to integrate, no lockstep call."""
         k3, k4 = missing(points)
+        if not (len(shares) or k3.size or k4.size):
+            return None
         slot1, p3[k3], p4[k4] = _mlh_columns(shares, shares[::-1], alphas[k3],
                                              betas[k3], alphas[k4], betas[k4],
                                              cfg, settings)
@@ -221,8 +238,51 @@ def _coarse_values(pts, cfg, settings):
     return objective(p3, p4).reshape(n + 1, n + 1)
 
 
+def _refine(search, grid_step, refine_tol, window, values):
+    """Offer the refinement windows: one per 10x shrink of grid_step while
+    twice the step exceeds refine_tol, each centred on the search's best
+    point (alpha, beta) and offered in turn.  Returns the last window
+    offered as (values, alphas, betas), or None when there is none.
+
+    window(centre, step) gives the points (alphas, betas) of the window at
+    centre; values(windows) runs the windows' integrals in one lockstep
+    call and returns, for each window (for the first alone if the call
+    failed, see closed_form._lockstep), a function that runs its checks
+    and returns its values.
+
+    One call per window, unless a stage ends on the point it started from
+    (the coarse grid on its incumbent seed, the time-sharing corner (1, 1),
+    or a window on its centre): then the next windows are centred on that
+    point as long as each keeps it, so all the remaining windows run in one
+    call, centred on it.  They are offered window by window; the first
+    whose best point moves ends the run, and the later windows, centred on
+    the old point, are dropped unchecked and not counted.  So each window
+    offered is the one a call per window would offer, with the same values,
+    checks and failures, and so are the best point and `evaluations`.
+    """
+    steps = []
+    step = grid_step
+    while 2.0 * step > refine_tol:
+        step /= 10.0
+        steps.append(step)
+    start, last = (1.0, 1.0), None
+    while steps:
+        centre = search.best[1:]
+        windows = [window(centre, step)
+                   for step in (steps if centre == start else steps[:1])]
+        for points, checked in zip(windows, values(windows)):
+            last = (checked(), *points)
+            search.offer(*last)
+            steps.pop(0)
+            if search.best[1:] != centre:
+                break
+        start = centre
+    return last
+
+
 def _search_mlh(cfg, grid_step, refine_tol, settings):
-    """Coarse 2-D grid exploiting the mirror symmetries, then local shrink.
+    """Coarse 2-D grid exploiting the mirror symmetries, then local shrink
+    (_refine).
 
     Refinement and the returned value use the canonical objective.  Each
     window holds its centre (center + 0*step), so the incumbent is a point
@@ -236,68 +296,86 @@ def _search_mlh(cfg, grid_step, refine_tol, settings):
     search.offer(_coarse_values(pts, cfg, settings).ravel(),
                  np.repeat(grid, len(grid)), np.tile(grid, len(grid)))
 
-    def objective(a, b):
-        return throughput_mlh(PowerSplit(alpha=a, beta=b), cfg, settings)
+    def square(centre, step):
+        wa, wb = (np.array(_window(x, step)) for x in centre)
+        return np.repeat(wa, len(wb)), np.tile(wb, len(wa))
 
-    at_star = []   # the last window's value at the incumbent
-    step = grid_step
-    while 2.0 * step > refine_tol:
-        step /= 10.0
-        _, a0, b0 = search.best
-        wa, wb = np.array(_window(a0, step)), np.array(_window(b0, step))
-        alphas, betas = np.repeat(wa, len(wb)), np.tile(wb, len(wa))
-        values = _mlh_values(alphas, betas, cfg, settings)
-        search.offer(values, alphas, betas)
-        _, a_star, b_star = search.best
-        at_star = values[(alphas == a_star) & (betas == b_star)]
-
+    last = _refine(search, grid_step, refine_tol, square,
+                   lambda windows: _mlh_values(windows, cfg, settings))
     _, a_star, b_star = search.best
-    value = float(at_star[0]) if len(at_star) else objective(a_star, b_star)
+    if last is None:
+        value = throughput_mlh(PowerSplit(alpha=a_star, beta=b_star), cfg, settings)
+    else:
+        values, alphas, betas = last
+        value = float(values[(alphas == a_star) & (betas == b_star)][0])
     return Optimum(alpha_star=a_star, beta_star=b_star, rate_star=None,
                    throughput_star=value, evaluations=search.evaluations)
 
 
-def _mlh_values(alphas, betas, cfg, settings):
-    """throughput_mlh at each point (alphas[k], betas[k]), with the same
-    bits, in one lockstep call: p1 at each distinct alpha and 1 - alpha,
-    then the p3 and p4 integrals.  At the first point whose EventProbs
-    fails a check, the same ValueError."""
-    n = len(alphas)
-    distinct, inverse = np.unique(alphas, return_inverse=True)
-    slot1, p3, p4 = _mlh_columns(distinct, 1.0 - distinct, alphas, betas,
-                                 np.concatenate([alphas, 1.0 - alphas]),
-                                 np.concatenate([betas, 1.0 - betas]), cfg,
-                                 settings)
-    probs = EventProbs.checked_columns(
-        **{name: column[inverse] for name, column in vars(slot1).items()},
-        p3=p3, p4=p4[:n], p4p=p4[n:])
-    return mlh_throughput_from_probs(probs, cfg)
+def _mlh_values(windows, cfg, settings):
+    """For each window (alphas, betas), a function that returns
+    throughput_mlh at its points (alphas[k], betas[k]), with the same bits,
+    and at the first point whose EventProbs fails a check, raises the same
+    ValueError.  The windows' integrals run in one lockstep call
+    (closed_form._lockstep): p1 at each window's distinct alpha and
+    1 - alpha, then the p3 and p4 integrals.  After a failure of a later
+    window, the first window's function alone."""
+    jobs, inverses = [], []
+    for alphas, betas in windows:
+        distinct, inverse = np.unique(alphas, return_inverse=True)
+        jobs.append(_mlh_job(distinct, 1.0 - distinct, alphas, betas,
+                             np.concatenate([alphas, 1.0 - alphas]),
+                             np.concatenate([betas, 1.0 - betas]), cfg))
+        inverses.append(inverse)
+
+    def checked(result, inverse):
+        slot1, p3, p4 = result
+        n = len(p3)
+        probs = EventProbs.checked_columns(
+            **{name: column[inverse] for name, column in vars(slot1).items()},
+            p3=p3, p4=p4[:n], p4p=p4[n:])
+        return mlh_throughput_from_probs(probs, cfg)
+
+    return [partial(checked, result, inverse) for result, inverse
+            in zip(_lockstep(jobs, cfg, settings), inverses)]
 
 
 def _search_sc(cfg, grid_step, refine_tol, settings):
-    """Coarse 1-D grid, then local shrink.
+    """Coarse 1-D grid, then local shrink (_refine).
 
     The returned value is the best offer's: the grid and every window are
     evaluated by sc_throughput_from_probs on prob_sc's bits, so it equals
     throughput_sc(alpha_star) bit for bit without integrating it again.
     """
     search = _Search()
+    grid = _axis_points(grid_step)
+    search.offer(sc_throughput_from_probs(_sc_columns(grid, cfg, settings), cfg),
+                 grid, grid)
 
-    def offer_all(alphas):
-        search.offer(sc_throughput_from_probs(_sc_columns(alphas, cfg, settings),
-                                              cfg), alphas, alphas)
+    def line(centre, step):
+        alphas = np.array(_window(centre[0], step))
+        return alphas, alphas
 
-    offer_all(_axis_points(grid_step))
-    step = grid_step
-    while 2.0 * step > refine_tol:
-        step /= 10.0
-        _, a0, _b = search.best
-        offer_all(_window(a0, step))
-
+    _refine(search, grid_step, refine_tol, line,
+            lambda windows: _sc_values(windows, cfg, settings))
     value, a_star, _ = search.best
     return Optimum(alpha_star=a_star, beta_star=a_star, rate_star=None,
                    throughput_star=value,
                    evaluations=search.evaluations)
+
+
+def _sc_values(windows, cfg, settings):
+    """For each window (alphas, alphas), a function that returns
+    throughput_sc at its splits, with the same bits, and raises the
+    ValueError of ScProbs' checks that prob_sc raises at the first bad
+    split.  The windows' integrals run in one lockstep call
+    (closed_form._lockstep).  After a failure of a later window, the first
+    window's function alone."""
+    def checked(columns):
+        return sc_throughput_from_probs(ScProbs.checked_columns(**columns), cfg)
+
+    return [partial(checked, columns) for columns in _lockstep(
+        [_sc_job(alphas, cfg) for alphas, _ in windows], cfg, settings)]
 
 
 def optimize_split(protocol: str, cfg: SystemConfig, grid_step: float = 0.01,
@@ -317,7 +395,8 @@ def optimize_split(protocol: str, cfg: SystemConfig, grid_step: float = 0.01,
     best value integrated so far; a pruned point is offered as NaN, so the
     result and `evaluations` (every grid and window point) are those of the
     whole grid.  An integral at a pruned point is never run, so it cannot
-    raise NonConvergence either.
+    raise NonConvergence either.  Neither can one of a window that runs
+    speculatively, beside the window offered next, and is then dropped.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mlharq import optimize
+from mlharq import closed_form, optimize
 from mlharq.closed_form import (
     EventProbs,
     mlh_throughput_from_probs,
@@ -211,15 +211,23 @@ class TestOptimizeSplit:
 
 
 def _repr_cases():
-    """The default search for both protocols at five configs, then the mlh
+    """The default search for both protocols at six configs, the last of
+    which (3 dB, R = 2.8) keeps the time-sharing corner from the coarse
+    grid on, so its three windows run in one speculative call; the sc
+    search at three configs where a window keeps its centre and the next
+    two run in one call: at 10 dB, R = 1.3 and 20 dB, R = 5.3 the second
+    moves the best point, so the third is dropped and run again, centred
+    on the new point (at 20 dB, R = 2.3 both are kept).  Then the mlh
     search at a coarser grid, at four configs where the bounds prune 92%
     (40 dB, R = 12) to 96% of the coarse points, and at a loose tolerance
     (73% pruned)."""
     cases = [pytest.param(protocol, snr_db, rate, {},
                           id=f"{snr_db}-{rate}-{protocol}")
              for snr_db, rate in [(3.0, 0.3), (3.0, 0.8), (3.0, 1.3),
-                                  (-4.0, 1.0), (25.0, 2.3)]
+                                  (-4.0, 1.0), (25.0, 2.3), (3.0, 2.8)]
              for protocol in ("mlh", "sc")]
+    cases += [pytest.param("sc", snr_db, rate, {}, id=f"{snr_db}-{rate}-sc")
+              for snr_db, rate in [(10.0, 1.3), (20.0, 2.3), (20.0, 5.3)]]
     coarse = {"grid_step": 0.05, "refine_tol": 1e-3}
     cases += [pytest.param("mlh", snr_db, rate, coarse,
                            id=f"{snr_db}-{rate}-mlh-grid0.05")
@@ -287,6 +295,82 @@ class TestMatchesScalarSearch:
         scalar = {"p3": prob_p3, "p4": prob_p4, "sc": prob_sc}[kernel]
         with pytest.raises(NonConvergence):
             scalar(*shares, cfg, tight)
+
+
+class TestSpeculativeWindows:
+    """A stage that ends on the point it started from runs all the
+    remaining windows in one lockstep call, centred on that point; the
+    searches offer them one by one and drop the rest at the first that
+    moves the best point."""
+
+    @pytest.mark.parametrize("protocol", ["mlh", "sc"])
+    @pytest.mark.parametrize("rate, calls", [(2.8, [3]), (0.8, [1, 1, 1])])
+    def test_window_calls(self, monkeypatch, protocol, rate, calls):
+        """At 3 dB, R = 2.8 the coarse grid and every window keep the
+        time-sharing corner: one call for the three windows.  At R = 0.8
+        each window moves the best point, so each runs alone."""
+        name = {"mlh": "_mlh_values", "sc": "_sc_values"}[protocol]
+        sizes = []   # the windows of each call
+        values = getattr(optimize, name)
+
+        def spy(windows, *args):
+            sizes.append(len(windows))
+            return values(windows, *args)
+
+        monkeypatch.setattr(optimize, name, spy)
+        optimize_split(protocol, SystemConfig.from_snr_db(3.0, rate))
+        assert sizes == calls
+
+    @pytest.mark.parametrize("spoiled, fails", [((0.649905, 0.649995), False),
+                                                ((0.64905, 0.64995), True)])
+    def test_only_offered_windows_can_fail(self, monkeypatch, spoiled, fails):
+        """At 10 dB, R = 1.3 sc's first window keeps its centre 0.65, so the
+        second and third run in one call, centred on it; the second moves
+        the best point to 0.6501.  tp3's integrand is made NaN at the
+        splits strictly inside `spoiled`, so their integrals cannot
+        converge.  (0.649905, 0.649995) holds points of the dropped third
+        window only: the speculative call fails, the second window runs
+        again alone, and the search returns the Optimum of the unspoiled
+        search.  (0.64905, 0.64995) holds points of the second window,
+        which is offered: the call fails, the second window runs again
+        alone and fails too, and the search raises the NonConvergence that
+        the second window raises alone, naming a split inside the
+        interval."""
+        cfg = SystemConfig.from_snr_db(10.0, 1.3)
+        want = optimize_split("sc", cfg)
+        joint = closed_form._JOINT
+        lo, hi = spoiled
+
+        def integrand(g, alpha, beta, cfg):
+            return np.where((lo < alpha) & (alpha < hi), np.nan,
+                            joint.integrand(g, alpha, beta, cfg))
+
+        monkeypatch.setattr(closed_form, "_JOINT", joint._replace(integrand=integrand))
+        failures = []   # the lockstep quadratures that raised
+        kernel_grid = closed_form._kernel_grid
+
+        def spy(*args):
+            try:
+                return kernel_grid(*args)
+            except NonConvergence as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(closed_form, "_kernel_grid", spy)
+        if fails:
+            with pytest.raises(NonConvergence) as info:
+                optimize_split("sc", cfg)
+            assert len(failures) == 2   # the joint call, then the second alone
+            split = float(re.match(r"sc at alpha=([^,]+),", info.value.integral)[1])
+            assert lo < split < hi
+            second = np.array(optimize._window(0.65, 1e-4))
+            with pytest.raises(NonConvergence) as alone:
+                optimize._sc_values([(second, second)], cfg, None)
+            assert (str(info.value), info.value.owner) == \
+                (str(alone.value), alone.value.owner)
+        else:
+            assert repr(optimize_split("sc", cfg)) == repr(want)
+            assert len(failures) == 1
 
 
 class TestPruning:
@@ -417,20 +501,26 @@ class TestArrayOffers:
     def test_mlh_values_raise_the_error_of_the_first_bad_point(self, monkeypatch,
                                                               bad):
         """A p3 grid value out of range (or one that makes the fields sum
-        past 1) raises what the scalar EventProbs of that point raises."""
+        past 1) raises what the scalar EventProbs of that point raises,
+        when the window's values are read, and only then."""
         window = [0.5, 0.53, 0.56]
         alphas = np.repeat(window, 3)
         betas = np.tile(window, 3)
-        columns = optimize._mlh_columns
+        lockstep = optimize._lockstep
 
         def patched(*args, **kwargs):
-            slot1, p3, p4 = columns(*args, **kwargs)
-            for k, value in bad.items():
-                p3[k] = value
-            return slot1, p3, p4
+            results = lockstep(*args, **kwargs)
+            for _, p3, _ in results[1:]:   # every window but the first
+                for k, value in bad.items():
+                    p3[k] = value
+            return results
 
-        monkeypatch.setattr(optimize, "_mlh_columns", patched)
-        p3 = patched(alphas, 1.0 - alphas, alphas, betas, [], [], CFG_3DB)[1].tolist()
+        monkeypatch.setattr(optimize, "_lockstep", patched)
+        p3 = optimize._mlh_columns(alphas, 1.0 - alphas, alphas, betas, [], [],
+                                   CFG_3DB)[1]
+        for k, value in bad.items():
+            p3[k] = value
+        p3 = p3.tolist()
         with pytest.raises(ValueError) as want:
             for k, (a, b) in enumerate(zip(alphas.tolist(), betas.tolist())):
                 EventProbs(p0=prob_p0(a, CFG_3DB), p1=prob_p1(a, CFG_3DB),
@@ -438,17 +528,24 @@ class TestArrayOffers:
                            p2p=prob_p2(1.0 - a, CFG_3DB), p3=p3[k],
                            p4=prob_p4(a, b, CFG_3DB),
                            p4p=prob_p4(1.0 - a, 1.0 - b, CFG_3DB))
+        first, second = _mlh_values([(alphas, betas)] * 2, CFG_3DB, None)
+        first()
         with pytest.raises(ValueError) as got:
-            _mlh_values(alphas, betas, CFG_3DB, None)
+            second()
         assert str(got.value) == str(want.value)
 
     def test_mlh_values_equal_throughput_mlh(self):
+        """Window by window, whatever the windows run with."""
         alphas = np.repeat([0.0, 0.5, 0.71, 1.0], 4)
         betas = np.tile([0.0, 0.3, 0.9, 1.0], 4)
-        got = _mlh_values(alphas, betas, CFG_3DB, None)
-        want = [throughput_mlh(PowerSplit(a, b), CFG_3DB)
-                for a, b in zip(alphas.tolist(), betas.tolist())]
-        assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want]
+        windows = [(alphas, betas), (alphas[5:], betas[5:]), (alphas[:3], betas[:3])]
+        for k in range(len(windows)):
+            for (a, b), values in zip(windows[k:], _mlh_values(windows[k:],
+                                                                CFG_3DB, None)):
+                want = [throughput_mlh(PowerSplit(x, y), CFG_3DB)
+                        for x, y in zip(a.tolist(), b.tolist())]
+                assert [float.hex(v) for v in values().tolist()] == \
+                    [float.hex(v) for v in want]
 
 
 class TestGridStep:
