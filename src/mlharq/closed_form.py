@@ -29,9 +29,13 @@ tp4, tp4p), a tp4p integral that is also a tp4 integral once.
 _mlh_columns and _sc_columns run one such job in one quadrature, and
 _lockstep several, each kind of integral as one part, the later jobs
 speculatively: only a failure of the first is raised.
-prob_p3_p4_bound bounds what prob_p3 and prob_p4 return from above, with
-no quadrature: upper Riemann sums, as h3, h4 and h4_bar do not increase
-with g.  The optimizer prunes the mlh coarse grid with them.
+_cell_bound bounds what prob_p3 and prob_p4 return at every point of a
+rectangle of shares from above, with no quadrature: upper Riemann sums,
+as h3, h4 and h4_bar do not increase with g, each taken at the corner of
+the rectangle where it is least (h3's two layer terms at two corners) or
+largest, as they are monotone in the shares.  prob_p3_p4_bound is the
+one-point case, with the same code.  The optimizer prunes the mlh coarse
+grid with them.
 p1's window rule has one form, _p1_window and _p1_closed, which both
 paths call once per share.  Each slot-2 kernel is one _Kernel record, its
 integrand, kink root terms, vanishing rule and bound factor, which the
@@ -258,12 +262,13 @@ def _over_power(n, w):
 # order, so each value keeps its bits: 1 + g*(1-alpha)*P is ((g*(1-alpha))*P)
 # + 1, and max(0, x) is np.maximum(0.0, x).  g itself is never written.
 
-def _shape(g, alpha, beta):
+def _shape(g, *shares):
     """The broadcast shape of the samples g and the shares; g's own shape
     at float shares, without building a broadcast object."""
-    if isinstance(alpha, float) and isinstance(beta, float):
-        return g.shape
-    return np.broadcast(g, alpha, beta).shape
+    for x in shares:
+        if not isinstance(x, float):
+            return np.broadcast(g, *shares).shape
+    return g.shape
 
 
 def _residual(k, g, share, p, out):
@@ -285,12 +290,22 @@ def h3(g, alpha, beta, cfg):
     information.  Returns a new array, 0-d at scalar arguments (where the
     expression form before the in-place rewrite returned a numpy float).
     """
+    return _h3(g, alpha, beta, alpha, beta, cfg)
+
+
+def _h3(g, alpha, beta, alpha2, beta2, cfg):
+    """h3 with m1's term at the shares (alpha, beta) and m2's at (alpha2,
+    beta2), in h3's operations.  m1's term (as its max with 0) does not
+    increase with alpha or beta, and m2's does not decrease, so over the
+    shares of a cell [a0, a1] x [b0, b1] the least h3 is at least
+    _h3(g, a1, b1, a0, b0); each operation rounds monotonically, so that
+    holds in floats too."""
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
     p = cfg.power_P
     k1 = 2.0 ** r
     k2 = 2.0 ** (2.0 * r)
-    shape = _shape(g, alpha, beta)
+    shape = _shape(g, alpha, beta, alpha2, beta2)
 
     # max(0, max(t1, max(t2, t3))) over the layer terms t1 (m2, share
     # 1-beta) and t2 (m1, share beta) and the sum-rate term t3 (full power).
@@ -303,7 +318,7 @@ def h3(g, alpha, beta, cfg):
     t /= p
     term = _over_power(_residual(k1, g, alpha, p, np.empty(shape)), beta * p)
     np.maximum(term, t, out=t)
-    term = _over_power(_residual(k1, g, 1.0 - alpha, p, term), (1.0 - beta) * p)
+    term = _over_power(_residual(k1, g, 1.0 - alpha2, p, term), (1.0 - beta2) * p)
     np.maximum(term, t, out=t)
     return np.maximum(0.0, t, out=t)
 
@@ -644,23 +659,31 @@ def _f4(g, alpha, beta, cfg):
 
 
 # The bound factors: an upper bound, at most 1, on an integrand's slot-2
-# factor on each piece between consecutive edges (an (n, pieces + 1) array;
-# the shares are (n, 1) columns).  h3, h4 and h4_bar do not increase with
-# g, so each is taken at the end of the piece that makes the factor
-# largest.
+# factor on each piece between consecutive edges (an (n, pieces + 1) array)
+# at every share of a cell [alpha0, alpha1] x [beta0, beta1] (the corners
+# are (n, 1) columns; a point is the cell alpha0 = alpha1, beta0 = beta1).
+# h3, h4 and h4_bar do not increase with g, so each is taken at the end of
+# the piece that makes the factor largest, and at the cell's corner that
+# does (see _h3 and _f4_factor).
 
-def _f3_factor(edges, alpha, beta, cfg):
-    """_f3's factor exp(-h3/s2) at each piece's right end."""
-    y = h3(edges[:, 1:], alpha, beta, cfg)
+def _f3_factor(edges, alpha0, beta0, alpha1, beta1, cfg):
+    """_f3's factor exp(-h3/s2) at each piece's right end, with h3's m1
+    term at (alpha1, beta1) and its m2 term at (alpha0, beta0)."""
+    y = _h3(edges[:, 1:], alpha1, beta1, alpha0, beta0, cfg)
     return _decay(y, cfg.sigma2, y)
 
 
-def _f4_factor(edges, alpha, beta, cfg):
+def _f4_factor(edges, alpha0, beta0, alpha1, beta1, cfg):
     """A bound on _f4's factor max(0, exp(-h4/s2) - exp(-h4_bar/s2)) on
     each piece: exp(-h4/s2) at its right end less exp(-h4_bar/s2) at its
-    left end, or 0."""
+    left end, or 0, both at the cell's corner (alpha1, beta1).  h4's
+    residual n does not increase with alpha, and its interference cap
+    beta - (1 - beta) n (where n > 0) does not decrease with alpha or
+    beta, so h4 is least there; h4_bar's residual does not decrease with
+    alpha, nor its 1 / ((1 - beta) P) with beta, so h4_bar is largest
+    there."""
     s2 = cfg.sigma2
-    hv, hb = h4(edges, alpha, beta, cfg)
+    hv, hb = h4(edges, alpha1, beta1, cfg)
     factor = _decay(hv, s2, hv)[:, 1:]
     factor -= _decay(hb, s2, hb)[:, :-1]
     return np.maximum(factor, 0.0, out=factor)
@@ -713,8 +736,9 @@ class _Kernel(NamedTuple):
 
     terms(alpha, beta, cfg) gives the integrand's kink root terms,
     vanishes(alpha, beta, upper, cfg) its vanishing rule, and
-    factor(edges, alpha, beta, cfg) a bound on its slot-2 factor on each
-    piece between consecutive edges."""
+    factor(edges, alpha0, beta0, alpha1, beta1, cfg) a bound on its slot-2
+    factor on each piece between consecutive edges, at every share of the
+    cell [alpha0, alpha1] x [beta0, beta1]."""
     integrand: Callable
     terms: Callable
     vanishes: Callable
@@ -854,11 +878,20 @@ def _threshold(t, d):
 def _g_max_each(alpha, cfg):
     """g_max at each share of the array alpha, with g_max's bits: its
     arithmetic elementwise, which numpy rounds as Python does."""
+    return _g_max_cell(alpha, alpha, cfg)
+
+
+def _g_max_cell(alpha0, alpha1, cfg):
+    """At least g_max at every share of each interval [alpha0[i],
+    alpha1[i]], in g_max's arithmetic: its first threshold does not
+    increase with alpha and its second does not decrease, so the first is
+    taken at alpha0 and the second at alpha1.  _g_max_each at
+    alpha0 = alpha1."""
     k1 = 2.0 ** cfg.rate_R
     t1 = k1 - 1.0
     p = cfg.power_P
-    upper = np.minimum(_threshold(t1, (1.0 + k1 * (alpha - 1.0)) * p),
-                       _threshold(t1, (1.0 - k1 * alpha) * p))
+    upper = np.minimum(_threshold(t1, (1.0 + k1 * (alpha0 - 1.0)) * p),
+                       _threshold(t1, (1.0 - k1 * alpha1) * p))
     return np.minimum(upper, (2.0 ** (2.0 * cfg.rate_R) - 1.0) / p, out=upper)
 
 
@@ -1021,13 +1054,14 @@ def _slot1_pieces(upper, s2, pieces):
     return edges, survival[:, :-1] - survival[:, 1:]
 
 
-def _upper_sum(kernel, alpha, beta, edges, mass, cfg):
-    """The upper Riemann sum of the kernel's integrand at each point
-    (alpha[i], beta[i]) over the pieces of _slot1_pieces (edges[i],
-    mass[i]), plus the mass past the cut: a piece contributes at most the
-    kernel's bound factor on it times its exact slot-1 mass, and the range
-    past the cut its mass."""
-    factor = kernel.factor(edges, alpha[:, None], beta[:, None], cfg)
+def _upper_sum(kernel, corners, edges, mass, cfg):
+    """The upper Riemann sum of the kernel's integrand over each cell
+    (corners: alpha0, alpha1, beta0, beta1, one entry per cell) and the
+    pieces of _slot1_pieces (edges[i], mass[i]), plus the mass past the
+    cut: a piece contributes at most the kernel's bound factor on it times
+    its exact slot-1 mass, and the range past the cut its mass."""
+    alpha0, alpha1, beta0, beta1 = (x[:, None] for x in corners)
+    factor = kernel.factor(edges, alpha0, beta0, alpha1, beta1, cfg)
     factor *= mass[:, :-1]
     return factor.sum(axis=1) + mass[:, -1]
 
@@ -1038,38 +1072,51 @@ def _bound_slack(settings):
     return _BOUND_MARGIN + _TOL_SLACK * max(settings.abs_tol, settings.rel_tol)
 
 
+def _cell_bound(p3_cells, p4_cells, cfg, pieces, settings=None):
+    """Upper bounds on what prob_p3 returns at every point of each cell of
+    p3_cells and prob_p4 at every point of each cell of p4_cells, at these
+    settings, with no quadrature.  A cell is [alpha0, alpha1] x [beta0,
+    beta1] in the unit square, and cells are given as four arrays (alpha0,
+    alpha1, beta0, beta1), one entry per cell; a point is the cell
+    alpha0 = alpha1, beta0 = beta1 (prob_p3_p4_bound).
+
+    Each is _upper_sum's bound with `pieces` pieces of _slot1_pieces over
+    [0, _g_max_cell] (0 where that is <= 0, prob_p3/prob_p4's guard),
+    inflated to (1 + M) bound + M + _TOL_SLACK max(abs_tol, rel_tol),
+    M = _BOUND_MARGIN.  The kernel's vanishing rule is proved at a point,
+    so only a point's integral that it proves 0.0 gets no sum.  More pieces
+    give a tighter bound."""
+    slack = _bound_slack(settings)
+    bounds = []
+    for kernel, cells in ((_JOINT, p3_cells), (_ONLY_M1, p4_cells)):
+        alpha0, alpha1, beta0, beta1 = corners = [
+            np.asarray(x, dtype=float) for x in cells]
+        upper = _g_max_cell(alpha0, alpha1, cfg)
+        np.maximum(upper, 0.0, out=upper)
+        distinct, inverse = np.unique(upper, return_inverse=True)
+        edges, mass = _slot1_pieces(distinct, cfg.sigma2, pieces)
+        bound = np.zeros(len(alpha0))
+        vanishes = ((alpha0 == alpha1) & (beta0 == beta1)
+                    & kernel.vanishes(alpha1, beta1, upper, cfg))
+        rest = np.flatnonzero(~vanishes)
+        for s in range(0, len(rest), _BOUND_CHUNK):
+            run = rest[s:s + _BOUND_CHUNK]
+            at = inverse[run]
+            bound[run] = _upper_sum(kernel, [x[run] for x in corners], edges[at],
+                                    mass[at], cfg)
+        bounds.append(bound * (1.0 + _BOUND_MARGIN) + slack)
+    return bounds[0], bounds[1]
+
+
 def prob_p3_p4_bound(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
                      pieces: int, settings: Optional[QuadratureSettings] = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Upper bounds on what prob_p3 returns at each point (p3_alphas[i],
     p3_betas[i]) and prob_p4 at each point (p4_alphas[j], p4_betas[j]), at
-    these settings, with no quadrature.
-
-    Each is _upper_sum's bound on the integral with `pieces` pieces of
-    _slot1_pieces over [0, g_max] (0 where g_max <= 0, prob_p3/prob_p4's
-    guard), inflated to (1 + M) bound + M +
-    _TOL_SLACK max(abs_tol, rel_tol), M = _BOUND_MARGIN.  An integral that
-    its kernel's vanishing rule proves 0.0 gets no sum.  More pieces give
-    a tighter bound."""
-    slack = _bound_slack(settings)
-    bounds = []
-    for kernel, alphas, betas in ((_JOINT, p3_alphas, p3_betas),
-                                  (_ONLY_M1, p4_alphas, p4_betas)):
-        alpha = np.asarray(alphas, dtype=float)
-        beta = np.asarray(betas, dtype=float)
-        distinct, inverse = np.unique(alpha, return_inverse=True)
-        upper = _g_max_each(distinct, cfg)
-        np.maximum(upper, 0.0, out=upper)
-        edges, mass = _slot1_pieces(upper, cfg.sigma2, pieces)
-        bound = np.zeros(len(alpha))
-        rest = np.flatnonzero(~kernel.vanishes(alpha, beta, upper[inverse], cfg))
-        for s in range(0, len(rest), _BOUND_CHUNK):
-            run = rest[s:s + _BOUND_CHUNK]
-            at = inverse[run]
-            bound[run] = _upper_sum(kernel, alpha[run], beta[run], edges[at],
-                                    mass[at], cfg)
-        bounds.append(bound * (1.0 + _BOUND_MARGIN) + slack)
-    return bounds[0], bounds[1]
+    these settings, with no quadrature: _cell_bound at one-point cells."""
+    return _cell_bound((p3_alphas, p3_alphas, p3_betas, p3_betas),
+                       (p4_alphas, p4_alphas, p4_betas, p4_betas),
+                       cfg, pieces, settings)
 
 
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,

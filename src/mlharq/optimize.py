@@ -20,9 +20,10 @@ the best point (_refine).  The later windows are dropped, so the windows
 offered, their values and failures, the result and `evaluations` are
 those of one call per window.  The mlh coarse grid integrates only the
 points that can still be its argmax: the others are pruned by upper
-bounds on p3 and p4 (closed_form's prob_p3_p4_bound) against an
-incumbent, in a few _mlh_columns calls (_coarse_values), the first of
-which carries p1.  The values are combined elementwise by
+bounds on p3 and p4 against an incumbent, first over blocks of points
+(closed_form's _cell_bound), then at each point left (prob_p3_p4_bound),
+in a few _mlh_columns calls (_coarse_values), the first of which carries
+p1.  The values are combined elementwise by
 mlh_throughput_from_probs and sc_throughput_from_probs and offered as one
 array, a pruned point as NaN: the winner is the one a point-by-point loop
 in the scalar search's order would keep.  A lockstep call that fails
@@ -44,6 +45,7 @@ from .closed_form import (
     EventProbs,
     ScProbs,
     _bound_slack,
+    _cell_bound,
     _lockstep,
     _mlh_columns,
     _mlh_job,
@@ -73,8 +75,11 @@ class Optimum:
 
 
 _MAX_GRID = 1000   # cap on the coarse grid's subdivisions of [0, 1]
-_BOUND_PIECES = (8, 32)   # pieces of the mlh coarse grid's bounds, pass by pass
-_INCUMBENT_POINTS = 16    # points integrated per pass: the highest bounds
+_BLOCK = 8                # grid indices per side of a block of the block pass
+_BLOCK_PIECES = 32        # pieces of the block pass's cell bounds
+_BOUND_PIECES = (8, 32)   # pieces of the mlh coarse grid's point bounds, pass by pass
+_FEW_POINTS = 2048        # at most this many left after the block pass: 32 pieces only
+_INCUMBENT_POINTS = 16    # points integrated per point pass: the highest bounds
 
 
 def _axis_points(grid_step: float) -> list[float]:
@@ -85,6 +90,17 @@ def _axis_points(grid_step: float) -> list[float]:
                          "subdivisions of [0, 1]")
     n = max(1, round(1.0 / grid_step))
     return [i / n for i in range(n + 1)]
+
+
+def _blocks(n):
+    """The first grid index of each block of the indices 0..n: _BLOCK
+    indices each from either end, and the rest, fewer than 2 _BLOCK, in
+    one middle block.  The blocks are mirror-symmetric: the mirrors n - i
+    of block b's indices are block nb - 1 - b."""
+    m = (n + 1) // (2 * _BLOCK)
+    middle = [m * _BLOCK] if n + 1 > 2 * m * _BLOCK else []
+    return np.array([*range(0, m * _BLOCK, _BLOCK), *middle,
+                     *range(n + 1 - m * _BLOCK, n + 1, _BLOCK)])
 
 
 def _window(center: float, step: float) -> list[float]:
@@ -134,25 +150,42 @@ def _coarse_values(pts, cfg, settings):
     pass no rows, p3 and p4 alone.
 
     Only the argmax is used, so only the points that can still win are
-    integrated.  prob_p3_p4_bound gives each p3/p4 integral an upper bound
-    on the value its quadrature returns, with no quadrature, so the
-    objective in the same arithmetic gives each point a bound.  The
-    incumbent starts at the time-sharing corner (1, 1).  Then for 8, then
-    32 pieces: the points still in play are bounded, the 16 highest bounds
-    are integrated and the best value found becomes the incumbent, and a
-    point whose bound lies below it is pruned.  Two margins keep that
-    sound: each integral's bound carries closed_form._BOUND_MARGIN for its
-    own rounding and 6 max(abs_tol, rel_tol) of the run's settings for the
-    quadrature's, so the objective's bound carries 24 R max(abs_tol,
-    rel_tol) over a denominator 2 - p0 <= 2: at least 12 R max(abs_tol,
-    rel_tol).  A pruned point's value thus lies below the incumbent, a
-    value of the grid, and never wins; a NaN or +inf bound never prunes.
-    No integral's bound falls below those margins, so a point whose
-    objective at the margins alone reaches the incumbent cannot be pruned
-    and is not bounded again.  The points left are integrated in one last
-    lockstep call, each integral once over all the calls.  The pruned
-    points are offered as NaN, which never wins, so the argmax, the windows
-    and `evaluations` are those of the whole grid.
+    integrated.  closed_form's _cell_bound gives the p3/p4 integrals at
+    every point of a cell of shares an upper bound on the values their
+    quadratures return, with no quadrature (prob_p3_p4_bound at one
+    point), so the objective in the same arithmetic gives each point a
+    bound.  The incumbent starts at the time-sharing corner (1, 1).
+
+    The block pass comes first.  The grid indices fall into
+    mirror-symmetric runs of _BLOCK (_blocks), and the grid into blocks of
+    _BLOCK x _BLOCK points (169 cells at 0.01); p3 and p4 are bounded once
+    over each block's cell, at _BLOCK_PIECES pieces.  A
+    point's bound takes p4 from its block, p4' from its mirror block (the
+    exact index mirror) and p3 from the larger of the two, as p3 is read
+    at the canonical point, with its row's slot-1 terms; a point whose
+    bound lies below the corner's value is pruned.  Where the corner is
+    the argmax (9 of the 12 rates at 3 dB) this leaves the corner's block
+    and a few more, 92-99% of the points pruned.  Then the point passes,
+    for 8, then 32 pieces (32 alone where at most _FEW_POINTS points are
+    left, as an 8-piece pass then prunes less than it costs): the points
+    still in play are bounded, the 16 highest bounds are integrated and
+    the best value found becomes the incumbent, and a point whose bound
+    lies below it is pruned.
+
+    Two margins keep that sound: each integral's bound carries
+    closed_form._BOUND_MARGIN for its own rounding and 6 max(abs_tol,
+    rel_tol) of the run's settings for the quadrature's, so the
+    objective's bound carries 24 R max(abs_tol, rel_tol) over a
+    denominator 2 - p0 <= 2: at least 12 R max(abs_tol, rel_tol).  A
+    pruned point's value thus lies below the incumbent, a value of the
+    grid, and never wins; a NaN or +inf bound never prunes.  No
+    integral's bound falls below those margins, so a point whose objective
+    at the margins alone reaches the incumbent cannot be pruned and is not
+    bounded again; where every point's does, there is no block pass.  The
+    points left are integrated in one last lockstep call, each integral
+    once over all the calls.  The pruned points are offered as NaN, which
+    never wins, so the argmax, the windows and `evaluations` are those of
+    the whole grid.
 
     Each lockstep call's NonConvergence names its lowest failing integral
     (p1 before p3 before p4), a share or point at which the scalar closed
@@ -218,12 +251,30 @@ def _coarse_values(pts, cfg, settings):
                                           betas[k4], cfg, pieces, settings)
         return objective(u3, u4)
 
+    def block_bound():
+        """Each point's bound from the cell bounds of the blocks: p3 at
+        the canonical point, in the point's block or its mirror block, and
+        p4 in the point's block, p4' in its mirror block, so the objective
+        in its arithmetic bounds the point's value."""
+        first = _blocks(n)
+        last = np.append(first[1:], n + 1) - 1
+        nb = len(first)
+        bi, bj = np.divmod(np.arange(nb * nb), nb)
+        cells = (grid[first[bi]], grid[last[bi]], grid[first[bj]], grid[last[bj]])
+        c3, c4 = _cell_bound(cells, cells, cfg, _BLOCK_PIECES, settings)
+        block = np.searchsorted(first, np.arange(n + 1), side="right") - 1
+        cell = block[i] * nb + block[j]
+        mirror = nb * nb - 1 - cell
+        return objective(np.maximum(c3[cell], c3[mirror]), c4[cell])
+
     slack = np.full(size, _bound_slack(settings))
     floor = objective(slack, slack)   # no point's bound lies below its floor
     incumbent = objective(p3, p4)[-1]
     live = np.ones(size, dtype=bool)
-    candidates = live   # the points to bound: at first all of them
-    for pieces in _BOUND_PIECES:
+    if (floor < incumbent).any():
+        live = ~(block_bound() < incumbent)
+    candidates = live   # the points to bound: at first all that are left
+    for pieces in _BOUND_PIECES[-1:] if live.sum() <= _FEW_POINTS else _BOUND_PIECES:
         if not (candidates & (floor < incumbent)).any():
             break
         tb = np.where(live, bound(candidates, pieces), np.nan)

@@ -90,10 +90,12 @@ class QuadratureSettings:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        # an infinite tolerance accepts any first estimate, and makes the
+        # error test multiply inf by 0 and the bounds' slack infinite
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

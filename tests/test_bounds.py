@@ -1,11 +1,12 @@
 """Upper bounds on p3 and p4, which prune the mlh coarse grid.
 
 closed_form.prob_p3_p4_bound claims to bound, with no quadrature, what
-prob_p3 and prob_p4 return at the given settings.  These tests hold the
-claim against the quadratures where the integrands change form: shares 0
-and 1, the vanishing threshold 2^R/(2^R + 1), one ulp either side of it
-and its mirror, and a subnormal share, over rates, SNRs and sigma2 from
-0.3 to the largest decade a config accepts.
+prob_p3 and prob_p4 return at the given settings, and closed_form's
+_cell_bound what they return at every point of a rectangle of shares.
+These tests hold the claims against the quadratures where the integrands
+change form: shares 0 and 1, the vanishing threshold 2^R/(2^R + 1), one
+ulp either side of it and its mirror, and a subnormal share, over rates,
+SNRs and sigma2 from 0.3 to the largest decade a config accepts.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from mlharq.closed_form import (
     _bound_slack,
+    _cell_bound,
     _g_max_each,
     _slot1_pieces,
     prob_p3,
@@ -37,18 +39,27 @@ def _edge_shares(cfg):
             1.0 - vt, 2.2250738585e-313]
 
 
-@st.composite
-def bound_cases(draw):
-    """(alphas, betas, cfg, settings, pieces): up to 6 points with shares on
-    the edges above, or anywhere in [0, 1]."""
+def _config(draw):
+    """A config over rates, SNRs and sigma2 up to the largest decade."""
     rate = draw(st.floats(0.05, 24.0))
     snr_db = draw(st.floats(-5.0, 40.0))
     sigma2 = draw(st.sampled_from([0.3, 1.0, 4.0, 1e153]))
     try:
-        cfg = SystemConfig.from_snr_db(snr_db, rate, sigma2)
+        return SystemConfig.from_snr_db(snr_db, rate, sigma2)
     except ValueError:   # sigma2 * P overflows at the largest sigma2
         reject()
-    shares = st.one_of(st.sampled_from(_edge_shares(cfg)), st.floats(0.0, 1.0))
+
+
+def _shares(cfg):
+    return st.one_of(st.sampled_from(_edge_shares(cfg)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def bound_cases(draw):
+    """(alphas, betas, cfg, settings, pieces): up to 6 points with shares on
+    the edges above, or anywhere in [0, 1]."""
+    cfg = _config(draw)
+    shares = _shares(cfg)
     n = draw(st.integers(1, 6))
     alphas = draw(st.lists(shares, min_size=n, max_size=n))
     betas = draw(st.lists(shares, min_size=n, max_size=n))
@@ -100,3 +111,55 @@ def test_more_pieces_bound_tighter():
     for c, f in zip(coarse, fine):
         assert (f <= c + 2.0 ** -50).all()
         assert (f >= _bound_slack(None)).all()
+
+
+@st.composite
+def cell_cases(draw):
+    """(cells, points, cfg, settings, pieces): up to 3 rectangles [alpha0,
+    alpha1] x [beta0, beta1] whose corners lie on the edges above or
+    anywhere in [0, 1], a third of them one point, and for each its four
+    corners and 3 points inside."""
+    cfg = _config(draw)
+    shares = _shares(cfg)
+    cells, points = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = sorted(draw(st.lists(shares, min_size=2, max_size=2)))
+        beta = sorted(draw(st.lists(shares, min_size=2, max_size=2)))
+        if draw(st.integers(0, 2)) == 0:
+            alpha[1], beta[1] = alpha[0], beta[0]
+        inside = [tuple(min(hi, max(lo, lo + t * (hi - lo)))
+                        for (lo, hi), t in zip((alpha, beta), ts))
+                  for ts in draw(st.lists(st.tuples(st.floats(0.0, 1.0),
+                                                    st.floats(0.0, 1.0)),
+                                          min_size=3, max_size=3))]
+        cells.append((*alpha, *beta))
+        points.append([(a, b) for a in alpha for b in beta] + inside)
+    quad = draw(st.sampled_from([DEFAULT_SETTINGS, LOOSE]))
+    pieces = draw(st.sampled_from([1, 8, 32]))
+    return cells, points, cfg, quad, pieces
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=cell_cases())
+def test_the_cell_bounds_reach_past_the_values(case):
+    """Each cell's bound is at least what prob_p3 / prob_p4 return at its
+    corners and at points inside it, plus twice the tolerance (as in
+    test_the_bounds_reach_past_the_values), and a one-point cell's bound
+    has prob_p3_p4_bound's bits."""
+    cells, points, cfg, quad, pieces = case
+    corners = tuple(np.array(x) for x in zip(*cells))
+    u3, u4 = _cell_bound(corners, corners, cfg, pieces, quad)
+    room = 2.0 * max(quad.abs_tol, quad.rel_tol)
+    for k, (cell, inside) in enumerate(zip(cells, points)):
+        alpha0, alpha1, beta0, beta1 = cell
+        if alpha0 == alpha1 and beta0 == beta1:
+            w3, w4 = prob_p3_p4_bound([alpha0], [beta0], [alpha0], [beta0], cfg,
+                                      pieces, quad)
+            assert (u3[k].hex(), u4[k].hex()) == (w3[0].hex(), w4[0].hex())
+        for a, b in inside:
+            try:
+                v3, v4 = prob_p3(a, b, cfg, quad), prob_p4(a, b, cfg, quad)
+            except NonConvergence:
+                continue
+            assert u3[k] - room >= v3, (cell, a, b, cfg, quad, pieces)
+            assert u4[k] - room >= v4, (cell, a, b, cfg, quad, pieces)

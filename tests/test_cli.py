@@ -321,6 +321,22 @@ class TestOptimize:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than 1000 subdivisions" in err
 
+    @pytest.mark.parametrize("tols", [("--abs-tol", "inf", "--rel-tol", "inf"),
+                                      ("--abs-tol", "inf"),
+                                      ("--rel-tol", "nan")])
+    def test_nonfinite_tolerance_exits_1(self, capsys, tols):
+        """A tolerance must be finite: an infinite one would accept any
+        first estimate (multiplying inf by 0 in the error test) and make
+        the coarse grid's bounds infinite.  One error line, no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "optimize", "--protocol", "mlh",
+                                 "--rate", "1", "--snr-db", "3", *tols)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite and > 0" in err
+
 
 class TestSweep:
     def test_writes_csv_and_prints_count(self, capsys, tmp_path):

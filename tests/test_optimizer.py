@@ -218,9 +218,11 @@ def _repr_cases():
     two run in one call: at 10 dB, R = 1.3 and 20 dB, R = 5.3 the second
     moves the best point, so the third is dropped and run again, centred
     on the new point (at 20 dB, R = 2.3 both are kept).  Then the mlh
-    search at a coarser grid, at four configs where the bounds prune 92%
+    search at a coarser grid, at four configs where the bounds prune 95%
     (40 dB, R = 12) to 96% of the coarse points, and at a loose tolerance
-    (73% pruned)."""
+    (73% pruned).  Last the default mlh search at two configs where the
+    corner wins and the block pass alone prunes 98.7% of the coarse points
+    (-5 dB, R = 2 and 20 dB, R = 10)."""
     cases = [pytest.param(protocol, snr_db, rate, {},
                           id=f"{snr_db}-{rate}-{protocol}")
              for snr_db, rate in [(3.0, 0.3), (3.0, 0.8), (3.0, 1.3),
@@ -236,6 +238,8 @@ def _repr_cases():
     loose = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4)
     cases.append(pytest.param("mlh", 3.0, 1.0, dict(coarse, settings=loose),
                               id="3.0-1.0-mlh-grid0.05-loose"))
+    cases += [pytest.param("mlh", snr_db, rate, {}, id=f"{snr_db}-{rate}-mlh")
+              for snr_db, rate in [(-5.0, 2.0), (20.0, 10.0)]]
     return cases
 
 
@@ -406,6 +410,60 @@ class TestPruning:
         return cls.objective(pts, cfg, lambda *points: optimize._mlh_columns(
             [], [], *points)[1:])
 
+    @staticmethod
+    def blocks(pts):
+        """Each point's cell (the corner indices (i0, i1, j0, j1) of its
+        block, from optimize._blocks) and its mirror block's, as two
+        (4, points) arrays."""
+        n = len(pts) - 1
+        first = optimize._blocks(n)
+        last = np.append(first[1:], n + 1) - 1
+        block = np.searchsorted(first, np.arange(n + 1), side="right") - 1
+        i, j = np.repeat(block, n + 1), np.tile(block, n + 1)
+        cell = np.array([first[i], last[i], first[j], last[j]])
+        return cell, cell[:, ::-1]
+
+    @classmethod
+    def block_bound(cls, pts, cfg, cell_bound=closed_form._cell_bound):
+        """The block pass's bound at every point, in its arithmetic: the
+        32-piece cell bounds of the point's block and of its mirror block
+        (p3 the larger of the two, p4 the block's, p4' the mirror's)."""
+        grid = np.array(pts)
+        cell, mirror = (tuple(grid[c]) for c in cls.blocks(pts))
+        u3, u4 = cell_bound(cell, cell, cfg, 32)
+        v3, _ = cell_bound(mirror, mirror, cfg, 32)
+        return cls.objective(pts, cfg, lambda *_: (np.maximum(u3, v3), u4))
+
+    @staticmethod
+    def block_pass_alone(monkeypatch):
+        """Point bounds of +inf, which never prune: what _coarse_values
+        prunes is then what its block pass prunes."""
+        def never(p3_alphas, p3_betas, p4_alphas, p4_betas, *args):
+            return np.full(len(p3_alphas), np.inf), np.full(len(p4_alphas), np.inf)
+        monkeypatch.setattr(optimize, "prob_p3_p4_bound", never)
+
+    @pytest.mark.parametrize("rate", [3.3, 1.8])
+    def test_blocks_prune_at_a_corner_rate(self, monkeypatch, rate):
+        """Where the time-sharing corner is the 0.01 grid's argmax (3 dB,
+        R = 3.3 and 1.8), the block pass alone prunes at least 90% of the
+        points (98.7% and 92.2%), each with a block bound below the grid's
+        exact maximum, and the points left keep their bits.  Multiplying
+        the block pass's incumbent by 1.001 in _coarse_values prunes
+        points that this test catches (48 block bounds at R = 1.8 lie in
+        [max, 1.001 max))."""
+        cfg = SystemConfig.from_snr_db(3.0, rate)
+        pts = _axis_points(0.01)
+        exact = self.unpruned(pts, cfg)
+        assert exact[-1] == exact.max()
+        got = optimize._coarse_values(pts, cfg, None).ravel()
+        kept = ~np.isnan(got)
+        assert [float.hex(x) for x in got[kept]] == \
+            [float.hex(x) for x in exact[kept]]
+        self.block_pass_alone(monkeypatch)
+        blocked = np.isnan(optimize._coarse_values(pts, cfg, None).ravel())
+        assert blocked.sum() >= 0.9 * blocked.size
+        assert (self.block_bound(pts, cfg)[blocked] < exact.max()).all()
+
     @pytest.mark.parametrize("snr_db,rate", [(3.0, 1.0), (10.0, 1.78)])
     def test_every_pruned_point_has_a_bound_below_the_grid_maximum(self, snr_db,
                                                                    rate):
@@ -465,6 +523,48 @@ class TestPruning:
             [float.hex(x) for x in want[kept]]
         if every == 3:
             assert not kept.all()   # the other points are still pruned
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_a_nan_or_inf_cell_bound_never_prunes(self, monkeypatch, bad, every):
+        """Spoil the p3 and p4 cell bounds of every block (every = 1), or
+        p3's of the blocks whose first indices (i0, j0) have i0 + j0 = 0
+        mod 3 and p4's of those with i0 + j0 = 1 mod 3, with point bounds
+        that never prune (3 dB, R = 3.3, a 0.02 grid of 7 x 7 blocks): no
+        point whose objective reads a spoiled cell bound (its block's or
+        its mirror block's) is pruned, each point that is not pruned has
+        the unpruned grid's bits, and the other blocks are still pruned."""
+        cfg = SystemConfig.from_snr_db(3.0, 3.3)
+        pts = _axis_points(0.02)
+        n = len(pts) - 1
+        cell_bound = optimize._cell_bound
+
+        def spoiled(alpha0, beta0, residue):
+            i0, j0 = (np.rint(np.asarray(x) * n).astype(int) for x in (alpha0, beta0))
+            return (i0 + j0) % every == residue % every
+
+        def patched(p3_cells, p4_cells, cfg, pieces, quad=None):
+            u3, u4 = cell_bound(p3_cells, p4_cells, cfg, pieces, quad)
+            u3[spoiled(p3_cells[0], p3_cells[2], 0)] = bad
+            u4[spoiled(p4_cells[0], p4_cells[2], 1)] = bad
+            return u3, u4
+
+        monkeypatch.setattr(optimize, "_cell_bound", patched)
+        self.block_pass_alone(monkeypatch)
+        got = optimize._coarse_values(pts, cfg, None).ravel()
+        want = self.unpruned(pts, cfg)
+        cell, mirror = self.blocks(pts)
+        reads = np.zeros(len(got), dtype=bool)
+        for block in (cell, mirror):
+            for residue in (0, 1):
+                reads |= spoiled(block[0] / n, block[2] / n, residue)
+        assert reads.any()
+        kept = ~np.isnan(got)
+        assert kept[reads].all()
+        assert [float.hex(x) for x in got[kept]] == \
+            [float.hex(x) for x in want[kept]]
+        if every == 3:
+            assert not kept.all()
 
 
 class TestArrayOffers:

@@ -106,6 +106,11 @@ class TestErrorControl:
             QuadratureSettings(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSettings(rel_tol=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                QuadratureSettings(abs_tol=bad)
+            with pytest.raises(ValueError, match="finite"):
+                QuadratureSettings(rel_tol=bad)
 
 
 class TestAgainstMidpointOracle:
