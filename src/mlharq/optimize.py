@@ -76,9 +76,7 @@ class Optimum:
 
 _MAX_GRID = 1000   # cap on the coarse grid's subdivisions of [0, 1]
 _BLOCK = 8                # grid indices per side of a block of the block pass
-_BLOCK_PIECES = 32        # pieces of the block pass's cell bounds
 _BOUND_PIECES = (8, 32)   # pieces of the mlh coarse grid's point bounds, pass by pass
-_FEW_POINTS = 2048        # at most this many left after the block pass: 32 pieces only
 _INCUMBENT_POINTS = 16    # points integrated per point pass: the highest bounds
 
 
@@ -93,14 +91,17 @@ def _axis_points(grid_step: float) -> list[float]:
 
 
 def _blocks(n):
-    """The first grid index of each block of the indices 0..n: _BLOCK
-    indices each from either end, and the rest, fewer than 2 _BLOCK, in
-    one middle block.  The blocks are mirror-symmetric: the mirrors n - i
-    of block b's indices are block nb - 1 - b."""
+    """The blocks of the grid indices 0..n: _BLOCK indices each from either
+    end, and the rest, fewer than 2 _BLOCK, in one middle block.  Returns
+    (first, last, block): each block's first and last index, and each
+    index's block.  The blocks are mirror-symmetric: the mirrors n - i of
+    block b's indices are block nb - 1 - b."""
     m = (n + 1) // (2 * _BLOCK)
     middle = [m * _BLOCK] if n + 1 > 2 * m * _BLOCK else []
-    return np.array([*range(0, m * _BLOCK, _BLOCK), *middle,
-                     *range(n + 1 - m * _BLOCK, n + 1, _BLOCK)])
+    first = np.array([*range(0, m * _BLOCK, _BLOCK), *middle,
+                      *range(n + 1 - m * _BLOCK, n + 1, _BLOCK)])
+    last = np.append(first[1:], n + 1) - 1
+    return first, last, np.repeat(np.arange(len(first)), last - first + 1)
 
 
 def _window(center: float, step: float) -> list[float]:
@@ -159,18 +160,20 @@ def _coarse_values(pts, cfg, settings):
     The block pass comes first.  The grid indices fall into
     mirror-symmetric runs of _BLOCK (_blocks), and the grid into blocks of
     _BLOCK x _BLOCK points (169 cells at 0.01); p3 and p4 are bounded once
-    over each block's cell, at _BLOCK_PIECES pieces.  A
+    over each block's cell, at the last pass's pieces (32).  A
     point's bound takes p4 from its block, p4' from its mirror block (the
     exact index mirror) and p3 from the larger of the two, as p3 is read
     at the canonical point, with its row's slot-1 terms; a point whose
     bound lies below the corner's value is pruned.  Where the corner is
     the argmax (9 of the 12 rates at 3 dB) this leaves the corner's block
     and a few more, 92-99% of the points pruned.  Then the point passes,
-    for 8, then 32 pieces (32 alone where at most _FEW_POINTS points are
-    left, as an 8-piece pass then prunes less than it costs): the points
-    still in play are bounded, the 16 highest bounds are integrated and
-    the best value found becomes the incumbent, and a point whose bound
-    lies below it is pruned.
+    for 8, then 32 pieces (32 alone once the block pass has pruned a
+    point: of the points it leaves, 8 pieces prune few, 13% at 3 dB,
+    R = 1.3, or few are left, at most 800 at the corner rates, so an
+    8-piece pass costs more than it saves): the points still in play are
+    bounded, the 16 highest bounds are integrated and the best value found
+    becomes the incumbent, and a point whose bound lies below it is
+    pruned.
 
     Two margins keep that sound: each integral's bound carries
     closed_form._BOUND_MARGIN for its own rounding and 6 max(abs_tol,
@@ -256,13 +259,11 @@ def _coarse_values(pts, cfg, settings):
         the canonical point, in the point's block or its mirror block, and
         p4 in the point's block, p4' in its mirror block, so the objective
         in its arithmetic bounds the point's value."""
-        first = _blocks(n)
-        last = np.append(first[1:], n + 1) - 1
+        first, last, block = _blocks(n)
         nb = len(first)
         bi, bj = np.divmod(np.arange(nb * nb), nb)
         cells = (grid[first[bi]], grid[last[bi]], grid[first[bj]], grid[last[bj]])
-        c3, c4 = _cell_bound(cells, cells, cfg, _BLOCK_PIECES, settings)
-        block = np.searchsorted(first, np.arange(n + 1), side="right") - 1
+        c3, c4 = _cell_bound(cells, cells, cfg, _BOUND_PIECES[-1], settings)
         cell = block[i] * nb + block[j]
         mirror = nb * nb - 1 - cell
         return objective(np.maximum(c3[cell], c3[mirror]), c4[cell])
@@ -274,7 +275,7 @@ def _coarse_values(pts, cfg, settings):
     if (floor < incumbent).any():
         live = ~(block_bound() < incumbent)
     candidates = live   # the points to bound: at first all that are left
-    for pieces in _BOUND_PIECES[-1:] if live.sum() <= _FEW_POINTS else _BOUND_PIECES:
+    for pieces in _BOUND_PIECES if live.all() else _BOUND_PIECES[-1:]:
         if not (candidates & (floor < incumbent)).any():
             break
         tb = np.where(live, bound(candidates, pieces), np.nan)

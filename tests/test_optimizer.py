@@ -416,9 +416,7 @@ class TestPruning:
         block, from optimize._blocks) and its mirror block's, as two
         (4, points) arrays."""
         n = len(pts) - 1
-        first = optimize._blocks(n)
-        last = np.append(first[1:], n + 1) - 1
-        block = np.searchsorted(first, np.arange(n + 1), side="right") - 1
+        first, last, block = optimize._blocks(n)
         i, j = np.repeat(block, n + 1), np.tile(block, n + 1)
         cell = np.array([first[i], last[i], first[j], last[j]])
         return cell, cell[:, ::-1]
