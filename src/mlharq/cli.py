@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .closed_form import (
 from .model import PROTOCOLS, PowerSplit, SystemConfig
 from .monte_carlo import estimate
 from .optimize import optimize_rate_and_split, optimize_split
-from .quadrature import NonConvergence, QuadratureSettings
+from .quadrature import DEFAULT_SETTINGS, NonConvergence, QuadratureSettings
 from .sweeps import SWEEP_KINDS, SweepSpec, run_sweep, write_csv
 
 __all__ = ["main"]
@@ -55,8 +54,8 @@ def _add_split_args(sub):
 
 
 def _add_quadrature_args(sub):
-    sub.add_argument("--abs-tol", type=float, default=None)
-    sub.add_argument("--rel-tol", type=float, default=None)
+    sub.add_argument("--abs-tol", type=float, default=DEFAULT_SETTINGS.abs_tol)
+    sub.add_argument("--rel-tol", type=float, default=DEFAULT_SETTINGS.rel_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,14 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settings(args) -> Optional[QuadratureSettings]:
-    abs_tol = getattr(args, "abs_tol", None)
-    rel_tol = getattr(args, "rel_tol", None)
-    if abs_tol is None and rel_tol is None:
-        return None
-    base = QuadratureSettings()
-    return QuadratureSettings(abs_tol=abs_tol if abs_tol is not None else base.abs_tol,
-                              rel_tol=rel_tol if rel_tol is not None else base.rel_tol)
+def _settings(args) -> QuadratureSettings:
+    return QuadratureSettings(args.abs_tol, args.rel_tol)
 
 
 def _require_rate(args):

@@ -33,17 +33,18 @@ _cell_bound bounds what prob_p3 and prob_p4 return at every point of a
 rectangle of shares from above, with no quadrature: upper Riemann sums,
 as h3, h4 and h4_bar do not increase with g, each taken at the corner of
 the rectangle where it is least (h3's two layer terms at two corners) or
-largest, as they are monotone in the shares.  prob_p3_p4_bound is the
-one-point case, with the same code.  The optimizer prunes the mlh coarse
-grid with them.
+largest, as they are monotone in the shares; a point is the one-point
+cell.  The optimizer prunes the mlh coarse grid with them, over blocks
+of points and at single points.
 p1's window rule has one form, _p1_window and _p1_closed, which both
 paths call once per share.  Each slot-2 kernel is one _Kernel record, its
 integrand, kink root terms, vanishing rule and bound factor, which the
 scalar path, the lockstep path and the bounds all read.  The kink
 candidates are solved from the one set of terms into a list for single
 calls and into an array for grids, with the same bits.  Only g_max is
-written twice, as g_max and _g_max_each (tests pin the two together).  The
-grid functions do not read or fill the scalar caches.
+written twice, as g_max and _g_max_cell (tests pin g_max to the
+one-point cell).  The grid functions do not read or fill the scalar
+caches.
 
 A kernel's integral that is exactly 0.0 by proof is returned without
 integrating, on both paths, so skipping it moves no bit: _ONLY_M1's where
@@ -65,7 +66,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .model import PowerSplit, SystemConfig, safe_div_threshold
+from .model import _GAIN_SPAN, PowerSplit, SystemConfig, safe_div_threshold
 from .quadrature import (
     DEFAULT_SETTINGS,
     TAIL_SPAN,
@@ -88,7 +89,6 @@ __all__ = [
     "prob_p2",
     "prob_p2_prime",
     "prob_p3",
-    "prob_p3_p4_bound",
     "prob_p4",
     "prob_p4_prime",
     "prob_sc",
@@ -323,6 +323,14 @@ def _h3(g, alpha, beta, alpha2, beta2, cfg):
     return np.maximum(0.0, t, out=t)
 
 
+def _h4_may_overflow(cfg):
+    """Whether h4's 2^R u, u = 1 + g(1-alpha)P, can overflow at a sampled
+    gain g: g is at most g_max <= (2^2R - 1)/P or sigma2 _GAIN_SPAN, and a
+    factor of 2 covers the rounding of u."""
+    top = max(2.0 ** (2.0 * cfg.rate_R), cfg.sigma2 * cfg.power_P * _GAIN_SPAN)
+    return math.isinf(2.0 * 2.0 ** cfg.rate_R * (top + 1.0))
+
+
 def h4(g, alpha, beta, cfg):
     """Lower/upper slot-2 gain thresholds for "only m1 recovers at slot 2".
 
@@ -347,7 +355,11 @@ def h4(g, alpha, beta, cfg):
     v = np.multiply(g, p, out=np.empty(shape))
     v += 1.0                                   # 1 + gP
     # residual SINR required of slot 2: 2^R / (1 + slot-1 SINR of m1) - 1
-    n = np.multiply(k1, u, out=np.empty(shape))
+    if _h4_may_overflow(cfg):
+        with np.errstate(over="ignore"):
+            n = np.multiply(k1, u, out=np.empty(shape))
+    else:
+        n = np.multiply(k1, u, out=np.empty(shape))
     n -= v
     n /= v
     # n overflows to +inf at huge rates; at beta = 1 this is 0 * inf, a NaN
@@ -732,7 +744,7 @@ class _Kernel(NamedTuple):
     """One slot-2 kernel after a both-fail slot 1: the integral of
     integrand(g, alpha, beta, cfg) over the slot-1 gain g in [0, upper].
     The scalar path (_slot2), the lockstep path (_slot2_part) and the
-    bounds (prob_p3_p4_bound) all read it.
+    bounds (_cell_bound) all read it.
 
     terms(alpha, beta, cfg) gives the integrand's kink root terms,
     vanishes(alpha, beta, upper, cfg) its vanishing rule, and
@@ -875,18 +887,13 @@ def _threshold(t, d):
         return np.divide(t, d, out=np.full(len(d), np.inf), where=d > 0.0)
 
 
-def _g_max_each(alpha, cfg):
-    """g_max at each share of the array alpha, with g_max's bits: its
-    arithmetic elementwise, which numpy rounds as Python does."""
-    return _g_max_cell(alpha, alpha, cfg)
-
-
 def _g_max_cell(alpha0, alpha1, cfg):
     """At least g_max at every share of each interval [alpha0[i],
     alpha1[i]], in g_max's arithmetic: its first threshold does not
     increase with alpha and its second does not decrease, so the first is
-    taken at alpha0 and the second at alpha1.  _g_max_each at
-    alpha0 = alpha1."""
+    taken at alpha0 and the second at alpha1.  At alpha0 = alpha1 it is
+    g_max at each share, with g_max's bits: its arithmetic elementwise,
+    which numpy rounds as Python does."""
     k1 = 2.0 ** cfg.rate_R
     t1 = k1 - 1.0
     p = cfg.power_P
@@ -967,7 +974,7 @@ def _mlh_job(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas, cfg):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         parts.append(_slot2_part(name, (a, b), kernel, a, b,
-                                 _g_max_each(a, cfg), cfg))
+                                 _g_max_cell(a, a, cfg), cfg))
 
     def finish(values):
         p1[index], p3, p4 = values
@@ -1067,7 +1074,7 @@ def _upper_sum(kernel, corners, edges, mass, cfg):
 
 
 def _bound_slack(settings):
-    """The least value of prob_p3_p4_bound's bounds at these settings."""
+    """The least value of _cell_bound's bounds at these settings."""
     settings = settings or DEFAULT_SETTINGS
     return _BOUND_MARGIN + _TOL_SLACK * max(settings.abs_tol, settings.rel_tol)
 
@@ -1078,7 +1085,7 @@ def _cell_bound(p3_cells, p4_cells, cfg, pieces, settings=None):
     settings, with no quadrature.  A cell is [alpha0, alpha1] x [beta0,
     beta1] in the unit square, and cells are given as four arrays (alpha0,
     alpha1, beta0, beta1), one entry per cell; a point is the cell
-    alpha0 = alpha1, beta0 = beta1 (prob_p3_p4_bound).
+    alpha0 = alpha1, beta0 = beta1.
 
     Each is _upper_sum's bound with `pieces` pieces of _slot1_pieces over
     [0, _g_max_cell] (0 where that is <= 0, prob_p3/prob_p4's guard),
@@ -1106,17 +1113,6 @@ def _cell_bound(p3_cells, p4_cells, cfg, pieces, settings=None):
                                     mass[at], cfg)
         bounds.append(bound * (1.0 + _BOUND_MARGIN) + slack)
     return bounds[0], bounds[1]
-
-
-def prob_p3_p4_bound(p3_alphas, p3_betas, p4_alphas, p4_betas, cfg: SystemConfig,
-                     pieces: int, settings: Optional[QuadratureSettings] = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bounds on what prob_p3 returns at each point (p3_alphas[i],
-    p3_betas[i]) and prob_p4 at each point (p4_alphas[j], p4_betas[j]), at
-    these settings, with no quadrature: _cell_bound at one-point cells."""
-    return _cell_bound((p3_alphas, p3_alphas, p3_betas, p3_betas),
-                       (p4_alphas, p4_alphas, p4_betas, p4_betas),
-                       cfg, pieces, settings)
 
 
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,

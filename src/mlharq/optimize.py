@@ -20,8 +20,8 @@ the best point (_refine).  The later windows are dropped, so the windows
 offered, their values and failures, the result and `evaluations` are
 those of one call per window.  The mlh coarse grid integrates only the
 points that can still be its argmax: the others are pruned by upper
-bounds on p3 and p4 against an incumbent, first over blocks of points
-(closed_form's _cell_bound), then at each point left (prob_p3_p4_bound),
+bounds on p3 and p4 against an incumbent (closed_form's _cell_bound),
+first over blocks of points, then at each point left, a one-point block,
 in a few _mlh_columns calls (_coarse_values), the first of which carries
 p1.  The values are combined elementwise by
 mlh_throughput_from_probs and sc_throughput_from_probs and offered as one
@@ -52,7 +52,6 @@ from .closed_form import (
     _sc_columns,
     _sc_job,
     mlh_throughput_from_probs,
-    prob_p3_p4_bound,
     sc_throughput_from_probs,
     throughput_mlh,
     throughput_ts,
@@ -75,8 +74,7 @@ class Optimum:
 
 
 _MAX_GRID = 1000   # cap on the coarse grid's subdivisions of [0, 1]
-_BLOCK = 8                # grid indices per side of a block of the block pass
-_BOUND_PIECES = (8, 32)   # pieces of the mlh coarse grid's point bounds, pass by pass
+_PASSES = ((8, 32), (1, 8), (1, 32))   # mlh coarse grid bounds: (block side, pieces)
 _INCUMBENT_POINTS = 16    # points integrated per point pass: the highest bounds
 
 
@@ -90,16 +88,16 @@ def _axis_points(grid_step: float) -> list[float]:
     return [i / n for i in range(n + 1)]
 
 
-def _blocks(n):
-    """The blocks of the grid indices 0..n: _BLOCK indices each from either
-    end, and the rest, fewer than 2 _BLOCK, in one middle block.  Returns
+def _blocks(n, side):
+    """The blocks of the grid indices 0..n: `side` indices each from either
+    end, and the rest, fewer than 2 side, in one middle block.  Returns
     (first, last, block): each block's first and last index, and each
     index's block.  The blocks are mirror-symmetric: the mirrors n - i of
     block b's indices are block nb - 1 - b."""
-    m = (n + 1) // (2 * _BLOCK)
-    middle = [m * _BLOCK] if n + 1 > 2 * m * _BLOCK else []
-    first = np.array([*range(0, m * _BLOCK, _BLOCK), *middle,
-                      *range(n + 1 - m * _BLOCK, n + 1, _BLOCK)])
+    m = (n + 1) // (2 * side)
+    middle = [m * side] if n + 1 > 2 * m * side else []
+    first = np.array([*range(0, m * side, side), *middle,
+                      *range(n + 1 - m * side, n + 1, side)])
     last = np.append(first[1:], n + 1) - 1
     return first, last, np.repeat(np.arange(len(first)), last - first + 1)
 
@@ -153,27 +151,25 @@ def _coarse_values(pts, cfg, settings):
     Only the argmax is used, so only the points that can still win are
     integrated.  closed_form's _cell_bound gives the p3/p4 integrals at
     every point of a cell of shares an upper bound on the values their
-    quadratures return, with no quadrature (prob_p3_p4_bound at one
-    point), so the objective in the same arithmetic gives each point a
-    bound.  The incumbent starts at the time-sharing corner (1, 1).
+    quadratures return, with no quadrature, so the objective in the same
+    arithmetic gives each point a bound.  The incumbent starts at the
+    time-sharing corner (1, 1).
 
-    The block pass comes first.  The grid indices fall into
-    mirror-symmetric runs of _BLOCK (_blocks), and the grid into blocks of
-    _BLOCK x _BLOCK points (169 cells at 0.01); p3 and p4 are bounded once
-    over each block's cell, at the last pass's pieces (32).  A
-    point's bound takes p4 from its block, p4' from its mirror block (the
-    exact index mirror) and p3 from the larger of the two, as p3 is read
-    at the canonical point, with its row's slot-1 terms; a point whose
-    bound lies below the corner's value is pruned.  Where the corner is
-    the argmax (9 of the 12 rates at 3 dB) this leaves the corner's block
-    and a few more, 92-99% of the points pruned.  Then the point passes,
-    for 8, then 32 pieces (32 alone once the block pass has pruned a
-    point: of the points it leaves, 8 pieces prune few, 13% at 3 dB,
-    R = 1.3, or few are left, at most 800 at the corner rates, so an
-    8-piece pass costs more than it saves): the points still in play are
-    bounded, the 16 highest bounds are integrated and the best value found
-    becomes the incumbent, and a point whose bound lies below it is
-    pruned.
+    The passes of _PASSES run in turn, each bounding the points left by
+    blocks of side x side points (_blocks, mirror-symmetric), each block a
+    cell: a point's bound takes p3 from the canonical point's cell, p4
+    from its own and p4' from its mirror's (the exact index mirror), and
+    only the cells read are bounded.  A point whose bound lies below the
+    incumbent is pruned.  The block pass, 8 x 8 blocks at 32 pieces (169
+    cells at 0.01, 91 of them for p3), runs against the corner's value:
+    where the corner is the argmax (9 of the 12 rates at 3 dB) it prunes
+    92-99% of the points.  Then the point passes (side 1) at 8, then 32
+    pieces, each integrating the 16 points of highest bound for a new
+    incumbent; the 8-piece pass is skipped once a point is pruned (it
+    then prunes few, 13% at 3 dB, R = 1.3, or few points are left).  A
+    side's first pass bounds every point left, a later one only those
+    whose objective at the margins alone lies below the incumbent; the
+    others keep their earlier bounds.
 
     Two margins keep that sound: each integral's bound carries
     closed_form._BOUND_MARGIN for its own rounding and 6 max(abs_tol,
@@ -183,12 +179,11 @@ def _coarse_values(pts, cfg, settings):
     pruned point's value thus lies below the incumbent, a value of the
     grid, and never wins; a NaN or +inf bound never prunes.  No
     integral's bound falls below those margins, so a point whose objective
-    at the margins alone reaches the incumbent cannot be pruned and is not
-    bounded again; where every point's does, there is no block pass.  The
-    points left are integrated in one last lockstep call, each integral
-    once over all the calls.  The pruned points are offered as NaN, which
-    never wins, so the argmax, the windows and `evaluations` are those of
-    the whole grid.
+    at the margins alone reaches the incumbent cannot be pruned; where
+    every point's does, no pass runs.  The points left are integrated in
+    one last lockstep call, each integral once over all the calls.  The
+    pruned points are offered as NaN, which never wins, so the argmax, the
+    windows and `evaluations` are those of the whole grid.
 
     Each lockstep call's NonConvergence names its lowest failing integral
     (p1 before p3 before p4), a share or point at which the scalar closed
@@ -246,46 +241,59 @@ def _coarse_values(pts, cfg, settings):
                                 p4=p4.reshape(square), p4p=p4[::-1].reshape(square))
         return mlh_throughput_from_probs(probs, cfg).ravel()
 
-    u3, u4 = np.full(size, np.nan), np.full(size, np.nan)   # the bounds
+    cells = {}   # per block side: point-to-cell map, block ends, p3/p4 bounds
 
-    def bound(points, pieces):
-        k3, k4 = (np.flatnonzero(need) for need in needs(points))
-        u3[k3], u4[k4] = prob_p3_p4_bound(alphas[k3], betas[k3], alphas[k4],
-                                          betas[k4], cfg, pieces, settings)
-        return objective(u3, u4)
+    def bound(points, side, pieces):
+        """Each point's bound, the objective at its cells' bounds (see
+        above): the cells that the objective reads at `points` are bounded
+        at `pieces`, the others keep an earlier pass's bounds at this side,
+        NaN where there was none.  At side 1 each point is its own cell."""
+        if side not in cells:
+            first, last, block = _blocks(n, side)
+            nb = len(first)
+            cells[side] = (np.add.outer(block * nb, block).ravel() if side > 1 else None,
+                           grid[first], grid[last],
+                           np.full(nb * nb, np.nan), np.full(nb * nb, np.nan))
+        cell, lo, hi, c3, c4 = cells[side]
 
-    def block_bound():
-        """Each point's bound from the cell bounds of the blocks: p3 at
-        the canonical point, in the point's block or its mirror block, and
-        p4 in the point's block, p4' in its mirror block, so the objective
-        in its arithmetic bounds the point's value."""
-        first, last, block = _blocks(n)
-        nb = len(first)
-        bi, bj = np.divmod(np.arange(nb * nb), nb)
-        cells = (grid[first[bi]], grid[last[bi]], grid[first[bj]], grid[last[bj]])
-        c3, c4 = _cell_bound(cells, cells, cfg, _BOUND_PIECES[-1], settings)
-        cell = block[i] * nb + block[j]
-        mirror = nb * nb - 1 - cell
-        return objective(np.maximum(c3[cell], c3[mirror]), c4[cell])
+        def read(need):
+            """The cells read at the points of the mask `need`, and their
+            corners (alpha0, alpha1, beta0, beta1)."""
+            if cell is None:
+                k = np.flatnonzero(need)
+                a, b = alphas[k], betas[k]
+                return k, (a, a, b, b)
+            at = np.zeros(len(c3), dtype=bool)
+            at[cell[need]] = True
+            k = np.flatnonzero(at)
+            bi, bj = np.divmod(k, len(lo))
+            return k, (lo[bi], hi[bi], lo[bj], hi[bj])
+
+        (k3, corners3), (k4, corners4) = map(read, needs(points))
+        c3[k3], c4[k4] = _cell_bound(corners3, corners4, cfg, pieces, settings)
+        return objective(c3, c4) if cell is None else objective(c3[cell], c4[cell])
 
     slack = np.full(size, _bound_slack(settings))
     floor = objective(slack, slack)   # no point's bound lies below its floor
     incumbent = objective(p3, p4)[-1]
     live = np.ones(size, dtype=bool)
-    if (floor < incumbent).any():
-        live = ~(block_bound() < incumbent)
-    candidates = live   # the points to bound: at first all that are left
-    for pieces in _BOUND_PIECES if live.all() else _BOUND_PIECES[-1:]:
+    for side, pieces in _PASSES:
+        if pieces < _PASSES[-1][1] and not live.all():
+            continue
+        # a side's first pass bounds every point left; a later one only
+        # those whose bound can still fall below the incumbent
+        candidates = live & (floor < incumbent) if side in cells else live
         if not (candidates & (floor < incumbent)).any():
             break
-        tb = np.where(live, bound(candidates, pieces), np.nan)
-        top = np.zeros(size, dtype=bool)
-        top[np.argsort(-tb, kind="stable")[:_INCUMBENT_POINTS]] = True
-        top &= live
-        integrate(top)
-        incumbent = max(incumbent, objective(p3, p4)[top].max(initial=-math.inf))
+        tb = np.where(live, bound(candidates, side, pieces), np.nan)
+        if side == 1:
+            top = np.zeros(size, dtype=bool)
+            top[np.argsort(-tb, kind="stable")[:_INCUMBENT_POINTS]] = True
+            top &= live
+            integrate(top)
+            incumbent = max(incumbent,
+                            objective(p3, p4)[top].max(initial=-math.inf))
         live = live & ~(tb < incumbent)
-        candidates = live & (floor < incumbent)
     integrate(live)
     return objective(p3, p4).reshape(n + 1, n + 1)
 

@@ -90,12 +90,13 @@ class QuadratureSettings:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        # an infinite tolerance accepts any first estimate, and makes the
-        # error test multiply inf by 0 and the bounds' slack infinite
+        # the integrals are probabilities, so a tolerance of 1 or more
+        # accepts any estimate, and a huge one overflows the error test
         for name in ("abs_tol", "rel_tol"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must be finite and > 0, and below 1, "
+                                 f"got {value}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

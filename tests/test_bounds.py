@@ -1,8 +1,8 @@
 """Upper bounds on p3 and p4, which prune the mlh coarse grid.
 
-closed_form.prob_p3_p4_bound claims to bound, with no quadrature, what
-prob_p3 and prob_p4 return at the given settings, and closed_form's
-_cell_bound what they return at every point of a rectangle of shares.
+closed_form's _cell_bound claims to bound, with no quadrature, what
+prob_p3 and prob_p4 return at the given settings at every point of a
+rectangle of shares; a point is the one-point cell.
 These tests hold the claims against the quadratures where the integrands
 change form: shares 0 and 1, the vanishing threshold 2^R/(2^R + 1), one
 ulp either side of it and its mirror, and a subnormal share, over rates,
@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 from mlharq.closed_form import (
     _bound_slack,
     _cell_bound,
-    _g_max_each,
+    _g_max_cell,
     _slot1_pieces,
     prob_p3,
-    prob_p3_p4_bound,
     prob_p4,
     vanishing_threshold,
 )
@@ -54,6 +53,13 @@ def _shares(cfg):
     return st.one_of(st.sampled_from(_edge_shares(cfg)), st.floats(0.0, 1.0))
 
 
+def _point_bound(alphas, betas, cfg, pieces, quad=None):
+    """_cell_bound at the one-point cells (alphas[k], betas[k]), for p3 and
+    for p4."""
+    points = (alphas, alphas, betas, betas)
+    return _cell_bound(points, points, cfg, pieces, quad)
+
+
 @st.composite
 def bound_cases(draw):
     """(alphas, betas, cfg, settings, pieces): up to 6 points with shares on
@@ -83,12 +89,12 @@ def test_the_bounds_reach_past_the_values(case):
     examples are points where the integrand's factor is constant in g, so
     that the sum is the integral itself."""
     alphas, betas, cfg, quad, pieces = case
-    upper = np.maximum(_g_max_each(np.array(alphas), cfg), 0.0)
+    upper = np.maximum(_g_max_cell(np.array(alphas), np.array(alphas), cfg), 0.0)
     _, mass = _slot1_pieces(upper, cfg.sigma2, pieces)
     for row, g in zip(mass.tolist(), upper.tolist()):
         # the pieces and the tail partition [0, g_max]
         assert abs(math.fsum(row) + math.expm1(-g / cfg.sigma2)) <= 1e-15
-    u3, u4 = prob_p3_p4_bound(alphas, betas, alphas, betas, cfg, pieces, quad)
+    u3, u4 = _point_bound(alphas, betas, cfg, pieces, quad)
     room = 2.0 * max(quad.abs_tol, quad.rel_tol)
     for k, (a, b) in enumerate(zip(alphas, betas)):
         try:
@@ -106,8 +112,8 @@ def test_more_pieces_bound_tighter():
     cfg = SystemConfig.from_snr_db(3.0, 1.0)
     grid = np.linspace(0.0, 1.0, 21)
     alphas, betas = np.repeat(grid, 21), np.tile(grid, 21)
-    coarse = prob_p3_p4_bound(alphas, betas, alphas, betas, cfg, 8)
-    fine = prob_p3_p4_bound(alphas, betas, alphas, betas, cfg, 32)
+    coarse = _point_bound(alphas, betas, cfg, 8)
+    fine = _point_bound(alphas, betas, cfg, 32)
     for c, f in zip(coarse, fine):
         assert (f <= c + 2.0 ** -50).all()
         assert (f >= _bound_slack(None)).all()
@@ -145,7 +151,7 @@ def test_the_cell_bounds_reach_past_the_values(case):
     """Each cell's bound is at least what prob_p3 / prob_p4 return at its
     corners and at points inside it, plus twice the tolerance (as in
     test_the_bounds_reach_past_the_values), and a one-point cell's bound
-    has prob_p3_p4_bound's bits."""
+    has the bits of that point bounded alone."""
     cells, points, cfg, quad, pieces = case
     corners = tuple(np.array(x) for x in zip(*cells))
     u3, u4 = _cell_bound(corners, corners, cfg, pieces, quad)
@@ -153,8 +159,7 @@ def test_the_cell_bounds_reach_past_the_values(case):
     for k, (cell, inside) in enumerate(zip(cells, points)):
         alpha0, alpha1, beta0, beta1 = cell
         if alpha0 == alpha1 and beta0 == beta1:
-            w3, w4 = prob_p3_p4_bound([alpha0], [beta0], [alpha0], [beta0], cfg,
-                                      pieces, quad)
+            w3, w4 = _point_bound([alpha0], [beta0], cfg, pieces, quad)
             assert (u3[k].hex(), u4[k].hex()) == (w3[0].hex(), w4[0].hex())
         for a, b in inside:
             try:

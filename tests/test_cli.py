@@ -337,6 +337,21 @@ class TestOptimize:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be finite and > 0" in err
 
+    @pytest.mark.parametrize("tols", [("--rel-tol", "1e308"), ("--rel-tol", "2"),
+                                      ("--abs-tol", "1")])
+    def test_tolerance_of_one_or_more_exits_1(self, capsys, tols):
+        """A tolerance of 1 or more accepts any estimate of a probability;
+        at 1e308 the bounds' slack and the error test's shares overflow.
+        One error line, no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "optimize", "--protocol", "mlh",
+                                 "--rate", "3.3", "--snr-db", "3", *tols)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "below 1" in err
+
 
 class TestSweep:
     def test_writes_csv_and_prints_count(self, capsys, tmp_path):

@@ -124,6 +124,16 @@ class TestThresholds:
         for got, want in zip(scalar, column):
             assert got.tobytes() == want.tobytes()
 
+    def test_h4_overflow_is_quiet_on_the_library_path(self):
+        """With no errstate around the call, h4's 2^R u overflows quietly
+        to the +inf residual it means (a RuntimeWarning fails the test):
+        at 3 dB, R = 400 through prob_p4's scalar integrand, and at
+        sigma2 = 1e153, R = 8 through the sc search's lockstep one."""
+        assert prob_p4(0.1, 1.0, SystemConfig.from_snr_db(3.0, 400.0)) == 0.0
+        opt = optimize_split("sc", SystemConfig.from_snr_db(3.0, 8.0, 1e153),
+                             grid_step=0.1, refine_tol=0.01)
+        assert (opt.alpha_star, opt.throughput_star) == (0.999, 7.999999999999918)
+
 
 class TestZeroPowerFastPath:
     """_over_power's float branch for a zero-power layer (w == +-0.0) gives

@@ -9,6 +9,7 @@ a point where the scalar closed form fails too.  Every comparison here is
 """
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from mlharq.closed_form import (
     _JOINT,
     _ONLY_M1,
     ScProbs,
-    _g_max_each,
+    _g_max_cell,
     _mlh_columns,
     _p1_bounds,
     _p1_window,
@@ -313,9 +314,11 @@ def test_fallback_split_is_np_argmax_of_each_owner():
     largest, whatever the other owners hold.  The panels here have width
     1 and the owners width 1, so with tol = 1 every share is 1: errors of
     0, 0.25 and 0.5 (ties are common) and NaN force the fallback, 2.0 is
-    over its share and 0.25 alone converges."""
+    over its share and 0.25 alone converges.  QuadratureSettings refuses a
+    tolerance of 1, so the settings here are a plain namespace, which is
+    all that _split_round reads."""
     rng = np.random.default_rng(19)
-    quad = QuadratureSettings(abs_tol=1.0, rel_tol=1e-300)
+    quad = SimpleNamespace(abs_tol=1.0, rel_tol=1e-300)
     for _ in range(200):
         count = rng.integers(1, 7, size=int(rng.integers(1, 12)))
         own = np.repeat(np.arange(len(count)), count)
@@ -615,9 +618,11 @@ def test_slot1_columns_equal_the_scalar_closed_forms(case, quad):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=kink_cases())
 def test_g_max_each_equals_g_max(case):
+    """_g_max_cell at the one-point intervals [alpha, alpha] has the bits
+    of g_max at each share."""
     cfg, points = case
     alpha = np.array([a for pair in points for a in pair])
-    assert _bits(_g_max_each(alpha, cfg).tolist()) == _bits(
+    assert _bits(_g_max_cell(alpha, alpha, cfg).tolist()) == _bits(
         [g_max(a, cfg) for a in alpha.tolist()])
 
 

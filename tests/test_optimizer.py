@@ -411,34 +411,44 @@ class TestPruning:
             [], [], *points)[1:])
 
     @staticmethod
-    def blocks(pts):
-        """Each point's cell (the corner indices (i0, i1, j0, j1) of its
-        block, from optimize._blocks) and its mirror block's, as two
-        (4, points) arrays."""
+    def cells(pts, side):
+        """Each point's cell among the blocks of `side` (optimize._blocks),
+        as its corner indices (i0, i1, j0, j1), a (4, points) array; the
+        mirror point's cell is the mirror block."""
         n = len(pts) - 1
-        first, last, block = optimize._blocks(n)
+        first, last, block = optimize._blocks(n, side)
         i, j = np.repeat(block, n + 1), np.tile(block, n + 1)
-        cell = np.array([first[i], last[i], first[j], last[j]])
-        return cell, cell[:, ::-1]
+        return np.array([first[i], last[i], first[j], last[j]])
 
     @classmethod
-    def block_bound(cls, pts, cfg, cell_bound=closed_form._cell_bound):
-        """The block pass's bound at every point, in its arithmetic: the
-        32-piece cell bounds of the point's block and of its mirror block
-        (p3 the larger of the two, p4 the block's, p4' the mirror's)."""
-        grid = np.array(pts)
-        cell, mirror = (tuple(grid[c]) for c in cls.blocks(pts))
-        u3, u4 = cell_bound(cell, cell, cfg, 32)
-        v3, _ = cell_bound(mirror, mirror, cfg, 32)
-        return cls.objective(pts, cfg, lambda *_: (np.maximum(u3, v3), u4))
+    def block_bound(cls, pts, cfg):
+        """The block pass's bound at every point, in its arithmetic, from
+        its blocks' cell bounds: p3 at the canonical point's block, p4 at
+        the point's block and p4' at its mirror block."""
+        side, pieces = optimize._PASSES[0]
+        cell = tuple(np.array(pts)[cls.cells(pts, side)])
+        u3, u4 = closed_form._cell_bound(cell, cell, cfg, pieces)
+        return cls.objective(pts, cfg, lambda *_: (u3, u4))
+
+    @staticmethod
+    def point_bound(a3, b3, a4, b4, cfg, pieces=32):
+        """_cell_bound at one-point cells: p3 at (a3[k], b3[k]), p4 at
+        (a4[k], b4[k])."""
+        return closed_form._cell_bound((a3, a3, b3, b3), (a4, a4, b4, b4), cfg,
+                                       pieces)
 
     @staticmethod
     def block_pass_alone(monkeypatch):
-        """Point bounds of +inf, which never prune: what _coarse_values
-        prunes is then what its block pass prunes."""
-        def never(p3_alphas, p3_betas, p4_alphas, p4_betas, *args):
-            return np.full(len(p3_alphas), np.inf), np.full(len(p4_alphas), np.inf)
-        monkeypatch.setattr(optimize, "prob_p3_p4_bound", never)
+        """Bounds of +inf at one-point cells, which never prune: what
+        _coarse_values prunes is then what its block pass prunes."""
+        cell_bound = optimize._cell_bound
+
+        def blocks_only(p3_cells, p4_cells, *args):
+            bounds = cell_bound(p3_cells, p4_cells, *args)
+            for u, (alpha0, alpha1, beta0, beta1) in zip(bounds, (p3_cells, p4_cells)):
+                u[(alpha0 == alpha1) & (beta0 == beta1)] = np.inf
+            return bounds
+        monkeypatch.setattr(optimize, "_cell_bound", blocks_only)
 
     @pytest.mark.parametrize("rate", [3.3, 1.8])
     def test_blocks_prune_at_a_corner_rate(self, monkeypatch, rate):
@@ -480,89 +490,64 @@ class TestPruning:
         assert pruned.sum() > 5000
         assert [float.hex(x) for x in got[~pruned]] == \
             [float.hex(x) for x in exact[~pruned]]
-        bound = self.objective(pts, cfg, lambda *args: optimize.prob_p3_p4_bound(
-            *args, pieces=32))
+        bound = self.objective(pts, cfg, self.point_bound)
         assert (bound[pruned] < exact.max()).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("every", [1, 3])
     def test_a_nan_or_inf_bound_never_prunes(self, monkeypatch, bad, every):
-        """Spoil the bound of every integral (every = 1), or of the points
-        (i, j) with i + j divisible by 3: no point whose objective reads a
-        spoiled bound is pruned, and each point that is not pruned has the
-        unpruned grid's bits."""
-        pts = _axis_points(0.1)
-        n = len(pts) - 1
-        bound = optimize.prob_p3_p4_bound
+        """Spoil cell bounds in optimize._cell_bound.  Point cells: the
+        bound of every integral (every = 1), or of the points (i, j) with
+        i + j divisible by 3, on a 0.1 grid at 3 dB, R = 1.  Block cells:
+        the p3 and p4 bounds of every block (every = 1), or p3's of the
+        blocks whose first indices (i0, j0) have i0 + j0 = 0 mod 3 and p4's
+        of those with i0 + j0 = 1 mod 3, with point bounds of +inf, on a
+        0.02 grid of 7 x 7 blocks at 3 dB, R = 3.3.  No point whose
+        objective reads a spoiled bound (p3 at the canonical point's cell,
+        p4 at its own, p4' at its mirror's) is pruned, each point that is
+        not pruned has the unpruned grid's bits, and with every = 3 the
+        other points are still pruned."""
+        def points(i0, j0, kernel):
+            return (i0 + j0) % every == 0
 
-        def spoiled(alphas, betas):
-            i, j = (np.rint(np.asarray(x) * n).astype(int) for x in (alphas, betas))
-            return (i + j) % every == 0
+        def blocks(i0, j0, kernel):   # kernel 0 is p3, 1 is p4
+            return (i0 + j0) % every == kernel % every
 
-        def patched(a3, b3, a4, b4, cfg, pieces, quad=None):
-            u3, u4 = bound(a3, b3, a4, b4, cfg, pieces, quad)
-            u3[spoiled(a3, b3)] = bad
-            u4[spoiled(a4, b4)] = bad
-            return u3, u4
+        for step, cfg, side, spoiled in (
+                (0.1, CFG_3DB, 1, points),
+                (0.02, SystemConfig.from_snr_db(3.0, 3.3), optimize._PASSES[0][0],
+                 blocks)):
+            pts = _axis_points(step)
+            n = len(pts) - 1
+            cell_bound = optimize._cell_bound
 
-        monkeypatch.setattr(optimize, "prob_p3_p4_bound", patched)
-        got = optimize._coarse_values(pts, CFG_3DB, None).ravel()
-        want = self.unpruned(pts, CFG_3DB)
-        grid = np.array(pts)
-        a, b = np.repeat(grid, n + 1), np.tile(grid, n + 1)
-        k = np.arange((n + 1) ** 2)
-        canon = np.minimum(k, k[::-1])
-        reads = (spoiled(a[canon], b[canon]) | spoiled(a, b)
-                 | spoiled(a[::-1], b[::-1]))
-        assert reads.any()
-        kept = ~np.isnan(got)
-        assert kept[reads].all()
-        assert [float.hex(x) for x in got[kept]] == \
-            [float.hex(x) for x in want[kept]]
-        if every == 3:
-            assert not kept.all()   # the other points are still pruned
+            def patched(p3_cells, p4_cells, cfg, pieces, quad=None):
+                bounds = cell_bound(p3_cells, p4_cells, cfg, pieces, quad)
+                for kernel, (u, cells) in enumerate(zip(bounds, (p3_cells, p4_cells))):
+                    i0, i1, j0, j1 = (np.rint(np.asarray(x) * n).astype(int)
+                                      for x in cells)
+                    point = (i0 == i1) & (j0 == j1)
+                    u[spoiled(i0, j0, kernel) & (point if side == 1 else ~point)] = bad
+                return bounds
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("every", [1, 3])
-    def test_a_nan_or_inf_cell_bound_never_prunes(self, monkeypatch, bad, every):
-        """Spoil the p3 and p4 cell bounds of every block (every = 1), or
-        p3's of the blocks whose first indices (i0, j0) have i0 + j0 = 0
-        mod 3 and p4's of those with i0 + j0 = 1 mod 3, with point bounds
-        that never prune (3 dB, R = 3.3, a 0.02 grid of 7 x 7 blocks): no
-        point whose objective reads a spoiled cell bound (its block's or
-        its mirror block's) is pruned, each point that is not pruned has
-        the unpruned grid's bits, and the other blocks are still pruned."""
-        cfg = SystemConfig.from_snr_db(3.0, 3.3)
-        pts = _axis_points(0.02)
-        n = len(pts) - 1
-        cell_bound = optimize._cell_bound
-
-        def spoiled(alpha0, beta0, residue):
-            i0, j0 = (np.rint(np.asarray(x) * n).astype(int) for x in (alpha0, beta0))
-            return (i0 + j0) % every == residue % every
-
-        def patched(p3_cells, p4_cells, cfg, pieces, quad=None):
-            u3, u4 = cell_bound(p3_cells, p4_cells, cfg, pieces, quad)
-            u3[spoiled(p3_cells[0], p3_cells[2], 0)] = bad
-            u4[spoiled(p4_cells[0], p4_cells[2], 1)] = bad
-            return u3, u4
-
-        monkeypatch.setattr(optimize, "_cell_bound", patched)
-        self.block_pass_alone(monkeypatch)
-        got = optimize._coarse_values(pts, cfg, None).ravel()
-        want = self.unpruned(pts, cfg)
-        cell, mirror = self.blocks(pts)
-        reads = np.zeros(len(got), dtype=bool)
-        for block in (cell, mirror):
-            for residue in (0, 1):
-                reads |= spoiled(block[0] / n, block[2] / n, residue)
-        assert reads.any()
-        kept = ~np.isnan(got)
-        assert kept[reads].all()
-        assert [float.hex(x) for x in got[kept]] == \
-            [float.hex(x) for x in want[kept]]
-        if every == 3:
-            assert not kept.all()
+            with monkeypatch.context() as patch:
+                patch.setattr(optimize, "_cell_bound", patched)
+                if side > 1:
+                    self.block_pass_alone(patch)
+                got = optimize._coarse_values(pts, cfg, None).ravel()
+            want = self.unpruned(pts, cfg)
+            i0, _, j0, _ = self.cells(pts, side)
+            k = np.arange(len(got))
+            canon = np.minimum(k, k[::-1])
+            reads = (spoiled(i0[canon], j0[canon], 0) | spoiled(i0, j0, 1)
+                     | spoiled(i0[::-1], j0[::-1], 1))
+            assert reads.any()
+            kept = ~np.isnan(got)
+            assert kept[reads].all()
+            assert [float.hex(x) for x in got[kept]] == \
+                [float.hex(x) for x in want[kept]]
+            if every == 3:
+                assert not kept.all()   # the other points are still pruned
 
 
 class TestArrayOffers:

@@ -111,6 +111,14 @@ class TestErrorControl:
                 QuadratureSettings(abs_tol=bad)
             with pytest.raises(ValueError, match="finite"):
                 QuadratureSettings(rel_tol=bad)
+        # a tolerance of 1 or more accepts any estimate of a probability
+        for bad in (1.0, 2.0, 1e308):
+            with pytest.raises(ValueError, match="below 1"):
+                QuadratureSettings(abs_tol=bad)
+            with pytest.raises(ValueError, match="below 1"):
+                QuadratureSettings(rel_tol=bad)
+        QuadratureSettings(abs_tol=math.nextafter(1.0, 0.0),
+                           rel_tol=math.nextafter(1.0, 0.0))
 
 
 class TestAgainstMidpointOracle:
