@@ -493,61 +493,73 @@ class TestPruning:
         bound = self.objective(pts, cfg, self.point_bound)
         assert (bound[pruned] < exact.max()).all()
 
+    def spoiled_bounds_never_prune(self, monkeypatch, bad, every, step, cfg, side,
+                                   spoiled):
+        """Spoil, with `bad`, the bounds that optimize._cell_bound gives at
+        the cells (one-point cells if side is 1, else blocks of `side`, with
+        point bounds of +inf) whose first indices (i0, j0) have
+        spoiled(i0, j0, kernel) for kernel 0 (p3) or 1 (p4), on a grid of
+        `step`.  No point whose objective reads a spoiled bound (p3 at the
+        canonical point's cell, p4 at its own, p4' at its mirror's) is
+        pruned, each point that is not pruned has the unpruned grid's bits,
+        and with every = 3 the other points are still pruned."""
+        pts = _axis_points(step)
+        n = len(pts) - 1
+        cell_bound = optimize._cell_bound
+
+        def patched(p3_cells, p4_cells, cfg, pieces, quad=None):
+            bounds = cell_bound(p3_cells, p4_cells, cfg, pieces, quad)
+            for kernel, (u, cells) in enumerate(zip(bounds, (p3_cells, p4_cells))):
+                i0, i1, j0, j1 = (np.rint(np.asarray(x) * n).astype(int)
+                                  for x in cells)
+                point = (i0 == i1) & (j0 == j1)
+                u[spoiled(i0, j0, kernel) & (point if side == 1 else ~point)] = bad
+            return bounds
+
+        monkeypatch.setattr(optimize, "_cell_bound", patched)
+        if side > 1:
+            self.block_pass_alone(monkeypatch)
+        got = optimize._coarse_values(pts, cfg, None).ravel()
+        want = self.unpruned(pts, cfg)
+        i0, _, j0, _ = self.cells(pts, side)
+        k = np.arange(len(got))
+        canon = np.minimum(k, k[::-1])
+        reads = (spoiled(i0[canon], j0[canon], 0) | spoiled(i0, j0, 1)
+                 | spoiled(i0[::-1], j0[::-1], 1))
+        assert reads.any()
+        kept = ~np.isnan(got)
+        assert kept[reads].all()
+        assert [float.hex(x) for x in got[kept]] == \
+            [float.hex(x) for x in want[kept]]
+        if every == 3:
+            assert not kept.all()   # the other points are still pruned
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("every", [1, 3])
     def test_a_nan_or_inf_bound_never_prunes(self, monkeypatch, bad, every):
-        """Spoil cell bounds in optimize._cell_bound.  Point cells: the
-        bound of every integral (every = 1), or of the points (i, j) with
-        i + j divisible by 3, on a 0.1 grid at 3 dB, R = 1.  Block cells:
-        the p3 and p4 bounds of every block (every = 1), or p3's of the
-        blocks whose first indices (i0, j0) have i0 + j0 = 0 mod 3 and p4's
-        of those with i0 + j0 = 1 mod 3, with point bounds of +inf, on a
-        0.02 grid of 7 x 7 blocks at 3 dB, R = 3.3.  No point whose
-        objective reads a spoiled bound (p3 at the canonical point's cell,
-        p4 at its own, p4' at its mirror's) is pruned, each point that is
-        not pruned has the unpruned grid's bits, and with every = 3 the
-        other points are still pruned."""
-        def points(i0, j0, kernel):
+        """Spoil the bound of every integral (every = 1), or of the points
+        (i, j) with i + j divisible by 3, at one-point cells on a 0.1 grid
+        at 3 dB, R = 1: nothing that reads a spoiled bound is pruned."""
+        def spoiled(i0, j0, kernel):
             return (i0 + j0) % every == 0
 
-        def blocks(i0, j0, kernel):   # kernel 0 is p3, 1 is p4
+        self.spoiled_bounds_never_prune(monkeypatch, bad, every, 0.1, CFG_3DB, 1,
+                                        spoiled)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_a_nan_or_inf_cell_bound_never_prunes(self, monkeypatch, bad, every):
+        """Spoil the p3 and p4 cell bounds of every block (every = 1), or
+        p3's of the blocks whose first indices (i0, j0) have i0 + j0 = 0
+        mod 3 and p4's of those with i0 + j0 = 1 mod 3, with point bounds
+        of +inf, on a 0.02 grid of 7 x 7 blocks at 3 dB, R = 3.3: nothing
+        that reads a spoiled bound is pruned."""
+        def spoiled(i0, j0, kernel):   # kernel 0 is p3, 1 is p4
             return (i0 + j0) % every == kernel % every
 
-        for step, cfg, side, spoiled in (
-                (0.1, CFG_3DB, 1, points),
-                (0.02, SystemConfig.from_snr_db(3.0, 3.3), optimize._PASSES[0][0],
-                 blocks)):
-            pts = _axis_points(step)
-            n = len(pts) - 1
-            cell_bound = optimize._cell_bound
-
-            def patched(p3_cells, p4_cells, cfg, pieces, quad=None):
-                bounds = cell_bound(p3_cells, p4_cells, cfg, pieces, quad)
-                for kernel, (u, cells) in enumerate(zip(bounds, (p3_cells, p4_cells))):
-                    i0, i1, j0, j1 = (np.rint(np.asarray(x) * n).astype(int)
-                                      for x in cells)
-                    point = (i0 == i1) & (j0 == j1)
-                    u[spoiled(i0, j0, kernel) & (point if side == 1 else ~point)] = bad
-                return bounds
-
-            with monkeypatch.context() as patch:
-                patch.setattr(optimize, "_cell_bound", patched)
-                if side > 1:
-                    self.block_pass_alone(patch)
-                got = optimize._coarse_values(pts, cfg, None).ravel()
-            want = self.unpruned(pts, cfg)
-            i0, _, j0, _ = self.cells(pts, side)
-            k = np.arange(len(got))
-            canon = np.minimum(k, k[::-1])
-            reads = (spoiled(i0[canon], j0[canon], 0) | spoiled(i0, j0, 1)
-                     | spoiled(i0[::-1], j0[::-1], 1))
-            assert reads.any()
-            kept = ~np.isnan(got)
-            assert kept[reads].all()
-            assert [float.hex(x) for x in got[kept]] == \
-                [float.hex(x) for x in want[kept]]
-            if every == 3:
-                assert not kept.all()   # the other points are still pruned
+        self.spoiled_bounds_never_prune(
+            monkeypatch, bad, every, 0.02, SystemConfig.from_snr_db(3.0, 3.3),
+            optimize._PASSES[0][0], spoiled)
 
 
 class TestArrayOffers:
