@@ -15,18 +15,31 @@ m2 over m1): slot 1 feeds it one slot's terms, the joint slot-2 attempt
 only on the trials that use it: mlh's slot-2 rungs run on the slot-1
 failures, its single-message retransmissions on the only-m1 / only-m2
 trials.  A zero-power layer's terms are exact without a log2, so ts takes
-one log2 per slot.  A block runs in chunks of at most CHUNK_TRIALS trials,
-which caps a worker's memory at any trial count without moving a draw.
+one log2 per slot.  Each protocol walks the ladder once (`_mlh_walk`,
+`_sc_walk`), yielding each event's mask over its subset of trials; a
+block counts the masks' trials (`_count`), NONE_DECODED being the
+remainder, and builds no per-trial event array.  The draw-by-draw
+classifiers `_mlh_events`/`_sc_events` scatter the same walk.  A block
+runs in chunks of at most CHUNK_TRIALS trials, which caps a worker's
+memory at any trial count without moving a draw.
+
+Each thread keeps one Philox generator per role (a block's first stream,
+and the second one a chunked block advances to g2) and re-keys it for
+each block, which costs about 1 us where a new Philox(key=...) costs
+17 us, most of it a SeedSequence() from OS entropy that a keyed stream
+never uses.
 
 Importing this module loads neither numpy.random nor a process pool, so
 closed forms, optimization and sweeps do not pay for them: the Generator
 annotations are strings, and numpy 2.x loads numpy.random at the first
-attribute access, the first _block_stream call (6.3 MB and 14 ms, once
-per process); ProcessPoolExecutor is imported only when estimate runs
-more than one worker (concurrent.futures.process, 1.9 MB and 23 ms).
+attribute access, the first _block_stream call, which builds the
+thread's generators (6.3 MB and 14 ms, once per process);
+ProcessPoolExecutor is imported only when estimate runs more than one
+worker (concurrent.futures.process, 1.9 MB and 23 ms).
 """
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +66,10 @@ _SEED_MASK = (1 << 64) - 1
 _BOOTSTRAP_STREAM = _SEED_MASK  # block index reserved for the bootstrap RNG
 _BOOTSTRAP_RESAMPLES = 1000
 _REWARDS = np.array([_REWARD_MESSAGES[ev] for ev in SliceEvent], dtype=np.int64)
+# the events of a joint slot-2 ladder's (both, only1, only2)
+_JOINT_EVENTS = (SliceEvent.OMEGA3, SliceEvent.OMEGA4, SliceEvent.OMEGA4P)
+# per-thread cache of the block streams' generators (_block_stream)
+_THREAD = threading.local()
 # Trials per chunk of a block: a block's arrays scale with this, not with
 # the block.  A block of 4 chunks of 65,536 peaks at 10.2 MB under
 # tracemalloc (mlh with every trial failing slot 1, 156 bytes a trial; sc
@@ -134,22 +151,9 @@ def _ladder(r, terms):
     return both, only1, only2
 
 
-def _joint_events(both, only1, only2):
-    """The slice event of each trial whose decoding waited for slot 2.
-
-    The masks are disjoint, so each trial's event is NONE_DECODED minus at
-    most one mask's offset (bytes summed, then widened once)."""
-    none = int(SliceEvent.NONE_DECODED)
-    offset = np.zeros(both.shape, dtype=np.uint8)
-    for mask, event in ((both, SliceEvent.OMEGA3), (only1, SliceEvent.OMEGA4),
-                        (only2, SliceEvent.OMEGA4P)):
-        offset += mask.view(np.uint8) * np.uint8(none - event)
-    return np.subtract(none, offset, dtype=np.int64)
-
-
 def _trials(mask):
     """Indices of the trials in mask, the first one repeated to make the
-    count a multiple of 8; a repeated trial gets the same event again.
+    count a multiple of 8, and the count without the repeats.
 
     Subset arrays then grow in steps of 64 bytes.  At arbitrary lengths,
     which change from block to block, they fragmented glibc's heap: 16 mlh
@@ -158,41 +162,98 @@ def _trials(mask):
     """
     idx = mask.nonzero()[0]
     pad = -idx.size % 8
-    return np.concatenate((idx, np.full(pad, idx[0]))) if pad else idx
+    return (np.concatenate((idx, np.full(pad, idx[0]))) if pad else idx,
+            idx.size)
 
 
-def _mlh_events(g1, g2, alpha, beta, cfg):
+def _mlh_walk(g1, g2, alpha, beta, cfg):
+    """mlh's decode ladder over one chunk, as (event, idx, mask) triples:
+    mask marks the trials of `event` among g1[idx] (idx None: among all).
+    The masks are disjoint, and a trial in none of them decoded nothing."""
     r, p = cfg.rate_R, cfg.power_P
     t1 = _terms(g1, alpha, p)
     both, only1, only2 = _ladder(r, t1)
-    ev = np.where(both, int(SliceEvent.OMEGA0), int(SliceEvent.NONE_DECODED))
+    yield SliceEvent.OMEGA0, None, both
     # a message decoded at slot 1 is removed by SIC; the other keeps its
-    # clean slot-1 term and is sent alone at full power in slot 2
+    # clean slot-1 term and is sent alone at full power in slot 2.  At
+    # alpha >= 0.5 (ts included) m1 over m2 is at least m2 over m1, so no
+    # trial decodes only m2, and at alpha <= 0.5 none only m1: one of the
+    # two subsets is usually empty.
     for got, kept, done, lost in (
             (only1, t1[1], SliceEvent.OMEGA1, SliceEvent.OMEGA2),
             (only2, t1[0], SliceEvent.OMEGA1P, SliceEvent.OMEGA2P)):
-        idx = _trials(got)
-        ok = r <= kept[idx] + _log2_1p(g2[idx] * p)
-        ev[idx] = np.where(ok, int(done), int(lost))
+        idx, k = _trials(got)
+        if not k:
+            continue
+        ok = (r <= kept[idx] + _log2_1p(g2[idx] * p))[:k]
+        yield done, idx[:k], ok
+        yield lost, idx[:k], ~ok
     # slot-1 failures only: both slots' terms summed, one joint ladder
-    idx = _trials(~(both | only1 | only2))
+    idx, k = _trials(~(both | only1 | only2))
     joint = [a[idx] + b for a, b in zip(t1, _terms(g2[idx], beta, p))]
-    ev[idx] = _joint_events(*_ladder(r, joint))
+    for event, mask in zip(_JOINT_EVENTS, _ladder(r, joint)):
+        yield event, idx[:k], mask[:k]
+
+
+def _sc_walk(g, alpha, cfg):
+    """sc's decode ladder over one chunk's gains g = (g1, g2), as
+    `_mlh_walk`'s triples.  Both slots share alpha: each term is computed
+    once over g as one flat view, then the two slots' halves are summed."""
+    m = g.shape[1]
+    joint = [t[:m] + t[m:] for t in _terms(g.reshape(-1), alpha, cfg.power_P)]
+    for event, mask in zip(_JOINT_EVENTS, _ladder(cfg.rate_R, joint)):
+        yield event, None, mask
+
+
+def _count(walk, n):
+    """The 9 event counts of a walk over n trials: each mask's trials, and
+    NONE_DECODED the remainder."""
+    counts = [0] * 9
+    for event, _, mask in walk:
+        counts[event] += np.count_nonzero(mask)
+    counts[SliceEvent.NONE_DECODED] = n - sum(counts)
+    return counts
+
+
+def _scatter(walk, n):
+    """The slice event of each of a walk's n trials."""
+    ev = np.full(n, int(SliceEvent.NONE_DECODED), dtype=np.int64)
+    for event, idx, mask in walk:
+        ev[mask if idx is None else idx[mask]] = int(event)
     return ev
 
 
+def _mlh_events(g1, g2, alpha, beta, cfg):
+    return _scatter(_mlh_walk(g1, g2, alpha, beta, cfg), len(g1))
+
+
 def _sc_events(g1, g2, alpha, cfg):
-    # both slots share alpha: each term once over both slots' gains
-    n = len(g1)
-    joint = [t[:n] + t[n:] for t in _terms(np.concatenate((g1, g2)), alpha,
-                                             cfg.power_P)]
-    return _joint_events(*_ladder(cfg.rate_R, joint))
+    return _scatter(_sc_walk(np.stack((g1, g2)), alpha, cfg), len(g1))
 
 
-def _block_stream(master_seed: int, block_index: int) -> "np.random.Generator":
-    key = np.array([master_seed & _SEED_MASK, block_index & _SEED_MASK],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _block_stream(master_seed: int, block_index: int,
+                  role: int = 0) -> "np.random.Generator":
+    """The Philox stream keyed on (master_seed, block_index), at its start.
+
+    Each thread keeps one generator per role and re-keys it here (key, a
+    zero counter and an empty buffer, the state a new Philox(key=...) has),
+    which skips the constructor's SeedSequence() from OS entropy.  So a
+    stream holds until the next call for its role in its thread; a caller
+    that needs two streams at once takes them under roles 0 and 1.
+    """
+    streams = getattr(_THREAD, "streams", None)
+    if streams is None:
+        streams = _THREAD.streams = [np.random.Generator(np.random.Philox(0))
+                                     for _ in range(2)]
+    rng = streams[role]
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (master_seed & _SEED_MASK, block_index & _SEED_MASK)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _run_block(args):
@@ -207,7 +268,7 @@ def _run_block(args):
     protocol, alpha, beta, cfg, n, master_seed, block_index = args
     first = second = _block_stream(master_seed, block_index)
     if n > CHUNK_TRIALS:
-        second = _block_stream(master_seed, block_index)
+        second = _block_stream(master_seed, block_index, role=1)
         second.bit_generator.advance(n // 4)
         second.random(n % 4)
     counts = np.zeros(9, dtype=np.int64)
@@ -220,10 +281,10 @@ def _run_block(args):
         np.log1p(g, out=g)
         g *= -cfg.sigma2
         if protocol == "sc":
-            ev = _sc_events(g[0], g[1], alpha, cfg)
+            walk = _sc_walk(g, alpha, cfg)
         else:
-            ev = _mlh_events(g[0], g[1], alpha, beta, cfg)
-        counts += np.bincount(ev, minlength=9)
+            walk = _mlh_walk(g[0], g[1], alpha, beta, cfg)
+        counts += _count(walk, m)
     reward = int(counts @ _REWARDS)
     duration = 2 * n - int(counts[SliceEvent.OMEGA0])
     return counts, reward, duration

@@ -2,6 +2,8 @@
 and the determinism contract across worker counts."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,11 +15,15 @@ from mlharq import monte_carlo
 from mlharq.closed_form import prob_p0, throughput_ts, vanishing_threshold
 from mlharq.model import _REWARD_MESSAGES, PowerSplit, SliceEvent, SystemConfig
 from mlharq.monte_carlo import (
+    _BOOTSTRAP_STREAM,
     InvalidTrials,
     _block_stream,
+    _count,
     _mlh_events,
+    _mlh_walk,
     _run_block,
     _sc_events,
+    _sc_walk,
     _terms,
     estimate,
 )
@@ -220,10 +226,18 @@ def ref_sc_events(g1, g2, alpha, cfg):
 REF_REWARDS = np.array([_REWARD_MESSAGES[ev] for ev in SliceEvent])
 
 
+def ref_stream(master_seed, block_index):
+    """A new Philox generator keyed on (master_seed, block_index), which
+    `_block_stream`'s re-keyed generators must equal draw for draw."""
+    key = np.array([master_seed & (2 ** 64 - 1), block_index & (2 ** 64 - 1)],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def ref_run_block(args):
     """One block in one piece: g1 is the stream's first n draws, g2 the next n."""
     protocol, alpha, beta, cfg, n, master_seed, block_index = args
-    rng = _block_stream(master_seed, block_index)
+    rng = ref_stream(master_seed, block_index)
     g1 = -cfg.sigma2 * np.log1p(-rng.random(n))
     g2 = -cfg.sigma2 * np.log1p(-rng.random(n))
     if protocol == "sc":
@@ -289,10 +303,17 @@ def test_events_equal_the_reference_ladder(case):
         for share in (alpha, beta):
             got, want = _terms(g, share, p), ref_terms(g, share, p)
             assert [_bits(x) for x in got] == [_bits(x) for x in want]
-    assert np.array_equal(_mlh_events(g1, g2, alpha, beta, cfg),
-                          ref_mlh_events(g1, g2, alpha, beta, cfg))
-    assert np.array_equal(_sc_events(g1, g2, alpha, cfg),
-                          ref_sc_events(g1, g2, alpha, cfg))
+    want_mlh = ref_mlh_events(g1, g2, alpha, beta, cfg)
+    want_sc = ref_sc_events(g1, g2, alpha, cfg)
+    assert np.array_equal(_mlh_events(g1, g2, alpha, beta, cfg), want_mlh)
+    assert np.array_equal(_sc_events(g1, g2, alpha, cfg), want_sc)
+    # a block counts the masks instead: the subsets' padded repeats
+    # (`_trials`) must not count, at sizes that are not multiples of 8
+    n = len(g1)
+    assert (_count(_mlh_walk(g1, g2, alpha, beta, cfg), n)
+            == np.bincount(want_mlh, minlength=9).tolist())
+    assert (_count(_sc_walk(np.stack((g1, g2)), alpha, cfg), n)
+            == np.bincount(want_sc, minlength=9).tolist())
 
 
 @pytest.mark.parametrize("rate,snr_db,sigma2", [
@@ -316,6 +337,66 @@ def test_reports_equal_the_reference_runner(monkeypatch, rate, snr_db, sigma2):
                 want = estimate(protocol, split, cfg, trials,
                                 master_seed=trials + 3)
             assert repr(got) == repr(want), (protocol, split, trials)
+
+
+def test_rekeyed_streams_equal_new_generators():
+    """`_block_stream` re-keys a cached generator per thread and role; each
+    stream it hands out must equal a new Philox generator draw for draw."""
+    # block after block, each left with its Philox buffer partly used
+    for block, draws in enumerate((5, 7, 10, 9, 6)):
+        want = _bits(ref_stream(12345, block).random(draws))
+        for role in (0, 1):
+            got = _block_stream(12345, block, role).random(draws)
+            assert _bits(got) == want
+    # a chunked block's first and advanced second streams, held at once
+    for n in (70_001, 70_002, 70_003, 70_004):
+        first = _block_stream(2 ** 70 + 9, 17)
+        second = _block_stream(2 ** 70 + 9, 17, role=1)
+        second.bit_generator.advance(n // 4)
+        second.random(n % 4)
+        want = ref_stream(2 ** 70 + 9, 17).random(n + 6)
+        assert _bits(first.random(6)) == _bits(want[:6]), n
+        assert _bits(second.random(6)) == _bits(want[n:]), n
+    # the bootstrap stream's resampled block indices (an odd count of
+    # 32-bit draws leaves half of a 64-bit one for the next re-key to drop)
+    for seed in (0, 77, -1):
+        got, want = (stream(seed, _BOOTSTRAP_STREAM).integers(0, 100, (3, 101))
+                     for stream in (_block_stream, ref_stream))
+        assert got.tolist() == want.tolist()
+
+
+def test_threads_equal_serial_runs():
+    """Four threads estimating at once, on different seeds and with the
+    interpreter switching threads every microsecond, each use their own
+    cached streams: the reports equal serial runs."""
+    cfg = SystemConfig.from_snr_db(4.0, 1.1)
+    cases = [("mlh", PowerSplit(0.7, 0.4), 31),
+             ("sc", PowerSplit(0.3, 0.3), 32), ("ts", None, 33),
+             ("mlh", PowerSplit(0.2, 0.9), 34)]
+    want = [repr(estimate(p, split, cfg, 60_000, seed))
+            for p, split, seed in cases]
+    got = [None] * len(cases)
+    start = threading.Barrier(len(cases), timeout=60)
+
+    def run(i):
+        protocol, split, seed = cases[i]
+        start.wait()
+        got[i] = [repr(estimate(protocol, split, cfg, 60_000, seed))
+                  for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
 
 
 CHUNK_CFG = SystemConfig.from_snr_db(4.0, 1.1)
