@@ -22,13 +22,14 @@ to the tail truncation point instead of g_max.
 The grid functions evaluate many integrals in one lockstep quadrature
 (integrate_finite_many, through _kernel_grid) with the same integrands
 (_f1, _f3, _f4) and breakpoints as the scalar path, so each value has the
-scalar path's bits.  _mlh_job states the integrals of an mlh grid: the
-p1 integrals of its rows (each distinct share and mirrored share once)
-with its p3 and p4 integrals; _sc_job an sc grid's three kernels (tp3,
-tp4, tp4p), a tp4p integral that is also a tp4 integral once.
-_mlh_columns and _sc_columns run one such job in one quadrature, and
-_lockstep several, each kind of integral as one part, the later jobs
-speculatively: only a failure of the first is raised.
+scalar path's bits.  _mlh_columns runs an mlh grid's integrals: the p1
+integrals of its rows (each distinct share and mirrored share once), then
+its p3 and p4 integrals; _sc_columns an sc grid's three kernels (tp3,
+tp4, tp4p), a tp4p integral that is also a tp4 integral once.  Each value
+depends on its own integral alone, so the columns of several grids'
+points concatenated into one call are, split back, each grid's columns
+alone; only the NonConvergence raised, that of the lowest failing
+integral, depends on what else the call holds.
 _cell_bound bounds what prob_p3 and prob_p4 return at every point of a
 rectangle of shares from above, with no quadrature: upper Riemann sums,
 as h3, h4 and h4_bar do not increase with g, each taken at the corner of
@@ -902,55 +903,26 @@ def _g_max_cell(alpha0, alpha1, cfg):
     return np.minimum(upper, (2.0 ** (2.0 * cfg.rate_R) - 1.0) / p, out=upper)
 
 
-def _lockstep(jobs, cfg, settings=None):
-    """The integrals of the jobs, all in one lockstep quadrature; each
-    job's result, in a list.
+def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
+                 cfg, settings=None):
+    """The slot-1 events of rows, and prob_p3 at each point (p3_alphas[i],
+    p3_betas[i]) and prob_p4 at each point (p4_alphas[j], p4_betas[j]),
+    with the scalar closed forms' bits, all integrals in one lockstep
+    quadrature.  The rows may be empty, and so may the points.
 
-    A job is a pair (parts, finish): the _Parts of its integrals, and a
-    function of their values (one array per part, as _kernel_grid returns
-    them) that gives the job's result.  The jobs have the same kinds of
-    parts in the same order (as _mlh_job's or _sc_job's do), and each kind
-    runs as one part, its integrals job by job: a kink array and an
-    integrand call per kind, not per job, so several jobs cost about what
-    one does.  The later jobs are speculative: if the call fails, the
-    first job runs again alone, so a NonConvergence is raised only if that
-    job fails, and is then the one it raises alone; else the list holds
-    its result only."""
-    settings = settings or DEFAULT_SETTINGS
-    if len(jobs) == 1:
-        [(parts, finish)] = jobs
-        return [finish(_kernel_grid(parts, cfg, settings))]
-    try:
-        values = _kernel_grid([_joined(same) for same in
-                               zip(*(parts for parts, _ in jobs))], cfg, settings)
-    except NonConvergence:
-        return _lockstep(jobs[:1], cfg, settings)
-    # cuts[i, k]: where job i's integrals of kind k start
-    cuts = np.cumsum([[0] * len(values)]
-                     + [[len(part.args[0]) for part in parts] for parts, _ in jobs],
-                     axis=0)
-    return [finish([v[a:b] for v, a, b in zip(values, cuts[i], cuts[i + 1])])
-            for i, (_, finish) in enumerate(jobs)]
+    Row k has the share alphas[k] and the mirror share mirrors[k].  Its
+    slot-1 fields of EventProbs are returned as columns in a namespace: p0
+    (prob_p0 at alphas), p1 and p2 (prob_p1 and prob_p2 at alphas), and
+    p1p and p2p (at mirrors); then the p3 and p4 arrays.
 
-
-def _joined(parts):
-    """The _Parts of one kind (the same name, integrand and kinks) as one,
-    their integrals in order."""
-    sizes = [len(part.args[0]) for part in parts]
-
-    def join(columns):
-        return np.concatenate([np.broadcast_to(x, n) for x, n in zip(columns, sizes)])
-
-    return parts[0]._replace(
-        shares=tuple(map(join, zip(*(part.shares for part in parts)))),
-        args=tuple(map(join, zip(*(part.args for part in parts)))),
-        lower=join([part.lower for part in parts]),
-        upper=join([part.upper for part in parts]))
-
-
-def _mlh_job(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas, cfg):
-    """_mlh_columns' integrals as a _lockstep job, whose result is what
-    _mlh_columns returns."""
+    The slot-1 terms are computed once per distinct share, in the order in
+    which a loop over the rows asks for p1 at alphas[k], then at
+    mirrors[k]: each share's _p1_window, then _p1_closed where (1 - alpha)P
+    is 0.0, else one p1 integral.  The quadrature's owners are those p1
+    integrals in that order, then the p3 and p4 integrals, each failure
+    named as the scalar closed form names it; so a NonConvergence is the
+    one that loop, then a loop of prob_p3 then prob_p4, raises first.  The
+    scalar caches are neither read nor filled."""
     alphas = np.asarray(alphas, dtype=float)
     rows = np.stack([alphas, np.asarray(mirrors, dtype=float)], axis=1).ravel()
     shares, first, inverse = np.unique(rows, return_index=True,
@@ -975,39 +947,11 @@ def _mlh_job(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas, cfg):
         b = np.asarray(b, dtype=float)
         parts.append(_slot2_part(name, (a, b), kernel, a, b,
                                  _g_max_cell(a, a, cfg), cfg))
-
-    def finish(values):
-        p1[index], p3, p4 = values
-        # prob_p2's window - p1; 0.0 - 0.0 where the window is None
-        (r1, m1), (r2, m2) = (x[inverse].reshape(-1, 2).T for x in (p1, p2 - p1))
-        p0 = np.array([prob_p0(x, cfg) for x in alphas.tolist()])
-        return SimpleNamespace(p0=p0, p1=r1, p1p=m1, p2=r2, p2p=m2), p3, p4
-
-    return parts, finish
-
-
-def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
-                 cfg, settings=None):
-    """The slot-1 events of rows, and prob_p3 at each point (p3_alphas[i],
-    p3_betas[i]) and prob_p4 at each point (p4_alphas[j], p4_betas[j]),
-    with the scalar closed forms' bits, all integrals in one lockstep
-    quadrature.  The rows may be empty, and so may the points.
-
-    Row k has the share alphas[k] and the mirror share mirrors[k].  Its
-    slot-1 fields of EventProbs are returned as columns in a namespace: p0
-    (prob_p0 at alphas), p1 and p2 (prob_p1 and prob_p2 at alphas), and
-    p1p and p2p (at mirrors); then the p3 and p4 arrays.
-
-    The slot-1 terms are computed once per distinct share, in the order in
-    which a loop over the rows asks for p1 at alphas[k], then at
-    mirrors[k]: each share's _p1_window, then _p1_closed where (1 - alpha)P
-    is 0.0, else one p1 integral.  The quadrature's owners are those p1
-    integrals in that order, then the p3 and p4 integrals, each failure
-    named as the scalar closed form names it; so a NonConvergence is the
-    one that loop, then a loop of prob_p3 then prob_p4, raises first.  The
-    scalar caches are neither read nor filled."""
-    return _lockstep([_mlh_job(alphas, mirrors, p3_alphas, p3_betas, p4_alphas,
-                               p4_betas, cfg)], cfg, settings)[0]
+    p1[index], p3, p4 = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
+    # prob_p2's window - p1; 0.0 - 0.0 where the window is None
+    (r1, m1), (r2, m2) = (x[inverse].reshape(-1, 2).T for x in (p1, p2 - p1))
+    p0 = np.array([prob_p0(x, cfg) for x in alphas.tolist()])
+    return SimpleNamespace(p0=p0, p1=r1, p1p=m1, p2=r2, p2p=m2), p3, p4
 
 
 # Margins of the p3/p4 bounds.  _BOUND_MARGIN M covers rounding: the
@@ -1147,41 +1091,31 @@ def prob_sc(alpha: float, cfg: SystemConfig,
     return ScProbs(tp3=tp3, tp4=tp4, tp4p=tp4p)
 
 
-def _sc_job(alphas, cfg):
-    """_sc_columns' integrals as a _lockstep job, whose result is the dict
-    of prob_sc's fields at each split, unchecked."""
+def _sc_columns(alphas, cfg, settings):
+    """prob_sc's fields at each split alphas[i], with the same bits and
+    unchecked, as the arrays tp3, tp4 and tp4p of a namespace, for
+    ScProbs.checked_columns.
+
+    All three kernels go through one lockstep quadrature.  tp4 at split a
+    and tp4p at split a' are the same integral when a == 1 - a' (same
+    shares, kinks and upper limit), so each distinct share, told apart by
+    its bits, is integrated once.  A NonConvergence is that of the lowest
+    failing integral, tp3 at each split in order, then the distinct tp4
+    shares, named "sc" at its split: alphas[i] for tp3, the share s for
+    tp4, which prob_sc(s) integrates as its tp4, so prob_sc fails at the
+    named split as well."""
     alpha = np.asarray(alphas, dtype=float)
     both = np.concatenate([alpha, 1.0 - alpha])
     _, first, inverse = np.unique(both.view(np.int64), return_index=True,
                                   return_inverse=True)
     shares = both[first]
     upper = cfg.sigma2 * TAIL_SPAN
-    parts = [_slot2_part("sc", (alpha,), _JOINT, alpha, alpha, upper, cfg),
-             _slot2_part("sc", (shares,), _ONLY_M1, shares, shares, upper, cfg)]
-
-    def finish(values):
-        tp3, tp4 = values
-        tp4 = tp4[inverse]
-        return dict(tp3=tp3, tp4=tp4[:len(alpha)], tp4p=tp4[len(alpha):])
-
-    return parts, finish
-
-
-def _sc_columns(alphas, cfg, settings):
-    """prob_sc's fields at each split alphas[i], with the same bits, as the
-    arrays tp3, tp4 and tp4p of ScProbs.checked_columns.
-
-    All three kernels go through one lockstep quadrature.  tp4 at split a
-    and tp4p at split a' are the same integral when a == 1 - a' (same
-    shares, kinks and upper limit), so each distinct share, told apart by
-    its bits, is integrated once.  The ValueError of a failed ScProbs check
-    is the one a loop of prob_sc would raise first.  A NonConvergence is
-    that of the lowest failing integral, tp3 at each split in order, then
-    the distinct tp4 shares, named "sc" at its split: alphas[i] for tp3,
-    the share s for tp4, which prob_sc(s) integrates as its tp4, so
-    prob_sc fails at the named split as well."""
-    return ScProbs.checked_columns(**_lockstep([_sc_job(alphas, cfg)], cfg,
-                                               settings)[0])
+    tp3, tp4 = _kernel_grid(
+        [_slot2_part("sc", (alpha,), _JOINT, alpha, alpha, upper, cfg),
+         _slot2_part("sc", (shares,), _ONLY_M1, shares, shares, upper, cfg)],
+        cfg, settings or DEFAULT_SETTINGS)
+    tp4 = tp4[inverse]
+    return SimpleNamespace(tp3=tp3, tp4=tp4[:len(alpha)], tp4p=tp4[len(alpha):])
 
 
 def event_probs(split: PowerSplit, cfg: SystemConfig,

@@ -369,22 +369,13 @@ def estimate(protocol: str, split: Optional[PowerSplit], cfg: SystemConfig,
         std_err = 0.0
 
     throughput = McEstimate(mean=mean, std_err=std_err, trials=trials)
+    # SliceEvent OMEGA0-OMEGA4P are EventProbs' fields in order, and
+    # OMEGA3-OMEGA4P ScProbs'
     if protocol == "sc":
         event_probs = None
-        sc_probs = ScProbs(tp3=freq[int(SliceEvent.OMEGA3)],
-                           tp4=freq[int(SliceEvent.OMEGA4)],
-                           tp4p=freq[int(SliceEvent.OMEGA4P)])
+        sc_probs = ScProbs(*freq[SliceEvent.OMEGA3:SliceEvent.NONE_DECODED])
     else:
-        event_probs = EventProbs(
-            p0=freq[int(SliceEvent.OMEGA0)],
-            p1=freq[int(SliceEvent.OMEGA1)],
-            p1p=freq[int(SliceEvent.OMEGA1P)],
-            p2=freq[int(SliceEvent.OMEGA2)],
-            p2p=freq[int(SliceEvent.OMEGA2P)],
-            p3=freq[int(SliceEvent.OMEGA3)],
-            p4=freq[int(SliceEvent.OMEGA4)],
-            p4p=freq[int(SliceEvent.OMEGA4P)],
-        )
+        event_probs = EventProbs(*freq[:SliceEvent.NONE_DECODED])
         sc_probs = None
     return McReport(protocol=protocol, trials=trials,
                     master_seed=master_seed & _SEED_MASK,

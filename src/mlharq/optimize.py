@@ -6,19 +6,23 @@ full grid is cheap.  Ties are broken toward alpha = beta = 1 (the
 time-sharing corner), which picks a canonical representative on the flat
 regions that appear at low SNR and large rate.
 
-Each coarse grid and refinement window is evaluated in lockstep
-quadratures (closed_form's _mlh_columns, _sc_columns and _lockstep, whose
-values have the scalar closed forms' bits) for all its integrals: p1 at
-each distinct share and its mirror, then p3 and p4 for mlh, tp3, tp4 and
-tp4p for sc.  One call per sc grid, and one call per window, unless a
-stage ends on the point it started from (the coarse grid on the
-time-sharing corner, where it seeds its incumbent, or a window on its
-centre; at 3 dB both searches keep the corner throughout at 9 of the 12
-rates of the benchmark's sweep): then all the remaining windows, centred
-on that point, run in one call, and are offered in turn until one moves
-the best point (_refine).  The later windows are dropped, so the windows
-offered, their values and failures, the result and `evaluations` are
-those of one call per window.  The mlh coarse grid integrates only the
+One search, _search, serves both protocols.  Each coarse grid and
+refinement window is evaluated in lockstep quadratures (closed_form's
+_mlh_columns and _sc_columns, whose values have the scalar closed forms'
+bits) for all its integrals: p1 at each distinct share and its mirror,
+then p3 and p4 for mlh, tp3, tp4 and tp4p for sc.  _values runs a list
+of windows (the sc coarse grid is one) as one set of points: their
+points concatenated into one call, whose columns are split back per
+window; each value depends on its own integral alone, so a window's
+values are those it has alone.  One call per window, unless a stage ends
+on the point it started from (the coarse grid on the time-sharing corner,
+where it seeds its incumbent, or a window on its centre; at 3 dB both
+searches keep the corner throughout at 9 of the 12 rates of the
+benchmark's sweep): then all the remaining windows, centred on that
+point, run in one call, and are offered in turn until one moves the best
+point (_refine).  The later windows are dropped, so the windows offered,
+their values and failures, the result and `evaluations` are those of one
+call per window.  The mlh coarse grid integrates only the
 points that can still be its argmax: the others are pruned by upper
 bounds on p3 and p4 against an incumbent (closed_form's _cell_bound),
 first over blocks of points, then at each point left, a one-point block,
@@ -46,18 +50,16 @@ from .closed_form import (
     ScProbs,
     _bound_slack,
     _cell_bound,
-    _lockstep,
     _mlh_columns,
-    _mlh_job,
     _sc_columns,
-    _sc_job,
     mlh_throughput_from_probs,
     sc_throughput_from_probs,
     throughput_mlh,
+    throughput_sc,
     throughput_ts,
 )
 from .model import PROTOCOLS, PowerSplit, SystemConfig
-from .quadrature import QuadratureSettings
+from .quadrature import NonConvergence, QuadratureSettings
 
 __all__ = ["Optimum", "optimize_split", "optimize_rate_and_split"]
 
@@ -298,27 +300,82 @@ def _coarse_values(pts, cfg, settings):
     return objective(p3, p4).reshape(n + 1, n + 1)
 
 
-def _refine(search, grid_step, refine_tol, window, values):
+def _points(protocol, centre, step):
+    """The refinement window of `step` at centre (alpha, beta), as arrays
+    (alphas, betas): a square of alphas x betas for mlh, the splits
+    alpha = beta around alpha for sc."""
+    if protocol == "sc":
+        alphas = np.array(_window(centre[0], step))
+        return alphas, alphas
+    wa, wb = (np.array(_window(x, step)) for x in centre)
+    return np.repeat(wa, len(wb)), np.tile(wb, len(wa))
+
+
+def _values(protocol, windows, cfg, settings):
+    """For each window (alphas, betas), a function that returns the
+    protocol's throughput (throughput_mlh at (alphas[k], betas[k]), or
+    throughput_sc at alphas[k]) at its points, with the same bits, and at
+    the first point whose EventProbs or ScProbs fails a check raises the
+    same ValueError.
+
+    The windows' points are concatenated into one _mlh_columns call (p1 at
+    the distinct alphas over all windows and at their 1 - alpha, then p3
+    and p4 at every point and its mirror) or one _sc_columns call, and the
+    columns are split at the cumulative window sizes.  Each value depends
+    on its own integral alone, so a window's values are those of the
+    window run alone.  The later windows are speculative: if the call
+    fails, the first window runs again alone, so a NonConvergence is
+    raised only if that window fails, and is then the one it raises
+    alone; the list then holds its function only."""
+    def columns(windows):
+        alphas = np.concatenate([a for a, _ in windows])
+        if protocol == "sc":
+            return _sc_columns(alphas, cfg, settings)
+        betas = np.concatenate([b for _, b in windows])
+        distinct, inverse = np.unique(alphas, return_inverse=True)
+        slot1, p3, p4 = _mlh_columns(distinct, 1.0 - distinct, alphas, betas,
+                                     np.concatenate([alphas, 1.0 - alphas]),
+                                     np.concatenate([betas, 1.0 - betas]),
+                                     cfg, settings)
+        n = len(alphas)
+        return SimpleNamespace(**{name: column[inverse] for name, column
+                                  in vars(slot1).items()},
+                               p3=p3, p4=p4[:n], p4p=p4[n:])
+
+    try:
+        cols = columns(windows)
+    except NonConvergence:
+        if len(windows) == 1:
+            raise
+        windows = windows[:1]
+        cols = columns(windows)
+    probs, throughput = ((ScProbs, sc_throughput_from_probs) if protocol == "sc"
+                         else (EventProbs, mlh_throughput_from_probs))
+
+    def checked(lo, hi):
+        return throughput(probs.checked_columns(**{
+            name: column[lo:hi] for name, column in vars(cols).items()}), cfg)
+
+    ends = np.cumsum([len(a) for a, _ in windows]).tolist()
+    return [partial(checked, lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+
+def _refine(protocol, search, grid_step, refine_tol, cfg, settings):
     """Offer the refinement windows: one per 10x shrink of grid_step while
     twice the step exceeds refine_tol, each centred on the search's best
-    point (alpha, beta) and offered in turn.  Returns the last window
-    offered as (values, alphas, betas), or None when there is none.
+    point (alpha, beta) (_points) and offered in turn.  Returns the last
+    window offered as (values, alphas, betas), or None when there is none.
 
-    window(centre, step) gives the points (alphas, betas) of the window at
-    centre; values(windows) runs the windows' integrals in one lockstep
-    call and returns, for each window (for the first alone if the call
-    failed, see closed_form._lockstep), a function that runs its checks
-    and returns its values.
-
-    One call per window, unless a stage ends on the point it started from
-    (the coarse grid on its incumbent seed, the time-sharing corner (1, 1),
-    or a window on its centre): then the next windows are centred on that
-    point as long as each keeps it, so all the remaining windows run in one
-    call, centred on it.  They are offered window by window; the first
-    whose best point moves ends the run, and the later windows, centred on
-    the old point, are dropped unchecked and not counted.  So each window
-    offered is the one a call per window would offer, with the same values,
-    checks and failures, and so are the best point and `evaluations`.
+    One _values call per window, unless a stage ends on the point it
+    started from (the coarse grid on its incumbent seed, the time-sharing
+    corner (1, 1), or a window on its centre): then the next windows are
+    centred on that point as long as each keeps it, so all the remaining
+    windows run in one call, centred on it.  They are offered window by
+    window; the first whose best point moves ends the run, and the later
+    windows, centred on the old point, are dropped unchecked and not
+    counted.  So each window offered is the one a call per window would
+    offer, with the same values, checks and failures, and so are the best
+    point and `evaluations`.
     """
     steps = []
     step = grid_step
@@ -328,9 +385,10 @@ def _refine(search, grid_step, refine_tol, window, values):
     start, last = (1.0, 1.0), None
     while steps:
         centre = search.best[1:]
-        windows = [window(centre, step)
+        windows = [_points(protocol, centre, step)
                    for step in (steps if centre == start else steps[:1])]
-        for points, checked in zip(windows, values(windows)):
+        for points, checked in zip(windows, _values(protocol, windows, cfg,
+                                                    settings)):
             last = (checked(), *points)
             search.offer(*last)
             steps.pop(0)
@@ -340,102 +398,34 @@ def _refine(search, grid_step, refine_tol, window, values):
     return last
 
 
-def _search_mlh(cfg, grid_step, refine_tol, settings):
-    """Coarse 2-D grid exploiting the mirror symmetries, then local shrink
-    (_refine).
+def _search(protocol, cfg, grid_step, refine_tol, settings):
+    """The coarse grid, 2-D for mlh (_coarse_values, with the mirror
+    symmetries) and 1-D for sc, then local shrink (_refine).
 
-    Refinement and the returned value use the canonical objective.  Each
-    window holds its centre (center + 0*step), so the incumbent is a point
-    of the last window, whose values have throughput_mlh's bits: that
-    value is returned without integrating it again.  With no window, the
-    objective is evaluated at the incumbent.
+    Each window holds its centre (center + 0*step), so the incumbent is a
+    point of the last window, whose values have throughput_mlh's or
+    throughput_sc's bits: that value is returned without integrating it
+    again.  With no window, the throughput is evaluated at the incumbent
+    (the mlh coarse grid's values may differ from it in the last bit).
     """
     pts = _axis_points(grid_step)
     grid = np.array(pts)
     search = _Search()
-    search.offer(_coarse_values(pts, cfg, settings).ravel(),
-                 np.repeat(grid, len(grid)), np.tile(grid, len(grid)))
-
-    def square(centre, step):
-        wa, wb = (np.array(_window(x, step)) for x in centre)
-        return np.repeat(wa, len(wb)), np.tile(wb, len(wa))
-
-    last = _refine(search, grid_step, refine_tol, square,
-                   lambda windows: _mlh_values(windows, cfg, settings))
+    if protocol == "sc":
+        search.offer(_values("sc", [(grid, grid)], cfg, settings)[0](), grid, grid)
+    else:
+        search.offer(_coarse_values(pts, cfg, settings).ravel(),
+                     np.repeat(grid, len(grid)), np.tile(grid, len(grid)))
+    last = _refine(protocol, search, grid_step, refine_tol, cfg, settings)
     _, a_star, b_star = search.best
     if last is None:
-        value = throughput_mlh(PowerSplit(alpha=a_star, beta=b_star), cfg, settings)
+        value = (throughput_sc(a_star, cfg, settings) if protocol == "sc" else
+                 throughput_mlh(PowerSplit(alpha=a_star, beta=b_star), cfg, settings))
     else:
         values, alphas, betas = last
         value = float(values[(alphas == a_star) & (betas == b_star)][0])
     return Optimum(alpha_star=a_star, beta_star=b_star, rate_star=None,
                    throughput_star=value, evaluations=search.evaluations)
-
-
-def _mlh_values(windows, cfg, settings):
-    """For each window (alphas, betas), a function that returns
-    throughput_mlh at its points (alphas[k], betas[k]), with the same bits,
-    and at the first point whose EventProbs fails a check, raises the same
-    ValueError.  The windows' integrals run in one lockstep call
-    (closed_form._lockstep): p1 at each window's distinct alpha and
-    1 - alpha, then the p3 and p4 integrals.  After a failure of a later
-    window, the first window's function alone."""
-    jobs, inverses = [], []
-    for alphas, betas in windows:
-        distinct, inverse = np.unique(alphas, return_inverse=True)
-        jobs.append(_mlh_job(distinct, 1.0 - distinct, alphas, betas,
-                             np.concatenate([alphas, 1.0 - alphas]),
-                             np.concatenate([betas, 1.0 - betas]), cfg))
-        inverses.append(inverse)
-
-    def checked(result, inverse):
-        slot1, p3, p4 = result
-        n = len(p3)
-        probs = EventProbs.checked_columns(
-            **{name: column[inverse] for name, column in vars(slot1).items()},
-            p3=p3, p4=p4[:n], p4p=p4[n:])
-        return mlh_throughput_from_probs(probs, cfg)
-
-    return [partial(checked, result, inverse) for result, inverse
-            in zip(_lockstep(jobs, cfg, settings), inverses)]
-
-
-def _search_sc(cfg, grid_step, refine_tol, settings):
-    """Coarse 1-D grid, then local shrink (_refine).
-
-    The returned value is the best offer's: the grid and every window are
-    evaluated by sc_throughput_from_probs on prob_sc's bits, so it equals
-    throughput_sc(alpha_star) bit for bit without integrating it again.
-    """
-    search = _Search()
-    grid = _axis_points(grid_step)
-    search.offer(sc_throughput_from_probs(_sc_columns(grid, cfg, settings), cfg),
-                 grid, grid)
-
-    def line(centre, step):
-        alphas = np.array(_window(centre[0], step))
-        return alphas, alphas
-
-    _refine(search, grid_step, refine_tol, line,
-            lambda windows: _sc_values(windows, cfg, settings))
-    value, a_star, _ = search.best
-    return Optimum(alpha_star=a_star, beta_star=a_star, rate_star=None,
-                   throughput_star=value,
-                   evaluations=search.evaluations)
-
-
-def _sc_values(windows, cfg, settings):
-    """For each window (alphas, alphas), a function that returns
-    throughput_sc at its splits, with the same bits, and raises the
-    ValueError of ScProbs' checks that prob_sc raises at the first bad
-    split.  The windows' integrals run in one lockstep call
-    (closed_form._lockstep).  After a failure of a later window, the first
-    window's function alone."""
-    def checked(columns):
-        return sc_throughput_from_probs(ScProbs.checked_columns(**columns), cfg)
-
-    return [partial(checked, columns) for columns in _lockstep(
-        [_sc_job(alphas, cfg) for alphas, _ in windows], cfg, settings)]
 
 
 def optimize_split(protocol: str, cfg: SystemConfig, grid_step: float = 0.01,
@@ -466,9 +456,7 @@ def optimize_split(protocol: str, cfg: SystemConfig, grid_step: float = 0.01,
         return Optimum(alpha_star=1.0, beta_star=1.0, rate_star=None,
                        throughput_star=throughput_ts(cfg, settings),
                        evaluations=1)
-    if protocol == "sc":
-        return _search_sc(cfg, grid_step, refine_tol, settings)
-    return _search_mlh(cfg, grid_step, refine_tol, settings)
+    return _search(protocol, cfg, grid_step, refine_tol, settings)
 
 
 def default_rate_grid() -> list[float]:

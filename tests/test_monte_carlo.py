@@ -12,7 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlharq import monte_carlo
-from mlharq.closed_form import prob_p0, throughput_ts, vanishing_threshold
+from mlharq.closed_form import (
+    EventProbs,
+    ScProbs,
+    prob_p0,
+    throughput_ts,
+    vanishing_threshold,
+)
 from mlharq.model import _REWARD_MESSAGES, PowerSplit, SliceEvent, SystemConfig
 from mlharq.monte_carlo import (
     _BOOTSTRAP_STREAM,
@@ -116,6 +122,43 @@ class TestEstimate:
                        master_seed=11)
         assert ts.event_probs == mlh.event_probs
         assert ts.throughput == mlh.throughput
+
+    def test_report_fields_follow_slice_events(self):
+        """estimate builds EventProbs from the frequencies of SliceEvent
+        OMEGA0-OMEGA4P in order, and ScProbs from OMEGA3-OMEGA4P: each
+        field is named after its event."""
+        events = [ev for ev in SliceEvent if ev != SliceEvent.NONE_DECODED]
+        fields = ["p" + ev.name.removeprefix("OMEGA").lower() for ev in events]
+        assert [int(ev) for ev in events] == list(range(len(events)))
+        assert list(EventProbs.__dataclass_fields__) == fields
+        assert list(ScProbs.__dataclass_fields__) == \
+            ["t" + name for name in fields[SliceEvent.OMEGA3:]]
+
+    @pytest.mark.parametrize("protocol, split", [("mlh", PowerSplit(0.7, 0.4)),
+                                                 ("sc", PowerSplit(0.4, 0.4))])
+    def test_report_fields_are_their_event_frequencies(self, monkeypatch,
+                                                       protocol, split):
+        """Each report field is the frequency of the event it is named
+        after, in the blocks' counts."""
+        run_block = monte_carlo._run_block
+        counts = []
+
+        def spy(job):
+            result = run_block(job)
+            counts.append(result[0])
+            return result
+
+        monkeypatch.setattr(monte_carlo, "_run_block", spy)
+        trials = 40_000
+        rep = estimate(protocol, split, CFG, trials=trials, master_seed=21)
+        freq = sum(counts) / trials
+        probs = rep.sc_probs if protocol == "sc" else rep.event_probs
+        for name, value in probs.as_dict().items():
+            event = SliceEvent["OMEGA" + name.lstrip("t")[1:].upper()]
+            assert value == freq[event]
+        assert rep.none_prob == freq[SliceEvent.NONE_DECODED]
+        # distinct values, so that a field read from another event differs
+        assert len(set(probs.as_dict().values())) >= 3
 
     def test_same_seed_same_report(self):
         a = estimate("mlh", PowerSplit(0.3, 0.8), CFG, trials=30_000, master_seed=5)

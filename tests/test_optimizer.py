@@ -29,8 +29,8 @@ from mlharq.model import PowerSplit, SystemConfig
 from mlharq.optimize import (
     Optimum,
     _axis_points,
-    _mlh_values,
     _Search,
+    _values,
     optimize_rate_and_split,
     optimize_split,
 )
@@ -266,15 +266,21 @@ class TestMatchesScalarSearch:
         lowest failing integral, and the scalar closed form fails at the
         point that it names.  The three cases fail in the mlh coarse grid
         (3 dB), in an mlh refinement window (10 dB) and in the sc coarse
-        grid (3 dB)."""
+        grid (3 dB), which runs as the one window of a _values call."""
         cfg = SystemConfig.from_snr_db(snr_db, 1.0)
         tight = QuadratureSettings(abs_tol=tol, rel_tol=tol)
+        coarse = np.array(_axis_points(0.1))
         failed = []   # the lockstep calls that raised, in order
-        for name in ("_coarse_values", "_mlh_values", "_sc_columns"):
+        for name in ("_coarse_values", "_values"):
             def spy(*args, name=name, call=getattr(optimize, name)):
                 try:
                     return call(*args)
                 except NonConvergence:
+                    if name == "_values":
+                        windows = args[1]
+                        grid = len(windows) == 1 and \
+                            np.array_equal(windows[0][0], coarse)
+                        name += " grid" if grid else " windows"
                     failed.append(name)
                     raise
             monkeypatch.setattr(optimize, name, spy)
@@ -284,8 +290,8 @@ class TestMatchesScalarSearch:
                 optimize_split(protocol, cfg, 0.1, 1e-2, tight)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        phase = {(3.0, "mlh"): "_coarse_values", (10.0, "mlh"): "_mlh_values",
-                 (3.0, "sc"): "_sc_columns"}[snr_db, protocol]
+        phase = {(3.0, "mlh"): "_coarse_values", (10.0, "mlh"): "_values windows",
+                 (3.0, "sc"): "_values grid"}[snr_db, protocol]
         assert failed == [phase, phase]
         assert info.value.owner is not None   # the lockstep call's own error
 
@@ -312,18 +318,21 @@ class TestSpeculativeWindows:
     def test_window_calls(self, monkeypatch, protocol, rate, calls):
         """At 3 dB, R = 2.8 the coarse grid and every window keep the
         time-sharing corner: one call for the three windows.  At R = 0.8
-        each window moves the best point, so each runs alone."""
-        name = {"mlh": "_mlh_values", "sc": "_sc_values"}[protocol]
+        each window moves the best point, so each runs alone.  sc's coarse
+        grid is a _values call of its own, with one window, the grid."""
         sizes = []   # the windows of each call
-        values = getattr(optimize, name)
+        grids = []   # whether each call is sc's coarse grid
 
-        def spy(windows, *args):
+        def spy(protocol, windows, *args):
             sizes.append(len(windows))
-            return values(windows, *args)
+            grids.append(np.array_equal(windows[0][0], _axis_points(0.01)))
+            return _values(protocol, windows, *args)
 
-        monkeypatch.setattr(optimize, name, spy)
+        monkeypatch.setattr(optimize, "_values", spy)
         optimize_split(protocol, SystemConfig.from_snr_db(3.0, rate))
-        assert sizes == calls
+        coarse = [1] if protocol == "sc" else []
+        assert sizes == coarse + calls
+        assert grids == [True] * len(coarse) + [False] * len(calls)
 
     @pytest.mark.parametrize("spoiled, fails", [((0.649905, 0.649995), False),
                                                 ((0.64905, 0.64995), True)])
@@ -369,12 +378,45 @@ class TestSpeculativeWindows:
             assert lo < split < hi
             second = np.array(optimize._window(0.65, 1e-4))
             with pytest.raises(NonConvergence) as alone:
-                optimize._sc_values([(second, second)], cfg, None)
+                optimize._values("sc", [(second, second)], cfg, None)
             assert (str(info.value), info.value.owner) == \
                 (str(alone.value), alone.value.owner)
         else:
             assert repr(optimize_split("sc", cfg)) == repr(want)
             assert len(failures) == 1
+
+
+    @pytest.mark.parametrize("protocol", ["mlh", "sc"])
+    def test_one_call_equals_the_windows_alone(self, monkeypatch, protocol):
+        """Three windows centred on (0.8, 0.7) at 3 dB, R = 1 run in one
+        _values call.  For mlh its quadrature holds one p1 integral per
+        distinct share over all the windows (the mirrored shares near 0.2
+        lie below the vanishing threshold and have none), fewer than the
+        windows run alone hold in all, as they share their centre.  Each
+        window's values are those of the window run alone, bit for bit."""
+        windows = [optimize._points(protocol, (0.8, 0.7), step)
+                   for step in (1e-3, 1e-4, 1e-5)]
+        p1_shares = []   # the p1 integrals of each lockstep quadrature
+        kernel_grid = closed_form._kernel_grid
+
+        def spy(parts, *args):
+            p1_shares.extend(part.shares[0] for part in parts if part.name == "p1")
+            return kernel_grid(parts, *args)
+
+        monkeypatch.setattr(closed_form, "_kernel_grid", spy)
+        joint = [values() for values in _values(protocol, windows, CFG_3DB, None)]
+        alone = [_values(protocol, [window], CFG_3DB, None)[0]()
+                 for window in windows]
+        for got, want in zip(joint, alone):
+            assert [float.hex(v) for v in got.tolist()] == \
+                [float.hex(v) for v in want.tolist()]
+        if protocol == "mlh":
+            distinct = np.unique(np.concatenate([a for a, _ in windows]))
+            speculative, *singles = p1_shares
+            assert sorted(speculative.tolist()) == distinct.tolist()
+            assert len(speculative) < sum(map(len, singles))
+            assert [len(x) for x in singles] == \
+                [len(np.unique(a)) for a, _ in windows]
 
 
 class TestPruning:
@@ -601,18 +643,18 @@ class TestArrayOffers:
         window = [0.5, 0.53, 0.56]
         alphas = np.repeat(window, 3)
         betas = np.tile(window, 3)
-        lockstep = optimize._lockstep
+        mlh_columns = closed_form._mlh_columns
 
         def patched(*args, **kwargs):
-            results = lockstep(*args, **kwargs)
-            for _, p3, _ in results[1:]:   # every window but the first
+            slot1, p3, p4 = mlh_columns(*args, **kwargs)
+            # every window but the first, in the concatenated points
+            for start in range(len(alphas), len(p3), len(alphas)):
                 for k, value in bad.items():
-                    p3[k] = value
-            return results
+                    p3[start + k] = value
+            return slot1, p3, p4
 
-        monkeypatch.setattr(optimize, "_lockstep", patched)
-        p3 = optimize._mlh_columns(alphas, 1.0 - alphas, alphas, betas, [], [],
-                                   CFG_3DB)[1]
+        monkeypatch.setattr(optimize, "_mlh_columns", patched)
+        p3 = mlh_columns(alphas, 1.0 - alphas, alphas, betas, [], [], CFG_3DB)[1]
         for k, value in bad.items():
             p3[k] = value
         p3 = p3.tolist()
@@ -623,7 +665,7 @@ class TestArrayOffers:
                            p2p=prob_p2(1.0 - a, CFG_3DB), p3=p3[k],
                            p4=prob_p4(a, b, CFG_3DB),
                            p4p=prob_p4(1.0 - a, 1.0 - b, CFG_3DB))
-        first, second = _mlh_values([(alphas, betas)] * 2, CFG_3DB, None)
+        first, second = _values("mlh", [(alphas, betas)] * 2, CFG_3DB, None)
         first()
         with pytest.raises(ValueError) as got:
             second()
@@ -635,8 +677,8 @@ class TestArrayOffers:
         betas = np.tile([0.0, 0.3, 0.9, 1.0], 4)
         windows = [(alphas, betas), (alphas[5:], betas[5:]), (alphas[:3], betas[:3])]
         for k in range(len(windows)):
-            for (a, b), values in zip(windows[k:], _mlh_values(windows[k:],
-                                                                CFG_3DB, None)):
+            for (a, b), values in zip(windows[k:], _values("mlh", windows[k:],
+                                                           CFG_3DB, None)):
                 want = [throughput_mlh(PowerSplit(x, y), CFG_3DB)
                         for x, y in zip(a.tolist(), b.tolist())]
                 assert [float.hex(v) for v in values().tolist()] == \
