@@ -55,7 +55,11 @@ both slots (_joint_vanishes).
 
 Extended-real conventions used throughout: x/0+ = +inf for x > 0,
 exp(-inf) = 0, max(..., +inf) = +inf; an infinite p1 window is cut at the
-tail truncation point.
+tail truncation point.  The floating-point events that make these values
+(overflow to +inf, division by zero, 0 * inf) are intended, and each is
+silenced where it is made: in _over_power, h4, _decay, _threshold and
+_kinks_grid.  So no call into this module emits a RuntimeWarning, and
+callers, the CLI among them, need no np.errstate of their own.
 """
 
 import math
@@ -67,7 +71,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .model import _GAIN_SPAN, PowerSplit, SystemConfig, safe_div_threshold
+from .model import PowerSplit, SystemConfig, safe_div_threshold
 from .quadrature import (
     DEFAULT_SETTINGS,
     TAIL_SPAN,
@@ -324,14 +328,6 @@ def _h3(g, alpha, beta, alpha2, beta2, cfg):
     return np.maximum(0.0, t, out=t)
 
 
-def _h4_may_overflow(cfg):
-    """Whether h4's 2^R u, u = 1 + g(1-alpha)P, can overflow at a sampled
-    gain g: g is at most g_max <= (2^2R - 1)/P or sigma2 _GAIN_SPAN, and a
-    factor of 2 covers the rounding of u."""
-    top = max(2.0 ** (2.0 * cfg.rate_R), cfg.sigma2 * cfg.power_P * _GAIN_SPAN)
-    return math.isinf(2.0 * 2.0 ** cfg.rate_R * (top + 1.0))
-
-
 def h4(g, alpha, beta, cfg):
     """Lower/upper slot-2 gain thresholds for "only m1 recovers at slot 2".
 
@@ -342,7 +338,8 @@ def h4(g, alpha, beta, cfg):
     after hypothetical SIC) still fails.  Elementwise over g (and over
     alpha and beta if they are arrays); returns two new arrays, 0-d at
     scalar arguments (where the expression form before the in-place
-    rewrite returned a numpy float for h4_bar).
+    rewrite returned a numpy float for h4_bar).  Its residual overflows to
+    +inf near the largest accepted rate, and h4 is then +inf, quietly.
     """
     g = np.asarray(g, dtype=float)
     r = cfg.rate_R
@@ -355,34 +352,23 @@ def h4(g, alpha, beta, cfg):
     u += 1.0                                   # 1 + g(1-alpha)P
     v = np.multiply(g, p, out=np.empty(shape))
     v += 1.0                                   # 1 + gP
-    # residual SINR required of slot 2: 2^R / (1 + slot-1 SINR of m1) - 1
-    if _h4_may_overflow(cfg):
-        with np.errstate(over="ignore"):
-            n = np.multiply(k1, u, out=np.empty(shape))
-    else:
+    # residual SINR required of slot 2: 2^R / (1 + slot-1 SINR of m1) - 1.
+    # Three events are intended, so numpy stays quiet: n overflows to the
+    # +inf it means at huge rates; at beta = 1, (1 - beta) n is then
+    # 0 * inf, a NaN that the cap test sends to +inf, as it does a finite
+    # n's cap; and an uncapped d P can underflow to 0 at a tiny beta P
+    # (n / 0, or 0 / 0 where clear overwrites it).
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         n = np.multiply(k1, u, out=np.empty(shape))
-    n -= v
-    n /= v
-    # n overflows to +inf at huge rates; at beta = 1 this is 0 * inf, a NaN
-    # that the cap test below sends to +inf, as it does a finite n's cap.  A
-    # float beta with a finite nonzero 1 - beta cannot make an invalid product.
-    if isinstance(beta, float) and 0.0 < abs(1.0 - beta) < math.inf:
+        n -= v
+        n /= v
         d = np.multiply(1.0 - beta, n, out=v)
-    else:
-        with np.errstate(invalid="ignore"):
-            d = np.multiply(1.0 - beta, n, out=v)
-    np.subtract(beta, d, out=d)                # the interference cap
-    capped = ~(d > 0.0)
-    clear = n <= 0.0
-    np.copyto(d, 1.0, where=capped)
-    d *= p
-    # an uncapped d > 0 is at least about beta 2^-54, so d*P can underflow
-    # to 0 (n / 0, or 0 / 0 where clear overwrites it) only at a tiny beta*P
-    if isinstance(beta, float) and beta * p > 2.0 ** -500:
+        np.subtract(beta, d, out=d)            # the interference cap
+        capped = ~(d > 0.0)
+        clear = n <= 0.0
+        np.copyto(d, 1.0, where=capped)
+        d *= p
         h4v = np.divide(n, d, out=n)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h4v = np.divide(n, d, out=n)
     np.copyto(h4v, np.inf, where=capped)
     np.copyto(h4v, 0.0, where=clear)
 
@@ -881,10 +867,12 @@ def prob_p4(alpha: float, beta: float, cfg: SystemConfig,
     return _slot2_prob("p4", _ONLY_M1, alpha, beta, cfg, settings)
 
 
-def _threshold(t, d):
-    """safe_div_threshold(t, d[i]) at each d[i], for t > 0; a quotient
-    that overflows is +inf, quietly, as in Python's float division."""
+def _threshold(t, c, p):
+    """safe_div_threshold(t, c[i] * p) at each c[i], for t > 0; a product
+    or quotient that overflows is +-inf, quietly, as in Python's float
+    arithmetic (a product overflowing to -inf is a non-positive power)."""
     with np.errstate(over="ignore"):
+        d = c * p
         return np.divide(t, d, out=np.full(len(d), np.inf), where=d > 0.0)
 
 
@@ -898,8 +886,8 @@ def _g_max_cell(alpha0, alpha1, cfg):
     k1 = 2.0 ** cfg.rate_R
     t1 = k1 - 1.0
     p = cfg.power_P
-    upper = np.minimum(_threshold(t1, (1.0 + k1 * (alpha0 - 1.0)) * p),
-                       _threshold(t1, (1.0 - k1 * alpha1) * p))
+    upper = np.minimum(_threshold(t1, 1.0 + k1 * (alpha0 - 1.0), p),
+                       _threshold(t1, 1.0 - k1 * alpha1, p))
     return np.minimum(upper, (2.0 ** (2.0 * cfg.rate_R) - 1.0) / p, out=upper)
 
 

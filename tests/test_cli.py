@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import re
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mlharq.cli as cli
 import mlharq.sweeps as sweeps
 from mlharq.closed_form import prob_p3, prob_p4
-from mlharq.model import SystemConfig
+from mlharq.model import PROTOCOLS, SystemConfig
 from mlharq.quadrature import NonConvergence, QuadratureSettings
 
 
@@ -204,6 +208,53 @@ def test_overflowing_residual_keeps_stderr_empty(capsys, argv):
                              "--snr-db", "3")
     assert code == 0
     assert out and err == ""
+
+
+EDGE_SHARES = [0.0, 1.0, 1e-300, 1.0 - 1e-16]
+
+
+@st.composite
+def edge_runs(draw):
+    """An eval or coarse optimize command anywhere in the accepted ranges
+    and past them: R from 1e-12 to 512, SNR from -320 to 3,100 dB, sigma2
+    from 1e-170 to 1e160, shares at the edges 0, 1, 1e-300, 1 - 1e-16 or
+    anywhere in [0, 1]."""
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    argv = [draw(st.sampled_from(["eval", "optimize"])), "--protocol", protocol,
+            f"--rate={draw(st.floats(1e-12, 512.0))!r}",
+            f"--snr-db={draw(st.floats(-320.0, 3100.0))!r}",
+            f"--sigma2={10.0 ** draw(st.floats(-170.0, 160.0))!r}"]
+    if argv[0] == "optimize":
+        return argv + ["--grid-step", "0.1", "--refine-tol", "0.01"]
+    share = st.one_of(st.sampled_from(EDGE_SHARES), st.floats(0.0, 1.0))
+    shares = {"ts": [], "sc": ["--alpha"], "mlh": ["--alpha", "--beta"]}[protocol]
+    for flag in shares:
+        argv += [flag, repr(draw(share))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=edge_runs())
+# 2^R (alpha - 1) P overflows to -inf in the mlh coarse grid's g_max
+@example(argv=["optimize", "--protocol", "mlh", "--rate=189.0",
+               "--snr-db=1964.0", "--sigma2=1e+55", "--grid-step", "0.1",
+               "--refine-tol", "0.01"])
+def test_every_edge_input_ends_quietly_in_a_documented_exit_code(argv):
+    """No command warns, with RuntimeWarning an error, and each ends as the
+    CLI edge-input checks demand: exit 0 with nothing on stderr, 1 with
+    one `error: ` line, or 2 with one `numerical failure: ` line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        prefix = "error: " if code == 1 else "numerical failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1, argv
 
 
 HUGE_SIGMA2_RUNS = [

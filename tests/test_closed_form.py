@@ -112,27 +112,40 @@ class TestThresholds:
     def test_h4_of_an_overflowing_residual_is_inf(self, beta):
         """Near the largest accepted rate, 2^R (1 + g(1-alpha)P) overflows,
         and so does the residual n: the needed slot-2 gain is +inf, with
-        no cap at beta = 1 (0 * inf there must not warn) and with the cap
-        binding below it.  A float beta skips the errstate of the cap
-        unless 1 - beta is 0, and gives the bits of a (P, 1) column of it."""
+        no cap at beta = 1 and with the cap binding below it.  h4 silences
+        the overflow and the 0 * inf at beta = 1 itself, so the calls warn
+        nowhere, and a float beta gives the bits of a (P, 1) column of it."""
         cfg = SystemConfig.from_snr_db(3.0, 511.99999999999994)
         g = np.array([[0.0, 1.0, 1e150, 1e200, 1e300]] * 2)
-        with np.errstate(over="ignore"):   # the intended overflow, as in the CLI
-            scalar = h4(g, 0.5, beta, cfg)
-            column = h4(g, 0.5, np.full((len(g), 1), beta), cfg)
+        scalar = h4(g, 0.5, beta, cfg)
+        column = h4(g, 0.5, np.full((len(g), 1), beta), cfg)
         assert scalar[0][:, 3:].tolist() == [[math.inf, math.inf]] * 2
         for got, want in zip(scalar, column):
             assert got.tobytes() == want.tobytes()
 
-    def test_h4_overflow_is_quiet_on_the_library_path(self):
-        """With no errstate around the call, h4's 2^R u overflows quietly
-        to the +inf residual it means (a RuntimeWarning fails the test):
-        at 3 dB, R = 400 through prob_p4's scalar integrand, and at
-        sigma2 = 1e153, R = 8 through the sc search's lockstep one."""
-        assert prob_p4(0.1, 1.0, SystemConfig.from_snr_db(3.0, 400.0)) == 0.0
-        opt = optimize_split("sc", SystemConfig.from_snr_db(3.0, 8.0, 1e153),
-                             grid_step=0.1, refine_tol=0.01)
-        assert (opt.alpha_star, opt.throughput_star) == (0.999, 7.999999999999918)
+    @pytest.mark.parametrize("probe", [
+        lambda: prob_p4(0.1, 1.0, SystemConfig.from_snr_db(3.0, 400.0)) == 0.0,
+        lambda: prob_p3(1.0, 2.2250738585e-313,
+                        SystemConfig(1.0, 0.3, 0.3)) == 0.0,
+        lambda: prob_p1(0.9, SystemConfig(1.0, 1e-160, 1e-160)) == 0.0,
+        lambda: _sc_optimum(SystemConfig.from_snr_db(3.0, 8.0, 1e153))
+        == (0.999, 7.999999999999918),
+    ], ids=["p4-overflowing-residual", "p3-subnormal-beta",
+            "p1-subnormal-sigma2-power", "sc-search-overflowing-residual"])
+    def test_h4_overflow_is_quiet_on_the_library_path(self, probe):
+        """With no errstate around the call, each extended-real event stays
+        quiet (a RuntimeWarning fails the test) and gives the value it
+        means: h4's 2^R u overflowing to +inf, at 3 dB, R = 400 through
+        prob_p4's scalar integrand and at sigma2 = 1e153, R = 8 through the
+        sc search's lockstep one; h3's n / w at a subnormal slot-2 power
+        beta P; and p1's residual over a subnormal sigma2 P."""
+        assert probe()
+
+
+def _sc_optimum(cfg):
+    """The coarse sc search's (alpha_star, throughput_star) at cfg."""
+    opt = optimize_split("sc", cfg, grid_step=0.1, refine_tol=0.01)
+    return opt.alpha_star, opt.throughput_star
 
 
 class TestZeroPowerFastPath:

@@ -446,14 +446,13 @@ def test_grid_forms_equal_scalar_closed_forms(case):
     cfg, points = case
     alphas = [a for a, _ in points]
     betas = [b for _, b in points]
-    with np.errstate(over="ignore", divide="ignore"):
-        p3 = _bits([prob_p3(a, b, cfg) for a, b in points])
-        p4 = _bits([prob_p4(a, b, cfg) for a, b in points])
-        assert _bits(_p3_p4(alphas, betas, [], [], cfg)[0].tolist()) == p3
-        assert _bits(_p3_p4([], [], alphas, betas, cfg)[1].tolist()) == p4
-        both = _p3_p4(alphas, betas, alphas[::-1], betas[::-1], cfg)
-        assert [_bits(v.tolist()) for v in both] == [p3, p4[::-1]]
-        assert _sc_reprs(alphas, cfg) == [repr(prob_sc(a, cfg)) for a in alphas]
+    p3 = _bits([prob_p3(a, b, cfg) for a, b in points])
+    p4 = _bits([prob_p4(a, b, cfg) for a, b in points])
+    assert _bits(_p3_p4(alphas, betas, [], [], cfg)[0].tolist()) == p3
+    assert _bits(_p3_p4([], [], alphas, betas, cfg)[1].tolist()) == p4
+    both = _p3_p4(alphas, betas, alphas[::-1], betas[::-1], cfg)
+    assert [_bits(v.tolist()) for v in both] == [p3, p4[::-1]]
+    assert _sc_reprs(alphas, cfg) == [repr(prob_sc(a, cfg)) for a in alphas]
 
 
 def _sc_failure_names_its_first_owner(alphas, cfg, quad):
@@ -693,7 +692,7 @@ def test_sc_grid_equals_the_scalar_loop_on_a_coarse_grid(monkeypatch, snr_db,
 
     monkeypatch.setattr(closed_form, "integrate_finite_many", spy)
     cfg = SystemConfig.from_snr_db(snr_db, rate)
-    with _budget(budget), np.errstate(over="ignore", divide="ignore"):
+    with _budget(budget):
         assert _sc_reprs(COARSE, cfg) == [repr(prob_sc(a, cfg)) for a in COARSE]
     assert calls == [101 + 141]   # tp3, then the 141 distinct tp4/tp4p shares
 
@@ -712,7 +711,7 @@ def test_sc_grid_raises_the_first_failure_of_the_scalar_loop(snr_db, rate, tol,
     and it is tp4 at the share 0.6."""
     cfg = SystemConfig.from_snr_db(snr_db, rate)
     quad = QuadratureSettings(abs_tol=tol, rel_tol=tol)
-    with _budget(budget), np.errstate(over="ignore", divide="ignore"):
+    with _budget(budget):
         split = _sc_failure_names_its_first_owner(COARSE, cfg, quad)
     assert split == (0.6 if (snr_db, tol) == (3.0, 1e-17) else 0.01)
 
