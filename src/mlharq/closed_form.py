@@ -30,13 +30,18 @@ depends on its own integral alone, so the columns of several grids'
 points concatenated into one call are, split back, each grid's columns
 alone; only the NonConvergence raised, that of the lowest failing
 integral, depends on what else the call holds.
-_cell_bound bounds what prob_p3 and prob_p4 return at every point of a
-rectangle of shares from above, with no quadrature: upper Riemann sums,
-as h3, h4 and h4_bar do not increase with g, each taken at the corner of
-the rectangle where it is least (h3's two layer terms at two corners) or
-largest, as they are monotone in the shares; a point is the one-point
-cell.  The optimizer prunes the mlh coarse grid with them, over blocks
-of points and at single points.
+The bounds need no quadrature.  _kernel_bounds holds the one rule: a
+Riemann sum of a kernel's integrand over pieces of the slot-1 range, an
+upper one with h3, h4 and h4_bar at the piece ends that make the slot-2
+factor largest, as they do not increase with g, and a lower one with them
+at the other ends.  _cell_bound bounds what prob_p3 and prob_p4 return at
+every point of a rectangle of shares from above, each term taken at the
+corner of the rectangle where it is least (h3's two layer terms at two
+corners) or largest, as they are monotone in the shares; a point is the
+one-point cell.  _sc_bounds bounds what prob_sc returns at a split from
+above and from below.  The optimizer prunes the mlh coarse grid with the
+first, over blocks of points and at single points, and the sc coarse
+grid with the second.
 p1's window rule has one form, _p1_window and _p1_closed, which both
 paths call once per share.  Each slot-2 kernel is one _Kernel record, its
 integrand, kink root terms, vanishing rule and bound factor, which the
@@ -657,35 +662,43 @@ def _f4(g, alpha, beta, cfg):
     return layer
 
 
-# The bound factors: an upper bound, at most 1, on an integrand's slot-2
-# factor on each piece between consecutive edges (an (n, pieces + 1) array)
-# at every share of a cell [alpha0, alpha1] x [beta0, beta1] (the corners
-# are (n, 1) columns; a point is the cell alpha0 = alpha1, beta0 = beta1).
-# h3, h4 and h4_bar do not increase with g, so each is taken at the end of
-# the piece that makes the factor largest, and at the cell's corner that
-# does (see _h3 and _f4_factor).
+# The bound factors: bounds, at most 1, on an integrand's slot-2 factor on
+# each piece between consecutive edges (an (n, pieces + 1) array), as a
+# pair (upper, lower) of (n, pieces) arrays, lower None unless asked for.
+# The upper factor holds at every share of a cell [alpha0, alpha1] x
+# [beta0, beta1] (the corners are (n, 1) columns), the lower one at a point
+# (the cell alpha0 = alpha1, beta0 = beta1).  h3, h4 and h4_bar do not
+# increase with g, so each is taken at the end of the piece that makes the
+# factor largest (upper) or least (lower), and at the cell's corner that
+# makes it largest (see _h3 and _f4_factor).
 
-def _f3_factor(edges, alpha0, beta0, alpha1, beta1, cfg):
-    """_f3's factor exp(-h3/s2) at each piece's right end, with h3's m1
-    term at (alpha1, beta1) and its m2 term at (alpha0, beta0)."""
-    y = _h3(edges[:, 1:], alpha1, beta1, alpha0, beta0, cfg)
-    return _decay(y, cfg.sigma2, y)
+def _f3_factor(edges, alpha0, beta0, alpha1, beta1, cfg, lower):
+    """_f3's factor exp(-h3/s2) at each piece's right end (upper) and, if
+    `lower`, at its left end (lower: both are views of one array), with
+    h3's m1 term at (alpha1, beta1) and its m2 term at (alpha0, beta0)."""
+    y = _h3(edges if lower else edges[:, 1:], alpha1, beta1, alpha0, beta0, cfg)
+    _decay(y, cfg.sigma2, y)
+    return (y[:, 1:], y[:, :-1]) if lower else (y, None)
 
 
-def _f4_factor(edges, alpha0, beta0, alpha1, beta1, cfg):
-    """A bound on _f4's factor max(0, exp(-h4/s2) - exp(-h4_bar/s2)) on
-    each piece: exp(-h4/s2) at its right end less exp(-h4_bar/s2) at its
-    left end, or 0, both at the cell's corner (alpha1, beta1).  h4's
-    residual n does not increase with alpha, and its interference cap
-    beta - (1 - beta) n (where n > 0) does not decrease with alpha or
-    beta, so h4 is least there; h4_bar's residual does not decrease with
-    alpha, nor its 1 / ((1 - beta) P) with beta, so h4_bar is largest
-    there."""
+def _f4_factor(edges, alpha0, beta0, alpha1, beta1, cfg, lower):
+    """Bounds on _f4's factor max(0, exp(-h4/s2) - exp(-h4_bar/s2)) on
+    each piece, both at the cell's corner (alpha1, beta1): upper,
+    exp(-h4/s2) at its right end less exp(-h4_bar/s2) at its left end, or
+    0; if `lower`, lower, exp(-h4/s2) at its left end less exp(-h4_bar/s2)
+    at its right end, or 0.  h4's residual n does not increase with alpha,
+    and its interference cap beta - (1 - beta) n (where n > 0) does not
+    decrease with alpha or beta, so h4 is least there; h4_bar's residual
+    does not decrease with alpha, nor its 1 / ((1 - beta) P) with beta, so
+    h4_bar is largest there."""
     s2 = cfg.sigma2
     hv, hb = h4(edges, alpha1, beta1, cfg)
-    factor = _decay(hv, s2, hv)[:, 1:]
-    factor -= _decay(hb, s2, hb)[:, :-1]
-    return np.maximum(factor, 0.0, out=factor)
+    _decay(hv, s2, hv)
+    _decay(hb, s2, hb)
+    least = np.maximum(hv[:, :-1] - hb[:, 1:], 0.0) if lower else None
+    most = hv[:, 1:]
+    most -= hb[:, :-1]   # in place: hv's left ends are read already
+    return np.maximum(most, 0.0, out=most), least
 
 
 # The vanishing rules, elementwise over floats or arrays: True where a
@@ -731,13 +744,14 @@ class _Kernel(NamedTuple):
     """One slot-2 kernel after a both-fail slot 1: the integral of
     integrand(g, alpha, beta, cfg) over the slot-1 gain g in [0, upper].
     The scalar path (_slot2), the lockstep path (_slot2_part) and the
-    bounds (_cell_bound) all read it.
+    bounds (_kernel_bounds) all read it.
 
     terms(alpha, beta, cfg) gives the integrand's kink root terms,
     vanishes(alpha, beta, upper, cfg) its vanishing rule, and
-    factor(edges, alpha0, beta0, alpha1, beta1, cfg) a bound on its slot-2
-    factor on each piece between consecutive edges, at every share of the
-    cell [alpha0, alpha1] x [beta0, beta1]."""
+    factor(edges, alpha0, beta0, alpha1, beta1, cfg, lower) bounds (upper,
+    lower) on its slot-2 factor on each piece between consecutive edges,
+    the upper one at every share of the cell [alpha0, alpha1] x [beta0,
+    beta1], the lower one, if asked for, at a point."""
     integrand: Callable
     terms: Callable
     vanishes: Callable
@@ -942,15 +956,16 @@ def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
     return SimpleNamespace(p0=p0, p1=r1, p1p=m1, p2=r2, p2p=m2), p3, p4
 
 
-# Margins of the p3/p4 bounds.  _BOUND_MARGIN M covers rounding: the
-# bound's own (h3/h4 and their exponentials at a piece's ends, the piece
-# masses and their sum, a few ulps each of terms at most 1: some 2^-45 in
-# all at 32 pieces), and the quadrature's where the sum is exact (the
-# integrand's factor constant in g, as p4 at alpha = 0, beta = 1: values
-# were measured up to 5e-17 above the sum).  M = 2^-30 exceeds both by a
-# factor of over 2^10.  _TOL_SLACK covers the quadrature's tolerance:
-# prob_p3 and prob_p4 stop once their error estimate is within
-# max(abs_tol, rel_tol |value|) <= max(abs_tol, rel_tol), the values being
+# Margins of the slot-2 kernels' bounds.  _BOUND_MARGIN M covers rounding:
+# the bound's own (h3/h4 and their exponentials at a piece's ends, the
+# piece masses and their sum, a few ulps each of terms at most 1: some
+# 2^-45 in all at 32 pieces), and the quadrature's where the sum is exact
+# (the integrand's factor constant in g, as p4 at alpha = 0, beta = 1:
+# values were measured up to 5e-17 above the sum, and a lower sum is then
+# exact too).  M = 2^-30 exceeds both by a factor of over 2^10.
+# _TOL_SLACK covers the quadrature's tolerance: prob_p3, prob_p4 and
+# prob_sc stop once their error estimate is within max(abs_tol,
+# rel_tol |value|) <= max(abs_tol, rel_tol), the values being
 # probabilities, and the slack allows 6 times that.  tests/test_bounds.py
 # holds the bounds against the quadratures.
 _BOUND_MARGIN = 2.0 ** -30
@@ -993,22 +1008,67 @@ def _slot1_pieces(upper, s2, pieces):
     return edges, survival[:, :-1] - survival[:, 1:]
 
 
-def _upper_sum(kernel, corners, edges, mass, cfg):
-    """The upper Riemann sum of the kernel's integrand over each cell
-    (corners: alpha0, alpha1, beta0, beta1, one entry per cell) and the
-    pieces of _slot1_pieces (edges[i], mass[i]), plus the mass past the
-    cut: a piece contributes at most the kernel's bound factor on it times
-    its exact slot-1 mass, and the range past the cut its mass."""
-    alpha0, alpha1, beta0, beta1 = (x[:, None] for x in corners)
-    factor = kernel.factor(edges, alpha0, beta0, alpha1, beta1, cfg)
-    factor *= mass[:, :-1]
-    return factor.sum(axis=1) + mass[:, -1]
-
-
 def _bound_slack(settings):
-    """The least value of _cell_bound's bounds at these settings."""
+    """The least value of an upper bound of _kernel_bounds at these
+    settings."""
     settings = settings or DEFAULT_SETTINGS
     return _BOUND_MARGIN + _TOL_SLACK * max(settings.abs_tol, settings.rel_tol)
+
+
+def _riemann_sums(kernel, corners, edges, mass, cfg, lower):
+    """The upper and lower Riemann sums of _kernel_bounds at each cell
+    (corners: alpha0, alpha1, beta0, beta1, one entry per cell) over its
+    pieces (edges[i], mass[i]); no lower sum unless `lower`."""
+    alpha0, alpha1, beta0, beta1 = (x[:, None] for x in corners)
+    most, least = kernel.factor(edges, alpha0, beta0, alpha1, beta1, cfg, lower)
+    piece = mass[:, :-1]
+    if lower:   # before `most` is scaled in place: it may share least's array
+        least = (least * piece).sum(axis=1)
+    most *= piece
+    return most.sum(axis=1) + mass[:, -1], least
+
+
+def _kernel_bounds(kernel, cells, limit, cfg, pieces, settings, lower=False):
+    """Bounds (upper, lower) on what the kernel's quadrature over
+    [0, limit[i]] returns at these settings, with no quadrature: the upper
+    one at every point of cell i, the lower one (None unless `lower`) where
+    that cell is a point.  cells holds four arrays (alpha0, alpha1, beta0,
+    beta1), one entry per cell, and limit an array of limits >= 0, one per
+    cell.
+
+    Each piece of _slot1_pieces over [0, limit] contributes the kernel's
+    bound factors on it (kernel.factor) times its exact slot-1 mass, and
+    the range past the cut its mass to the upper sum, nothing to the lower
+    one.  With M = _BOUND_MARGIN and T = _TOL_SLACK max(abs_tol, rel_tol),
+    the upper sum is inflated to (1 + M) sum + M + T and the lower one
+    deflated to (1 - M) sum - M - T, floored at 0.  The vanishing rule is
+    proved at a point, so only a point's integral that it proves 0.0 gets
+    no sum: its bounds are _bound_slack and 0.0.  More pieces give tighter
+    bounds; a NaN sum gives NaN bounds."""
+    alpha0, alpha1, beta0, beta1 = cells = [np.asarray(x, dtype=float)
+                                            for x in cells]
+    distinct, inverse = np.unique(limit, return_inverse=True)
+    edges, mass = _slot1_pieces(distinct, cfg.sigma2, pieces)
+    upper = np.zeros(len(alpha0))
+    below = np.zeros(len(alpha0)) if lower else None
+    vanishes = ((alpha0 == alpha1) & (beta0 == beta1)
+                & kernel.vanishes(alpha1, beta1, limit, cfg))
+    rest = np.flatnonzero(~vanishes)
+    for s in range(0, len(rest), _BOUND_CHUNK):
+        run = rest[s:s + _BOUND_CHUNK]
+        at = inverse[run]
+        upper[run], least = _riemann_sums(
+            kernel, [x[run] for x in cells], edges[at], mass[at], cfg, lower)
+        if lower:
+            below[run] = least
+    slack = _bound_slack(settings)
+    upper *= 1.0 + _BOUND_MARGIN
+    upper += slack
+    if not lower:
+        return upper, None
+    below *= 1.0 - _BOUND_MARGIN
+    below -= slack
+    return upper, np.maximum(below, 0.0, out=below)
 
 
 def _cell_bound(p3_cells, p4_cells, cfg, pieces, settings=None):
@@ -1017,34 +1077,37 @@ def _cell_bound(p3_cells, p4_cells, cfg, pieces, settings=None):
     settings, with no quadrature.  A cell is [alpha0, alpha1] x [beta0,
     beta1] in the unit square, and cells are given as four arrays (alpha0,
     alpha1, beta0, beta1), one entry per cell; a point is the cell
-    alpha0 = alpha1, beta0 = beta1.
-
-    Each is _upper_sum's bound with `pieces` pieces of _slot1_pieces over
-    [0, _g_max_cell] (0 where that is <= 0, prob_p3/prob_p4's guard),
-    inflated to (1 + M) bound + M + _TOL_SLACK max(abs_tol, rel_tol),
-    M = _BOUND_MARGIN.  The kernel's vanishing rule is proved at a point,
-    so only a point's integral that it proves 0.0 gets no sum.  More pieces
-    give a tighter bound."""
-    slack = _bound_slack(settings)
+    alpha0 = alpha1, beta0 = beta1.  Each is _kernel_bounds' upper bound
+    with `pieces` pieces over [0, _g_max_cell] (0 where that is <= 0,
+    prob_p3/prob_p4's guard)."""
     bounds = []
     for kernel, cells in ((_JOINT, p3_cells), (_ONLY_M1, p4_cells)):
-        alpha0, alpha1, beta0, beta1 = corners = [
-            np.asarray(x, dtype=float) for x in cells]
-        upper = _g_max_cell(alpha0, alpha1, cfg)
-        np.maximum(upper, 0.0, out=upper)
-        distinct, inverse = np.unique(upper, return_inverse=True)
-        edges, mass = _slot1_pieces(distinct, cfg.sigma2, pieces)
-        bound = np.zeros(len(alpha0))
-        vanishes = ((alpha0 == alpha1) & (beta0 == beta1)
-                    & kernel.vanishes(alpha1, beta1, upper, cfg))
-        rest = np.flatnonzero(~vanishes)
-        for s in range(0, len(rest), _BOUND_CHUNK):
-            run = rest[s:s + _BOUND_CHUNK]
-            at = inverse[run]
-            bound[run] = _upper_sum(kernel, [x[run] for x in corners], edges[at],
-                                    mass[at], cfg)
-        bounds.append(bound * (1.0 + _BOUND_MARGIN) + slack)
+        cells = [np.asarray(x, dtype=float) for x in cells]
+        limit = _g_max_cell(cells[0], cells[1], cfg)
+        np.maximum(limit, 0.0, out=limit)
+        bounds.append(_kernel_bounds(kernel, cells, limit, cfg, pieces,
+                                     settings)[0])
     return bounds[0], bounds[1]
+
+
+def _sc_bounds(alphas, cfg, pieces, settings=None):
+    """Bounds on what prob_sc returns at each split alphas[i], at these
+    settings, with no quadrature: two namespaces (upper, lower) of the
+    arrays tp3, tp4 and tp4p, each _kernel_bounds' bound with `pieces`
+    pieces over [0, sigma2 TAIL_SPAN] at the point (alpha, alpha), tp4p's
+    at (1 - alpha, 1 - alpha).  sc_throughput_from_probs does not decrease
+    in any field, and rounds monotonically, so it makes each side a bound
+    on what throughput_sc returns."""
+    alpha = np.asarray(alphas, dtype=float)
+    n = len(alpha)
+    shares = np.concatenate([alpha, 1.0 - alpha])
+    limit = np.full(2 * n, cfg.sigma2 * TAIL_SPAN)
+    tp3 = _kernel_bounds(_JOINT, [alpha] * 4, limit[:n], cfg, pieces, settings,
+                         lower=True)
+    tp4 = _kernel_bounds(_ONLY_M1, [shares] * 4, limit, cfg, pieces, settings,
+                         lower=True)
+    return tuple(SimpleNamespace(tp3=t3, tp4=t4[:n], tp4p=t4[n:])
+                 for t3, t4 in zip(tp3, tp4))
 
 
 def prob_p4_prime(alpha: float, beta: float, cfg: SystemConfig,

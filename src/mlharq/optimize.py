@@ -11,30 +11,37 @@ refinement window is evaluated in lockstep quadratures (closed_form's
 _mlh_columns and _sc_columns, whose values have the scalar closed forms'
 bits) for all its integrals: p1 at each distinct share and its mirror,
 then p3 and p4 for mlh, tp3, tp4 and tp4p for sc.  _values runs a list
-of windows (the sc coarse grid is one) as one set of points: their
-points concatenated into one call, whose columns are split back per
-window; each value depends on its own integral alone, so a window's
-values are those it has alone.  One call per window, unless a stage ends
-on the point it started from (the coarse grid on the time-sharing corner,
-where it seeds its incumbent, or a window on its centre; at 3 dB both
-searches keep the corner throughout at 9 of the 12 rates of the
-benchmark's sweep): then all the remaining windows, centred on that
-point, run in one call, and are offered in turn until one moves the best
-point (_refine).  The later windows are dropped, so the windows offered,
-their values and failures, the result and `evaluations` are those of one
-call per window.  The mlh coarse grid integrates only the
-points that can still be its argmax: the others are pruned by upper
-bounds on p3 and p4 against an incumbent (closed_form's _cell_bound),
-first over blocks of points, then at each point left, a one-point block,
-in a few _mlh_columns calls (_coarse_values), the first of which carries
-p1.  The values are combined elementwise by
-mlh_throughput_from_probs and sc_throughput_from_probs and offered as one
-array, a pruned point as NaN: the winner is the one a point-by-point loop
-in the scalar search's order would keep.  A lockstep call that fails
-raises the NonConvergence of its lowest failing integral, which names a
-kernel, shares and config at which the scalar closed form fails too; one
-that holds speculative windows runs its first window again alone, which
-raises only if that window fails.
+of windows as one set of points: their points concatenated into one
+call, whose columns are split back per window; each value depends on its
+own integral alone, so a window's values are those it has alone.  One
+call per window, unless a stage ends on the point it started from (the
+coarse grid on the time-sharing corner, where it seeds its incumbent, or
+a window on its centre; at 3 dB both searches keep the corner throughout
+at 9 of the 12 rates of the benchmark's sweep): then all the remaining
+windows, centred on that point, run in one call, and are offered in turn
+until one moves the best point (_refine).  The later windows are
+dropped, so the windows offered, their values and failures, the result
+and `evaluations` are those of one call per window.
+
+Both coarse grids integrate only the points that can still be their
+argmax, the others pruned by bounds from closed_form that need no
+quadrature.  The mlh grid bounds p3 and p4 from above (_cell_bound)
+against an incumbent, first over blocks of points, then at each point
+left, a one-point block, in a few _mlh_columns calls (_coarse_values),
+the first of which carries p1.  The sc grid bounds each split's
+throughput from above and below (_sc_bounds) and prunes the splits whose
+upper bound lies below the largest lower bound; the splits left are the
+first window of one _values call, which also carries the corner's
+refinement windows where the corner has the largest lower bound
+(_sc_coarse), so that at a corner rate an sc search makes one call.  The
+values are combined elementwise by mlh_throughput_from_probs and
+sc_throughput_from_probs and offered as one array, a pruned point as
+NaN: the winner is the one a point-by-point loop in the scalar search's
+order would keep.  A lockstep call that fails raises the NonConvergence
+of its lowest failing integral, which names a kernel, shares and config
+at which the scalar closed form fails too; one that holds speculative
+windows runs its first window again alone, which raises only if that
+window fails.
 """
 
 import math
@@ -51,6 +58,7 @@ from .closed_form import (
     _bound_slack,
     _cell_bound,
     _mlh_columns,
+    _sc_bounds,
     _sc_columns,
     mlh_throughput_from_probs,
     sc_throughput_from_probs,
@@ -360,11 +368,22 @@ def _values(protocol, windows, cfg, settings):
     return [partial(checked, lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
-def _refine(protocol, search, grid_step, refine_tol, cfg, settings):
-    """Offer the refinement windows: one per 10x shrink of grid_step while
-    twice the step exceeds refine_tol, each centred on the search's best
-    point (alpha, beta) (_points) and offered in turn.  Returns the last
-    window offered as (values, alphas, betas), or None when there is none.
+def _steps(grid_step, refine_tol):
+    """The refinement windows' steps: one per 10x shrink of grid_step while
+    twice the step exceeds refine_tol."""
+    steps = []
+    step = grid_step
+    while 2.0 * step > refine_tol:
+        step /= 10.0
+        steps.append(step)
+    return steps
+
+
+def _refine(protocol, search, steps, cfg, settings, ahead):
+    """Offer the refinement windows, one per step of `steps`, each centred
+    on the search's best point (alpha, beta) (_points) and offered in turn.
+    Returns the last window offered as (values, alphas, betas), or None
+    when there is none.
 
     One _values call per window, unless a stage ends on the point it
     started from (the coarse grid on its incumbent seed, the time-sharing
@@ -375,20 +394,23 @@ def _refine(protocol, search, grid_step, refine_tol, cfg, settings):
     windows, centred on the old point, are dropped unchecked and not
     counted.  So each window offered is the one a call per window would
     offer, with the same values, checks and failures, and so are the best
-    point and `evaluations`.
+    point and `evaluations`.  `ahead` holds the corner's windows as
+    (points, values) pairs if the coarse grid's call ran them (_sc_coarse),
+    else nothing: they stand for the call of all the windows where the
+    coarse grid ends on the corner, and are dropped unread otherwise.
     """
-    steps = []
-    step = grid_step
-    while 2.0 * step > refine_tol:
-        step /= 10.0
-        steps.append(step)
+    steps = list(steps)
     start, last = (1.0, 1.0), None
     while steps:
         centre = search.best[1:]
-        windows = [_points(protocol, centre, step)
-                   for step in (steps if centre == start else steps[:1])]
-        for points, checked in zip(windows, _values(protocol, windows, cfg,
-                                                    settings)):
+        if centre == start and ahead:
+            pairs = ahead
+        else:
+            windows = [_points(protocol, centre, step)
+                       for step in (steps if centre == start else steps[:1])]
+            pairs = zip(windows, _values(protocol, windows, cfg, settings))
+        ahead = ()
+        for points, checked in pairs:
             last = (checked(), *points)
             search.offer(*last)
             steps.pop(0)
@@ -398,9 +420,45 @@ def _refine(protocol, search, grid_step, refine_tol, cfg, settings):
     return last
 
 
+def _sc_coarse(grid, steps, cfg, settings):
+    """The sc objective at every split of the coarse grid, NaN at a split
+    pruned as one that cannot be its argmax, and the time-sharing corner's
+    windows of `steps` as (points, values) pairs if the grid's call ran
+    them (for _refine's `ahead`), else none.
+
+    closed_form's _sc_bounds gives each split an upper and a lower bound on
+    throughput_sc with no quadrature, at the pieces of _PASSES' last pass.
+    A split whose upper bound lies below the largest lower bound is
+    pruned: its value is at most its upper bound, below the value of the
+    split with that lower bound, which is not pruned.  A NaN bound never
+    prunes and never sets the largest lower bound.  The splits left are
+    the first window of one _values call; if the largest lower bound is
+    the corner's (alpha = 1, or its exact mirror alpha = 0, whose bounds
+    have the same bits), the corner is likely the argmax, and the call
+    carries its refinement windows too.  If the call fails, the splits
+    left run again alone (_values), and then no window is returned.  The
+    pruned splits are offered as NaN, which never wins, so the argmax, the
+    windows, every value and `evaluations` are those of the whole grid; an
+    integral at a pruned split is never run, so it can neither raise
+    NonConvergence nor fail an ScProbs check.
+    """
+    upper, lower = (sc_throughput_from_probs(side, cfg) for side in
+                    _sc_bounds(grid, cfg, _PASSES[-1][1], settings))
+    lead = np.max(lower, initial=-math.inf, where=~np.isnan(lower))
+    keep = ~(upper < lead)
+    windows = [(grid[keep], grid[keep])]
+    if lower[0] == lead or lower[-1] == lead:
+        windows += [_points("sc", (1.0, 1.0), step) for step in steps]
+    coarse, *ahead = _values("sc", windows, cfg, settings)
+    values = np.full(len(grid), np.nan)
+    values[keep] = coarse()
+    return values, list(zip(windows[1:], ahead))
+
+
 def _search(protocol, cfg, grid_step, refine_tol, settings):
     """The coarse grid, 2-D for mlh (_coarse_values, with the mirror
-    symmetries) and 1-D for sc, then local shrink (_refine).
+    symmetries) and 1-D for sc (_sc_coarse), both pruned by bounds, then
+    local shrink (_refine).
 
     Each window holds its centre (center + 0*step), so the incumbent is a
     point of the last window, whose values have throughput_mlh's or
@@ -410,13 +468,16 @@ def _search(protocol, cfg, grid_step, refine_tol, settings):
     """
     pts = _axis_points(grid_step)
     grid = np.array(pts)
+    steps = _steps(grid_step, refine_tol)
     search = _Search()
+    ahead = []
     if protocol == "sc":
-        search.offer(_values("sc", [(grid, grid)], cfg, settings)[0](), grid, grid)
+        values, ahead = _sc_coarse(grid, steps, cfg, settings)
+        search.offer(values, grid, grid)
     else:
         search.offer(_coarse_values(pts, cfg, settings).ravel(),
                      np.repeat(grid, len(grid)), np.tile(grid, len(grid)))
-    last = _refine(protocol, search, grid_step, refine_tol, cfg, settings)
+    last = _refine(protocol, search, steps, cfg, settings, ahead)
     _, a_star, b_star = search.best
     if last is None:
         value = (throughput_sc(a_star, cfg, settings) if protocol == "sc" else
@@ -440,12 +501,13 @@ def optimize_split(protocol: str, cfg: SystemConfig, grid_step: float = 0.01,
     repeated 10x grid shrinks until the remaining argument box is below
     refine_tol per coordinate.
 
-    The mlh coarse grid integrates only the points whose upper bound, with
+    The coarse grid integrates only the points whose upper bound, with
     margins for rounding and for the quadrature tolerance, still reaches the
-    best value integrated so far; a pruned point is offered as NaN, so the
-    result and `evaluations` (every grid and window point) are those of the
-    whole grid.  An integral at a pruned point is never run, so it cannot
-    raise NonConvergence either.  Neither can one of a window that runs
+    best value integrated so far (mlh) or the largest lower bound on the
+    grid (sc); a pruned point is offered as NaN, so the result and
+    `evaluations` (every grid and window point) are those of the whole
+    grid.  An integral at a pruned point is never run, so it cannot raise
+    NonConvergence either.  Neither can one of a window that runs
     speculatively, beside the window offered next, and is then dropped.
     """
     if protocol not in PROTOCOLS:

@@ -1,8 +1,9 @@
-"""Upper bounds on p3 and p4, which prune the mlh coarse grid.
+"""Bounds on the slot-2 kernels, which prune the coarse grids.
 
-closed_form's _cell_bound claims to bound, with no quadrature, what
-prob_p3 and prob_p4 return at the given settings at every point of a
-rectangle of shares; a point is the one-point cell.
+closed_form's _cell_bound claims to bound from above, with no quadrature,
+what prob_p3 and prob_p4 return at the given settings at every point of a
+rectangle of shares; a point is the one-point cell.  _sc_bounds claims to
+bound what prob_sc returns at a split from above and from below.
 These tests hold the claims against the quadratures where the integrands
 change form: shares 0 and 1, the vanishing threshold 2^R/(2^R + 1), one
 ulp either side of it and its mirror, and a subnormal share, over rates,
@@ -16,16 +17,27 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from mlharq.closed_form import (
+    _JOINT,
+    _ONLY_M1,
     _bound_slack,
     _cell_bound,
     _g_max_cell,
+    _sc_bounds,
     _slot1_pieces,
     prob_p3,
     prob_p4,
+    prob_sc,
+    sc_throughput_from_probs,
+    throughput_sc,
     vanishing_threshold,
 )
 from mlharq.model import SystemConfig
-from mlharq.quadrature import DEFAULT_SETTINGS, NonConvergence, QuadratureSettings
+from mlharq.quadrature import (
+    DEFAULT_SETTINGS,
+    TAIL_SPAN,
+    NonConvergence,
+    QuadratureSettings,
+)
 
 LOOSE = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4)
 
@@ -168,3 +180,52 @@ def test_the_cell_bounds_reach_past_the_values(case):
                 continue
             assert u3[k] - room >= v3, (cell, a, b, cfg, quad, pieces)
             assert u4[k] - room >= v4, (cell, a, b, cfg, quad, pieces)
+
+
+@st.composite
+def sc_cases(draw):
+    """(alphas, cfg, settings, pieces): up to 6 splits on the edges above,
+    or anywhere in [0, 1]."""
+    cfg = _config(draw)
+    alphas = draw(st.lists(_shares(cfg), min_size=1, max_size=6))
+    quad = draw(st.sampled_from([DEFAULT_SETTINGS, LOOSE]))
+    pieces = draw(st.sampled_from([1, 8, 32]))
+    return alphas, cfg, quad, pieces
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=sc_cases())
+@example(case=([0.0, 1.0, 0.5], SystemConfig.from_snr_db(3.0, 2.8), DEFAULT_SETTINGS,
+               32))
+def test_the_sc_bounds_hold_the_values(case):
+    """Each lower bound is 0.0 (its floor) or lies at least twice the
+    tolerance (as in test_the_bounds_reach_past_the_values) below what
+    prob_sc returns at its split for tp3, tp4 and tp4p, and each upper
+    bound lies as far above it; the
+    bounds that sc_throughput_from_probs makes of them hold throughput_sc
+    the same way, the tolerance scaled by the rate.  A field whose
+    vanishing rule holds is 0.0, its lower bound 0.0 and its upper bound
+    the slack, with no sum.  The example's splits are the corner, its
+    mirror and the middle at a rate where the corner wins."""
+    alphas, cfg, quad, pieces = case
+    upper, lower = _sc_bounds(alphas, cfg, pieces, quad)
+    t_upper, t_lower = (sc_throughput_from_probs(side, cfg) for side in (upper, lower))
+    room = 2.0 * max(quad.abs_tol, quad.rel_tol)
+    limit = cfg.sigma2 * TAIL_SPAN
+    for k, a in enumerate(alphas):
+        try:
+            probs = prob_sc(a, cfg, quad)
+        except NonConvergence:
+            continue
+        for name, kernel, share in (("tp3", _JOINT, a), ("tp4", _ONLY_M1, a),
+                                    ("tp4p", _ONLY_M1, 1.0 - a)):
+            value = getattr(probs, name)
+            hi, lo = getattr(upper, name)[k], getattr(lower, name)[k]
+            assert lo <= max(value - room, 0.0), (name, a, cfg, quad, pieces)
+            assert value <= hi - room, (name, a, cfg, quad, pieces)
+            if kernel.vanishes(share, share, limit, cfg):
+                assert (value, lo, hi) == (0.0, 0.0, _bound_slack(quad))
+        t = throughput_sc(a, cfg, quad)
+        r_room = cfg.rate_R * room
+        assert t_lower[k] <= max(t - r_room, 0.0), (a, cfg, quad, pieces)
+        assert t <= t_upper[k] - r_room, (a, cfg, quad, pieces)

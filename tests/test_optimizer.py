@@ -220,9 +220,14 @@ def _repr_cases():
     on the new point (at 20 dB, R = 2.3 both are kept).  Then the mlh
     search at a coarser grid, at four configs where the bounds prune 95%
     (40 dB, R = 12) to 96% of the coarse points, and at a loose tolerance
-    (73% pruned).  Last the default mlh search at two configs where the
+    (73% pruned).  Then the default mlh search at two configs where the
     corner wins and the block pass alone prunes 98.7% of the coarse points
-    (-5 dB, R = 2 and 20 dB, R = 10)."""
+    (-5 dB, R = 2 and 20 dB, R = 10).  Last the sc search where its bounds
+    prune the coarse grid: at 30 dB, R = 12 the corner has the largest
+    lower bound and wins, so the coarse call carries its windows (2 of 101
+    splits left); at 30 dB, R = 10.1 the corner has it too, but a survivor
+    (6 left) wins and the carried windows are dropped; at 30 dB, R = 9
+    (6 left) and at 40 dB, R = 2.3 and 11 (99 left) another split has it."""
     cases = [pytest.param(protocol, snr_db, rate, {},
                           id=f"{snr_db}-{rate}-{protocol}")
              for snr_db, rate in [(3.0, 0.3), (3.0, 0.8), (3.0, 1.3),
@@ -240,6 +245,9 @@ def _repr_cases():
                               id="3.0-1.0-mlh-grid0.05-loose"))
     cases += [pytest.param("mlh", snr_db, rate, {}, id=f"{snr_db}-{rate}-mlh")
               for snr_db, rate in [(-5.0, 2.0), (20.0, 10.0)]]
+    cases += [pytest.param("sc", snr_db, rate, {}, id=f"{snr_db}-{rate}-sc")
+              for snr_db, rate in [(30.0, 12.0), (30.0, 10.1), (30.0, 9.0),
+                                   (40.0, 2.3), (40.0, 11.0)]]
     return cases
 
 
@@ -248,8 +256,8 @@ class TestMatchesScalarSearch:
     repr.  At 3 dB, R = 0.3, 0.8 and 1.3 sc's split is decided by a
     5.6e-17 margin or by an exact tie between mirror splits, so a value
     that moved by one ulp would move the reported split.  The scalar search
-    integrates every mlh coarse point, so it is also the reference for the
-    bound-pruned coarse grid."""
+    integrates every coarse point, so it is also the reference for the
+    bound-pruned coarse grids."""
 
     @pytest.mark.parametrize("protocol, snr_db, rate, search", _repr_cases())
     def test_repr_identical(self, protocol, snr_db, rate, search):
@@ -266,7 +274,9 @@ class TestMatchesScalarSearch:
         lowest failing integral, and the scalar closed form fails at the
         point that it names.  The three cases fail in the mlh coarse grid
         (3 dB), in an mlh refinement window (10 dB) and in the sc coarse
-        grid (3 dB), which runs as the one window of a _values call."""
+        grid (3 dB), whose splits left by its bounds run as the first
+        window of a _values call (here its only one: the corner does not
+        have the largest lower bound)."""
         cfg = SystemConfig.from_snr_db(snr_db, 1.0)
         tight = QuadratureSettings(abs_tol=tol, rel_tol=tol)
         coarse = np.array(_axis_points(0.1))
@@ -279,7 +289,7 @@ class TestMatchesScalarSearch:
                     if name == "_values":
                         windows = args[1]
                         grid = len(windows) == 1 and \
-                            np.array_equal(windows[0][0], coarse)
+                            set(windows[0][0].tolist()) <= set(coarse.tolist())
                         name += " grid" if grid else " windows"
                     failed.append(name)
                     raise
@@ -319,20 +329,30 @@ class TestSpeculativeWindows:
         """At 3 dB, R = 2.8 the coarse grid and every window keep the
         time-sharing corner: one call for the three windows.  At R = 0.8
         each window moves the best point, so each runs alone.  sc's coarse
-        grid is a _values call of its own, with one window, the grid."""
+        grid is the first window of a _values call, the splits that its
+        bounds leave: at R = 2.8 the corner has the largest lower bound,
+        so that call also carries the corner's three windows, and sc makes
+        one call in all; at R = 0.8 it does not, and the call holds the
+        grid alone."""
         sizes = []   # the windows of each call
-        grids = []   # whether each call is sc's coarse grid
+        grids = []   # whether each call's first window is on the coarse grid
 
         def spy(protocol, windows, *args):
             sizes.append(len(windows))
-            grids.append(np.array_equal(windows[0][0], _axis_points(0.01)))
+            grids.append(set(windows[0][0].tolist()) <= set(_axis_points(0.01)))
             return _values(protocol, windows, *args)
 
         monkeypatch.setattr(optimize, "_values", spy)
         optimize_split(protocol, SystemConfig.from_snr_db(3.0, rate))
-        coarse = [1] if protocol == "sc" else []
-        assert sizes == coarse + calls
-        assert grids == [True] * len(coarse) + [False] * len(calls)
+        if protocol == "mlh":
+            assert sizes == calls
+            assert grids == [False] * len(calls)
+        elif calls == [3]:   # the coarse grid's call carries the windows
+            assert sizes == [1 + 3]
+            assert grids == [True]
+        else:
+            assert sizes == [1] + calls
+            assert grids == [True] + [False] * len(calls)
 
     @pytest.mark.parametrize("spoiled, fails", [((0.649905, 0.649995), False),
                                                 ((0.64905, 0.64995), True)])
@@ -421,7 +441,9 @@ class TestSpeculativeWindows:
 
 class TestPruning:
     """The mlh coarse grid prunes a point only where its objective's bound
-    lies below an incumbent: a NaN or +inf bound never prunes."""
+    lies below an incumbent, and the sc coarse grid a split only where its
+    upper bound lies below the largest lower bound: a NaN or +inf bound
+    never prunes."""
 
     @staticmethod
     def objective(pts, cfg, integrals):
@@ -602,6 +624,73 @@ class TestPruning:
         self.spoiled_bounds_never_prune(
             monkeypatch, bad, every, 0.02, SystemConfig.from_snr_db(3.0, 3.3),
             optimize._PASSES[0][0], spoiled)
+
+
+    @staticmethod
+    def sc_bounds(grid, cfg):
+        """The bounds (upper, lower) on throughput_sc at each split that
+        sc's coarse grid prunes with."""
+        return [closed_form.sc_throughput_from_probs(side, cfg) for side in
+                optimize._sc_bounds(grid, cfg, optimize._PASSES[-1][1], None)]
+
+    @pytest.mark.parametrize("snr_db, rate", [(3.0, 2.8), (-5.0, 0.4), (30.0, 9.0),
+                                              (40.0, 11.0), (15.0, 0.6)])
+    def test_every_pruned_sc_split_has_a_bound_below_the_largest_lower_bound(
+            self, snr_db, rate):
+        """sc's coarse grid prunes a split only where its upper bound lies
+        below the largest lower bound over the grid, and the split with that
+        lower bound survives, its value at least that bound; each split left
+        has throughput_sc's bits.  At 3 dB, R = 2.8 the corner has the
+        largest lower bound (8 splits are left); at -5 dB, R = 0.4 it has
+        it too (87 left), but a split in the middle wins; at 30 dB, R = 9,
+        40 dB, R = 11 and 15 dB, R = 0.6 another split has it (6, 99 and 89
+        left).
+        At 15 dB, R = 0.6 a split left has an upper bound within 1.1e-5 of
+        the largest lower bound: scaling that lower bound by 1.0001 in
+        _sc_coarse prunes it, which this test catches."""
+        cfg = SystemConfig.from_snr_db(snr_db, rate)
+        grid = np.array(_axis_points(0.01))
+        upper, lower = self.sc_bounds(grid, cfg)
+        got, _ = optimize._sc_coarse(grid, [], cfg, None)
+        exact = np.array([throughput_sc(a, cfg) for a in grid.tolist()])
+        pruned = np.isnan(got)
+        assert pruned.any()
+        lead = lower.max()
+        assert (upper[pruned] < lead).all()
+        assert not pruned[lower == lead].any()
+        assert (exact[lower == lead] >= lead).all()
+        assert [float.hex(x) for x in got[~pruned]] == \
+            [float.hex(x) for x in exact[~pruned]]
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_nan_sc_bound_never_prunes(self, monkeypatch, side):
+        """tp3's upper (side 0) or lower (side 1) bound is made NaN at every
+        split k with k = 1 mod 3, the corner alpha = 1 among them, at 3 dB,
+        R = 2.8, where the corner has the largest lower bound: a split with
+        a NaN upper bound is never pruned, a NaN lower bound never is the
+        largest, the other splits are still pruned, and the search returns
+        the Optimum of the unspoiled one."""
+        cfg = SystemConfig.from_snr_db(3.0, 2.8)
+        want = repr(optimize_split("sc", cfg))
+        sc_bounds = optimize._sc_bounds
+        spoiled = np.arange(101) % 3 == 1
+
+        def patched(alphas, *args):
+            bounds = sc_bounds(alphas, *args)
+            bounds[side].tp3[spoiled[:len(alphas)]] = np.nan
+            return bounds
+
+        monkeypatch.setattr(optimize, "_sc_bounds", patched)
+        grid = np.array(_axis_points(0.01))
+        upper, lower = self.sc_bounds(grid, cfg)
+        got, _ = optimize._sc_coarse(grid, [], cfg, None)
+        pruned = np.isnan(got)
+        assert np.isnan([upper, lower][side][spoiled]).all()
+        assert pruned.any()
+        assert (pruned == (upper < np.nanmax(lower))).all()
+        if side == 0:
+            assert not pruned[spoiled].any()
+        assert repr(optimize_split("sc", cfg)) == want
 
 
 class TestArrayOffers:
