@@ -25,11 +25,12 @@ The grid functions evaluate many integrals in one lockstep quadrature
 scalar path's bits.  _mlh_columns runs an mlh grid's integrals: the p1
 integrals of its rows (each distinct share and mirrored share once), then
 its p3 and p4 integrals; _sc_columns an sc grid's three kernels (tp3,
-tp4, tp4p), a tp4p integral that is also a tp4 integral once.  Each value
-depends on its own integral alone, so the columns of several grids'
-points concatenated into one call are, split back, each grid's columns
-alone; only the NonConvergence raised, that of the lowest failing
-integral, depends on what else the call holds.
+tp4, tp4p), a tp4p integral that is also a tp4 integral once
+(_sc_shares, which _sc_bounds uses too).  Each value depends on its own
+integral alone, so the columns of several grids' points concatenated
+into one call are, split back, each grid's columns alone; only the
+NonConvergence raised, that of the lowest failing integral, depends on
+what else the call holds.
 The bounds need no quadrature.  _kernel_bounds holds the one rule: a
 Riemann sum of a kernel's integrand over pieces of the slot-1 range, an
 upper one with h3, h4 and h4_bar at the piece ends that make the slot-2
@@ -1090,23 +1091,36 @@ def _cell_bound(p3_cells, p4_cells, cfg, pieces, settings=None):
     return bounds[0], bounds[1]
 
 
+def _sc_shares(alpha):
+    """The distinct shares of alpha and 1 - alpha, told apart by their
+    bits and in the order of their bit patterns (ascending on [0, 1]), and
+    the inverse as a (2, n) array: shares[inverse[0]] is alpha and
+    shares[inverse[1]] is 1 - alpha.  tp4 at split a and tp4p at split a'
+    are the same integral when a == 1 - a' (same shares, kinks and upper
+    limit), so sc's tp4 and tp4p are taken at each distinct share once."""
+    both = np.concatenate([alpha, 1.0 - alpha])
+    _, first, inverse = np.unique(both.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    return both[first], inverse.reshape(2, -1)
+
+
 def _sc_bounds(alphas, cfg, pieces, settings=None):
     """Bounds on what prob_sc returns at each split alphas[i], at these
     settings, with no quadrature: two namespaces (upper, lower) of the
     arrays tp3, tp4 and tp4p, each _kernel_bounds' bound with `pieces`
     pieces over [0, sigma2 TAIL_SPAN] at the point (alpha, alpha), tp4p's
-    at (1 - alpha, 1 - alpha).  sc_throughput_from_probs does not decrease
-    in any field, and rounds monotonically, so it makes each side a bound
-    on what throughput_sc returns."""
+    at (1 - alpha, 1 - alpha), each distinct share of _sc_shares bounded
+    once.  sc_throughput_from_probs does not decrease in any field, and
+    rounds monotonically, so it makes each side a bound on what
+    throughput_sc returns."""
     alpha = np.asarray(alphas, dtype=float)
-    n = len(alpha)
-    shares = np.concatenate([alpha, 1.0 - alpha])
-    limit = np.full(2 * n, cfg.sigma2 * TAIL_SPAN)
-    tp3 = _kernel_bounds(_JOINT, [alpha] * 4, limit[:n], cfg, pieces, settings,
-                         lower=True)
-    tp4 = _kernel_bounds(_ONLY_M1, [shares] * 4, limit, cfg, pieces, settings,
-                         lower=True)
-    return tuple(SimpleNamespace(tp3=t3, tp4=t4[:n], tp4p=t4[n:])
+    shares, inverse = _sc_shares(alpha)
+    limit = cfg.sigma2 * TAIL_SPAN
+    tp3 = _kernel_bounds(_JOINT, [alpha] * 4, np.full_like(alpha, limit), cfg,
+                         pieces, settings, lower=True)
+    tp4 = _kernel_bounds(_ONLY_M1, [shares] * 4, np.full_like(shares, limit),
+                         cfg, pieces, settings, lower=True)
+    return tuple(SimpleNamespace(tp3=t3, tp4=t4[inverse[0]], tp4p=t4[inverse[1]])
                  for t3, t4 in zip(tp3, tp4))
 
 
@@ -1147,26 +1161,20 @@ def _sc_columns(alphas, cfg, settings):
     unchecked, as the arrays tp3, tp4 and tp4p of a namespace, for
     ScProbs.checked_columns.
 
-    All three kernels go through one lockstep quadrature.  tp4 at split a
-    and tp4p at split a' are the same integral when a == 1 - a' (same
-    shares, kinks and upper limit), so each distinct share, told apart by
-    its bits, is integrated once.  A NonConvergence is that of the lowest
-    failing integral, tp3 at each split in order, then the distinct tp4
+    All three kernels go through one lockstep quadrature, tp4 and tp4p
+    at the distinct shares of _sc_shares.  A NonConvergence is that of the
+    lowest failing integral, tp3 at each split in order, then the distinct
     shares, named "sc" at its split: alphas[i] for tp3, the share s for
     tp4, which prob_sc(s) integrates as its tp4, so prob_sc fails at the
     named split as well."""
     alpha = np.asarray(alphas, dtype=float)
-    both = np.concatenate([alpha, 1.0 - alpha])
-    _, first, inverse = np.unique(both.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    shares = both[first]
+    shares, inverse = _sc_shares(alpha)
     upper = cfg.sigma2 * TAIL_SPAN
     tp3, tp4 = _kernel_grid(
         [_slot2_part("sc", (alpha,), _JOINT, alpha, alpha, upper, cfg),
          _slot2_part("sc", (shares,), _ONLY_M1, shares, shares, upper, cfg)],
         cfg, settings or DEFAULT_SETTINGS)
-    tp4 = tp4[inverse]
-    return SimpleNamespace(tp3=tp3, tp4=tp4[:len(alpha)], tp4p=tp4[len(alpha):])
+    return SimpleNamespace(tp3=tp3, tp4=tp4[inverse[0]], tp4p=tp4[inverse[1]])
 
 
 def event_probs(split: PowerSplit, cfg: SystemConfig,

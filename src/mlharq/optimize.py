@@ -27,11 +27,12 @@ Both coarse grids integrate only the points that can still be their
 argmax, the others pruned by bounds from closed_form that need no
 quadrature.  The mlh grid bounds p3 and p4 from above (_cell_bound)
 against an incumbent, first over blocks of points, then at each point
-left, a one-point block, in a few _mlh_columns calls (_coarse_values),
-the first of which carries p1.  The sc grid bounds each split's
-throughput from above and below (_sc_bounds) and prunes the splits whose
-upper bound lies below the largest lower bound; the splits left are the
-first window of one _values call, which also carries the corner's
+left, a one-point block, each pass bounding afresh the cells that its
+points read, in a few _mlh_columns calls (_coarse_values), the first of
+which carries p1.  The sc grid bounds each split's throughput from above
+and below (_sc_bounds) and prunes the splits whose upper bound lies
+below the largest lower bound; the splits left are the first window of
+one _values call, which also carries the corner's
 refinement windows where the corner has the largest lower bound
 (_sc_coarse), so that at a corner rate an sc search makes one call.  The
 values are combined elementwise by mlh_throughput_from_probs and
@@ -155,8 +156,9 @@ def _coarse_values(pts, cfg, settings):
     exact on the indices, not on floats (the two quadratures differ in the
     last bits), at the canonical one of the two.  The slot-1 events depend
     on the row alone: the first _mlh_columns call integrates p1 at every
-    grid share, then the corner's p3 and p4, and the later calls, which
-    pass no rows, p3 and p4 alone.
+    grid share, then the corner's p3 and p4, and each later call, which
+    passes no rows, the p3 and p4 integrals that its points read and that
+    have not run.
 
     Only the argmax is used, so only the points that can still win are
     integrated.  closed_form's _cell_bound gives the p3/p4 integrals at
@@ -168,18 +170,17 @@ def _coarse_values(pts, cfg, settings):
     The passes of _PASSES run in turn, each bounding the points left by
     blocks of side x side points (_blocks, mirror-symmetric), each block a
     cell: a point's bound takes p3 from the canonical point's cell, p4
-    from its own and p4' from its mirror's (the exact index mirror), and
-    only the cells read are bounded.  A point whose bound lies below the
-    incumbent is pruned.  The block pass, 8 x 8 blocks at 32 pieces (169
-    cells at 0.01, 91 of them for p3), runs against the corner's value:
-    where the corner is the argmax (9 of the 12 rates at 3 dB) it prunes
-    92-99% of the points.  Then the point passes (side 1) at 8, then 32
-    pieces, each integrating the 16 points of highest bound for a new
-    incumbent; the 8-piece pass is skipped once a point is pruned (it
-    then prunes few, 13% at 3 dB, R = 1.3, or few points are left).  A
-    side's first pass bounds every point left, a later one only those
-    whose objective at the margins alone lies below the incumbent; the
-    others keep their earlier bounds.
+    from its own and p4' from its mirror's (the exact index mirror).  Each
+    pass bounds the cells that the points left read, and no others, from
+    scratch: nothing but the points left and the incumbent passes from one
+    pass to the next.  A point whose bound lies below the incumbent is
+    pruned.  The block pass, 8 x 8 blocks at 32 pieces (169 cells at 0.01,
+    91 of them for p3), runs against the corner's value: where the corner
+    is the argmax (9 of the 12 rates at 3 dB) it prunes 92-99% of the
+    points.  Then the point passes (side 1) at 8, then 32 pieces, each
+    integrating the 16 points of highest bound for a new incumbent; the
+    8-piece pass is skipped once a point is pruned (it then prunes few,
+    13% at 3 dB, R = 1.3, or few points are left).
 
     Two margins keep that sound: each integral's bound carries
     closed_form._BOUND_MARGIN for its own rounding and 6 max(abs_tol,
@@ -189,11 +190,11 @@ def _coarse_values(pts, cfg, settings):
     pruned point's value thus lies below the incumbent, a value of the
     grid, and never wins; a NaN or +inf bound never prunes.  No
     integral's bound falls below those margins, so a point whose objective
-    at the margins alone reaches the incumbent cannot be pruned; where
-    every point's does, no pass runs.  The points left are integrated in
-    one last lockstep call, each integral once over all the calls.  The
-    pruned points are offered as NaN, which never wins, so the argmax, the
-    windows and `evaluations` are those of the whole grid.
+    at the margins alone reaches the incumbent cannot be pruned; once
+    every point left does, no further pass runs.  The points left are
+    integrated in one last lockstep call, each integral once over all the
+    calls.  The pruned points are offered as NaN, which never wins, so the
+    argmax, the windows and `evaluations` are those of the whole grid.
 
     Each lockstep call's NonConvergence names its lowest failing integral
     (p1 before p3 before p4), a share or point at which the scalar closed
@@ -220,27 +221,23 @@ def _coarse_values(pts, cfg, settings):
 
     p3, p4 = np.full(size, np.nan), np.full(size, np.nan)   # NaN: not run
 
-    def missing(points):
-        """The p3 and p4 integrals that the objective at `points` reads and
-        that have not run."""
-        return (np.flatnonzero(need & np.isnan(p))
-                for need, p in zip(needs(points), (p3, p4)))
-
-    def integrate(points, shares=grid[:0]):
+    def integrate(points):
         """Run the p3 and p4 integrals that the objective at `points` reads
-        and that have not run, with the slot-1 terms of the rows `shares`;
-        those terms.  With nothing to integrate, no lockstep call."""
-        k3, k4 = missing(points)
-        if not (len(shares) or k3.size or k4.size):
-            return None
-        slot1, p3[k3], p4[k4] = _mlh_columns(shares, shares[::-1], alphas[k3],
+        and that have not run; with none, no lockstep call."""
+        k3, k4 = (np.flatnonzero(need & np.isnan(p))
+                  for need, p in zip(needs(points), (p3, p4)))
+        if k3.size or k4.size:
+            _, p3[k3], p4[k4] = _mlh_columns(grid[:0], grid[:0], alphas[k3],
                                              betas[k3], alphas[k4], betas[k4],
                                              cfg, settings)
-        return slot1
 
     # the first lockstep call: every row's slot-1 terms, at its share and
-    # its mirrored share, with the corner (1, 1)
-    slot1 = integrate(np.arange(size) == size - 1, grid)
+    # its mirrored share, with the corner (1, 1): p3 at its canonical point
+    # (0, 0), p4 at (0, 0) and (1, 1)
+    corner = [0, size - 1]
+    slot1, p3[:1], p4[corner] = _mlh_columns(grid, grid[::-1], alphas[:1],
+                                             betas[:1], alphas[corner],
+                                             betas[corner], cfg, settings)
     rows = {name: column[:, None] for name, column in vars(slot1).items()}
 
     def objective(p3, p4):
@@ -251,37 +248,36 @@ def _coarse_values(pts, cfg, settings):
                                 p4=p4.reshape(square), p4p=p4[::-1].reshape(square))
         return mlh_throughput_from_probs(probs, cfg).ravel()
 
-    cells = {}   # per block side: point-to-cell map, block ends, p3/p4 bounds
-
-    def bound(points, side, pieces):
-        """Each point's bound, the objective at its cells' bounds (see
-        above): the cells that the objective reads at `points` are bounded
-        at `pieces`, the others keep an earlier pass's bounds at this side,
-        NaN where there was none.  At side 1 each point is its own cell."""
-        if side not in cells:
+    def bound(side, pieces):
+        """Each live point's bound, the objective at its cells' bounds (see
+        above), NaN at the other points.  The cells that the live points
+        read are bounded at `pieces`; at side 1 each point is its own
+        cell."""
+        if side == 1:
+            cells, cell = size, None
+        else:
             first, last, block = _blocks(n, side)
-            nb = len(first)
-            cells[side] = (np.add.outer(block * nb, block).ravel() if side > 1 else None,
-                           grid[first], grid[last],
-                           np.full(nb * nb, np.nan), np.full(nb * nb, np.nan))
-        cell, lo, hi, c3, c4 = cells[side]
-
-        def read(need):
-            """The cells read at the points of the mask `need`, and their
-            corners (alpha0, alpha1, beta0, beta1)."""
+            lo, hi, nb = grid[first], grid[last], len(first)
+            cells = nb * nb
+            cell = np.add.outer(block * nb, block).ravel()
+        reads = []
+        for need in needs(live):
             if cell is None:
                 k = np.flatnonzero(need)
                 a, b = alphas[k], betas[k]
-                return k, (a, a, b, b)
-            at = np.zeros(len(c3), dtype=bool)
-            at[cell[need]] = True
-            k = np.flatnonzero(at)
-            bi, bj = np.divmod(k, len(lo))
-            return k, (lo[bi], hi[bi], lo[bj], hi[bj])
-
-        (k3, corners3), (k4, corners4) = map(read, needs(points))
+                reads.append((k, (a, a, b, b)))
+            else:
+                at = np.zeros(cells, dtype=bool)
+                at[cell[need]] = True
+                k = np.flatnonzero(at)
+                bi, bj = np.divmod(k, nb)
+                reads.append((k, (lo[bi], hi[bi], lo[bj], hi[bj])))
+        (k3, corners3), (k4, corners4) = reads
+        c3, c4 = np.full((2, cells), np.nan)
         c3[k3], c4[k4] = _cell_bound(corners3, corners4, cfg, pieces, settings)
-        return objective(c3, c4) if cell is None else objective(c3[cell], c4[cell])
+        if cell is not None:
+            c3, c4 = c3[cell], c4[cell]
+        return np.where(live, objective(c3, c4), np.nan)
 
     slack = np.full(size, _bound_slack(settings))
     floor = objective(slack, slack)   # no point's bound lies below its floor
@@ -290,12 +286,9 @@ def _coarse_values(pts, cfg, settings):
     for side, pieces in _PASSES:
         if pieces < _PASSES[-1][1] and not live.all():
             continue
-        # a side's first pass bounds every point left; a later one only
-        # those whose bound can still fall below the incumbent
-        candidates = live & (floor < incumbent) if side in cells else live
-        if not (candidates & (floor < incumbent)).any():
+        if not (live & (floor < incumbent)).any():
             break
-        tb = np.where(live, bound(candidates, side, pieces), np.nan)
+        tb = bound(side, pieces)
         if side == 1:
             top = np.zeros(size, dtype=bool)
             top[np.argsort(-tb, kind="stable")[:_INCUMBENT_POINTS]] = True
@@ -433,21 +426,23 @@ def _sc_coarse(grid, steps, cfg, settings):
     split with that lower bound, which is not pruned.  A NaN bound never
     prunes and never sets the largest lower bound.  The splits left are
     the first window of one _values call; if the largest lower bound is
-    the corner's (alpha = 1, or its exact mirror alpha = 0, whose bounds
-    have the same bits), the corner is likely the argmax, and the call
-    carries its refinement windows too.  If the call fails, the splits
-    left run again alone (_values), and then no window is returned.  The
-    pruned splits are offered as NaN, which never wins, so the argmax, the
-    windows, every value and `evaluations` are those of the whole grid; an
-    integral at a pruned split is never run, so it can neither raise
-    NonConvergence nor fail an ScProbs check.
+    the corner's, the corner is likely the argmax, and the call carries
+    its refinement windows too.  The corner is alpha = 1, and alpha = 1
+    alone is tested: at its exact mirror alpha = 0, tp3's bounds are the
+    vanishing rule's, as at alpha = 1, and tp4's and tp4p's swap, so the
+    throughput's bounds have the same bits (tests/test_bounds.py).  If the
+    call fails, the splits left run again alone (_values), and then no
+    window is returned.  The pruned splits are offered as NaN, which never
+    wins, so the argmax, the windows, every value and `evaluations` are
+    those of the whole grid; an integral at a pruned split is never run,
+    so it can neither raise NonConvergence nor fail an ScProbs check.
     """
     upper, lower = (sc_throughput_from_probs(side, cfg) for side in
                     _sc_bounds(grid, cfg, _PASSES[-1][1], settings))
     lead = np.max(lower, initial=-math.inf, where=~np.isnan(lower))
     keep = ~(upper < lead)
     windows = [(grid[keep], grid[keep])]
-    if lower[0] == lead or lower[-1] == lead:
+    if lower[-1] == lead:
         windows += [_points("sc", (1.0, 1.0), step) for step in steps]
     coarse, *ahead = _values("sc", windows, cfg, settings)
     values = np.full(len(grid), np.nan)
@@ -548,17 +543,13 @@ def optimize_rate_and_split(protocol: str, cfg: SystemConfig,
     if sorted(rates) != rates:
         raise ValueError("rate_grid must be sorted ascending")
 
-    evaluations = 0
     cache: dict[float, Optimum] = {}
 
     def at_rate(r: float) -> Optimum:
-        nonlocal evaluations
         if r not in cache:
-            opt = optimize_split(protocol, replace(cfg, rate_R=r),
-                                 grid_step=grid_step, refine_tol=refine_tol,
-                                 settings=settings)
-            cache[r] = opt
-            evaluations += opt.evaluations
+            cache[r] = optimize_split(protocol, replace(cfg, rate_R=r),
+                                      grid_step=grid_step, refine_tol=refine_tol,
+                                      settings=settings)
         return cache[r]
 
     best_rate = max(rates, key=lambda r: (at_rate(r).throughput_star, r))
@@ -585,4 +576,4 @@ def optimize_rate_and_split(protocol: str, cfg: SystemConfig,
     inner = cache[rate_star]
     return Optimum(alpha_star=inner.alpha_star, beta_star=inner.beta_star,
                    rate_star=rate_star, throughput_star=inner.throughput_star,
-                   evaluations=evaluations)
+                   evaluations=sum(opt.evaluations for opt in cache.values()))

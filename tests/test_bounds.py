@@ -229,3 +229,23 @@ def test_the_sc_bounds_hold_the_values(case):
         r_room = cfg.rate_R * room
         assert t_lower[k] <= max(t - r_room, 0.0), (a, cfg, quad, pieces)
         assert t <= t_upper[k] - r_room, (a, cfg, quad, pieces)
+
+
+@st.composite
+def corner_cases(draw):
+    """(cfg, settings, pieces) at the pieces the sc coarse grid uses."""
+    return (_config(draw), draw(st.sampled_from([DEFAULT_SETTINGS, LOOSE])),
+            draw(st.sampled_from([8, 32])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=corner_cases())
+def test_the_sc_corner_bounds_match_their_mirror(case):
+    """Each side of _sc_bounds makes the same throughput bound, bit for bit,
+    at splits 0 and 1: tp3 vanishes at both, and tp4 and tp4p swap.  So the
+    sc coarse grid tests alpha = 1 alone for the corner's largest lower
+    bound."""
+    cfg, quad, pieces = case
+    for side in _sc_bounds([0.0, 1.0], cfg, pieces, quad):
+        at0, at1 = (float(t).hex() for t in sc_throughput_from_probs(side, cfg))
+        assert at0 == at1, (cfg, quad, pieces)

@@ -557,6 +557,30 @@ class TestPruning:
         bound = self.objective(pts, cfg, self.point_bound)
         assert (bound[pruned] < exact.max()).all()
 
+    @pytest.mark.parametrize("rate, calls", [
+        (0.3, [(101, 1, 2), (0, 8, 16), (0, 8, 16), (0, 206, 411)]),
+        (1.3, [(101, 1, 2), (0, 8, 16), (0, 62, 124)]),
+        (3.3, [(101, 1, 2), (0, 7, 14)])])
+    def test_coarse_grid_calls(self, monkeypatch, rate, calls):
+        """The 0.01 grid's lockstep calls at 3 dB, as (rows, p3 points, p4
+        points) per _mlh_columns call: the rows with the corner, then the
+        16 points of highest bound of each point pass (8 and 32 pieces at
+        R = 0.3, where the block pass prunes nothing; 32 alone at R = 1.3
+        and 3.3), then the points left, each integral once; at R = 3.3 the
+        point pass leaves no point to integrate."""
+        got = []
+        mlh_columns = optimize._mlh_columns
+
+        def spy(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas, *args):
+            got.append((len(alphas), len(p3_alphas), len(p4_alphas)))
+            return mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas,
+                               p4_betas, *args)
+
+        monkeypatch.setattr(optimize, "_mlh_columns", spy)
+        optimize._coarse_values(_axis_points(0.01),
+                                SystemConfig.from_snr_db(3.0, rate), None)
+        assert got == calls
+
     def spoiled_bounds_never_prune(self, monkeypatch, bad, every, step, cfg, side,
                                    spoiled):
         """Spoil, with `bad`, the bounds that optimize._cell_bound gives at
@@ -840,6 +864,24 @@ class TestOptimizeRateAndSplit:
         ts = optimize_rate_and_split("ts", cfg, rate_grid=grid,
                                      rate_refine_tol=0.05)
         assert mlh.throughput_star >= ts.throughput_star - 1e-9
+
+    @pytest.mark.parametrize("protocol", ["mlh", "sc"])
+    def test_evaluations_sum_the_searches(self, monkeypatch, protocol):
+        """`evaluations` is the sum of those of the optimize_split runs,
+        one per distinct rate: the three grid rates, then the
+        golden-section ones."""
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(optimize_split(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize, "optimize_split", spy)
+        opt = optimize_rate_and_split(protocol, CFG_3DB, rate_grid=[0.5, 1.0, 2.0],
+                                      grid_step=0.1, refine_tol=1e-2,
+                                      rate_refine_tol=0.05)
+        assert len(runs) > 3
+        assert opt.evaluations == sum(run.evaluations for run in runs)
 
     def test_reported_args_reproduce_value(self):
         grid = [0.5, 1.0, 2.0]
