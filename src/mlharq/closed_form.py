@@ -5,7 +5,11 @@ independent exponential channel gains (mean sigma2).  The expressions are
 exact up to one-dimensional quadrature: the inner (slot-2) gain integrates
 analytically against the exponential density, leaving integrals over the
 slot-1 gain whose integrands combine exponentials of the gain thresholds
-g_min/g_max, h3, h4 and h4_bar.
+g_min/g_max, h3, h4 and h4_bar.  Those rest on the rate's constants, 2^R,
+2^(2R), their thresholds 2^R - 1 and 2^(2R) - 1, the sum-rate gain
+threshold (2^(2R) - 1)/P and sigma2 P, which SystemConfig computes once
+when it validates a scenario (cfg.k1, k2, t1, t2, g_sum and s2p), and
+which no function here computes again.
 
 Analytic, with no quadrature: p0 everywhere, and p1/p2 where m2's slot-1
 power (1 - alpha)P is 0.0 (alpha = 1, or a share whose product
@@ -203,8 +207,7 @@ def vanishing_threshold(cfg: SystemConfig) -> float:
     For alpha at or below 2^R/(2^R + 1) message m1 can never be decoded
     alone in slot 1, so the only-m1 events have probability exactly 0.
     """
-    t = 2.0 ** cfg.rate_R
-    return t / (t + 1.0)
+    return cfg.k1 / (cfg.k1 + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +220,18 @@ def g_min(alpha: float, cfg: SystemConfig) -> float:
     +inf when a layer has zero power (alpha in {0, 1}): joint slot-1
     success is then impossible.
     """
-    t1 = 2.0 ** cfg.rate_R - 1.0
-    t2 = 2.0 ** (2.0 * cfg.rate_R) - 1.0
     p = cfg.power_P
-    return max(safe_div_threshold(t1, alpha * p),
-               safe_div_threshold(t1, (1.0 - alpha) * p),
-               t2 / p)
+    return max(safe_div_threshold(cfg.t1, alpha * p),
+               safe_div_threshold(cfg.t1, (1.0 - alpha) * p),
+               cfg.g_sum)
 
 
 def g_max(alpha: float, cfg: SystemConfig) -> float:
     """Largest slot-1 gain at which both messages still fail in slot 1."""
-    t1 = 2.0 ** cfg.rate_R - 1.0
-    t2 = 2.0 ** (2.0 * cfg.rate_R) - 1.0
-    p = cfg.power_P
-    pow2r = 2.0 ** cfg.rate_R
-    return min(safe_div_threshold(t1, (1.0 + pow2r * (alpha - 1.0)) * p),
-               safe_div_threshold(t1, (1.0 - pow2r * alpha) * p),
-               t2 / p)
+    t1, k1, p = cfg.t1, cfg.k1, cfg.power_P
+    return min(safe_div_threshold(t1, (1.0 + k1 * (alpha - 1.0)) * p),
+               safe_div_threshold(t1, (1.0 - k1 * alpha) * p),
+               cfg.g_sum)
 
 
 def _over_power(n, w):
@@ -312,10 +310,7 @@ def _h3(g, alpha, beta, alpha2, beta2, cfg):
     _h3(g, a1, b1, a0, b0); each operation rounds monotonically, so that
     holds in floats too."""
     g = np.asarray(g, dtype=float)
-    r = cfg.rate_R
-    p = cfg.power_P
-    k1 = 2.0 ** r
-    k2 = 2.0 ** (2.0 * r)
+    p, k1 = cfg.power_P, cfg.k1
     shape = _shape(g, alpha, beta, alpha2, beta2)
 
     # max(0, max(t1, max(t2, t3))) over the layer terms t1 (m2, share
@@ -324,7 +319,7 @@ def _h3(g, alpha, beta, alpha2, beta2, cfg):
     # share can still underflow to zero power.
     t = np.multiply(g, p, out=np.empty(shape))
     t += 1.0
-    np.divide(k2, t, out=t)
+    np.divide(cfg.k2, t, out=t)
     t -= 1.0
     t /= p
     term = _over_power(_residual(k1, g, alpha, p, np.empty(shape)), beta * p)
@@ -348,9 +343,7 @@ def h4(g, alpha, beta, cfg):
     +inf near the largest accepted rate, and h4 is then +inf, quietly.
     """
     g = np.asarray(g, dtype=float)
-    r = cfg.rate_R
-    p = cfg.power_P
-    k1 = 2.0 ** r
+    p, k1 = cfg.power_P, cfg.k1
     shape = _shape(g, alpha, beta)
 
     u = np.multiply(g, 1.0 - alpha, out=np.empty(shape))
@@ -464,13 +457,11 @@ def _joint_terms(alpha, beta, cfg):
     """h3's root terms: each term's zero crossing, then the switches of the
     max between each pair of terms.  The terms, as (share w, 2^rate factor
     K, gain coefficient c), are m2's, m1's and the sum rate's."""
-    p = cfg.power_P
-    k1 = 2.0 ** cfg.rate_R
-    k2 = 2.0 ** (2.0 * cfg.rate_R)
+    p, k1, k2 = cfg.power_P, cfg.k1, cfg.k2
     c2 = (1.0 - alpha) * p
     c1 = alpha * p
-    return (((k1 - 1.0, c2, c2 > 0.0), (k1 - 1.0, c1, c1 > 0.0),
-             (k2 - 1.0, p, p > 0.0)),
+    return (((cfg.t1, c2, c2 > 0.0), (cfg.t1, c1, c1 > 0.0),
+             (cfg.t2, p, p > 0.0)),
             (_switch(1.0 - beta, k1, c2, beta, k1, c1),
              _switch(1.0 - beta, k1, c2, 1.0, k2, p),
              _switch(beta, k1, c1, 1.0, k2, p)))
@@ -483,15 +474,14 @@ def _only_m1_terms(alpha, beta, cfg):
     forms (u = 1 + g(1-alpha)P, v = 1 + gP) reduces that to
     beta*u*v - k*v + (1-beta)*k^2*u = 0, a quadratic in g; roots off the
     active branches only add harmless panel splits."""
-    p = cfg.power_P
-    k1 = 2.0 ** cfg.rate_R
+    p, k1 = cfg.power_P, cfg.k1
     n_den = p * (1.0 + k1 * (alpha - 1.0))
     kb = k1 * (1.0 - beta)
     d_den = p * (1.0 - kb * (1.0 - alpha))
     c1 = (1.0 - alpha) * p
-    return (((k1 - 1.0, n_den, n_den > 0.0),
+    return (((cfg.t1, n_den, n_den > 0.0),
              (kb - 1.0, d_den, (kb > 1.0) & (d_den > 0.0)),
-             (k1 - 1.0, c1, c1 > 0.0)),
+             (cfg.t1, c1, c1 > 0.0)),
             ((beta * c1 * p,
               beta * (c1 + p) - k1 * p + (1.0 - beta) * k1 * k1 * c1,
               beta - k1 + (1.0 - beta) * k1 * k1, True),))
@@ -533,10 +523,9 @@ def _p1_bounds(alpha, cfg):
     t + 1 is inexact and vanishing_threshold can round one ulp low; a share
     just above it can then have a negative coefficient for lo, and
     lo = +inf leaves the window empty."""
-    t1 = 2.0 ** cfg.rate_R - 1.0
     p = cfg.power_P
-    lo = safe_div_threshold(t1, (1.0 + 2.0 ** cfg.rate_R * (alpha - 1.0)) * p)
-    hi = safe_div_threshold(t1, (1.0 - alpha) * p)
+    lo = safe_div_threshold(cfg.t1, (1.0 + cfg.k1 * (alpha - 1.0)) * p)
+    hi = safe_div_threshold(cfg.t1, (1.0 - alpha) * p)
     return lo, hi
 
 
@@ -569,7 +558,7 @@ def _p1_closed(lo, hi, cfg):
     the window, cut as the quadrature would cut it, is
     C (exp(-lo/s2) - exp(-hi/s2)).  SystemConfig keeps s2 P above 0.0."""
     s2 = cfg.sigma2
-    return (math.exp(-(2.0 ** cfg.rate_R - 1.0) / (s2 * cfg.power_P))
+    return (math.exp(-cfg.t1 / cfg.s2p)
             * (math.exp(-lo / s2) - math.exp(-hi / s2)))
 
 
@@ -581,10 +570,10 @@ def _f1(g, c, cfg):
     s2 = cfg.sigma2
     y = np.multiply(g, c)
     y += 1.0
-    np.divide(2.0 ** cfg.rate_R, y, out=y)
+    np.divide(cfg.k1, y, out=y)
     y -= 1.0
     np.maximum(0.0, y, out=y)
-    _decay(y, s2 * cfg.power_P, y)
+    _decay(y, cfg.s2p, y)
     y *= _decay(g, s2, np.empty_like(y))
     y /= s2
     return y
@@ -736,7 +725,7 @@ def _only_m1_vanishes(alpha, beta, upper, cfg):
     out by 1 - beta."""
     p = cfg.power_P
     ratio = (upper * (1.0 - alpha) * p + 1.0) / (upper * p + 1.0)
-    n = 2.0 ** cfg.rate_R * ratio - 1.0
+    n = cfg.k1 * ratio - 1.0
     return ((1.0 - beta) * (n - _ONLY_M1_MARGIN)
             >= beta * (1.0 + _ONLY_M1_MARGIN))
 
@@ -898,12 +887,10 @@ def _g_max_cell(alpha0, alpha1, cfg):
     taken at alpha0 and the second at alpha1.  At alpha0 = alpha1 it is
     g_max at each share, with g_max's bits: its arithmetic elementwise,
     which numpy rounds as Python does."""
-    k1 = 2.0 ** cfg.rate_R
-    t1 = k1 - 1.0
-    p = cfg.power_P
+    t1, k1, p = cfg.t1, cfg.k1, cfg.power_P
     upper = np.minimum(_threshold(t1, 1.0 + k1 * (alpha0 - 1.0), p),
                        _threshold(t1, 1.0 - k1 * alpha1, p))
-    return np.minimum(upper, (2.0 ** (2.0 * cfg.rate_R) - 1.0) / p, out=upper)
+    return np.minimum(upper, cfg.g_sum, out=upper)
 
 
 def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
@@ -918,22 +905,24 @@ def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
     (prob_p0 at alphas), p1 and p2 (prob_p1 and prob_p2 at alphas), and
     p1p and p2p (at mirrors); then the p3 and p4 arrays.
 
-    The slot-1 terms are computed once per distinct share, in the order in
-    which a loop over the rows asks for p1 at alphas[k], then at
-    mirrors[k]: each share's _p1_window, then _p1_closed where (1 - alpha)P
-    is 0.0, else one p1 integral.  The quadrature's owners are those p1
-    integrals in that order, then the p3 and p4 integrals, each failure
-    named as the scalar closed form names it; so a NonConvergence is the
-    one that loop, then a loop of prob_p3 then prob_p4, raises first.  The
-    scalar caches are neither read nor filled."""
+    The slot-1 terms are computed once per distinct share, so rows may
+    repeat shares, in the order in which a loop over the rows asks for p1
+    at alphas[k], then at mirrors[k]: each share's prob_p0 and _p1_window,
+    then _p1_closed where (1 - alpha)P is 0.0, else one p1 integral.  The
+    quadrature's owners are those p1 integrals in that order, then the p3
+    and p4 integrals, each failure named as the scalar closed form names
+    it; so a NonConvergence is the one that loop, then a loop of prob_p3
+    then prob_p4, raises first.  The scalar caches are neither read nor
+    filled."""
     alphas = np.asarray(alphas, dtype=float)
     rows = np.stack([alphas, np.asarray(mirrors, dtype=float)], axis=1).ravel()
     shares, first, inverse = np.unique(rows, return_index=True,
                                        return_inverse=True)
-    p1, p2, lo, hi, c = np.zeros((5, len(shares)))
+    p0, p1, p2, lo, hi, c = np.zeros((6, len(shares)))
     order = np.argsort(first)
     for k in order.tolist():
         share = float(shares[k])
+        p0[k] = prob_p0(share, cfg)
         window = _p1_window(share, cfg)
         if window is None:
             continue
@@ -952,9 +941,9 @@ def _mlh_columns(alphas, mirrors, p3_alphas, p3_betas, p4_alphas, p4_betas,
                                  _g_max_cell(a, a, cfg), cfg))
     p1[index], p3, p4 = _kernel_grid(parts, cfg, settings or DEFAULT_SETTINGS)
     # prob_p2's window - p1; 0.0 - 0.0 where the window is None
-    (r1, m1), (r2, m2) = (x[inverse].reshape(-1, 2).T for x in (p1, p2 - p1))
-    p0 = np.array([prob_p0(x, cfg) for x in alphas.tolist()])
-    return SimpleNamespace(p0=p0, p1=r1, p1p=m1, p2=r2, p2p=m2), p3, p4
+    (r0, _), (r1, m1), (r2, m2) = (x[inverse].reshape(-1, 2).T
+                                   for x in (p0, p1, p2 - p1))
+    return SimpleNamespace(p0=r0, p1=r1, p1p=m1, p2=r2, p2p=m2), p3, p4
 
 
 # Margins of the slot-2 kernels' bounds.  _BOUND_MARGIN M covers rounding:

@@ -5,11 +5,14 @@ Two messages are delivered over a slice of two fading timeslots.  Decoding
 succeeds whenever the accumulated mutual information for a message reaches
 the per-message rate R (Gaussian threshold model, logs base 2).  The one
 decode ladder that classifies a slice into these events is the Monte-Carlo
-oracle's, `monte_carlo._ladder` over `monte_carlo._terms`.
+oracle's, `monte_carlo._ladder` over `monte_carlo._terms`.  The one home of
+the rate's constants that the closed forms' gain thresholds rest on, 2^R - 1
+for one message and 2^(2R) - 1 for the sum rate, is SystemConfig, which
+computes them once to validate a scenario.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 PROTOCOLS = ("ts", "mlh", "sc")
@@ -22,7 +25,16 @@ _GAIN_SPAN = -math.log(2.0 ** -53)
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """One physical scenario: rate, transmit power and fading statistics."""
+    """One physical scenario: rate, transmit power and fading statistics.
+
+    Validating a scenario computes the rate's constants, and the config
+    keeps them as attributes, not fields (so fields, repr, ==, hash and
+    replace see the three fields alone), for the closed forms to read:
+    k1 = 2^R and k2 = 2^(2R), the gain thresholds' numerators t1 = k1 - 1
+    (one message) and t2 = k2 - 1 (the sum rate), the sum-rate gain
+    threshold g_sum = t2 / P and s2p = sigma2 P.  The Monte-Carlo oracle
+    works in log2 terms and does not read them.
+    """
 
     rate_R: float            # bits per channel use, per message
     power_P: float           # total transmit power (linear)
@@ -36,16 +48,22 @@ class SystemConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         # the gain thresholds divide 2^R - 1 and 2^(2R) - 1 by powers
-        if 2.0 ** self.rate_R - 1.0 == 0.0:
+        k1 = 2.0 ** self.rate_R
+        if k1 - 1.0 == 0.0:
             raise ValueError("rate_R must be at least about 1.6e-16 "
                              f"(2**rate_R - 1 rounds to 0), got {self.rate_R}")
         try:
-            t2 = 2.0 ** (2.0 * self.rate_R) - 1.0
+            k2 = 2.0 ** (2.0 * self.rate_R)
         except OverflowError:
             raise ValueError("rate_R must be below 512 (2**(2*rate_R) "
                              f"overflows), got {self.rate_R}") from None
+        t2 = k2 - 1.0
+        # written past the frozen __setattr__: attributes, not fields
+        self.__dict__.update(k1=k1, k2=k2, t1=k1 - 1.0, t2=t2,
+                             g_sum=t2 / self.power_P,
+                             s2p=self.sigma2 * self.power_P)
         # the sum-rate gain threshold bounds the slot-1 integrals (g_max)
-        if math.isinf(t2 / self.power_P):
+        if math.isinf(self.g_sum):
             raise ValueError(
                 f"rate_R {self.rate_R} and power_P {self.power_P} make the "
                 "sum-rate gain threshold (2**(2*rate_R) - 1) / power_P "
@@ -57,10 +75,18 @@ class SystemConfig:
                 f"largest sampled gain times power_P ({_GAIN_SPAN:.2f} * "
                 "sigma2 * power_P) overflow")
         # p1 divides m2's residual by sigma2 * power_P
-        if self.sigma2 * self.power_P == 0.0:
+        if self.s2p == 0.0:
             raise ValueError(
                 f"sigma2 {self.sigma2} and power_P {self.power_P} make "
                 "sigma2 * power_P underflow to 0")
+
+    def __getstate__(self):
+        # the fields alone, as a plain dataclass pickles them; unpickling
+        # validates them again and recomputes the constants
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
     @property
     def snr_db(self) -> float:

@@ -319,29 +319,26 @@ def _values(protocol, windows, cfg, settings):
     the first point whose EventProbs or ScProbs fails a check raises the
     same ValueError.
 
-    The windows' points are concatenated into one _mlh_columns call (p1 at
-    the distinct alphas over all windows and at their 1 - alpha, then p3
-    and p4 at every point and its mirror) or one _sc_columns call, and the
-    columns are split at the cumulative window sizes.  Each value depends
-    on its own integral alone, so a window's values are those of the
-    window run alone.  The later windows are speculative: if the call
-    fails, the first window runs again alone, so a NonConvergence is
-    raised only if that window fails, and is then the one it raises
-    alone; the list then holds its function only."""
+    The windows' points are concatenated into one _mlh_columns call (every
+    point's alpha and 1 - alpha as its row, whose slot-1 terms it computes
+    once per distinct share, then p3 and p4 at every point and its mirror)
+    or one _sc_columns call, and the columns are split at the cumulative
+    window sizes.  Each value depends on its own integral alone, so a
+    window's values are those of the window run alone.  The later windows
+    are speculative: if the call fails, the first window runs again alone,
+    so a NonConvergence is raised only if that window fails, and is then
+    the one it raises alone; the list then holds its function only."""
     def columns(windows):
         alphas = np.concatenate([a for a, _ in windows])
         if protocol == "sc":
             return _sc_columns(alphas, cfg, settings)
         betas = np.concatenate([b for _, b in windows])
-        distinct, inverse = np.unique(alphas, return_inverse=True)
-        slot1, p3, p4 = _mlh_columns(distinct, 1.0 - distinct, alphas, betas,
+        slot1, p3, p4 = _mlh_columns(alphas, 1.0 - alphas, alphas, betas,
                                      np.concatenate([alphas, 1.0 - alphas]),
                                      np.concatenate([betas, 1.0 - betas]),
                                      cfg, settings)
         n = len(alphas)
-        return SimpleNamespace(**{name: column[inverse] for name, column
-                                  in vars(slot1).items()},
-                               p3=p3, p4=p4[:n], p4p=p4[n:])
+        return SimpleNamespace(**vars(slot1), p3=p3, p4=p4[:n], p4p=p4[n:])
 
     try:
         cols = columns(windows)

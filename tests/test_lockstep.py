@@ -642,6 +642,25 @@ def test_mlh_columns_with_no_rows():
     assert len(p3) == len(p4) == len(slot1.p0) == 0
 
 
+def test_mlh_columns_on_repeated_rows():
+    """Rows that repeat shares, the share 0.7 also the mirror 1 - 0.3 of
+    another row, get the bits of a call on the distinct rows, and prob_p0
+    runs once per distinct share of the rows and their mirrors."""
+    from mlharq import closed_form
+
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    assert 1.0 - 0.3 == 0.7 > vanishing_threshold(cfg)
+    distinct = [0.9, 0.3, 0.7, 1.0]
+    alphas = [0.9, 0.3, 0.9, 0.7, 0.3, 1.0, 0.9, 0.7]
+    with mock.patch.object(closed_form, "prob_p0",
+                           wraps=closed_form.prob_p0) as p0:
+        rows = _columns_bits(alphas, [1.0 - a for a in alphas], cfg)
+    assert p0.call_count == len({x for a in alphas for x in (a, 1.0 - a)})
+    once = _columns_bits(distinct, [1.0 - a for a in distinct], cfg)
+    at = [distinct.index(a) for a in alphas]
+    assert rows == [[column[k] for k in at] for column in once]
+
+
 def test_mlh_columns_raise_the_first_failure_of_the_scalar_loops():
     """p1 integrals in a loop over the rows, p1 at alpha then at the
     mirror, then a loop of prob_p3 then prob_p4: the first failure is the

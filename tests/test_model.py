@@ -1,10 +1,14 @@
 """Unit tests for the scenario types, the reward rules and the decode
 ladder (`monte_carlo._ladder` over `_terms`) on hand-classified draws."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mlharq.closed_form import g_max, throughput_ts
 from mlharq.model import (
@@ -120,6 +124,68 @@ class TestTypes:
         assert duration == one_slot + 2 * (n - one_slot)
         assert reward == sum(int(counts[ev]) * _REWARD_MESSAGES[ev]
                              for ev in SliceEvent)
+
+
+# The smallest and the largest accepted rate (test_config_rate_range).
+RATE_EDGES = (1.601713251907459e-16, 511.99999999999994)
+
+
+def _rate_constants(rate_R, power_P, sigma2):
+    """The rate's constants that SystemConfig keeps, each by its defining
+    expression, as float.hex."""
+    k1, k2 = 2.0 ** rate_R, 2.0 ** (2.0 * rate_R)
+    return {name: float.hex(value) for name, value in [
+        ("k1", k1), ("k2", k2), ("t1", k1 - 1.0), ("t2", k2 - 1.0),
+        ("g_sum", (k2 - 1.0) / power_P), ("s2p", sigma2 * power_P)]}
+
+
+def _kept(cfg):
+    return {name: float.hex(getattr(cfg, name))
+            for name in ("k1", "k2", "t1", "t2", "g_sum", "s2p")}
+
+
+@st.composite
+def accepted_configs(draw):
+    rate = draw(st.one_of(st.sampled_from(RATE_EDGES),
+                          st.floats(*RATE_EDGES)))
+    power = draw(st.one_of(st.sampled_from([1.0, 2.0, 1e5]),
+                           st.floats(1e-300, 1e300)))
+    sigma2 = draw(st.one_of(st.sampled_from([1.0, 0.3, 4.0]),
+                            st.floats(1e-300, 1e150)))
+    try:
+        return SystemConfig(rate_R=rate, power_P=power, sigma2=sigma2)
+    except ValueError:
+        assume(False)
+
+
+class TestRateConstants:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(cfg=accepted_configs(),
+           rate=st.one_of(st.sampled_from(RATE_EDGES[:1]),
+                          st.floats(RATE_EDGES[0], 8.0)))
+    @example(cfg=SystemConfig(rate_R=RATE_EDGES[0], power_P=1.0),
+             rate=RATE_EDGES[1])
+    @example(cfg=SystemConfig(rate_R=RATE_EDGES[1], power_P=1.0),
+             rate=RATE_EDGES[0])
+    def test_config_computes_the_rate_constants(self, cfg, rate):
+        """SystemConfig keeps k1, k2, t1, t2, g_sum and s2p with the bits
+        of their defining expressions, as attributes, not fields: fields,
+        repr, == and hash are the three fields', also after replace and a
+        pickle round trip, and replace with a new rate recomputes them."""
+        want = _rate_constants(cfg.rate_R, cfg.power_P, cfg.sigma2)
+        assert _kept(cfg) == want
+        assert [f.name for f in dataclasses.fields(SystemConfig)] == [
+            "rate_R", "power_P", "sigma2"]
+        assert repr(cfg) == (f"SystemConfig(rate_R={cfg.rate_R!r}, "
+                             f"power_P={cfg.power_P!r}, sigma2={cfg.sigma2!r})")
+        for twin in (dataclasses.replace(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert (repr(twin), hash(twin)) == (repr(cfg), hash(cfg))
+            assert twin == cfg
+            assert _kept(twin) == want
+        moved = dataclasses.replace(cfg, rate_R=rate)
+        assert _kept(moved) == _rate_constants(rate, cfg.power_P, cfg.sigma2)
+        assert moved == SystemConfig(rate, cfg.power_P, cfg.sigma2)
 
 
 class TestScalarHelpers:
