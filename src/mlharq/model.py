@@ -47,16 +47,17 @@ class SystemConfig:
                 raise ValueError(f"{name} must be > 0, got {value}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        # the gain thresholds divide 2^R - 1 and 2^(2R) - 1 by powers
-        k1 = 2.0 ** self.rate_R
-        if k1 - 1.0 == 0.0:
-            raise ValueError("rate_R must be at least about 1.6e-16 "
-                             f"(2**rate_R - 1 rounds to 0), got {self.rate_R}")
+        # the gain thresholds divide 2^R - 1 and 2^(2R) - 1 by powers;
+        # from R = 1024 on 2^R overflows too
         try:
+            k1 = 2.0 ** self.rate_R
             k2 = 2.0 ** (2.0 * self.rate_R)
         except OverflowError:
             raise ValueError("rate_R must be below 512 (2**(2*rate_R) "
                              f"overflows), got {self.rate_R}") from None
+        if k1 - 1.0 == 0.0:
+            raise ValueError("rate_R must be at least about 1.6e-16 "
+                             f"(2**rate_R - 1 rounds to 0), got {self.rate_R}")
         t2 = k2 - 1.0
         # written past the frozen __setattr__: attributes, not fields
         self.__dict__.update(k1=k1, k2=k2, t1=k1 - 1.0, t2=t2,

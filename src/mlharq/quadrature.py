@@ -5,8 +5,8 @@ where a max(...) or positive-part branch switches.  The driver pre-splits
 the interval at caller-supplied kink locations and then refines adaptively,
 estimating the error on each panel from an embedded low/high-order
 Gauss-Legendre pair.  Integrands are evaluated on numpy arrays of sample
-points, one batched call per refinement round: a (P, 22) array, one row of
-rule nodes per panel.
+points, at most one batched call per refinement round: a (P, 22) array,
+one row of rule nodes per panel.
 
 integrate_finite keeps its panels in Python lists.  Single integrals are
 small: in a scatter-eval pass an integral evaluates a median of 6 panels
@@ -19,6 +19,14 @@ lists are Python floats, the IEEE operations that the array form did
 elementwise.  The price is O(P) Python work a round: an all-NaN
 integrand, which spends the 2,000-panel budget one split a round, takes
 0.5-0.6 s where the array form took 0.08 s.
+
+A narrow round after the first, one that needs at most
+_LOOKAHEAD_CHILDREN new children, also evaluates two generations of their
+halves in its integrand call and keeps them, by their edges, for the
+rounds that split those children.  So the integrand may see sub-panels
+that the loop never keeps, and a chain of rounds that refine one or two
+panels each makes one call per three rounds at best; the panels kept and
+every value stay those of one call per round.
 
 integrate_finite_many runs a whole family of such integrals in lockstep:
 their kinks come as one NaN-padded (n, m) array, one row per integral,
@@ -78,6 +86,17 @@ MAX_SUBDIVISIONS = 2000   # cap on the total number of panels
 # against 4.30 MB at R = 9.5).  Calls of 2,048 panels peaked at 4.9 MB
 # where 1,024 peaked at 4.1 MB.
 CALL_PANELS = 1024
+
+# integrate_finite's rounds after the first that need at most this many
+# unevaluated children evaluate two generations of their halves with them
+# (at most 4 + 8 + 16 = 28 panels a call).  A scalar integral's costly
+# tail is a chain of rounds that each refine one or two panels, and an
+# integrand call on 28 panels costs 1.2-1.5x one on a single panel (_f4
+# 30 -> 37 us, _f1 8 -> 12 us; 2-vCPU VM), so looking ahead there cut
+# scatter-eval's integrand calls from 12.6 to 8.5 an op (seed 1) while
+# its panels rose from 35 to 75.  The first round does not look ahead:
+# 45% of scalar integrals converge in it.
+_LOOKAHEAD_CHILDREN = 4
 
 # Exponential tails exp(-g/s) are cut at g = s*TAIL_SPAN, where they have
 # fallen to 1e-14, well inside abs_tol for the envelopes used here.
@@ -206,6 +225,14 @@ def integrate_finite(f, a, b, breakpoints,
     return the (P, 22) integrand values, elementwise, and must not write
     its argument.
 
+    A round after the first that needs at most _LOOKAHEAD_CHILDREN
+    children not yet evaluated also evaluates two generations of their
+    halves in the same call of f, cut where the loop would cut them, and
+    later rounds take their children from those.  So f may be called on
+    sub-panels of [a, b] that the loop never keeps; the panels kept, the
+    result and every NonConvergence are those of one call of f per round,
+    as a panel's value and error depend on its edges alone.
+
     Raises NonConvergence if refinement would need more than
     MAX_SUBDIVISIONS panels.
     """
@@ -221,6 +248,7 @@ def integrate_finite(f, a, b, breakpoints,
 
     # the panels, in order: kept ones, then left halves, then right halves
     vals, errs = _rule(f, lo, hi)
+    ahead = {}   # (val, err) of each panel evaluated later, by its (lo, hi)
     while True:
         # the reduction integrate_finite_many runs over each owner's panels
         total, err_total = np.add.reduceat(np.array([vals, errs]), [0],
@@ -244,7 +272,17 @@ def integrate_finite(f, a, b, breakpoints,
         s_mid = [0.5 * (l + h) for l, h in zip(s_lo, s_hi)]
         child_lo = s_lo + s_mid
         child_hi = s_mid + s_hi
-        child_vals, child_errs = _rule(f, child_lo, child_hi)
+        children = list(zip(child_lo, child_hi))
+        need = [c for c in children if c not in ahead]
+        if need:
+            if len(need) <= _LOOKAHEAD_CHILDREN:
+                wave = need
+                for _ in range(2):
+                    wave = [half for l, h in wave for half in
+                            ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
+                    need += wave
+            ahead.update(zip(need, zip(*_rule(f, *zip(*need)))))
+        child_vals, child_errs = zip(*map(ahead.get, children))
         lo = [*compress(lo, keep), *child_lo]
         hi = [*compress(hi, keep), *child_hi]
         vals = [*compress(vals, keep), *child_vals]

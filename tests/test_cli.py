@@ -168,10 +168,12 @@ class TestEval:
     ["optimize", "--protocol", "sc", "--rate", "600", "--snr-db", "3"],
     ["sweep", "--kind", "t-vs-snr", "--rate", "512", "--axis-min", "3",
      "--axis-max", "3", "--protocols", "ts"],
+    ["eval", "--protocol", "ts", "--rate", "2000", "--snr-db", "3"],
 ])
 def test_rate_without_finite_thresholds_exits_1(capsys, tmp_path, argv):
     """2^R - 1 rounding to 0, or 2^(2R) overflowing, is refused with one
-    error line that names rate_R."""
+    error line that names rate_R, also from R = 1024 on, where 2^R
+    overflows too."""
     out_path = tmp_path / "x.csv"
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(out_path)]

@@ -48,8 +48,11 @@ class TestTypes:
             assert SystemConfig(rate_R=rate, power_P=1.0).rate_R == rate
         with pytest.raises(ValueError, match="rate_R must be at least"):
             SystemConfig(rate_R=math.nextafter(smallest, 0.0), power_P=1.0)
-        with pytest.raises(ValueError, match="rate_R must be below 512"):
-            SystemConfig(rate_R=math.nextafter(largest, 1e3), power_P=1.0)
+        # 2^R overflows as well from R = 1024 on
+        for rate in (math.nextafter(largest, 1e3), math.nextafter(1024.0, 0.0),
+                     1024.0, 2000.0, 1e308):
+            with pytest.raises(ValueError, match="rate_R must be below 512"):
+                SystemConfig(rate_R=rate, power_P=1.0)
 
     def test_config_power_floor_at_the_largest_rate(self):
         """(2**(2R) - 1) / P must be finite: at the largest rate the

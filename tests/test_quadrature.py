@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlharq import quadrature
+from mlharq.closed_form import _f1, _p1_window, prob_p1
+from mlharq.model import SystemConfig
 from mlharq.quadrature import (
     _NODES,
     _W7,
@@ -192,7 +194,9 @@ def test_nodes_equal_the_broadcast_expression():
 # numpy arrays: the same rules, split order, row sums (np.einsum) and
 # totals (np.add.reduceat over one segment), so every value and every
 # NonConvergence must equal its.  It reads MAX_SUBDIVISIONS from the
-# module, as integrate_finite does, so both run on a patched budget.
+# module, as integrate_finite does, so both run on a patched budget.  It
+# evaluates each round's children in one call, so it also holds
+# integrate_finite's look-ahead to the panels of a loop without one.
 # ---------------------------------------------------------------------------
 
 def ref_rule_batch(f, lo, hi):
@@ -318,11 +322,50 @@ def _outcome(integrate, f, a, b, kinks, quad, budget):
                LOOP_SETTINGS[4], quadrature.MAX_SUBDIVISIONS))
 @example(case=(0.0, 1.0, [], (0.37, (30.0, 1.0, 2.0), None, 0.0), LOOP_SETTINGS[4],
                quadrature.MAX_SUBDIVISIONS))
+# NaN on one ulp: the midpoint rounds to the left edge, so every split
+# repeats the panel's edges in a child, [1, 1] or [1, 1 + ulp], and the
+# look-ahead meets each edge pair again and again
+@example(case=(1.0, math.nextafter(1.0, 2.0), [], (0.0, (1.0, 0.0, 0.0), math.nan, 0.0),
+               LOOP_SETTINGS[0], 40))
 def test_list_loop_equals_the_array_loop(case):
+    """integrate_finite equals the array loop bit for bit, failures
+    included, at its look-ahead, with none and with one in every round
+    after the first."""
     a, b, kinks, family, quad, budget = case
     f = _integrand(*family)
-    assert (_outcome(integrate_finite, f, a, b, kinks, quad, budget)
-            == _outcome(ref_integrate_finite, f, a, b, kinks, quad, budget))
+    want = _outcome(ref_integrate_finite, f, a, b, kinks, quad, budget)
+    for children in (quadrature._LOOKAHEAD_CHILDREN, 0, 10_000):
+        with mock.patch.object(quadrature, "_LOOKAHEAD_CHILDREN", children):
+            got = _outcome(integrate_finite, f, a, b, kinks, quad, budget)
+        assert got == want, children
+
+
+def test_a_chain_of_narrow_rounds_looks_ahead():
+    """p1 at 3 dB, R = 1, alpha = 0.999 refines one or two panels a round
+    for 8 rounds.  With the look-ahead integrate_finite makes fewer
+    integrand calls than that, on nodes inside [a, b] only, and returns the
+    value of a loop with one call a round, which prob_p1 returns too."""
+    cfg = SystemConfig.from_snr_db(3.0, 1.0)
+    alpha = 0.999
+    a, b, _ = _p1_window(alpha, cfg)
+    c = (1.0 - alpha) * cfg.power_P
+
+    def run(children):
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return _f1(x, c, cfg)
+
+        with mock.patch.object(quadrature, "_LOOKAHEAD_CHILDREN", children):
+            return integrate_finite(f, a, b, []), seen
+
+    value, seen = run(quadrature._LOOKAHEAD_CHILDREN)
+    want, rounds = run(0)
+    assert [len(x) for x in rounds] == [1, 2, 2, 2, 2, 2, 2, 2]
+    assert len(seen) < len(rounds)
+    assert all(((a <= x) & (x <= b)).all() for x in seen)
+    assert _bits(value) == _bits(want) == _bits(prob_p1(alpha, cfg))
 
 
 def _odd_values(rng, shape):
