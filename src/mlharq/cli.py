@@ -259,6 +259,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     if args.configs < 1:
         raise _UsageError(f"--configs must be >= 1, got {args.configs}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     settings = _settings(args)
     rng = np.random.default_rng(args.seed)
     failures = 0

@@ -75,7 +75,7 @@ callers, the CLI among them, need no np.errstate of their own.
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -747,14 +747,6 @@ class _Kernel(NamedTuple):
     vanishes: Callable
     factor: Callable
 
-    def kinks(self, alpha, beta, cfg):
-        """The kink candidates at float shares, as a list."""
-        return _kinks(self.terms, alpha, beta, cfg)
-
-    def kinks_grid(self, alpha, beta, cfg):
-        """The kink candidates at each point of the share arrays."""
-        return _kinks_grid(self.terms, alpha, beta, cfg)
-
 
 _JOINT = _Kernel(_f3, _joint_terms, _joint_vanishes, _f3_factor)
 _ONLY_M1 = _Kernel(_f4, _only_m1_terms, _only_m1_vanishes, _f4_factor)
@@ -767,7 +759,8 @@ def _slot2(kernel, alpha, beta, upper, cfg, settings):
     if kernel.vanishes(alpha, beta, upper, cfg):
         return 0.0
     return integrate_finite(lambda g: kernel.integrand(g, alpha, beta, cfg),
-                            0.0, upper, breakpoints=kernel.kinks(alpha, beta, cfg),
+                            0.0, upper,
+                            breakpoints=_kinks(kernel.terms, alpha, beta, cfg),
                             settings=settings)
 
 
@@ -808,7 +801,8 @@ def _slot2_part(name, shares, kernel, alpha, beta, upper, cfg):
     beta = np.asarray(beta, dtype=float)
     limit = np.maximum(np.broadcast_to(upper, alpha.shape), 0.0)
     limit[kernel.vanishes(alpha, beta, limit, cfg)] = 0.0
-    return _Part(name, shares, kernel.integrand, kernel.kinks_grid,
+    return _Part(name, shares, kernel.integrand,
+                 partial(_kinks_grid, kernel.terms),
                  (alpha, beta), 0.0, limit)
 
 

@@ -18,10 +18,9 @@ trials.  A zero-power layer's terms are exact without a log2, so ts takes
 one log2 per slot.  Each protocol walks the ladder once (`_mlh_walk`,
 `_sc_walk`), yielding each event's mask over its subset of trials; a
 block counts the masks' trials (`_count`), NONE_DECODED being the
-remainder, and builds no per-trial event array.  The draw-by-draw
-classifiers `_mlh_events`/`_sc_events` scatter the same walk.  A block
-runs in chunks of at most CHUNK_TRIALS trials, which caps a worker's
-memory at any trial count without moving a draw.
+remainder, and builds no per-trial event array.  A block runs in chunks
+of at most CHUNK_TRIALS trials, which caps a worker's memory at any trial
+count without moving a draw.
 
 Each thread keeps one Philox generator per role (a block's first stream,
 and the second one a chunked block advances to g2) and re-keys it for
@@ -213,22 +212,6 @@ def _count(walk, n):
         counts[event] += np.count_nonzero(mask)
     counts[SliceEvent.NONE_DECODED] = n - sum(counts)
     return counts
-
-
-def _scatter(walk, n):
-    """The slice event of each of a walk's n trials."""
-    ev = np.full(n, int(SliceEvent.NONE_DECODED), dtype=np.int64)
-    for event, idx, mask in walk:
-        ev[mask if idx is None else idx[mask]] = int(event)
-    return ev
-
-
-def _mlh_events(g1, g2, alpha, beta, cfg):
-    return _scatter(_mlh_walk(g1, g2, alpha, beta, cfg), len(g1))
-
-
-def _sc_events(g1, g2, alpha, cfg):
-    return _scatter(_sc_walk(np.stack((g1, g2)), alpha, cfg), len(g1))
 
 
 def _block_stream(master_seed: int, block_index: int,

@@ -13,12 +13,13 @@ small: in a scatter-eval pass an integral evaluates a median of 6 panels
 (at most 34) in 2.7 rounds, and its largest round has at most 10 panels.
 The array form spent about 35 numpy calls a round on arrays of 1-10
 elements, about as long as the integrand took.  Now numpy runs, once a
-round, the rule nodes, the integrand, the two rule sums and one reduction
-for both totals; the shares, the split test, the midpoints and the panel
-lists are Python floats, the IEEE operations that the array form did
-elementwise.  The price is O(P) Python work a round: an all-NaN
-integrand, which spends the 2,000-panel budget one split a round, takes
-0.5-0.6 s where the array form took 0.08 s.
+round, the rule (_rule: the nodes of _nodes, the integrand, and the
+values and error estimates of _rule_values, which integrate_finite_many
+runs too) and one reduction for both totals; the shares, the split test,
+the midpoints and the panel lists are Python floats, the IEEE operations
+that the array form did elementwise.  The price is O(P) Python work a
+round: an all-NaN integrand, which spends the 2,000-panel budget one
+split a round, takes 0.5-0.6 s where the array form took 0.08 s.
 
 A narrow round after the first, one that needs at most
 _LOOKAHEAD_CHILDREN new children, also evaluates two generations of their
@@ -199,19 +200,21 @@ def _rule_sums(y):
             _einsum("ij,j->i", y[:, 7:], _W15))
 
 
-def _rule(f, lo, hi):
-    """Apply the rule pair to the panels [lo_i, hi_i], given as lists of
-    floats; their values and error estimates, as lists.
+def _rule_values(y, half):
+    """The values and error estimates of panels with half widths half,
+    from the integrand values y at their rule nodes (rows of _nodes): the
+    GL15 sum times half, and its distance from the GL7 sum times half."""
+    coarse, fine = _rule_sums(np.asarray(y, dtype=float, order="C"))
+    fine *= half
+    return fine, np.abs(fine - coarse * half)
 
-    The nodes are half * node + mid, the roundings of _nodes; the rest is
-    Python arithmetic on the floats, the IEEE operations that
-    _rule_many does elementwise."""
-    half = [0.5 * (h - l) for l, h in zip(lo, hi)]
-    x = np.multiply.outer(half, _NODES)
-    x += np.array([0.5 * (l + h) for l, h in zip(lo, hi)])[:, None]
-    coarse, fine = _rule_sums(np.asarray(f(x), dtype=float, order="C"))
-    vals = [v * w for v, w in zip(fine.tolist(), half)]
-    return vals, [abs(v - c * w) for v, c, w in zip(vals, coarse.tolist(), half)]
+
+def _rule(f, lo, hi):
+    """Apply the rule pair to the panels [lo_i, hi_i], given as sequences
+    of floats; their values and error estimates, as lists of floats."""
+    x, half = _nodes(*np.array((lo, hi)))
+    vals, errs = _rule_values(f(x), half)
+    return vals.tolist(), errs.tolist()
 
 
 def integrate_finite(f, a, b, breakpoints,
@@ -304,10 +307,7 @@ def _rule_many(f, lo, hi, owner):
     for s in range(0, len(lo), CALL_PANELS):
         run = slice(s, s + CALL_PANELS)
         x, half = _nodes(lo[run], hi[run])
-        coarse, fine[run] = _rule_sums(
-            np.asarray(f(x, owner[run, None]), dtype=float, order="C"))
-        fine[run] *= half
-        errs[run] = np.abs(fine[run] - coarse * half)
+        fine[run], errs[run] = _rule_values(f(x, owner[run, None]), half)
     return fine, errs
 
 

@@ -483,6 +483,14 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--configs", "0")
         assert code == 1
 
+    def test_negative_seed_exits_1(self, capsys):
+        """numpy's default_rng would refuse it with a message that names
+        no flag."""
+        code, out, err = run(capsys, "validate", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be >= 0, got -1\n"
+
 
 class TestUsage:
     def test_one_parser_serves_every_call(self, capsys, monkeypatch, tmp_path):

@@ -23,6 +23,8 @@ from mlharq.closed_form import (
     _ONLY_M1,
     ScProbs,
     _g_max_cell,
+    _kinks,
+    _kinks_grid,
     _mlh_columns,
     _p1_bounds,
     _p1_window,
@@ -416,10 +418,11 @@ def test_array_kink_candidates_equal_the_scalar_lists(case):
     alpha = np.array([a for a, _ in points])
     beta = np.array([b for _, b in points])
     for kernel, width in ((_JOINT, 9), (_ONLY_M1, 5)):
-        rows = kernel.kinks_grid(alpha, beta, cfg)
+        rows = _kinks_grid(kernel.terms, alpha, beta, cfg)
         assert rows.shape == (len(points), width)
         for (a, b), row in zip(points, rows.tolist()):
-            want = [p for p in kernel.kinks(a, b, cfg) if not math.isnan(p)]
+            want = [p for p in _kinks(kernel.terms, a, b, cfg)
+                    if not math.isnan(p)]
             assert _bits([p for p in row if not math.isnan(p)]) == _bits(want)
 
 

@@ -19,8 +19,9 @@ from mlharq.model import (
     SystemConfig,
     safe_div_threshold,
 )
-from mlharq.monte_carlo import _ladder, _mlh_events, _run_block, _terms
+from mlharq.monte_carlo import _ladder, _run_block, _terms
 from mlharq.quadrature import TAIL_SPAN
+from walk_events import mlh_events
 
 CFG = SystemConfig(rate_R=1.0, power_P=2.0)
 
@@ -316,10 +317,10 @@ class TestClassifySlot2:
         clears once its clean slot-1 term plus log2(1 + g2*P) reaches R."""
         # ts (alpha = 1): m2 accumulated nothing at slot 1, so slot 2
         # alone decides
-        ts = _mlh_events(np.array([2.0, 2.0]), np.array([10.0, 0.0]), 1.0, 1.0, CFG)
+        ts = mlh_events(np.array([2.0, 2.0]), np.array([10.0, 0.0]), 1.0, 1.0, CFG)
         assert ts.tolist() == [SliceEvent.OMEGA1, SliceEvent.OMEGA2]
         # alpha = 0.9, g1 = 1: only m1 clears slot 1, m2 keeps log2(1.2);
         # slot 2 alone falls short (log2(1.8) < 1), the sum clears R
         assert slot1([1.0], 0.9, CFG)[0] == ONLY_M1
-        mlh = _mlh_events(np.array([1.0, 1.0]), np.array([0.4, 0.3]), 0.9, 0.5, CFG)
+        mlh = mlh_events(np.array([1.0, 1.0]), np.array([0.4, 0.3]), 0.9, 0.5, CFG)
         assert mlh.tolist() == [SliceEvent.OMEGA1, SliceEvent.OMEGA2]

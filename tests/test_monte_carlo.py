@@ -25,14 +25,13 @@ from mlharq.monte_carlo import (
     InvalidTrials,
     _block_stream,
     _count,
-    _mlh_events,
     _mlh_walk,
     _run_block,
-    _sc_events,
     _sc_walk,
     _terms,
     estimate,
 )
+from walk_events import mlh_events, sc_events
 
 CFG = SystemConfig(rate_R=1.0, power_P=2.0)
 
@@ -46,12 +45,12 @@ class TestSampleGain:
 
 
 def mlh_event(g1, g2, alpha, beta, cfg=CFG):
-    return SliceEvent(int(_mlh_events(np.array([g1]), np.array([g2]), alpha,
-                                      beta, cfg)[0]))
+    return SliceEvent(int(mlh_events(np.array([g1]), np.array([g2]), alpha,
+                                     beta, cfg)[0]))
 
 
 def sc_event(g1, g2, alpha, cfg=CFG):
-    return SliceEvent(int(_sc_events(np.array([g1]), np.array([g2]), alpha, cfg)[0]))
+    return SliceEvent(int(sc_events(np.array([g1]), np.array([g2]), alpha, cfg)[0]))
 
 
 class TestScalarSlices:
@@ -83,7 +82,7 @@ class TestScalarSlices:
     def test_ts_never_one_slot(self):
         rng = np.random.default_rng(5)
         g1, g2 = rng.exponential(2.0, size=(2, 500))
-        assert (_mlh_events(g1, g2, 1.0, 1.0, CFG) != SliceEvent.OMEGA0).all()
+        assert (mlh_events(g1, g2, 1.0, 1.0, CFG) != SliceEvent.OMEGA0).all()
 
     def test_sc_outcomes(self):
         assert sc_event(50.0, 50.0, 0.6) is SliceEvent.OMEGA3
@@ -92,7 +91,7 @@ class TestScalarSlices:
     def test_sc_full_share_never_joint(self):
         rng = np.random.default_rng(6)
         g1, g2 = rng.exponential(3.0, size=(2, 500))
-        assert (_sc_events(g1, g2, 1.0, CFG) != SliceEvent.OMEGA3).all()
+        assert (sc_events(g1, g2, 1.0, CFG) != SliceEvent.OMEGA3).all()
 
 
 class TestEstimate:
@@ -348,8 +347,8 @@ def test_events_equal_the_reference_ladder(case):
             assert [_bits(x) for x in got] == [_bits(x) for x in want]
     want_mlh = ref_mlh_events(g1, g2, alpha, beta, cfg)
     want_sc = ref_sc_events(g1, g2, alpha, cfg)
-    assert np.array_equal(_mlh_events(g1, g2, alpha, beta, cfg), want_mlh)
-    assert np.array_equal(_sc_events(g1, g2, alpha, cfg), want_sc)
+    assert np.array_equal(mlh_events(g1, g2, alpha, beta, cfg), want_mlh)
+    assert np.array_equal(sc_events(g1, g2, alpha, cfg), want_sc)
     # a block counts the masks instead: the subsets' padded repeats
     # (`_trials`) must not count, at sizes that are not multiples of 8
     n = len(g1)

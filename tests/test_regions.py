@@ -19,7 +19,7 @@ import numpy as np
 
 from mlharq.closed_form import _p1_bounds, g_max, g_min, h3, h4, vanishing_threshold
 from mlharq.model import _GAIN_SPAN, SliceEvent, SystemConfig
-from mlharq.monte_carlo import _mlh_events, _sc_events
+from walk_events import mlh_events, sc_events
 
 REL = 1e-7
 CONFIGS = 400
@@ -138,7 +138,7 @@ def test_closed_form_regions_equal_the_oracle_draw_by_draw():
              only2, neither],
             [SliceEvent.OMEGA0, SliceEvent.OMEGA1, SliceEvent.OMEGA2,
              SliceEvent.OMEGA1P, SliceEvent.OMEGA2P, joint])
-        got = _mlh_events(g1, g2, alpha, beta, cfg)
+        got = mlh_events(g1, g2, alpha, beta, cfg)
         bad = np.flatnonzero(keep & (got != want))
         assert bad.size == 0, (cfg, alpha, beta, g1[bad[:3]], g2[bad[:3]])
         compared += int(keep.sum())
@@ -148,7 +148,7 @@ def test_closed_form_regions_equal_the_oracle_draw_by_draw():
         keep = ~near(g2, t_sc)
         want, overlap = joint_events(g2, t_sc)
         assert (overlap[keep] <= 1).all(), cfg
-        bad = np.flatnonzero(keep & (_sc_events(g1, g2, alpha, cfg) != want))
+        bad = np.flatnonzero(keep & (sc_events(g1, g2, alpha, cfg) != want))
         assert bad.size == 0, (cfg, alpha, g1[bad[:3]], g2[bad[:3]])
         compared += int(keep.sum())
         total += 2 * DRAWS

@@ -19,6 +19,7 @@ from mlharq.closed_form import (
     _ONLY_M1,
     _f3,
     _f4,
+    _kinks,
     h3,
     h4,
     vanishing_threshold,
@@ -105,7 +106,8 @@ def threshold_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for a, b in owners:
-        kinks = [x for x in _JOINT.kinks(a, b, cfg) + _ONLY_M1.kinks(a, b, cfg)
+        kinks = [x for x in (_kinks(_JOINT.terms, a, b, cfg)
+                             + _kinks(_ONLY_M1.terms, a, b, cfg))
                  if math.isfinite(x) and x >= 0.0]
         row = [0.0, *kinks[:8]]
         row += (sigma2 * rng.exponential(4.0, 22 - len(row))).tolist()

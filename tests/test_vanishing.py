@@ -29,6 +29,7 @@ from mlharq.closed_form import (
     _f3,
     _f4,
     _joint_vanishes,
+    _kinks,
     _mlh_columns,
     _only_m1_vanishes,
     _sc_columns,
@@ -135,7 +136,7 @@ def _assert_zero_if_claimed(alpha, beta, upper, cfg):
     if not claim:
         return False
     _assert_zero_unskipped(_f4, alpha, beta, upper, cfg,
-                           _ONLY_M1.kinks(alpha, beta, cfg))
+                           _kinks(_ONLY_M1.terms, alpha, beta, cfg))
     return True
 
 
@@ -165,7 +166,7 @@ def test_the_margin_keeps_a_nonzero_integral():
     u, v = upper * (1.0 - alpha) * p + 1.0, upper * p + 1.0
     assert 0.0 < (k1 * u - v) / v < 1e-15
     value = integrate_finite(lambda g: _f4(g, alpha, beta, cfg), 0.0, upper,
-                             _ONLY_M1.kinks(alpha, beta, cfg))
+                             _kinks(_ONLY_M1.terms, alpha, beta, cfg))
     assert value == pytest.approx(1.757e-17, rel=1e-3)
     assert not _only_m1_vanishes(alpha, beta, upper, cfg)
 
@@ -219,7 +220,7 @@ def test_a_vanishing_k3_integral_is_zero_unskipped(case):
                            np.array([upper]), cfg).tolist() == [claim]
     if claim:
         _assert_zero_unskipped(_f3, alpha, beta, upper, cfg,
-                               _JOINT.kinks(alpha, beta, cfg))
+                               _kinks(_JOINT.terms, alpha, beta, cfg))
 
 
 # ---------------------------------------------------------------------------
