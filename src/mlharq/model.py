@@ -102,7 +102,12 @@ class SystemConfig:
         SNR whether the latter is read as P/sigma^2 or as the mean received
         SNR P*sigma^2.
         """
-        power = sigma2 * 10.0 ** (snr_db / 10.0)
+        try:
+            power = sigma2 * 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise ValueError("snr_db must be below about 3082.5 "
+                             f"(10**(snr_db/10) overflows), got {snr_db}"
+                             ) from None
         return cls(rate_R=rate_R, power_P=power, sigma2=sigma2)
 
 

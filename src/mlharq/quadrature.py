@@ -8,26 +8,32 @@ Gauss-Legendre pair.  Integrands are evaluated on numpy arrays of sample
 points, at most one batched call per refinement round: a (P, 22) array,
 one row of rule nodes per panel.
 
-integrate_finite keeps its panels in Python lists.  Single integrals are
-small: in a scatter-eval pass an integral evaluates a median of 6 panels
-(at most 34) in 2.7 rounds, and its largest round has at most 10 panels.
-The array form spent about 35 numpy calls a round on arrays of 1-10
-elements, about as long as the integrand took.  Now numpy runs, once a
-round, the rule (_rule: the nodes of _nodes, the integrand, and the
-values and error estimates of _rule_values, which integrate_finite_many
-runs too) and one reduction for both totals; the shares, the split test,
-the midpoints and the panel lists are Python floats, the IEEE operations
-that the array form did elementwise.  The price is O(P) Python work a
-round: an all-NaN integrand, which spends the 2,000-panel budget one
-split a round, takes 0.5-0.6 s where the array form took 0.08 s.
+integrate_finite keeps its panels in Python: one list of their edges, in
+order, and one dict from a panel's edges to its value and error estimate,
+holding every panel the call has evaluated.  Single integrals are small:
+in a scatter-eval pass an integral evaluates a median of 6 panels (at
+most 34) in 2.7 rounds, and its largest round has at most 10 panels.  The
+array form spent about 35 numpy calls a round on arrays of 1-10 elements,
+about as long as the integrand took.  Now numpy runs, once a round, the
+rule on the panels the dict lacks (the nodes of _nodes, the integrand,
+and the values and error estimates of _rule_values, which
+integrate_finite_many runs too) and one reduction for both totals; the
+shares, the split test, the midpoints and the panel list are Python
+floats, the IEEE operations that the array form did elementwise.  The
+price is O(P) Python work a round, a dict lookup and a list rebuild: an
+all-NaN integrand, which spends the 2,000-panel budget one split a round,
+takes 1.0-1.2 s where the array form took 0.08 s and four parallel lists
+0.6 s (2-vCPU VM).
 
 A narrow round after the first, one that needs at most
 _LOOKAHEAD_CHILDREN new children, also evaluates two generations of their
-halves in its integrand call and keeps them, by their edges, for the
-rounds that split those children.  So the integrand may see sub-panels
-that the loop never keeps, and a chain of rounds that refine one or two
-panels each makes one call per three rounds at best; the panels kept and
-every value stay those of one call per round.
+halves in its integrand call, and the dict keeps them for the rounds that
+split those children.  So the integrand may see sub-panels that the loop
+never keeps, and a chain of rounds that refine one or two panels each
+makes one call per three rounds at best; the panels kept and every value
+stay those of one call per round.  A child whose edges repeat a panel
+evaluated before, as when a midpoint rounds to an edge, is read from the
+dict too.
 
 integrate_finite_many runs a whole family of such integrals in lockstep:
 their kinks come as one NaN-padded (n, m) array, one row per integral,
@@ -54,7 +60,6 @@ building them at import loaded numpy.polynomial and ran its eigensolver,
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -209,14 +214,6 @@ def _rule_values(y, half):
     return fine, np.abs(fine - coarse * half)
 
 
-def _rule(f, lo, hi):
-    """Apply the rule pair to the panels [lo_i, hi_i], given as sequences
-    of floats; their values and error estimates, as lists of floats."""
-    x, half = _nodes(*np.array((lo, hi)))
-    vals, errs = _rule_values(f(x), half)
-    return vals.tolist(), errs.tolist()
-
-
 def integrate_finite(f, a, b, breakpoints,
                      settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Integrate f over [a, b] with error <= max(abs_tol, rel_tol*|result|).
@@ -228,13 +225,16 @@ def integrate_finite(f, a, b, breakpoints,
     return the (P, 22) integrand values, elementwise, and must not write
     its argument.
 
-    A round after the first that needs at most _LOOKAHEAD_CHILDREN
-    children not yet evaluated also evaluates two generations of their
-    halves in the same call of f, cut where the loop would cut them, and
-    later rounds take their children from those.  So f may be called on
-    sub-panels of [a, b] that the loop never keeps; the panels kept, the
-    result and every NonConvergence are those of one call of f per round,
-    as a panel's value and error depend on its edges alone.
+    Each round evaluates, in one call of f, the panels it holds that were
+    not evaluated before, and keeps their values and error estimates by
+    their edges.  A round after the first that needs at most
+    _LOOKAHEAD_CHILDREN of them also evaluates two generations of their
+    halves in the same call, cut where the loop would cut them, and later
+    rounds read their children from those.  So f may be called on
+    sub-panels of [a, b] that the loop never keeps, and a panel whose
+    edges repeat one evaluated before is not evaluated again; the panels
+    kept, the result and every NonConvergence are those of one call of f
+    per round, as a panel's value and error depend on its edges alone.
 
     Raises NonConvergence if refinement would need more than
     MAX_SUBDIVISIONS panels.
@@ -244,15 +244,30 @@ def integrate_finite(f, a, b, breakpoints,
     if a == b:
         return 0.0
 
-    interior = sorted({float(p) for p in breakpoints if a < p < b})
-    lo = [float(a), *interior]
-    hi = [*interior, float(b)]
+    edges = [float(a), *sorted({float(p) for p in breakpoints if a < p < b}),
+             float(b)]
     width = float(b - a)
-
     # the panels, in order: kept ones, then left halves, then right halves
-    vals, errs = _rule(f, lo, hi)
-    ahead = {}   # (val, err) of each panel evaluated later, by its (lo, hi)
+    panels = list(zip(edges[:-1], edges[1:]))
+    evaluated = {}      # (value, error) of every panel evaluated, by its edges
+    new = panels
+    generations = 0     # the first round does not look ahead
     while True:
+        need = [p for p in new if p not in evaluated]
+        if need:
+            if len(need) <= _LOOKAHEAD_CHILDREN:
+                wave = need
+                for _ in range(generations):
+                    wave = [half for l, h in wave for half in
+                            ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
+                    need += wave
+            x, half = _nodes(*np.array(list(zip(*need))))
+            vals, errs = _rule_values(f(x), half)
+            evaluated.update(zip(need, zip(vals.tolist(), errs.tolist())))
+        # unpacked from a list: CPython builds the argument tuple of an
+        # unsized iterator by resizing, and the tuples it frees then pile up
+        # on its free lists (1.6 MB more held over a scatter-eval pass)
+        vals, errs = zip(*list(map(evaluated.get, panels)))
         # the reduction integrate_finite_many runs over each owner's panels
         total, err_total = np.add.reduceat(np.array([vals, errs]), [0],
                                            axis=1)[:, 0].tolist()
@@ -263,33 +278,17 @@ def integrate_finite(f, a, b, breakpoints,
         # Split every panel holding more than its width-proportional share
         # of the budget; always at least the worst one (the first NaN, else
         # the first largest).
-        split = [e > tol * (h - l) / width for l, h, e in zip(lo, hi, errs)]
+        split = [e > tol * (h - l) / width for (l, h), e in zip(panels, errs)]
         if not any(split):
             split[int(np.argmax(errs))] = True
-        if len(lo) + sum(split) > MAX_SUBDIVISIONS:
-            raise NonConvergence(total, err_total, len(lo))
+        if len(panels) + sum(split) > MAX_SUBDIVISIONS:
+            raise NonConvergence(total, err_total, len(panels))
 
-        keep = [not s for s in split]
-        s_lo = list(compress(lo, split))
-        s_hi = list(compress(hi, split))
-        s_mid = [0.5 * (l + h) for l, h in zip(s_lo, s_hi)]
-        child_lo = s_lo + s_mid
-        child_hi = s_mid + s_hi
-        children = list(zip(child_lo, child_hi))
-        need = [c for c in children if c not in ahead]
-        if need:
-            if len(need) <= _LOOKAHEAD_CHILDREN:
-                wave = need
-                for _ in range(2):
-                    wave = [half for l, h in wave for half in
-                            ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
-                    need += wave
-            ahead.update(zip(need, zip(*_rule(f, *zip(*need)))))
-        child_vals, child_errs = zip(*map(ahead.get, children))
-        lo = [*compress(lo, keep), *child_lo]
-        hi = [*compress(hi, keep), *child_hi]
-        vals = [*compress(vals, keep), *child_vals]
-        errs = [*compress(errs, keep), *child_errs]
+        halves = [(l, 0.5 * (l + h), h)
+                  for (l, h), s in zip(panels, split) if s]
+        new = [(l, m) for l, m, _ in halves] + [(m, h) for _, m, h in halves]
+        panels = [p for p, s in zip(panels, split) if not s] + new
+        generations = 2
 
 
 def _segments(owner):
@@ -300,8 +299,9 @@ def _segments(owner):
 
 
 def _rule_many(f, lo, hi, owner):
-    """_rule for owner-sorted panels in arrays, in integrand calls of at
-    most CALL_PANELS panels, wherever the owners' runs fall."""
+    """The values and error estimates of owner-sorted panels in arrays, in
+    integrand calls of at most CALL_PANELS panels, wherever the owners'
+    runs fall."""
     fine = np.empty_like(lo)
     errs = np.empty_like(lo)
     for s in range(0, len(lo), CALL_PANELS):

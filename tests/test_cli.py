@@ -183,6 +183,24 @@ def test_rate_without_finite_thresholds_exits_1(capsys, tmp_path, argv):
     assert err.startswith("error: rate_R ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--protocol", "ts", "--rate", "1", "--snr-db", "4000"],
+    ["optimize", "--protocol", "mlh", "--rate", "1", "--snr-db", "4000"],
+    ["sweep", "--kind", "t-vs-snr", "--rate", "1", "--axis-min", "4000",
+     "--axis-max", "4000", "--protocols", "ts"],
+])
+def test_snr_db_whose_power_overflows_exits_1(capsys, tmp_path, argv):
+    """An SNR whose 10**(snr_db/10) overflows is refused with one error
+    line that names snr_db, not Python's bare OverflowError."""
+    out_path = tmp_path / "x.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error: snr_db ") and err.count("\n") == 1
+
+
 def test_overflowing_sum_rate_threshold_exits_1(capsys):
     """At -5 dB, P = 0.316 makes (2**(2R) - 1) / P overflow at the largest
     rate; the config is refused at once with one error line."""

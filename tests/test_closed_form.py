@@ -5,6 +5,7 @@ Golden values marked "MC pin" were frozen from the Monte-Carlo oracle at
 standard errors of that run.
 """
 
+import dataclasses
 import functools
 import math
 import random
@@ -40,12 +41,13 @@ from mlharq.closed_form import (
     prob_p4,
     prob_p4_prime,
     prob_sc,
+    sc_throughput_from_probs,
     throughput_mlh,
     throughput_sc,
     throughput_ts,
     vanishing_threshold,
 )
-from mlharq.model import PowerSplit, SystemConfig
+from mlharq.model import _REWARD_MESSAGES, PowerSplit, SliceEvent, SystemConfig
 from mlharq.optimize import optimize_split
 from mlharq.quadrature import TAIL_SPAN, _nodes
 
@@ -495,6 +497,28 @@ class TestThroughputs:
         split = PowerSplit(0.7, 0.4)
         probs = event_probs(split, CFG)
         assert mlh_throughput_from_probs(probs, CFG) == throughput_mlh(split, CFG)
+
+    @pytest.mark.parametrize("records,throughput", [
+        (EventProbs, mlh_throughput_from_probs),
+        (ScProbs, sc_throughput_from_probs),
+    ])
+    @pytest.mark.parametrize("rate", [1.601713251907459e-16, 0.3, 1.0, 5.5,
+                                      511.99999999999994])
+    def test_single_events_pay_the_reward_table(self, records, throughput, rate):
+        """The throughput formulas restate model._REWARD_MESSAGES as
+        coefficients: a slice that ends in one event for sure (its field
+        1.0, the rest 0.0; none of them for NONE_DECODED) has throughput
+        exactly R * reward / slots, with the oracle's durations, 1 slot for
+        OMEGA0 and 2 otherwise.  Field p1p names OMEGA1P, tp4p OMEGA4P."""
+        cfg = SystemConfig.from_snr_db(3.0, rate)
+        names = [f.name for f in dataclasses.fields(records)]
+        cases = [(SliceEvent["OMEGA" + name.lstrip("tp").upper()], name)
+                 for name in names] + [(SliceEvent.NONE_DECODED, None)]
+        for event, field in cases:
+            probs = records(**{name: float(name == field) for name in names})
+            slots = 1 if event == SliceEvent.OMEGA0 else 2
+            assert throughput(probs, cfg) == \
+                rate * _REWARD_MESSAGES[event] / slots, event
 
 
 class TestCacheBound:

@@ -621,7 +621,7 @@ def test_slot1_columns_equal_the_scalar_closed_forms(case, quad):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=kink_cases())
-def test_g_max_each_equals_g_max(case):
+def test_g_max_cell_at_one_point_cells_equals_g_max(case):
     """_g_max_cell at the one-point intervals [alpha, alpha] has the bits
     of g_max at each share."""
     cfg, points = case

@@ -55,6 +55,16 @@ class TestTypes:
             with pytest.raises(ValueError, match="rate_R must be below 512"):
                 SystemConfig(rate_R=rate, power_P=1.0)
 
+    def test_config_snr_db_whose_power_overflows(self):
+        """from_snr_db refuses an SNR whose 10**(snr_db/10) overflows with
+        an error that names snr_db; below that the power is built and the
+        gain ceiling refuses it, naming sigma2 and power_P."""
+        with pytest.raises(ValueError, match="sigma2 .* power_P .* overflow"):
+            SystemConfig.from_snr_db(3082.0, 1.0)
+        for snr_db in (3083.0, 4000.0, 1e308):
+            with pytest.raises(ValueError, match="snr_db must be below"):
+                SystemConfig.from_snr_db(snr_db, 1.0)
+
     def test_config_power_floor_at_the_largest_rate(self):
         """(2**(2R) - 1) / P must be finite: at the largest rate the
         smallest accepted power is 0.9999999999999213, and one ulp below it
